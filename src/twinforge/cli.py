@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,6 +70,7 @@ from twinforge.twin import (
     scan_tree,
     TwinState,
 )
+from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import (
     ColumnDistanceRecord,
     ScriptMetrics,
@@ -107,21 +106,14 @@ def stage_seed(base: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@contextmanager
 def _workspace_lock(workspace: Path):
     workspace.mkdir(parents=True, exist_ok=True)
     for subdir in WORKSPACE_SUBDIRS:
         (workspace / subdir).mkdir(exist_ok=True)
-    lock = workspace / WORKSPACE_LOCK
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise WorkspaceLocked(f"{workspace}: another invocation holds {WORKSPACE_LOCK}") from None
-    os.close(fd)
-    try:
-        yield
-    finally:
-        lock.unlink(missing_ok=True)
+    return exclusive_lock(
+        workspace / WORKSPACE_LOCK,
+        WorkspaceLocked(f"{workspace}: another invocation holds {WORKSPACE_LOCK}"),
+    )
 
 
 def _workspace_path(config: PipelineConfig, subdir: str, name: str) -> Path:

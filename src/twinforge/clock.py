@@ -1,6 +1,6 @@
 """Timestamp source with an environment override for reproducible runs.
 
-Reports and event logs carry wall-clock timestamps. Setting
+Reports and twin images carry wall-clock timestamps. Setting
 TWINFORGE_TIMESTAMP pins every timestamp to the given ISO-8601 string so
 that two pipeline runs with the same config and seed produce byte-identical
 artifacts.

@@ -3,18 +3,15 @@
 from twinforge.ingest.macro import (
     BOS,
     EOS,
-    VERBS,
     MacroCommand,
     MacroScript,
     emit_macro_script,
-    parse_macro_line,
     parse_macro_script,
     tokenize_script,
 )
 from twinforge.ingest.tabular import (
     CONTINUOUS,
     DISCRETE,
-    PID_COLUMN,
     Column,
     Schema,
     TabularDataset,
@@ -24,11 +21,9 @@ from twinforge.ingest.tabular import (
 )
 from twinforge.ingest.top import (
     TOP_SCHEMA,
-    ProcessSample,
     parse_time_lapsed,
     parse_top_capture,
     parse_top_samples,
-    samples_to_dataset,
 )
 
 __all__ = [
@@ -36,24 +31,19 @@ __all__ = [
     "CONTINUOUS",
     "DISCRETE",
     "EOS",
-    "PID_COLUMN",
     "TOP_SCHEMA",
-    "VERBS",
     "Column",
     "MacroCommand",
     "MacroScript",
-    "ProcessSample",
     "Schema",
     "TabularDataset",
     "emit_macro_script",
     "infer_schema",
-    "parse_macro_line",
     "parse_macro_script",
     "parse_time_lapsed",
     "parse_top_capture",
     "parse_top_samples",
     "read_dataset_csv",
-    "samples_to_dataset",
     "tokenize_script",
     "write_dataset_csv",
 ]

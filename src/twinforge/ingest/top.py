@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from twinforge.errors import EmptyCapture, MalformedLine, MalformedTime
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
@@ -88,12 +87,8 @@ def parse_top_samples(text: str) -> list[ProcessSample]:
     return samples
 
 
-def samples_to_dataset(samples: Sequence[ProcessSample]) -> TabularDataset:
-    rows = tuple((s.user, s.cpu_pct, s.mem_pct, s.elapsed_s, s.command) for s in samples)
-    pids = tuple(s.pid for s in samples)
-    return TabularDataset(TOP_SCHEMA, rows, pids)
-
-
 def parse_top_capture(text: str) -> TabularDataset:
     """Parse capture text straight into a dataset with pid metadata."""
-    return samples_to_dataset(parse_top_samples(text))
+    samples = parse_top_samples(text)
+    rows = tuple((s.user, s.cpu_pct, s.mem_pct, s.elapsed_s, s.command) for s in samples)
+    return TabularDataset(TOP_SCHEMA, rows, tuple(s.pid for s in samples))

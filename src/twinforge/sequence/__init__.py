@@ -2,7 +2,6 @@
 
 from twinforge.sequence.ngram import (
     GenRequest,
-    SeqModel,
     generate_sequence,
     load_seq_model,
     next_token_probs,
@@ -15,7 +14,6 @@ from twinforge.sequence.service import ServiceEndpoint, generate_via_service
 
 __all__ = [
     "GenRequest",
-    "SeqModel",
     "ServiceEndpoint",
     "generate_sequence",
     "generate_via_service",

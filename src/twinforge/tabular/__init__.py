@@ -1,28 +1,22 @@
 """Tabular synthesis: conditional GAN, mixture encoding, gated sampling."""
 
-from twinforge.tabular.distance import emd_1d, tv_distance
-from twinforge.tabular.encoding import ALPHA_SCALE, CondVector, TableCodec, sample_condition
+from twinforge.tabular.distance import emd_1d
+from twinforge.tabular.encoding import ALPHA_SCALE
 from twinforge.tabular.gan import (
     GanConfig,
-    GanModel,
     generate_rows,
     load_model,
     model_to_json,
     save_model,
     train_gan,
 )
-from twinforge.tabular.gate import ColumnDistance, GateConfig, column_distances, generate_gated
-from twinforge.tabular.mixture import ModeNormalizer, fit_mode_normalizer
+from twinforge.tabular.gate import GateConfig, column_distances, generate_gated
+from twinforge.tabular.mixture import fit_mode_normalizer
 
 __all__ = [
     "ALPHA_SCALE",
-    "ColumnDistance",
-    "CondVector",
     "GanConfig",
-    "GanModel",
     "GateConfig",
-    "ModeNormalizer",
-    "TableCodec",
     "column_distances",
     "emd_1d",
     "fit_mode_normalizer",
@@ -30,8 +24,6 @@ __all__ = [
     "generate_rows",
     "load_model",
     "model_to_json",
-    "sample_condition",
     "save_model",
     "train_gan",
-    "tv_distance",
 ]

@@ -9,7 +9,7 @@ masks with exactly one bit set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,19 +19,6 @@ from twinforge.ingest.tabular import CONTINUOUS, Schema, TabularDataset
 from twinforge.tabular.mixture import ModeNormalizer, fit_mode_normalizer
 
 ALPHA_SCALE = 4.0
-
-
-@dataclass(frozen=True)
-class CondVector:
-    """A (column, category) selection plus its one-hot wire form."""
-
-    column: str
-    category: str
-    vector: np.ndarray = field(compare=False)
-
-    def __post_init__(self) -> None:
-        if self.vector.sum() != 1.0:
-            raise ValueError("condition vector must have exactly one bit set")
 
 
 @dataclass(frozen=True)
@@ -140,9 +127,6 @@ class TableCodec:
                     out[r, span.offset + j] = 1.0
         return out
 
-    def encode_row(self, row: Sequence[float | str], rng: np.random.Generator) -> np.ndarray:
-        return self.encode_rows([row], rng)[0]
-
     # -- decoding ---------------------------------------------------------
 
     def decode_rows(self, encoded: np.ndarray) -> list[tuple[float | str, ...]]:
@@ -162,21 +146,7 @@ class TableCodec:
             rows.append(tuple(cells))
         return rows
 
-    def decode_row(self, encoded: np.ndarray) -> tuple[float | str, ...]:
-        return self.decode_rows(encoded)[0]
-
     # -- conditions ---------------------------------------------------------
-
-    def condition_vector(self, column: str, category: str) -> np.ndarray:
-        vec = np.zeros(self.cond_width)
-        for span in self.cond_spans:
-            if span.name == column:
-                cats = self.categories[column]
-                if category not in cats:
-                    raise UnknownCategory(column, category)
-                vec[span.offset + cats.index(category)] = 1.0
-                return vec
-        raise KeyError(f"no discrete column {column!r}")
 
     def _sample_conditions(
         self, rng: np.random.Generator, size: int, log_weighted: bool
@@ -208,28 +178,3 @@ class TableCodec:
     ) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Synthesis-time conditions: categories at their empirical frequency."""
         return self._sample_conditions(rng, size, log_weighted=False)
-
-
-def sample_condition(
-    schema: Schema,
-    freq_tables: Mapping[str, Mapping[str, int]],
-    rng: np.random.Generator,
-) -> CondVector:
-    """Pick a discrete column uniformly, then a category with weight log(1+freq)."""
-    discrete = schema.discrete()
-    if not discrete:
-        raise ValueError("schema has no discrete columns to condition on")
-    layouts: list[tuple[str, tuple[str, ...], int]] = []
-    offset = 0
-    for _, column in discrete:
-        cats = tuple(sorted(freq_tables[column.name]))
-        layouts.append((column.name, cats, offset))
-        offset += len(cats)
-    name, cats, col_offset = layouts[int(rng.integers(len(layouts)))]
-    counts = np.array([freq_tables[name][c] for c in cats], dtype=float)
-    weights = np.log1p(counts)
-    probs = weights / weights.sum()
-    j = int(rng.choice(len(cats), p=probs))
-    vector = np.zeros(offset)
-    vector[col_offset + j] = 1.0
-    return CondVector(name, cats[j], vector)

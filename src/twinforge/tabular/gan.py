@@ -15,7 +15,9 @@ are drawn among those matching the sampled condition (training by
 sampling), so rare categories still reach the discriminator.
 
 Everything is a pure function of (dataset, config, seed): two runs with the
-same inputs produce bit-identical weights.
+same inputs produce bit-identical weights. Only the generator outlives
+training; synthesis never consults the discriminator, so the model file
+does not carry it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import LEAKY_RELU, RELU, Adam, FeedForward
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,12 @@ class GanConfig:
 
 @dataclass
 class GanModel:
-    """Trained generator/discriminator plus the encoding metadata."""
+    """Trained generator plus the encoding metadata and per-epoch losses."""
 
     codec: TableCodec
     config: GanConfig
     seed: int
     generator: FeedForward
-    discriminator: FeedForward
     gen_losses: tuple[float, ...]
     disc_losses: tuple[float, ...]
 
@@ -270,7 +271,6 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
         config=config,
         seed=seed,
         generator=generator,
-        discriminator=discriminator,
         gen_losses=tuple(gen_losses),
         disc_losses=tuple(disc_losses),
     )
@@ -329,7 +329,6 @@ def model_to_json(model: GanModel) -> str:
         "categories": {k: list(v) for k, v in model.codec.categories.items()},
         "frequencies": model.codec.frequencies,
         "generator": _net_to_lists(model.generator),
-        "discriminator": _net_to_lists(model.discriminator),
         "gen_losses": list(model.gen_losses),
         "disc_losses": list(model.disc_losses),
     }
@@ -346,7 +345,8 @@ def load_model(path: str | Path) -> GanModel:
     except json.JSONDecodeError as exc:
         raise MalformedModel(f"{path}: not valid JSON: {exc}") from exc
     try:
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
+        # Version 1 files also hold the discriminator; loading ignores that block.
+        if doc["format_version"] not in (1, MODEL_FORMAT_VERSION):
             raise MalformedModel(f"{path}: unsupported format_version {doc['format_version']!r}")
         schema = Schema(tuple(Column(n, k) for n, k in doc["schema"]))
         normalizers = {
@@ -370,7 +370,6 @@ def load_model(path: str | Path) -> GanModel:
             config=GanConfig(**doc["config"]),
             seed=doc["seed"],
             generator=_net_from_lists(doc["generator"]),
-            discriminator=_net_from_lists(doc["discriminator"]),
             gen_losses=tuple(doc["gen_losses"]),
             disc_losses=tuple(doc["disc_losses"]),
         )

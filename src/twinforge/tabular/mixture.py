@@ -67,11 +67,6 @@ class ModeNormalizer:
         p = np.exp(logp - shift)
         return p / p.sum(axis=1, keepdims=True)
 
-    def log_likelihood(self, values: np.ndarray) -> float:
-        logp = self.log_pdf(values) + np.log(self.weights)[None, :]
-        shift = logp.max(axis=1, keepdims=True)
-        return float((shift[:, 0] + np.log(np.exp(logp - shift).sum(axis=1))).sum())
-
 
 def _kmeanspp_centers(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [values[rng.integers(values.size)]]

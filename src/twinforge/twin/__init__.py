@@ -1,101 +1,54 @@
 """Twin harness: image capture, sandbox restore, patching, checks, diffs."""
 
 from twinforge.twin.checks import (
-    Assertion,
-    CheckResult,
     CheckSpec,
     ConfigEquals,
     FileExists,
     HashEquals,
-    checks_from_doc,
     load_checks,
     run_checks,
 )
 from twinforge.twin.image import (
     TwinImage,
     capture_image,
-    export_tar_gz,
     load_image,
     save_image,
     sidecar_path,
     unpack_archive,
 )
-from twinforge.twin.manifest import (
-    DEFAULT_EXCLUSIONS,
-    DIR,
-    FILE,
-    LOCK_FILENAME,
-    ManifestEntry,
-    ModifiedEntry,
-    TwinDiff,
-    diff_states,
-    is_excluded,
-    load_manifest,
-    save_manifest,
-    scan_tree,
-)
+from twinforge.twin.manifest import diff_states, load_manifest, save_manifest, scan_tree
 from twinforge.twin.patch import (
     AddFile,
     DeleteFile,
     PatchDelta,
-    PatchOp,
-    PatchReport,
     ReplaceFile,
     SetConfig,
     apply_patch,
-    delta_from_doc,
     load_delta,
 )
-from twinforge.twin.sandbox import (
-    DEFAULT_SCREEN,
-    EventLog,
-    ScenarioEvent,
-    TwinState,
-    instantiate_twin,
-    run_scenario,
-    writer_lock,
-)
+from twinforge.twin.sandbox import TwinState, instantiate_twin, writer_lock
 
 __all__ = [
     "AddFile",
-    "Assertion",
-    "CheckResult",
     "CheckSpec",
     "ConfigEquals",
-    "DEFAULT_EXCLUSIONS",
-    "DEFAULT_SCREEN",
-    "DIR",
     "DeleteFile",
-    "EventLog",
-    "FILE",
     "FileExists",
     "HashEquals",
-    "LOCK_FILENAME",
-    "ManifestEntry",
-    "ModifiedEntry",
     "PatchDelta",
-    "PatchOp",
-    "PatchReport",
     "ReplaceFile",
-    "ScenarioEvent",
     "SetConfig",
-    "TwinDiff",
     "TwinImage",
     "TwinState",
     "apply_patch",
     "capture_image",
-    "checks_from_doc",
-    "delta_from_doc",
     "diff_states",
-    "export_tar_gz",
     "instantiate_twin",
-    "is_excluded",
     "load_checks",
     "load_delta",
     "load_image",
     "load_manifest",
     "run_checks",
-    "run_scenario",
     "save_image",
     "save_manifest",
     "scan_tree",

@@ -2,17 +2,15 @@
 
 The archive is a custom container rather than OS tar so identical trees
 produce identical bytes on any platform: entries are sorted by path,
-lengths are fixed-width big-endian, and no timestamps are stored. A
-``export_tar_gz`` convenience mirrors the conventional transport format.
+lengths are fixed-width big-endian, and no timestamps are stored. Reading
+refuses any entry path that could land outside the restore directory.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
 import json
 import struct
-import tarfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -26,6 +24,7 @@ from twinforge.twin.manifest import (
     MANIFEST_FORMAT_VERSION,
     ManifestEntry,
     _hash_bytes,
+    is_safe_rel_path,
     manifest_from_doc,
     manifest_to_doc,
     scan_tree,
@@ -73,7 +72,8 @@ def _pack(root: Path, manifest: Sequence[ManifestEntry]) -> bytes:
 
 
 def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:
-    """Yield (path, kind, mode, content) tuples; raises on structural damage."""
+    """Yield (path, kind, mode, content) tuples; raises MalformedArchive on
+    structural damage or an unsafe entry path, before yielding that entry."""
     view = memoryview(archive)
     if bytes(view[: len(MAGIC)]) != MAGIC:
         raise MalformedArchive("bad magic; not a twin image")
@@ -85,6 +85,8 @@ def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:
             kind_code, mode, path_len = struct.unpack_from(">BIH", view, offset)
             offset += 7
             path = bytes(view[offset : offset + path_len]).decode("utf-8")
+            if not is_safe_rel_path(path):
+                raise MalformedArchive(f"entry path {path!r} is not a safe relative path")
             offset += path_len
             (content_len,) = struct.unpack_from(">Q", view, offset)
             offset += 8
@@ -132,23 +134,3 @@ def load_image(path: str | Path) -> TwinImage:
     if archive_paths != [e.path for e in manifest]:
         raise MalformedArchive(f"{path}: archive entries disagree with sidecar manifest")
     return image
-
-
-def export_tar_gz(image: TwinImage, path: str | Path) -> None:
-    """Conventional transport form; entry metadata is zeroed for stability."""
-    buffer = io.BytesIO()
-    with tarfile.open(fileobj=buffer, mode="w") as tar:
-        for entry_path, kind, mode, content in unpack_archive(image.archive):
-            info = tarfile.TarInfo(entry_path)
-            info.mode = mode
-            info.mtime = 0
-            if kind == DIR:
-                info.type = tarfile.DIRTYPE
-                tar.addfile(info)
-            else:
-                info.size = len(content)
-                tar.addfile(info, io.BytesIO(content))
-    with open(path, "wb") as fh:
-        # empty filename keeps the gzip header independent of the output path
-        with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-            gz.write(buffer.getvalue())

@@ -22,6 +22,13 @@ DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
 MANIFEST_FORMAT_VERSION = 1
 
 
+def is_safe_rel_path(path: str) -> bool:
+    """True for a non-empty relative path with no ``..`` part, which cannot
+    name anything outside the directory it is joined to."""
+    pure = PurePosixPath(path)
+    return bool(path) and not pure.is_absolute() and ".." not in pure.parts
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str  # relative, posix separators
@@ -33,8 +40,7 @@ class ManifestEntry:
     def __post_init__(self) -> None:
         if self.kind not in (FILE, DIR):
             raise ValueError(f"bad entry kind {self.kind!r}")
-        check = PurePosixPath(self.path)
-        if check.is_absolute() or ".." in check.parts or not self.path:
+        if not is_safe_rel_path(self.path):
             raise ValueError(f"manifest paths must be relative and normalized: {self.path!r}")
         if (self.sha256 is None) != (self.kind == DIR):
             raise ValueError("files carry a hash, directories do not")

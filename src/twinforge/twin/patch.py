@@ -20,7 +20,7 @@ import binascii
 import json
 import shutil
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Union
 
 from twinforge.errors import (
@@ -30,13 +30,12 @@ from twinforge.errors import (
     MalformedPatch,
     ReplaceMissing,
 )
-from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry
+from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
 from twinforge.twin.sandbox import TwinState, writer_lock
 
 
 def _check_rel_path(path: str) -> str:
-    p = PurePosixPath(path)
-    if not path or p.is_absolute() or ".." in p.parts or path.endswith("/"):
+    if not is_safe_rel_path(path) or path.endswith("/"):
         raise MalformedPatch(f"bad op path {path!r}: must be relative and normalized")
     return path
 

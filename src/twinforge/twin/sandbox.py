@@ -1,4 +1,4 @@
-"""Sandboxed twin instances: restore, advisory locking, scenario runs."""
+"""Sandboxed twin instances: restore into an empty directory, advisory locking."""
 
 from __future__ import annotations
 
@@ -7,12 +7,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from twinforge.clock import now_iso
-from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinLocked
-from twinforge.ingest.macro import MacroScript
+from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage, unpack_archive
 from twinforge.twin.manifest import DIR, LOCK_FILENAME, ManifestEntry, _hash_bytes, scan_tree
-from twinforge.validate.replay import ReplayFailure, replay_validate
 
 DEFAULT_SCREEN = (1920, 1080)
 
@@ -30,18 +27,26 @@ class TwinState:
 
 
 @contextmanager
-def writer_lock(sandbox: Path):
-    """Advisory exclusive lock for mutating operations (create, patch)."""
-    lock = Path(sandbox) / LOCK_FILENAME
+def exclusive_lock(lock: Path, locked: TwinforgeError):
+    """Hold ``lock``, created with O_EXCL, for the block; raise ``locked`` if
+    it already exists. The file is removed on exit, also on error."""
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise TwinLocked(f"{sandbox}: another writer holds {LOCK_FILENAME}") from None
+        raise locked from None
     os.close(fd)
     try:
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def writer_lock(sandbox: Path):
+    """Advisory exclusive lock for mutating operations (create, patch)."""
+    return exclusive_lock(
+        Path(sandbox) / LOCK_FILENAME,
+        TwinLocked(f"{sandbox}: another writer holds {LOCK_FILENAME}"),
+    )
 
 
 def instantiate_twin(
@@ -52,7 +57,9 @@ def instantiate_twin(
     """Restore an image into an empty sandbox and add a fresh ``tmp/``.
 
     Every file is verified against the manifest hash while restoring; one
-    flipped content byte surfaces as HashMismatch.
+    flipped content byte surfaces as HashMismatch. Directory modes are set
+    once every entry is written, deepest first, so a read-only directory
+    can still be restored with its contents.
     """
     sandbox = Path(sandbox_dir)
     if sandbox.exists() and any(sandbox.iterdir()):
@@ -60,12 +67,13 @@ def instantiate_twin(
     sandbox.mkdir(parents=True, exist_ok=True)
 
     expected = {e.path: e for e in image.manifest}
+    dir_modes: list[tuple[str, int]] = []
     with writer_lock(sandbox):
         for path, kind, mode, content in unpack_archive(image.archive):
             target = sandbox / path
             if kind == DIR:
                 target.mkdir(parents=True, exist_ok=True)
-                target.chmod(mode)
+                dir_modes.append((path, mode))
                 continue
             entry = expected.get(path)
             actual = _hash_bytes(content)
@@ -74,41 +82,9 @@ def instantiate_twin(
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
             target.chmod(mode)
+        for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
+            (sandbox / path).chmod(mode)
         tmp = sandbox / "tmp"
         tmp.mkdir(exist_ok=True)
         tmp.chmod(0o755)
     return TwinState(sandbox=sandbox, screen_width=screen[0], screen_height=screen[1])
-
-
-@dataclass(frozen=True)
-class ScenarioEvent:
-    timestamp: str
-    index: int
-    command: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class EventLog:
-    script_name: str
-    started_at: str
-    events: tuple[ScenarioEvent, ...]
-    ok: bool
-    first_failure: ReplayFailure | None
-
-
-def run_scenario(twin: TwinState, script: MacroScript) -> EventLog:
-    """Dry-run the script against the twin; never touches the sandbox tree."""
-    started = now_iso()
-    result = replay_validate(script, twin)
-    events = tuple(
-        ScenarioEvent(now_iso(), ev.index, ev.command, ev.ok, ev.detail) for ev in result.events
-    )
-    return EventLog(
-        script_name=script.name,
-        started_at=started,
-        events=events,
-        ok=result.ok,
-        first_failure=result.first_failure,
-    )

@@ -6,29 +6,16 @@ from twinforge.validate.replay import (
     MISSING_WINDOW,
     NO_ACTIVE_WINDOW,
     OUT_OF_BOUNDS,
-    ReplayEvent,
-    ReplayFailure,
-    ReplayResult,
-    executable_names,
     replay_validate,
 )
 from twinforge.validate.report import (
     ColumnDistanceRecord,
-    ComparisonReport,
     ScriptMetrics,
     build_report,
     load_report,
-    report_to_json,
     save_report,
 )
-from twinforge.validate.stats import (
-    FieldDelta,
-    ModalDelta,
-    StatsComparison,
-    SummaryStats,
-    compare_stats,
-    summary_stats,
-)
+from twinforge.validate.stats import compare_stats, summary_stats
 
 __all__ = [
     "MISSING_TARGET",
@@ -36,23 +23,13 @@ __all__ = [
     "NO_ACTIVE_WINDOW",
     "OUT_OF_BOUNDS",
     "ColumnDistanceRecord",
-    "ComparisonReport",
-    "FieldDelta",
-    "ModalDelta",
-    "ReplayEvent",
-    "ReplayFailure",
-    "ReplayResult",
     "ScriptMetrics",
-    "StatsComparison",
-    "SummaryStats",
     "bleu",
     "build_report",
     "compare_stats",
     "cosine_similarity",
-    "executable_names",
     "load_report",
     "replay_validate",
-    "report_to_json",
     "save_report",
     "summary_stats",
 ]

@@ -36,17 +36,8 @@ class ReplayFailure:
 
 
 @dataclass(frozen=True)
-class ReplayEvent:
-    index: int
-    command: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class ReplayResult:
     ok: bool
-    events: tuple[ReplayEvent, ...]
     first_failure: ReplayFailure | None
 
 
@@ -66,7 +57,6 @@ def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
     windows: set[str] = set()
     active: str | None = None
 
-    events: list[ReplayEvent] = []
     for index, cmd in enumerate(script.commands, start=1):
         failure: ReplayFailure | None = None
         if cmd.verb == "Run":
@@ -94,9 +84,6 @@ def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
                 failure = ReplayFailure(NO_ACTIVE_WINDOW, index, "Send with no active window")
         # Sleep always succeeds
 
-        if failure is None:
-            events.append(ReplayEvent(index, cmd.emit(), True))
-        else:
-            events.append(ReplayEvent(index, cmd.emit(), False, failure.detail))
-            return ReplayResult(ok=False, events=tuple(events), first_failure=failure)
-    return ReplayResult(ok=True, events=tuple(events), first_failure=None)
+        if failure is not None:
+            return ReplayResult(ok=False, first_failure=failure)
+    return ReplayResult(ok=True, first_failure=None)

@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 from twinforge.errors import UnknownCategory
 from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema
 from twinforge.ingest.top import parse_top_capture
-from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec, sample_condition
+from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 
 
@@ -26,27 +26,27 @@ NORM = ModeNormalizer((0.5, 0.5), (0.0, 10.0), (1.0, 2.0), 1e-6)
 def test_alpha_zero_at_mode_mean():
     codec = _codec_for(NORM)
     rng = np.random.default_rng(0)
-    vec = codec.encode_row((0.0, "a"), rng)
-    mode = int(np.argmax(vec[1:3]))
-    assert vec[0] == pytest.approx(0.0, abs=1e-12) or mode == 1
+    enc = codec.encode_rows([(0.0, "a")], rng)
+    mode = int(np.argmax(enc[0, 1:3]))
+    assert enc[0, 0] == pytest.approx(0.0, abs=1e-12) or mode == 1
     # decoding inverts regardless of which mode the posterior picked
-    assert codec.decode_row(vec)[0] == pytest.approx(0.0, abs=1e-9)
+    assert codec.decode_rows(enc)[0][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_alpha_one_at_four_stdevs():
     codec = _codec_for(ModeNormalizer((1.0,), (2.0,), (0.5,), 1e-6))
     rng = np.random.default_rng(0)
-    vec = codec.encode_row((2.0 + ALPHA_SCALE * 0.5, "a"), rng)
-    assert vec[0] == pytest.approx(1.0, abs=1e-12)
-    assert codec.decode_row(vec)[0] == pytest.approx(4.0, abs=1e-12)
+    enc = codec.encode_rows([(2.0 + ALPHA_SCALE * 0.5, "a")], rng)
+    assert enc[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert codec.decode_rows(enc)[0][0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_clipped_value_decodes_to_envelope_edge():
     codec = _codec_for(ModeNormalizer((1.0,), (0.0,), (1.0,), 1e-6))
     rng = np.random.default_rng(0)
-    vec = codec.encode_row((100.0, "a"), rng)
-    assert vec[0] == 1.0
-    assert codec.decode_row(vec)[0] == pytest.approx(ALPHA_SCALE, abs=1e-12)
+    enc = codec.encode_rows([(100.0, "a")], rng)
+    assert enc[0, 0] == 1.0
+    assert codec.decode_rows(enc)[0][0] == pytest.approx(ALPHA_SCALE, abs=1e-12)
 
 
 def test_one_hot_invariants():
@@ -61,43 +61,45 @@ def test_one_hot_invariants():
 def test_unknown_category():
     codec = _codec_for(NORM)
     with pytest.raises(UnknownCategory):
-        codec.encode_row((0.0, "zz"), np.random.default_rng(0))
+        codec.encode_rows([(0.0, "zz")], np.random.default_rng(0))
 
 
 def test_encode_decode_identity_on_table_cpu(top_capture_text):
     dataset = parse_top_capture(top_capture_text)
     codec = TableCodec.fit(dataset, seed=0)
-    rng = np.random.default_rng(0)
-    for row in dataset.rows:
-        decoded = codec.decode_row(codec.encode_row(row, rng))
-        cpu_idx = dataset.schema.names.index("cpu_pct")
-        assert decoded[cpu_idx] == pytest.approx(row[cpu_idx], abs=1e-9)
+    decoded = codec.decode_rows(codec.encode_rows(dataset.rows, np.random.default_rng(0)))
+    cpu_idx = dataset.schema.names.index("cpu_pct")
+    assert len(decoded) == len(dataset.rows)
+    for row, back in zip(dataset.rows, decoded):
+        assert back[cpu_idx] == pytest.approx(row[cpu_idx], abs=1e-9)
+
+
+def _condition_codec(freq: dict[str, float]) -> TableCodec:
+    """Codec over a single discrete column ``u`` with the given frequencies."""
+    schema = Schema((Column("u", DISCRETE),))
+    return TableCodec(schema, {}, {"u": tuple(sorted(freq))}, {"u": freq})
 
 
 def test_sample_condition_single_category():
-    schema = Schema((Column("u", DISCRETE),))
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        cond = sample_condition(schema, {"u": {"only": 7}}, rng)
-        assert cond.category == "only"
-        assert cond.vector.tolist() == [1.0]
+    codec = _condition_codec({"only": 7})
+    vecs, chosen = codec.sample_conditions_logfreq(np.random.default_rng(0), 10)
+    assert chosen == [("u", "only")] * 10
+    assert vecs.tolist() == [[1.0]] * 10
 
 
 def test_sample_condition_equal_frequencies_are_uniform():
-    schema = Schema((Column("u", DISCRETE),))
-    rng = np.random.default_rng(123)
-    draws = [sample_condition(schema, {"u": {"a": 50, "b": 50}}, rng).category for _ in range(10_000)]
-    counts = [draws.count("a"), draws.count("b")]
+    codec = _condition_codec({"a": 50, "b": 50})
+    _, chosen = codec.sample_conditions_logfreq(np.random.default_rng(123), 10_000)
+    counts = [chosen.count(("u", "a")), chosen.count(("u", "b"))]
     assert chisquare(counts).pvalue > 0.01
 
 
 def test_sample_condition_log_frequency_formula():
     # freq {a: e-1, b: 1} -> weights {1, log 2} -> P(a) = 1 / (1 + log 2)
-    schema = Schema((Column("u", DISCRETE),))
-    rng = np.random.default_rng(7)
+    codec = _condition_codec({"a": math.e - 1.0, "b": 1.0})
     n = 40_000
-    freq = {"u": {"a": math.e - 1.0, "b": 1.0}}
-    draws = sum(1 for _ in range(n) if sample_condition(schema, freq, rng).category == "a")
+    _, chosen = codec.sample_conditions_logfreq(np.random.default_rng(7), n)
+    draws = chosen.count(("u", "a"))
     expected = 1.0 / (1.0 + math.log(2.0))
     assert expected == pytest.approx(0.5906, abs=1e-3)
     assert draws / n == pytest.approx(expected, abs=0.01)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from twinforge.errors import TooFewRows
+from twinforge.errors import MalformedModel, TooFewRows
 from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
 from twinforge.tabular import (
     ALPHA_SCALE,
@@ -37,9 +39,8 @@ def test_same_seed_bit_identical_weights(small_dataset):
     b = train_gan(small_dataset, SMALL_CONFIG, seed=3)
     for wa, wb in zip(a.generator.params, b.generator.params):
         assert (wa == wb).all()
-    for wa, wb in zip(a.discriminator.params, b.discriminator.params):
-        assert (wa == wb).all()
     assert a.gen_losses == b.gen_losses
+    assert a.disc_losses == b.disc_losses
 
 
 def test_too_few_rows():
@@ -99,6 +100,26 @@ def test_model_round_trip_bit_exact(tmp_path, small_model):
     a = generate_rows(small_model, 20, np.random.default_rng(11))
     b = generate_rows(loaded, 20, np.random.default_rng(11))
     assert a == b
+
+
+def test_model_file_is_generator_only_and_reads_version_1(tmp_path, small_model):
+    doc = json.loads(model_to_json(small_model))
+    assert doc["format_version"] == 2
+    assert "discriminator" not in doc
+    # A version 1 file is the same document plus the discriminator's weights.
+    legacy = dict(doc, format_version=1)
+    legacy["discriminator"] = {"activation": "leaky_relu", "weights": [[[0.5]]], "biases": [[0.0]]}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(legacy), encoding="utf-8")
+    loaded = load_model(path)
+    assert model_to_json(loaded) == model_to_json(small_model)
+    a = generate_rows(small_model, 20, np.random.default_rng(11))
+    b = generate_rows(loaded, 20, np.random.default_rng(11))
+    assert a == b
+
+    path.write_text(json.dumps(dict(doc, format_version=99)), encoding="utf-8")
+    with pytest.raises(MalformedModel):
+        load_model(path)
 
 
 def test_config_validation():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from twinforge.twin import (
     sidecar_path,
     unpack_archive,
 )
+from twinforge.twin.image import MAGIC
 
 from conftest import build_twin_tree
 
@@ -75,6 +78,51 @@ def test_restore_round_trip(twin_tree, tmp_path):
     assert any(e.path == "tmp" and e.kind == "dir" for e in live)
     assert (tmp_path / "sandbox" / "tmp").is_dir()
     assert not any((tmp_path / "sandbox" / "tmp").iterdir())
+
+
+def _dir_archive(path: str, mode: int) -> bytes:
+    """A one-entry archive holding directory ``path``, laid out as the reader expects."""
+    raw = path.encode("utf-8")
+    return MAGIC + struct.pack(">I", 1) + struct.pack(">BIH", 0, mode, len(raw)) + raw + struct.pack(">Q", 0)
+
+
+def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
+    sandbox = tmp_path / "sandbox"
+    for path in ("", "../escaped", str(tmp_path / "abs" / "path")):
+        crafted = TwinImage((), _dir_archive(path, 0o700), (), "")
+        with pytest.raises(MalformedArchive):
+            instantiate_twin(crafted, sandbox)
+        assert [p.name for p in tmp_path.iterdir()] == ["sandbox"], path
+
+
+def test_directory_modes_are_set_after_their_contents(tmp_path, monkeypatch):
+    root = tmp_path / "source"
+    (root / "ro" / "sub").mkdir(parents=True)
+    (root / "ro" / "sub" / "leaf.txt").write_text("leaf", encoding="utf-8")
+    (root / "ro" / "top.txt").write_text("top", encoding="utf-8")
+    image = capture_image(root)
+    sandbox = tmp_path / "sandbox"
+    calls: list[tuple[str, str]] = []
+    chmod, write_bytes = Path.chmod, Path.write_bytes
+
+    def recording_chmod(self, mode, **kwargs):
+        calls.append(("chmod", self.relative_to(sandbox).as_posix()))
+        return chmod(self, mode, **kwargs)
+
+    def recording_write_bytes(self, data):
+        calls.append(("write", self.relative_to(sandbox).as_posix()))
+        return write_bytes(self, data)
+
+    # root ignores permission bits, so check the order of the calls instead
+    monkeypatch.setattr(Path, "chmod", recording_chmod)
+    monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
+    instantiate_twin(image, sandbox)
+
+    dirs = [e.path for e in image.manifest if e.kind == "dir"]
+    assert [p for op, p in calls if op == "chmod" and p in dirs] == ["ro/sub", "ro"]
+    for i, (op, path) in enumerate(calls):
+        if op == "chmod" and path in dirs:
+            assert not any(p.startswith(path + "/") for _, p in calls[i + 1 :]), calls
 
 
 def test_sandbox_not_empty(twin_tree, tmp_path):
