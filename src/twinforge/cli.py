@@ -1,16 +1,15 @@
 """Command-line pipeline: capture, twin ops, ingest, train, generate, validate.
 
-Exit codes: 0 success, 1 usage error, 2 data error (parse failures, bad
-files, I/O), 3 gate or validation failure. All randomness derives from the
-config seed (``--seed`` overrides); per-stage streams are hashed from it so
-stages stay independent.
+Exit codes: 0 success, 1 usage error, 2 data error (parse failures; bad,
+unreadable or non-UTF-8 files; I/O), 3 gate or validation failure. All
+randomness derives from the config seed (``--seed`` overrides); per-stage
+streams are hashed from it so stages stay independent.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +27,7 @@ from twinforge.config import (
 from twinforge.errors import (
     GateExhausted,
     MacroSyntaxError,
+    MalformedCsv,
     EmptyScript,
     TwinforgeError,
     WorkspaceLocked,
@@ -40,6 +40,7 @@ from twinforge.ingest import (
     tokenize_script,
     write_dataset_csv,
 )
+from twinforge.jsonfile import dumps, read_json, write_json
 from twinforge.sequence import (
     GenRequest,
     generate_sequence,
@@ -72,7 +73,6 @@ from twinforge.twin import (
 )
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import (
-    ColumnDistanceRecord,
     ScriptMetrics,
     bleu,
     build_report,
@@ -259,16 +259,7 @@ def _cmd_twin(args, config, say) -> int:
         say(f"manifest now {len(report.manifest)} entries")
         return EXIT_OK
     if args.twin_command == "diff":
-        diff = diff_states(_manifest_source(args.pre), _manifest_source(args.post))
-        doc = {
-            "added": list(diff.added),
-            "removed": list(diff.removed),
-            "modified": [
-                {"path": m.path, "old_sha256": m.old_sha256, "new_sha256": m.new_sha256}
-                for m in diff.modified
-            ],
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = dumps(diff_states(_manifest_source(args.pre), _manifest_source(args.post)))
         if args.out:
             args.out.write_text(text, encoding="utf-8")
             say(f"diff -> {args.out}")
@@ -340,9 +331,7 @@ def _cmd_gen(args, config, say) -> int:
         out = args.out or _workspace_path(config, "datasets", "synthetic.csv")
         write_dataset_csv(synth, out)
         meta = {"gate_attempts": attempts, "seed": seed, "n": args.n, "model": str(args.model)}
-        Path(str(out) + ".meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(meta, str(out) + ".meta.json")
         print(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
@@ -372,10 +361,6 @@ def _cmd_validate(args, config, say) -> int:
     real = read_dataset_csv(args.real)
     synth = read_dataset_csv(args.synth)
     comparison = compare_stats(real, synth)
-    distances = tuple(
-        ColumnDistanceRecord(cd.column, cd.kind, cd.distance)
-        for cd in column_distances(real, synth)
-    )
 
     if args.pair and args.sandbox is None:
         raise _UsageError("--pair needs --sandbox for replay validation")
@@ -401,7 +386,9 @@ def _cmd_validate(args, config, say) -> int:
     seeds = {"global": config.seed}
     meta_path = Path(str(args.synth) + ".meta.json")
     if gate_attempts is None and meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = read_json(meta_path, MalformedCsv)
+        if not isinstance(meta, dict):
+            raise MalformedCsv(f"{meta_path}: expected a JSON object")
         gate_attempts = meta.get("gate_attempts")
         if "seed" in meta:
             seeds["gen_tabular"] = meta["seed"]
@@ -417,7 +404,7 @@ def _cmd_validate(args, config, say) -> int:
         real_stats=summary_stats(real),
         synth_stats=summary_stats(synth),
         comparison=comparison,
-        distances=distances,
+        distances=column_distances(real, synth),
         scripts=tuple(scripts),
         gate_attempts=gate_attempts,
     )
@@ -485,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -7,12 +7,12 @@ defaults. The loaded config is echoed into every report for provenance.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from twinforge.errors import ConfigParse, UnknownKey
+from twinforge.jsonfile import read_json
 from twinforge.sequence.service import ServiceEndpoint
 from twinforge.tabular.gan import GanConfig
 from twinforge.tabular.gate import GateConfig
@@ -162,8 +162,5 @@ def config_from_doc(doc: object, source: str = "<config>") -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Strict parse; every unknown key or out-of-range value is an error."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigParse(str(path), f"not valid JSON: {exc}") from exc
+    doc = read_json(path, lambda reason: ConfigParse(str(path), reason))
     return config_from_doc(doc, source=str(path))

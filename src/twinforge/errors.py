@@ -33,10 +33,6 @@ class EmptyCapture(TwinforgeError):
     """A process capture contained no data lines."""
 
 
-class RaggedRows(TwinforgeError):
-    """Rows passed to schema inference have unequal arity."""
-
-
 class MalformedCsv(TwinforgeError):
     """A dataset CSV file violates the on-disk format."""
 

@@ -15,7 +15,6 @@ from twinforge.ingest.tabular import (
     Column,
     Schema,
     TabularDataset,
-    infer_schema,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Schema",
     "TabularDataset",
     "emit_macro_script",
-    "infer_schema",
     "parse_macro_script",
     "parse_time_lapsed",
     "parse_top_capture",

@@ -30,8 +30,6 @@ _TEXT_VERBS = {"run": "Run", "send": "Send", "winactivate": "WinActivate", "winw
 # Verbs with fixed non-negative integer arguments.
 _INT_VERBS = {"sleep": ("Sleep", 1), "click": ("Click", 2)}
 
-VERBS = tuple(sorted(list(_TEXT_VERBS.values()) + [v for v, _ in _INT_VERBS.values()]))
-
 
 def _check_text_arg(verb: str, arg: object) -> None:
     if not isinstance(arg, str):

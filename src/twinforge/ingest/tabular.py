@@ -1,4 +1,4 @@
-"""Mixed-type tabular datasets: schema model, kind inference, CSV persistence.
+"""Mixed-type tabular datasets: schema model and CSV persistence.
 
 The on-disk format is RFC-4180 CSV where quoting doubles as the type channel:
 continuous cells are written unquoted (numeric), discrete cells quoted. That
@@ -15,18 +15,14 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
-from twinforge.errors import MalformedCsv, RaggedRows
+from twinforge.errors import MalformedCsv
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 _KINDS = (CONTINUOUS, DISCRETE)
 
 PID_COLUMN = "pid"
-
-# A numeric column needs more distinct values than this to count as continuous.
-CONTINUOUS_DISTINCT_THRESHOLD = 10
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,6 @@ class Schema:
 
     def discrete(self) -> tuple[tuple[int, Column], ...]:
         return tuple((i, c) for i, c in enumerate(self.columns) if c.kind == DISCRETE)
-
-    def kind_of(self, name: str) -> str:
-        for column in self.columns:
-            if column.name == name:
-                return column.kind
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -121,62 +111,6 @@ class TabularDataset:
     def column_values(self, name: str) -> tuple[float | str, ...]:
         idx = self.schema.names.index(name)
         return tuple(row[idx] for row in self.rows)
-
-
-def _as_number(cell: object) -> float | None:
-    """Finite-float view of a cell, or None when it is not numeric."""
-    if isinstance(cell, bool):
-        return None
-    if isinstance(cell, (int, float)):
-        value = float(cell)
-    elif isinstance(cell, str):
-        try:
-            value = float(cell)
-        except ValueError:
-            return None
-    else:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def infer_schema(
-    rows: Sequence[Sequence[object]],
-    overrides: Mapping[str, str] | None = None,
-    names: Sequence[str] | None = None,
-) -> Schema:
-    """Derive column kinds from raw cells.
-
-    A column is continuous iff every cell parses as a finite number and the
-    distinct-value count exceeds CONTINUOUS_DISTINCT_THRESHOLD; anything else
-    is discrete. ``overrides`` (name -> kind) wins over the rule. The result
-    does not depend on row order.
-    """
-    if not rows:
-        raise RaggedRows("no rows to infer from")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRows(f"row {r}: expected {width} cells, got {len(row)}")
-    if names is None:
-        names = [f"col{i}" for i in range(width)]
-    elif len(names) != width:
-        raise RaggedRows(f"got {len(names)} names for {width} columns")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(names)
-    if unknown:
-        raise KeyError(f"override for absent column(s): {sorted(unknown)}")
-
-    columns = []
-    for i, name in enumerate(names):
-        if name in overrides:
-            columns.append(Column(name, overrides[name]))
-            continue
-        numbers = [_as_number(row[i]) for row in rows]
-        if all(v is not None for v in numbers) and len(set(numbers)) > CONTINUOUS_DISTINCT_THRESHOLD:
-            columns.append(Column(name, CONTINUOUS))
-        else:
-            columns.append(Column(name, DISCRETE))
-    return Schema(tuple(columns))
 
 
 def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:

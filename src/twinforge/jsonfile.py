@@ -1,0 +1,36 @@
+"""The one text form of every JSON artifact, and its one reader.
+
+Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
+trailing newline, so the same document always gives the same bytes. A
+dataclass inside a document is written as ``{field name: value}``, which
+makes its field names the on-disk keys.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import Callable
+
+
+def _fields(obj: object) -> dict:
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dumps(doc: object) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n"
+
+
+def write_json(doc: object, path: str | Path) -> None:
+    Path(path).write_text(dumps(doc), encoding="utf-8")
+
+
+def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
+    """Parse a UTF-8 JSON file; undecodable bytes or bad JSON raise ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc

@@ -9,7 +9,6 @@ strictly positive distribution summing to one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +17,7 @@ import numpy as np
 
 from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
+from twinforge.jsonfile import dumps, read_json
 
 MODEL_FORMAT_VERSION = 1
 _CTX_JOIN = "\n"  # tokens are single lines, so newline never collides
@@ -161,13 +161,13 @@ def seq_model_to_json(model: SeqModel) -> str:
         "order": model.order,
         "delta": model.delta,
         "seed": model.seed,
-        "vocab": list(model.vocab),
+        "vocab": model.vocab,
         "counts": {
             str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()}
             for m, tables in model.counts.items()
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(doc)
 
 
 def save_seq_model(model: SeqModel, path: str | Path) -> None:
@@ -175,10 +175,7 @@ def save_seq_model(model: SeqModel, path: str | Path) -> None:
 
 
 def load_seq_model(path: str | Path) -> SeqModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, MalformedModel)
     try:
         if doc["format_version"] != MODEL_FORMAT_VERSION:
             raise MalformedModel(f"{path}: unsupported format_version {doc['format_version']!r}")

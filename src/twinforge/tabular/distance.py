@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -35,7 +36,11 @@ def emd_1d(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def tv_distance(a: Iterable[str], b: Iterable[str]) -> float:
-    """Total variation between two category samples: half the L1 gap."""
+    """Total variation between two category samples: half the L1 gap.
+
+    The gaps are summed exactly, so the result does not depend on the
+    (hash-seeded) order in which the category set yields them.
+    """
     count_a = Counter(a)
     count_b = Counter(b)
     n_a = sum(count_a.values())
@@ -43,4 +48,4 @@ def tv_distance(a: Iterable[str], b: Iterable[str]) -> float:
     if n_a == 0 or n_b == 0:
         raise EmptySample("tv_distance needs non-empty samples")
     keys = set(count_a) | set(count_b)
-    return 0.5 * sum(abs(count_a[k] / n_a - count_b[k] / n_b) for k in keys)
+    return 0.5 * math.fsum(abs(count_a[k] / n_a - count_b[k] / n_b) for k in keys)

@@ -22,15 +22,15 @@ does not carry it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import CONTINUOUS, Column, Schema, TabularDataset
+from twinforge.jsonfile import dumps, read_json
 from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import LEAKY_RELU, RELU, Adam, FeedForward
@@ -314,25 +314,16 @@ def model_to_json(model: GanModel) -> str:
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "tabular-gan",
         "seed": model.seed,
-        "config": asdict(model.config),
+        "config": model.config,
         "schema": [[c.name, c.kind] for c in model.schema.columns],
-        "normalizers": {
-            name: {
-                "weights": list(norm.weights),
-                "means": list(norm.means),
-                "stdevs": list(norm.stdevs),
-                "stdev_floor": norm.stdev_floor,
-                "em_loglik": list(norm.em_loglik),
-            }
-            for name, norm in model.codec.normalizers.items()
-        },
-        "categories": {k: list(v) for k, v in model.codec.categories.items()},
+        "normalizers": model.codec.normalizers,
+        "categories": model.codec.categories,
         "frequencies": model.codec.frequencies,
         "generator": _net_to_lists(model.generator),
-        "gen_losses": list(model.gen_losses),
-        "disc_losses": list(model.disc_losses),
+        "gen_losses": model.gen_losses,
+        "disc_losses": model.disc_losses,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(doc)
 
 
 def save_model(model: GanModel, path: str | Path) -> None:
@@ -340,23 +331,15 @@ def save_model(model: GanModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GanModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, MalformedModel)
     try:
         # Version 1 files also hold the discriminator; loading ignores that block.
         if doc["format_version"] not in (1, MODEL_FORMAT_VERSION):
             raise MalformedModel(f"{path}: unsupported format_version {doc['format_version']!r}")
         schema = Schema(tuple(Column(n, k) for n, k in doc["schema"]))
+        # JSON arrays read back as lists; a normalizer holds tuples.
         normalizers = {
-            name: ModeNormalizer(
-                tuple(d["weights"]),
-                tuple(d["means"]),
-                tuple(d["stdevs"]),
-                d["stdev_floor"],
-                tuple(d["em_loglik"]),
-            )
+            name: ModeNormalizer(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
             for name, d in doc["normalizers"].items()
         }
         codec = TableCodec(

@@ -16,7 +16,7 @@ from twinforge.twin.image import (
     sidecar_path,
     unpack_archive,
 )
-from twinforge.twin.manifest import diff_states, load_manifest, save_manifest, scan_tree
+from twinforge.twin.manifest import diff_states, load_manifest, scan_tree
 from twinforge.twin.patch import (
     AddFile,
     DeleteFile,
@@ -50,7 +50,6 @@ __all__ = [
     "load_manifest",
     "run_checks",
     "save_image",
-    "save_manifest",
     "scan_tree",
     "sidecar_path",
     "unpack_archive",

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 from twinforge.errors import MalformedChecks
+from twinforge.jsonfile import read_json
 from twinforge.twin.manifest import FILE
 from twinforge.twin.sandbox import TwinState
 
@@ -108,8 +108,4 @@ def checks_from_doc(doc: object) -> CheckSpec:
 
 
 def load_checks(path: str | Path) -> CheckSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedChecks(f"{path}: not valid JSON: {exc}") from exc
-    return checks_from_doc(doc)
+    return checks_from_doc(read_json(path, MalformedChecks))

@@ -9,7 +9,6 @@ refuses any entry path that could land outside the restore directory.
 from __future__ import annotations
 
 import io
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterator, Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import MalformedArchive
+from twinforge.jsonfile import read_json, write_json
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
@@ -26,7 +26,6 @@ from twinforge.twin.manifest import (
     _hash_bytes,
     is_safe_rel_path,
     manifest_from_doc,
-    manifest_to_doc,
     scan_tree,
 )
 
@@ -115,20 +114,20 @@ def save_image(image: TwinImage, path: str | Path) -> None:
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "created_at": image.created_at,
-        "exclusions": list(image.exclusions),
-        "entries": manifest_to_doc(image.manifest),
+        "exclusions": image.exclusions,
+        "entries": image.manifest,
     }
-    sidecar_path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(doc, sidecar_path(path))
 
 
 def load_image(path: str | Path) -> TwinImage:
     path = Path(path)
     archive = path.read_bytes()
+    doc = read_json(sidecar_path(path), MalformedArchive)
+    manifest = manifest_from_doc(doc, sidecar_path(path))
     try:
-        doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-        manifest = manifest_from_doc(doc["entries"])
         image = TwinImage(manifest, archive, tuple(doc["exclusions"]), doc["created_at"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedArchive(f"{sidecar_path(path)}: {exc}") from exc
     archive_paths = [p for p, _, _, _ in unpack_archive(archive)]
     if archive_paths != [e.path for e in manifest]:

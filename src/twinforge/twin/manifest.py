@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from twinforge.errors import MalformedArchive, SymlinkOutsideRoot
+from twinforge.jsonfile import read_json
 
 FILE = "file"
 DIR = "dir"
@@ -23,10 +23,11 @@ MANIFEST_FORMAT_VERSION = 1
 
 
 def is_safe_rel_path(path: str) -> bool:
-    """True for a non-empty relative path with no ``..`` part, which cannot
-    name anything outside the directory it is joined to."""
+    """True for a non-empty relative path with no ``..`` part and no NUL
+    byte, which cannot name anything outside the directory it is joined to
+    and which the operating system accepts."""
     pure = PurePosixPath(path)
-    return bool(path) and not pure.is_absolute() and ".." not in pure.parts
+    return bool(path) and "\x00" not in path and not pure.is_absolute() and ".." not in pure.parts
 
 
 @dataclass(frozen=True)
@@ -110,35 +111,18 @@ def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[Manifes
 # -- persistence -----------------------------------------------------------
 
 
-def manifest_to_doc(manifest: Iterable[ManifestEntry]) -> list[dict]:
-    return [
-        {"path": e.path, "kind": e.kind, "size": e.size, "mode": e.mode, "sha256": e.sha256}
-        for e in manifest
-    ]
-
-
-def manifest_from_doc(doc: Iterable[dict]) -> tuple[ManifestEntry, ...]:
+def manifest_from_doc(doc: dict, source: str | Path) -> tuple[ManifestEntry, ...]:
+    """The entries of a manifest document: an image sidecar or a bare manifest."""
     try:
-        return tuple(
-            ManifestEntry(d["path"], d["kind"], d["size"], d["mode"], d["sha256"]) for d in doc
-        )
+        if doc["format_version"] != MANIFEST_FORMAT_VERSION:
+            raise MalformedArchive(f"{source}: unsupported format_version {doc['format_version']!r}")
+        return tuple(ManifestEntry(**d) for d in doc["entries"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedArchive(f"bad manifest document: {exc}") from exc
-
-
-def save_manifest(manifest: Iterable[ManifestEntry], path: str | Path) -> None:
-    doc = {"format_version": MANIFEST_FORMAT_VERSION, "entries": manifest_to_doc(manifest)}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        raise MalformedArchive(f"{source}: bad manifest document: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc["format_version"] != MANIFEST_FORMAT_VERSION:
-            raise MalformedArchive(f"{path}: unsupported format_version")
-        return manifest_from_doc(doc["entries"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise MalformedArchive(f"{path}: {exc}") from exc
+    return manifest_from_doc(read_json(path, MalformedArchive), path)
 
 
 # -- diffing -----------------------------------------------------------------

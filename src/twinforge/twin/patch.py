@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ from twinforge.errors import (
     MalformedPatch,
     ReplaceMissing,
 )
+from twinforge.jsonfile import read_json
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
 from twinforge.twin.sandbox import TwinState, writer_lock
 
@@ -209,8 +209,4 @@ def delta_from_doc(doc: object) -> PatchDelta:
 
 
 def load_delta(path: str | Path) -> PatchDelta:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedPatch(f"{path}: not valid JSON: {exc}") from exc
-    return delta_from_doc(doc)
+    return delta_from_doc(read_json(path, MalformedPatch))

@@ -9,7 +9,6 @@ from twinforge.validate.replay import (
     replay_validate,
 )
 from twinforge.validate.report import (
-    ColumnDistanceRecord,
     ScriptMetrics,
     build_report,
     load_report,
@@ -22,7 +21,6 @@ __all__ = [
     "MISSING_WINDOW",
     "NO_ACTIVE_WINDOW",
     "OUT_OF_BOUNDS",
-    "ColumnDistanceRecord",
     "ScriptMetrics",
     "bleu",
     "build_report",

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from twinforge.errors import MalformedReport
+from twinforge.jsonfile import dumps, read_json
+from twinforge.tabular.gate import ColumnDistance
 from twinforge.validate.stats import FieldDelta, ModalDelta, StatsComparison, SummaryStats
 
 REPORT_FORMAT_VERSION = 1
-REPORT_FILE_PATTERN = "report-{run_id}.json"
+
+# perfbench/workloads.py builds report rows under this name.
+ColumnDistanceRecord = ColumnDistance
 
 
 @dataclass(frozen=True)
@@ -23,13 +26,6 @@ class ScriptMetrics:
 
 
 @dataclass(frozen=True)
-class ColumnDistanceRecord:
-    column: str
-    kind: str
-    distance: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     run_id: str
     created_at: str
@@ -38,7 +34,7 @@ class ComparisonReport:
     real_stats: SummaryStats
     synth_stats: SummaryStats
     comparison: StatsComparison
-    distances: tuple[ColumnDistanceRecord, ...]
+    distances: tuple[ColumnDistance, ...]
     scripts: tuple[ScriptMetrics, ...]
     gate_attempts: int | None
 
@@ -52,7 +48,7 @@ def build_report(
     real_stats: SummaryStats,
     synth_stats: SummaryStats,
     comparison: StatsComparison,
-    distances: Sequence[ColumnDistanceRecord] = (),
+    distances: Sequence[ColumnDistance] = (),
     scripts: Sequence[ScriptMetrics] = (),
     gate_attempts: int | None = None,
 ) -> ComparisonReport:
@@ -70,82 +66,25 @@ def build_report(
     )
 
 
-def _stats_doc(stats: SummaryStats) -> dict:
-    return {
-        "row_count": stats.row_count,
-        "means": stats.means,
-        "modes": {k: [v[0], v[1]] for k, v in stats.modes.items()},
-    }
-
-
-def _stats_from(doc: dict) -> SummaryStats:
-    return SummaryStats(
-        row_count=doc["row_count"],
-        means=dict(doc["means"]),
-        modes={k: (v[0], v[1]) for k, v in doc["modes"].items()},
-    )
-
-
 def report_to_json(report: ComparisonReport) -> str:
-    doc = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "run_id": report.run_id,
-        "created_at": report.created_at,
-        "seeds": report.seeds,
-        "config": report.config,
-        "real_stats": _stats_doc(report.real_stats),
-        "synth_stats": _stats_doc(report.synth_stats),
-        "comparison": {
-            "row_counts": list(report.comparison.row_counts),
-            "continuous": {
-                k: {"real": d.real, "synth": d.synth, "abs_delta": d.abs_delta, "rel_delta": d.rel_delta}
-                for k, d in report.comparison.continuous.items()
-            },
-            "discrete": {
-                k: {
-                    "real": d.real,
-                    "synth": d.synth,
-                    "match": d.match,
-                    "freq_abs_delta": d.freq_abs_delta,
-                }
-                for k, d in report.comparison.discrete.items()
-            },
-        },
-        "distances": [
-            {"column": d.column, "kind": d.kind, "distance": d.distance} for d in report.distances
-        ],
-        "scripts": [
-            {"name": s.name, "cosine": s.cosine, "bleu": s.bleu, "replay_ok": s.replay_ok}
-            for s in report.scripts
-        ],
-        "gate_attempts": report.gate_attempts,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps({"format_version": REPORT_FORMAT_VERSION, **vars(report)})
 
 
 def save_report(report: ComparisonReport, path: str | Path) -> None:
     Path(path).write_text(report_to_json(report), encoding="utf-8")
 
 
+def _stats_from(doc: dict) -> SummaryStats:
+    # JSON has no tuples: each modal (category, frequency) pair reads back as a list.
+    return SummaryStats(**{**doc, "modes": {k: tuple(v) for k, v in doc["modes"].items()}})
+
+
 def load_report(path: str | Path) -> ComparisonReport:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedReport(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, MalformedReport)
     try:
         if doc["format_version"] != REPORT_FORMAT_VERSION:
             raise MalformedReport(f"{path}: unsupported format_version {doc['format_version']!r}")
-        comparison = StatsComparison(
-            row_counts=tuple(doc["comparison"]["row_counts"]),
-            continuous={
-                k: FieldDelta(d["real"], d["synth"], d["abs_delta"], d["rel_delta"])
-                for k, d in doc["comparison"]["continuous"].items()
-            },
-            discrete={
-                k: ModalDelta(d["real"], d["synth"], d["match"], d["freq_abs_delta"])
-                for k, d in doc["comparison"]["discrete"].items()
-            },
-        )
+        comparison = doc["comparison"]
         return ComparisonReport(
             run_id=doc["run_id"],
             created_at=doc["created_at"],
@@ -153,14 +92,14 @@ def load_report(path: str | Path) -> ComparisonReport:
             config=dict(doc["config"]),
             real_stats=_stats_from(doc["real_stats"]),
             synth_stats=_stats_from(doc["synth_stats"]),
-            comparison=comparison,
-            distances=tuple(
-                ColumnDistanceRecord(d["column"], d["kind"], d["distance"]) for d in doc["distances"]
+            comparison=StatsComparison(
+                row_counts=tuple(comparison["row_counts"]),
+                continuous={k: FieldDelta(**d) for k, d in comparison["continuous"].items()},
+                discrete={k: ModalDelta(**d) for k, d in comparison["discrete"].items()},
             ),
-            scripts=tuple(
-                ScriptMetrics(s["name"], s["cosine"], s["bleu"], s["replay_ok"]) for s in doc["scripts"]
-            ),
+            distances=tuple(ColumnDistance(**d) for d in doc["distances"]),
+            scripts=tuple(ScriptMetrics(**s) for s in doc["scripts"]),
             gate_attempts=doc["gate_attempts"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise MalformedReport(f"{path}: {exc}") from exc

@@ -238,6 +238,49 @@ def test_validate_with_script_pairs(tmp_path, workspace, twin_tree, script_paths
     ) == 1
 
 
+def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
+    config = _config(tmp_path, workspace)
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps([{"op": "add_file", "path": "a\u0000b", "content": "x"}]), encoding="utf-8")
+    argv = ["--config", str(config), "twin", "patch", "--sandbox", str(tmp_path), "--delta", str(delta)]
+    assert main(argv) == 2
+    assert "bad op path" in capsys.readouterr().err
+
+
+# Each command reads {bad}, a file of bytes that are neither UTF-8 nor JSON,
+# named so that ``validate`` picks it up as the synthetic CSV's sidecar.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{bad}", "report", "--in", "{dir}/report.json"],
+        ["--config", "{config}", "twin", "patch", "--sandbox", "{dir}", "--delta", "{bad}"],
+        ["--config", "{config}", "twin", "check", "--sandbox", "{dir}", "--checks", "{bad}"],
+        ["--config", "{config}", "report", "--in", "{bad}"],
+        ["--config", "{config}", "gen", "tabular", "--model", "{bad}", "--real", "{dir}/real.csv", "--n", "5"],
+        ["--config", "{config}", "ingest", "macro", "--in", "{bad}"],
+        ["--config", "{config}", "validate", "--real", "{dir}/real.csv", "--synth", "{dir}/synth.csv"],
+    ],
+    ids=["config", "twin-patch", "twin-check", "report", "gen-tabular-model", "ingest-macro", "validate-meta"],
+)
+def test_undecodable_input_is_data_error(tmp_path, workspace, argv, capsys):
+    config = _config(tmp_path, workspace)
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=8), tmp_path / "synth.csv")
+    bad = tmp_path / "synth.csv.meta.json"
+    bad.write_bytes(b"\xff\xfe{not UTF-8")
+    assert main([a.format(bad=bad, config=config, dir=tmp_path) for a in argv]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_sidecar_that_is_not_an_object(tmp_path, workspace):
+    config = _config(tmp_path, workspace)
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=8), tmp_path / "synth.csv")
+    (tmp_path / "synth.csv.meta.json").write_text("[]", encoding="utf-8")
+    argv = ["--config", str(config), "validate", "--real", str(tmp_path / "real.csv")]
+    assert main(argv + ["--synth", str(tmp_path / "synth.csv")]) == 2
+
+
 def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)

@@ -13,7 +13,6 @@ from twinforge.ingest import (
     Column,
     Schema,
     TabularDataset,
-    infer_schema,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -107,9 +106,3 @@ def test_round_trip_random_datasets(tmp_path_factory, raw_rows):
     write_dataset_csv(dataset, path)
     assert read_dataset_csv(path) == dataset
 
-
-@given(st.permutations(list(range(12))))
-def test_infer_schema_row_permutation_invariant(order):
-    rows = [[f"{i}.5", "u", "c"] for i in range(12)]
-    permuted = [rows[i] for i in order]
-    assert infer_schema(permuted) == infer_schema(rows)

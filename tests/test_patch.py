@@ -111,6 +111,8 @@ def test_patch_path_validation():
     with pytest.raises(MalformedPatch):
         DeleteFile("a/../b")
     with pytest.raises(MalformedPatch):
+        DeleteFile("a\x00b")
+    with pytest.raises(MalformedPatch):
         SetConfig("etc/app.conf", "a=b", "v")
 
 

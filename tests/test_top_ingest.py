@@ -1,15 +1,12 @@
-"""Process-capture parsing: elapsed time, table rows, schema inference."""
+"""Process-capture parsing: elapsed time and table rows."""
 
 from __future__ import annotations
 
 import pytest
 
-from twinforge.errors import EmptyCapture, MalformedLine, MalformedTime, RaggedRows
+from twinforge.errors import EmptyCapture, MalformedLine, MalformedTime
 from twinforge.ingest import (
-    CONTINUOUS,
-    DISCRETE,
     TOP_SCHEMA,
-    infer_schema,
     parse_time_lapsed,
     parse_top_capture,
     parse_top_samples,
@@ -87,23 +84,3 @@ def test_malformed_lines_carry_line_number(line):
         parse_top_capture(text)
     assert err.value.line_no == 2
 
-
-def test_infer_schema_rules():
-    rows = [[f"{i / 10:.1f}", "root", str(i % 3)] for i in range(560)]
-    schema = infer_schema(rows, names=["cpu", "user", "fd"])
-    assert schema.kind_of("cpu") == CONTINUOUS  # 560 distinct floats
-    assert schema.kind_of("user") == DISCRETE  # single repeated category
-    assert schema.kind_of("fd") == DISCRETE  # numeric but only 3 distinct values
-
-
-def test_infer_schema_overrides_win():
-    rows = [[str(i)] for i in range(50)]
-    assert infer_schema(rows).columns[0].kind == CONTINUOUS
-    assert infer_schema(rows, overrides={"col0": DISCRETE}).columns[0].kind == DISCRETE
-
-
-def test_infer_schema_ragged():
-    with pytest.raises(RaggedRows):
-        infer_schema([[1, 2], [1]])
-    with pytest.raises(RaggedRows):
-        infer_schema([])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import struct
 from pathlib import Path
@@ -17,7 +19,6 @@ from twinforge.twin import (
     load_image,
     load_manifest,
     save_image,
-    save_manifest,
     scan_tree,
     sidecar_path,
     unpack_archive,
@@ -88,7 +89,7 @@ def _dir_archive(path: str, mode: int) -> bytes:
 
 def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
     sandbox = tmp_path / "sandbox"
-    for path in ("", "../escaped", str(tmp_path / "abs" / "path")):
+    for path in ("", "../escaped", str(tmp_path / "abs" / "path"), "a\x00b"):
         crafted = TwinImage((), _dir_archive(path, 0o700), (), "")
         with pytest.raises(MalformedArchive):
             instantiate_twin(crafted, sandbox)
@@ -161,10 +162,41 @@ def test_image_file_round_trip(twin_tree, tmp_path):
 
 
 def test_manifest_file_round_trip(twin_tree, tmp_path):
-    manifest = scan_tree(twin_tree)
-    path = tmp_path / "m.json"
-    save_manifest(manifest, path)
-    assert load_manifest(path) == manifest
+    # The sidecar is the manifest file ``twin diff --pre x.manifest.json`` reads.
+    image = capture_image(twin_tree)
+    path = tmp_path / "system.twimg"
+    save_image(image, path)
+    assert load_manifest(sidecar_path(path)) == image.manifest
+
+
+def test_sidecar_keys_are_pinned(twin_tree, tmp_path):
+    # Field names become on-disk keys, so renaming a field must fail here.
+    (twin_tree / "etc" / "app.conf").chmod(0o640)
+    path = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), path)
+    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+    assert set(doc) == {"format_version", "created_at", "exclusions", "entries"}
+    entry = next(e for e in doc["entries"] if e["path"] == "etc/app.conf")
+    content = (twin_tree / "etc" / "app.conf").read_bytes()
+    assert entry == {
+        "path": "etc/app.conf",
+        "kind": "file",
+        "size": len(content),
+        "mode": 0o640,
+        "sha256": hashlib.sha256(content).hexdigest(),
+    }
+
+
+def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
+    path = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), path)
+    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+    doc["entries"][0]["owner"] = "root"
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedArchive):
+        load_image(path)
+    with pytest.raises(MalformedArchive):
+        load_manifest(sidecar_path(path))
 
 
 def test_diff_empty_and_symmetry(twin_tree, tmp_path):
