@@ -11,25 +11,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from twinforge.clock import now_iso
-from twinforge.config import (
-    PipelineConfig,
-    WORKSPACE_SUBDIRS,
-    config_from_doc,
-    default_workspace,
-    load_config,
-)
+from twinforge.config import PipelineConfig, config_from_doc, default_workspace, load_config
 from twinforge.errors import (
     GateExhausted,
     MacroSyntaxError,
     MalformedCsv,
     EmptyScript,
     TwinforgeError,
+    UndecodableInput,
     WorkspaceLocked,
 )
 from twinforge.ingest import (
@@ -106,10 +102,12 @@ def stage_seed(base: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _workspace_lock(workspace: Path):
+def _workspace_lock(args: argparse.Namespace, workspace: Path):
+    """The workspace lock, for every command but the read-only ``report`` and
+    ``twin diff``, which touch nothing in the workspace."""
+    if args.command == "report" or getattr(args, "twin_command", None) == "diff":
+        return nullcontext()
     workspace.mkdir(parents=True, exist_ok=True)
-    for subdir in WORKSPACE_SUBDIRS:
-        (workspace / subdir).mkdir(exist_ok=True)
     return exclusive_lock(
         workspace / WORKSPACE_LOCK,
         WorkspaceLocked(f"{workspace}: another invocation holds {WORKSPACE_LOCK}"),
@@ -120,6 +118,14 @@ def _workspace_path(config: PipelineConfig, subdir: str, name: str) -> Path:
     target = config.workspace / subdir
     target.mkdir(parents=True, exist_ok=True)
     return target / name
+
+
+def _read_text(path: Path) -> str:
+    """A text input's contents; undecodable bytes raise an error naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def _file_sha(path: Path) -> str:
@@ -283,13 +289,13 @@ def _cmd_twin(args, config, say) -> int:
 
 def _cmd_ingest(args, config, say) -> int:
     if args.ingest_command == "top":
-        dataset = parse_top_capture(args.input.read_text(encoding="utf-8"))
+        dataset = parse_top_capture(_read_text(args.input))
         out = args.out or _workspace_path(config, "datasets", args.input.stem + ".csv")
         write_dataset_csv(dataset, out)
         say(f"{len(dataset.rows)} rows -> {out}")
         return EXIT_OK
     name = args.name or args.input.stem
-    script = parse_macro_script(args.input.read_text(encoding="utf-8"), name=name)
+    script = parse_macro_script(_read_text(args.input), name=name)
     out = args.out or _workspace_path(config, "scripts", f"{name}.ahk")
     out.write_text(emit_macro_script(script), encoding="utf-8")
     say(f"{len(script.commands)} commands -> {out}")
@@ -312,7 +318,7 @@ def _cmd_train(args, config, say) -> int:
     order = args.order if args.order is not None else config.ngram.order
     corpus = []
     for path in args.corpus:
-        script = parse_macro_script(path.read_text(encoding="utf-8"), name=path.stem)
+        script = parse_macro_script(_read_text(path), name=path.stem)
         corpus.append(tokenize_script(script))
     model = train_ngram(corpus, order=order, delta=config.ngram.delta, seed=config.seed)
     out = args.out or _workspace_path(config, "models", "sequence.json")
@@ -367,8 +373,8 @@ def _cmd_validate(args, config, say) -> int:
     scripts = []
     for gen_path, ref_path in args.pair:
         gen_path, ref_path = Path(gen_path), Path(ref_path)
-        gen = parse_macro_script(gen_path.read_text(encoding="utf-8"), name=gen_path.stem)
-        ref = parse_macro_script(ref_path.read_text(encoding="utf-8"), name=ref_path.stem)
+        gen = parse_macro_script(_read_text(gen_path), name=gen_path.stem)
+        ref = parse_macro_script(_read_text(ref_path), name=ref_path.stem)
         twin = _twin_state(config, args.sandbox)
         replay = replay_validate(gen, twin)
         scripts.append(
@@ -459,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
             if not args.quiet:
                 print(message)
 
-        with _workspace_lock(config.workspace):
+        with _workspace_lock(args, config.workspace):
             return _DISPATCH[args.command](args, config, say)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -20,8 +20,6 @@ from twinforge.twin.manifest import DEFAULT_EXCLUSIONS
 
 WORKSPACE_ENV = "TWINFORGE_WORKSPACE"
 
-WORKSPACE_SUBDIRS = ("images", "datasets", "models", "scripts", "reports")
-
 
 @dataclass(frozen=True)
 class NgramConfig:
@@ -76,7 +74,8 @@ def _section(doc: dict, name: str, allowed: dict, path: str) -> dict:
         if key not in allowed:
             raise UnknownKey(f"{path}.{key}")
     for key, types in allowed.items():
-        if key in raw and not isinstance(raw[key], types):
+        # JSON true/false are Python ints; no field here takes a boolean
+        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], types)):
             raise ConfigParse(f"{path}.{key}", f"expected {types}")
     return raw
 

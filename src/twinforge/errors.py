@@ -239,3 +239,7 @@ class UnknownKey(TwinforgeError):
 
 class WorkspaceLocked(TwinforgeError):
     """Another pipeline invocation holds the workspace lock."""
+
+
+class UndecodableInput(TwinforgeError):
+    """A text input file is not valid UTF-8."""

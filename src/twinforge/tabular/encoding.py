@@ -27,6 +27,7 @@ class _ColumnSpan:
     kind: str
     offset: int
     width: int
+    cond_offset: int = -1  # a discrete column's block in the condition vector
 
 
 class TableCodec:
@@ -51,25 +52,34 @@ class TableCodec:
                 raise ValueError(f"missing categories for {column.name!r}")
 
         spans: list[_ColumnSpan] = []
-        offset = 0
+        offset = cond_offset = 0
         for column in schema.columns:
             if column.kind == CONTINUOUS:
                 width = 1 + self.normalizers[column.name].n_modes
+                spans.append(_ColumnSpan(column.name, column.kind, offset, width))
             else:
                 width = len(self.categories[column.name])
-            spans.append(_ColumnSpan(column.name, column.kind, offset, width))
+                spans.append(_ColumnSpan(column.name, column.kind, offset, width, cond_offset))
+                cond_offset += width
             offset += width
         self.spans = tuple(spans)
         self.row_width = offset
+        self.cond_spans = tuple(s for s in spans if s.kind != CONTINUOUS)
+        self.cond_width = cond_offset
+        # generator heads: a tanh alpha per continuous column, a softmax per flag block
+        self.alpha_columns = tuple(s.offset for s in spans if s.kind == CONTINUOUS)
+        self.flag_blocks = tuple((s.offset + (s.kind == CONTINUOUS), s.offset + s.width) for s in spans)
 
-        cond_spans: list[_ColumnSpan] = []
-        offset = 0
-        for _, column in schema.discrete():
-            width = len(self.categories[column.name])
-            cond_spans.append(_ColumnSpan(column.name, column.kind, offset, width))
-            offset += width
-        self.cond_spans = tuple(cond_spans)
-        self.cond_width = offset
+        # per condition column and weighting, the table Generator.choice builds from p
+        self._cdfs: dict[bool, list[np.ndarray]] = {True: [], False: []}
+        for span in self.cond_spans:
+            table = self.frequencies[span.name]
+            counts = np.array([table[c] for c in self.categories[span.name]], dtype=float)
+            if not (counts >= 0).all() or not 0 < counts.sum() < np.inf:
+                raise ValueError(f"frequencies of {span.name!r} must be finite, >= 0 and not all 0")
+            for log_weighted, weights in ((True, np.log1p(counts)), (False, counts)):
+                cdf = (weights / weights.sum()).cumsum()
+                self._cdfs[log_weighted].append(cdf / cdf[-1])
 
     # -- construction ---------------------------------------------------
 
@@ -131,50 +141,38 @@ class TableCodec:
 
     def decode_rows(self, encoded: np.ndarray) -> list[tuple[float | str, ...]]:
         encoded = np.atleast_2d(encoded)
-        rows: list[tuple[float | str, ...]] = []
-        for vec in encoded:
-            cells: list[float | str] = []
-            for span in self.spans:
-                block = vec[span.offset : span.offset + span.width]
-                if span.kind == CONTINUOUS:
-                    norm = self.normalizers[span.name]
-                    mode = int(np.argmax(block[1:]))
-                    alpha = float(np.clip(block[0], -1.0, 1.0))
-                    cells.append(alpha * ALPHA_SCALE * norm.stdevs[mode] + norm.means[mode])
-                else:
-                    cells.append(self.categories[span.name][int(np.argmax(block))])
-            rows.append(tuple(cells))
-        return rows
+        columns: list[list[float | str]] = []
+        for span in self.spans:
+            block = encoded[:, span.offset : span.offset + span.width]
+            if span.kind == CONTINUOUS:
+                norm = self.normalizers[span.name]
+                modes = block[:, 1:].argmax(axis=1)
+                alpha = np.clip(block[:, 0], -1.0, 1.0)
+                cells = alpha * ALPHA_SCALE * np.asarray(norm.stdevs)[modes] + np.asarray(norm.means)[modes]
+            else:
+                cells = np.asarray(self.categories[span.name], dtype=object)[block.argmax(axis=1)]
+            columns.append(cells.tolist())
+        return list(zip(*columns))
 
     # -- conditions ---------------------------------------------------------
 
-    def _sample_conditions(
-        self, rng: np.random.Generator, size: int, log_weighted: bool
-    ) -> tuple[np.ndarray, list[tuple[str, str]]]:
-        vecs = np.zeros((size, self.cond_width))
-        chosen: list[tuple[str, str]] = []
+    def _sample_conditions(self, rng: np.random.Generator, size: int, log_weighted: bool) -> np.ndarray:
+        """One-hot conditions: a uniform column pick per row, then a category
+        by that column's weights, drawn from the stream per-row ``rng.choice`` uses."""
+        conds = np.zeros((size, self.cond_width))
         if not self.cond_spans:
-            return vecs, chosen
-        col_picks = rng.integers(len(self.cond_spans), size=size)
-        for i in range(size):
-            span = self.cond_spans[int(col_picks[i])]
-            cats = self.categories[span.name]
-            counts = np.array([self.frequencies[span.name][c] for c in cats], dtype=float)
-            weights = np.log1p(counts) if log_weighted else counts
-            probs = weights / weights.sum()
-            j = int(rng.choice(len(cats), p=probs))
-            vecs[i, span.offset + j] = 1.0
-            chosen.append((span.name, cats[j]))
-        return vecs, chosen
+            return conds
+        picks = rng.integers(len(self.cond_spans), size=size)
+        uniforms = rng.random(size)
+        for c, (span, cdf) in enumerate(zip(self.cond_spans, self._cdfs[log_weighted])):
+            rows = np.flatnonzero(picks == c)
+            conds[rows, span.cond_offset + cdf.searchsorted(uniforms[rows], side="right")] = 1.0
+        return conds
 
-    def sample_conditions_logfreq(
-        self, rng: np.random.Generator, size: int
-    ) -> tuple[np.ndarray, list[tuple[str, str]]]:
+    def sample_conditions_logfreq(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Training-by-sampling conditions: category weight log(1 + freq)."""
         return self._sample_conditions(rng, size, log_weighted=True)
 
-    def sample_conditions_empirical(
-        self, rng: np.random.Generator, size: int
-    ) -> tuple[np.ndarray, list[tuple[str, str]]]:
+    def sample_conditions_empirical(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Synthesis-time conditions: categories at their empirical frequency."""
         return self._sample_conditions(rng, size, log_weighted=False)

@@ -23,13 +23,15 @@ does not carry it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
-from twinforge.ingest.tabular import CONTINUOUS, Column, Schema, TabularDataset
+from twinforge.ingest.tabular import Column, Schema, TabularDataset
 from twinforge.jsonfile import dumps, read_json
 from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
@@ -97,87 +99,73 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def _apply_heads(raw: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Per-column output activations: tanh alphas, softmax flag blocks."""
     out = np.empty_like(raw)
-    for span in codec.spans:
-        lo, hi = span.offset, span.offset + span.width
-        if span.kind == CONTINUOUS:
-            out[:, lo] = np.tanh(raw[:, lo])
-            block = raw[:, lo + 1 : hi]
-        else:
-            block = raw[:, lo:hi]
-        shifted = block - block.max(axis=1, keepdims=True)
+    for col in codec.alpha_columns:
+        out[:, col] = np.tanh(raw[:, col])
+    for lo, hi in codec.flag_blocks:
+        shifted = raw[:, lo:hi] - raw[:, lo:hi].max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        if span.kind == CONTINUOUS:
-            out[:, lo + 1 : hi] = probs
-        else:
-            out[:, lo:hi] = probs
+        out[:, lo:hi] = exp / exp.sum(axis=1, keepdims=True)
     return out
 
 
 def _heads_backward(grad_act: np.ndarray, activated: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Pull gradients back through the head activations onto the raw outputs."""
     grad_raw = np.empty_like(grad_act)
-    for span in codec.spans:
-        lo, hi = span.offset, span.offset + span.width
-        if span.kind == CONTINUOUS:
-            a = activated[:, lo]
-            grad_raw[:, lo] = grad_act[:, lo] * (1.0 - a * a)
-            p = activated[:, lo + 1 : hi]
-            g = grad_act[:, lo + 1 : hi]
-            grad_raw[:, lo + 1 : hi] = p * (g - (p * g).sum(axis=1, keepdims=True))
-        else:
-            p = activated[:, lo:hi]
-            g = grad_act[:, lo:hi]
-            grad_raw[:, lo:hi] = p * (g - (p * g).sum(axis=1, keepdims=True))
+    for col in codec.alpha_columns:
+        a = activated[:, col]
+        grad_raw[:, col] = grad_act[:, col] * (1.0 - a * a)
+    for lo, hi in codec.flag_blocks:
+        p = activated[:, lo:hi]
+        g = grad_act[:, lo:hi]
+        grad_raw[:, lo:hi] = p * (g - (p * g).sum(axis=1, keepdims=True))
     return grad_raw
 
 
 class _ConditionedSampler:
-    """Draws (condition, matching real row) pairs for training steps."""
+    """Draws (condition, matching real row) pairs for training steps.
+
+    The rows holding each condition bit sit together, in row order, in one
+    flat array: bit ``b``'s rows are ``members[starts[b] : starts[b] + counts[b]]``.
+    """
 
     def __init__(self, dataset: TabularDataset, codec: TableCodec) -> None:
         self.codec = codec
         self.n_rows = len(dataset.rows)
-        self.rows_by_category: dict[tuple[str, str], np.ndarray] = {}
-        for span in codec.cond_spans:
-            col_idx = dataset.schema.names.index(span.name)
-            buckets: dict[str, list[int]] = {c: [] for c in codec.categories[span.name]}
-            for r, row in enumerate(dataset.rows):
-                buckets[str(row[col_idx])].append(r)
-            for cat, idxs in buckets.items():
-                self.rows_by_category[(span.name, cat)] = np.asarray(idxs, dtype=int)
+        members = [
+            np.flatnonzero(np.asarray(dataset.column_values(span.name), dtype=object) == category)
+            for span in codec.cond_spans
+            for category in codec.categories[span.name]
+        ]
+        self.members = np.concatenate(members or [np.empty(0, dtype=int)])
+        self.counts = np.array([m.size for m in members], dtype=int)
+        self.starts = self.counts.cumsum() - self.counts
 
-    def sample(self, size: int, rng: np.random.Generator) -> tuple[np.ndarray, list[tuple[str, str]], np.ndarray]:
-        conds, chosen = self.codec.sample_conditions_logfreq(rng, size)
-        if not chosen:
-            rows = rng.integers(self.n_rows, size=size)
-            return conds, chosen, rows
-        rows = np.empty(size, dtype=int)
-        for i, key in enumerate(chosen):
-            bucket = self.rows_by_category[key]
-            rows[i] = bucket[int(rng.integers(bucket.size))]
-        return conds, chosen, rows
+    def sample(self, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        conds = self.codec.sample_conditions_logfreq(rng, size)
+        if not self.codec.cond_spans:
+            return conds, rng.integers(self.n_rows, size=size)
+        bits = conds.argmax(axis=1)
+        return conds, self.members[self.starts[bits] + rng.integers(self.counts[bits])]
 
 
 def _cond_cross_entropy(
-    activated: np.ndarray, chosen: list[tuple[str, str]], codec: TableCodec
+    activated: np.ndarray, conds: np.ndarray, codec: TableCodec
 ) -> tuple[float, np.ndarray]:
     """Mean -log p(conditioned category) plus its gradient on the raw logits."""
-    grad_raw = np.zeros_like(activated)
-    if not chosen:
-        return 0.0, grad_raw
     batch = activated.shape[0]
-    span_by_name = {s.name: s for s in codec.spans}
-    total = 0.0
-    for i, (column, category) in enumerate(chosen):
-        span = span_by_name[column]
-        cats = codec.categories[column]
-        j = cats.index(category)
-        probs = activated[i, span.offset : span.offset + span.width]
-        total += -math.log(max(probs[j], 1e-12))
+    grad_raw = np.zeros_like(activated)
+    picked = np.ones(batch)  # p of each row's conditioned category; 1 adds no loss
+    for span in codec.cond_spans:
+        cond = conds[:, span.cond_offset : span.cond_offset + span.width]
+        rows = np.flatnonzero(cond.any(axis=1))
+        cats = cond[rows].argmax(axis=1)
+        probs = activated[rows, span.offset : span.offset + span.width]
+        picked[rows] = probs[np.arange(rows.size), cats]
         # combined softmax + CE gradient on the raw logits: (p - onehot) / batch
-        grad_raw[i, span.offset : span.offset + span.width] = probs / batch
-        grad_raw[i, span.offset + j] -= 1.0 / batch
+        grad_raw[rows, span.offset : span.offset + span.width] = probs / batch
+        grad_raw[rows, span.offset + cats] -= 1.0 / batch
+    # math.log terms taken off left to right: the loss of a row-by-row sum, bit for bit
+    total = reduce(operator.sub, map(math.log, np.maximum(picked, 1e-12).tolist()), 0.0)
     return total / batch, grad_raw
 
 
@@ -219,7 +207,7 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
         epoch_d = 0.0
         for _ in range(steps_per_epoch):
             # -- discriminator step
-            conds, chosen, row_idx = sampler.sample(batch, rng)
+            conds, row_idx = sampler.sample(batch, rng)
             real_rows = [dataset.rows[i] for i in row_idx]
             real_enc = codec.encode_rows(real_rows, rng)
             noise = rng.standard_normal((batch, config.noise_dim))
@@ -242,13 +230,13 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
             adam_d.step(d_grads)
 
             # -- generator step
-            conds, chosen, _ = sampler.sample(batch, rng)
+            conds, _ = sampler.sample(batch, rng)
             noise = rng.standard_normal((batch, config.noise_dim))
             raw = generator.forward(np.hstack([noise, conds]))
             fake_act = _apply_heads(raw, codec)
             scores = discriminator.forward(np.hstack([fake_act, conds]).reshape(packs, -1))[:, 0]
             adv_loss = float(_softplus(-scores).mean())
-            ce_loss, ce_grad_raw = _cond_cross_entropy(fake_act, chosen, codec)
+            ce_loss, ce_grad_raw = _cond_cross_entropy(fake_act, conds, codec)
             g_loss = adv_loss + config.cond_loss_weight * ce_loss
             if not math.isfinite(g_loss):
                 raise NonFiniteLoss(step_index, "generator")
@@ -282,7 +270,7 @@ def generate_rows(model: GanModel, n: int, rng: np.random.Generator) -> TabularD
         raise ValueError("n must be >= 0")
     if n == 0:
         return TabularDataset(model.schema, (), ())
-    conds, _ = model.codec.sample_conditions_empirical(rng, n)
+    conds = model.codec.sample_conditions_empirical(rng, n)
     noise = rng.standard_normal((n, model.config.noise_dim))
     activated = _apply_heads(model.generator.forward(np.hstack([noise, conds])), model.codec)
     rows = tuple(model.codec.decode_rows(activated))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import fcntl
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,17 +28,16 @@ class TwinState:
 
 @contextmanager
 def exclusive_lock(lock: Path, locked: TwinforgeError):
-    """Hold ``lock``, created with O_EXCL, for the block; raise ``locked`` if
-    it already exists. The file is removed on exit, also on error."""
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise locked from None
-    os.close(fd)
-    try:
+    """Hold an exclusive ``flock`` on ``lock`` for the block; raise ``locked``
+    if another holder has it. The file is created once and never removed:
+    the kernel drops the lock when its descriptor closes, so a holder that
+    dies, even by SIGKILL, leaves nothing that blocks the next one."""
+    with open(lock, "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise locked from None
         yield
-    finally:
-        lock.unlink(missing_ok=True)
 
 
 def writer_lock(sandbox: Path):
@@ -59,10 +58,11 @@ def instantiate_twin(
     Every file is verified against the manifest hash while restoring; one
     flipped content byte surfaces as HashMismatch. Directory modes are set
     once every entry is written, deepest first, so a read-only directory
-    can still be restored with its contents.
+    can still be restored with its contents. The lock file a failed restore
+    leaves behind does not count as contents.
     """
     sandbox = Path(sandbox_dir)
-    if sandbox.exists() and any(sandbox.iterdir()):
+    if sandbox.exists() and any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
         raise SandboxNotEmpty(f"{sandbox} already has contents")
     sandbox.mkdir(parents=True, exist_ok=True)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from twinforge.cli import main
+from twinforge.errors import WorkspaceLocked
 from twinforge.ingest import read_dataset_csv, write_dataset_csv
+from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import load_report
 
 from conftest import make_fixture_dataset
@@ -248,7 +251,8 @@ def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
 
 
 # Each command reads {bad}, a file of bytes that are neither UTF-8 nor JSON,
-# named so that ``validate`` picks it up as the synthetic CSV's sidecar.
+# named so that ``validate`` picks it up as the synthetic CSV's sidecar;
+# {good} is a valid macro script.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -258,18 +262,29 @@ def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
         ["--config", "{config}", "report", "--in", "{bad}"],
         ["--config", "{config}", "gen", "tabular", "--model", "{bad}", "--real", "{dir}/real.csv", "--n", "5"],
         ["--config", "{config}", "ingest", "macro", "--in", "{bad}"],
+        ["--config", "{config}", "ingest", "top", "--in", "{bad}"],
+        ["--config", "{config}", "train", "seq", "--corpus", "{good}", "{bad}"],
         ["--config", "{config}", "validate", "--real", "{dir}/real.csv", "--synth", "{dir}/synth.csv"],
+        [
+            "--config", "{config}", "validate", "--real", "{dir}/real.csv", "--synth", "{dir}/real.csv",
+            "--sandbox", "{dir}", "--pair", "{good}", "{bad}",
+        ],
     ],
-    ids=["config", "twin-patch", "twin-check", "report", "gen-tabular-model", "ingest-macro", "validate-meta"],
+    ids=[
+        "config", "twin-patch", "twin-check", "report", "gen-tabular-model", "ingest-macro",
+        "ingest-top", "train-seq-corpus", "validate-meta", "validate-pair",
+    ],
 )
-def test_undecodable_input_is_data_error(tmp_path, workspace, argv, capsys):
+def test_undecodable_input_is_data_error(tmp_path, workspace, script_paths, argv, capsys):
     config = _config(tmp_path, workspace)
     write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
     write_dataset_csv(make_fixture_dataset(n_rows=20, seed=8), tmp_path / "synth.csv")
     bad = tmp_path / "synth.csv.meta.json"
     bad.write_bytes(b"\xff\xfe{not UTF-8")
-    assert main([a.format(bad=bad, config=config, dir=tmp_path) for a in argv]) == 2
-    assert "error" in capsys.readouterr().err
+    assert main([a.format(bad=bad, good=script_paths[0], config=config, dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert str(bad) in err
 
 
 def test_validate_rejects_a_sidecar_that_is_not_an_object(tmp_path, workspace):
@@ -281,12 +296,68 @@ def test_validate_rejects_a_sidecar_that_is_not_an_object(tmp_path, workspace):
     assert main(argv + ["--synth", str(tmp_path / "synth.csv")]) == 2
 
 
+def _ingest_top(config) -> list[str]:
+    capture = Path(__file__).parent / "fixtures" / "top_capture.txt"
+    return ["--config", str(config), "ingest", "top", "--in", str(capture)]
+
+
 def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)
-    (workspace / "workspace.lock").touch()
-    capture = Path(__file__).parent / "fixtures" / "top_capture.txt"
-    assert main(["--config", str(config), "ingest", "top", "--in", str(capture)]) == 2
+    with exclusive_lock(workspace / "workspace.lock", WorkspaceLocked()):
+        assert main(_ingest_top(config)) == 2
+    # the file stays behind, but a lock nobody holds does not block
+    assert (workspace / "workspace.lock").exists()
+    assert main(_ingest_top(config)) == 0
+
+
+def test_workspace_lock_is_released_when_its_holder_is_killed(tmp_path, workspace):
+    config = _config(tmp_path, workspace)
+    workspace.mkdir(parents=True)
+    holder = subprocess.Popen(
+        [
+            sys.executable, "-c",
+            "import sys, time; from pathlib import Path;"
+            "from twinforge.twin.sandbox import exclusive_lock;"
+            f"lock = exclusive_lock(Path({str(workspace / 'workspace.lock')!r}), RuntimeError());"
+            "lock.__enter__(); print('held', flush=True); time.sleep(60)",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).parent.parent / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        assert main(_ingest_top(config)) == 2
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait()
+        holder.stdout.close()
+    assert main(_ingest_top(config)) == 0
+
+
+def test_read_only_commands_ignore_the_lock_and_leave_the_workspace_alone(tmp_path, workspace):
+    config = _config(tmp_path, workspace)
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
+    report = tmp_path / "report.json"
+    argv = ["--config", str(config), "validate", "--real", str(tmp_path / "real.csv")]
+    assert main(argv + ["--synth", str(tmp_path / "real.csv"), "--out", str(report)]) == 0
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    before = sorted(p.name for p in workspace.iterdir())
+    assert before == ["workspace.lock"]
+    with exclusive_lock(workspace / "workspace.lock", WorkspaceLocked()):
+        assert main(["--config", str(config), "report", "--in", str(report)]) == 0
+        diff = ["--config", str(config), "twin", "diff", "--pre", str(tmp_path / "a")]
+        assert main(diff + ["--post", str(tmp_path / "b"), "--out", str(tmp_path / "d.json")]) == 0
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
+def test_failing_command_creates_no_workspace_layout(tmp_path, workspace):
+    config = _config(tmp_path, workspace)
+    argv = ["--config", str(config), "train", "seq", "--corpus", str(tmp_path / "missing.ahk")]
+    assert main(argv) == 2
+    assert sorted(p.name for p in workspace.iterdir()) == ["workspace.lock"]
 
 
 def test_seed_flag_overrides_config(tmp_path, workspace, script_paths):

@@ -80,3 +80,17 @@ def test_snapshot_is_json_ready(tmp_path):
     assert json.loads(json.dumps(snapshot)) == snapshot
     assert snapshot["seed"] == 9
     assert snapshot["gan"]["epochs"] == 300
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("gan", "epochs"), ("gan", "pac"), ("gan", "learning_rate"), ("gate", "max_attempts"),
+     ("gate", "tau_discrete"), ("ngram", "order"), ("ngram", "delta"), ("screen", "width"),
+     ("service", "timeout_s")],
+)
+def test_boolean_is_not_a_number(tmp_path, section, key):
+    doc = {"workspace": "ws", section: {key: True}}
+    if section == "service":
+        doc[section]["url"] = "http://localhost:1"
+    with pytest.raises(ConfigParse, match=f"{section}.{key}"):
+        load_config(_write(tmp_path, doc))

@@ -82,15 +82,14 @@ def _condition_codec(freq: dict[str, float]) -> TableCodec:
 
 def test_sample_condition_single_category():
     codec = _condition_codec({"only": 7})
-    vecs, chosen = codec.sample_conditions_logfreq(np.random.default_rng(0), 10)
-    assert chosen == [("u", "only")] * 10
+    vecs = codec.sample_conditions_logfreq(np.random.default_rng(0), 10)
     assert vecs.tolist() == [[1.0]] * 10
 
 
 def test_sample_condition_equal_frequencies_are_uniform():
     codec = _condition_codec({"a": 50, "b": 50})
-    _, chosen = codec.sample_conditions_logfreq(np.random.default_rng(123), 10_000)
-    counts = [chosen.count(("u", "a")), chosen.count(("u", "b"))]
+    vecs = codec.sample_conditions_logfreq(np.random.default_rng(123), 10_000)
+    counts = vecs.sum(axis=0).tolist()  # columns a, b
     assert chisquare(counts).pvalue > 0.01
 
 
@@ -98,11 +97,88 @@ def test_sample_condition_log_frequency_formula():
     # freq {a: e-1, b: 1} -> weights {1, log 2} -> P(a) = 1 / (1 + log 2)
     codec = _condition_codec({"a": math.e - 1.0, "b": 1.0})
     n = 40_000
-    _, chosen = codec.sample_conditions_logfreq(np.random.default_rng(7), n)
-    draws = chosen.count(("u", "a"))
+    vecs = codec.sample_conditions_logfreq(np.random.default_rng(7), n)
+    draws = vecs[:, 0].sum()
     expected = 1.0 / (1.0 + math.log(2.0))
     assert expected == pytest.approx(0.5906, abs=1e-3)
     assert draws / n == pytest.approx(expected, abs=0.01)
+
+
+def _per_row_conditions(
+    codec: TableCodec, rng: np.random.Generator, size: int, log_weighted: bool
+) -> np.ndarray:
+    """Reference sampler: a column pick per row, then ``rng.choice`` per row."""
+    names = [c.name for _, c in codec.schema.discrete()]
+    offsets = np.cumsum([0] + [len(codec.categories[n]) for n in names])
+    vecs = np.zeros((size, offsets[-1]))
+    if not names:
+        return vecs
+    col_picks = rng.integers(len(names), size=size)
+    for i in range(size):
+        name = names[int(col_picks[i])]
+        cats = codec.categories[name]
+        counts = np.array([codec.frequencies[name][c] for c in cats], dtype=float)
+        weights = np.log1p(counts) if log_weighted else counts
+        j = int(rng.choice(len(cats), p=weights / weights.sum()))
+        vecs[i, offsets[int(col_picks[i])] + j] = 1.0
+    return vecs
+
+
+_FREQUENCY_TABLES = [
+    {"u": {"only": 7}},
+    {"u": {"a": math.e - 1.0, "b": 1.0}},
+    {"u": {"a": 1, "b": 2, "c": 3, "d": 1000}, "v": {"x": 5, "y": 5}},
+    {"u": {f"c{k:02d}": k * k + 1 for k in range(30)}, "v": {"p": 1, "q": 0.5}, "w": {"z": 3}},
+]
+
+
+@pytest.mark.parametrize("frequencies", _FREQUENCY_TABLES)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_sample_conditions_match_per_row_choice(frequencies, seed):
+    columns = [Column("x", CONTINUOUS)] + [Column(name, DISCRETE) for name in frequencies]
+    codec = TableCodec(
+        Schema(tuple(columns)),
+        {"x": NORM},
+        {name: tuple(sorted(table)) for name, table in frequencies.items()},
+        frequencies,
+    )
+    for log_weighted, sample in (
+        (True, codec.sample_conditions_logfreq),
+        (False, codec.sample_conditions_empirical),
+    ):
+        for size in (1, 33, 500):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (sample(ours, size) == _per_row_conditions(codec, theirs, size, log_weighted)).all()
+            # the same stream is consumed, so later draws agree too
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_decode_rows_matches_per_row_decode(fixture_dataset):
+    codec = TableCodec.fit(fixture_dataset, seed=0)
+    encoded = np.random.default_rng(3).normal(size=(50, codec.row_width))
+    expected = []
+    for vec in encoded:
+        cells = []
+        for span in codec.spans:
+            block = vec[span.offset : span.offset + span.width]
+            if span.kind == CONTINUOUS:
+                norm = codec.normalizers[span.name]
+                mode = int(np.argmax(block[1:]))
+                alpha = float(np.clip(block[0], -1.0, 1.0))
+                cells.append(alpha * ALPHA_SCALE * norm.stdevs[mode] + norm.means[mode])
+            else:
+                cells.append(codec.categories[span.name][int(np.argmax(block))])
+        expected.append(tuple(cells))
+    assert codec.decode_rows(encoded) == expected
+
+
+# rng.choice refused such tables at draw time; the codec refuses them when built
+@pytest.mark.parametrize(
+    "bad", [{"a": -1, "b": 2}, {"a": 0, "b": 0}, {"a": math.inf, "b": 1}, {"a": math.nan, "b": 1}]
+)
+def test_unusable_frequencies_are_rejected(bad):
+    with pytest.raises(ValueError, match="frequencies"):
+        TableCodec(Schema((Column("u", DISCRETE),)), {}, {"u": ("a", "b")}, {"u": bad})
 
 
 def test_fit_is_deterministic(fixture_dataset):

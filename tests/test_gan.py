@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from twinforge.tabular import (
     save_model,
     train_gan,
 )
+from twinforge.tabular.encoding import TableCodec
+from twinforge.tabular.gan import _apply_heads, _cond_cross_entropy, _ConditionedSampler
 
 from conftest import make_fixture_dataset
 
@@ -129,3 +132,43 @@ def test_config_validation():
         GanConfig(batch_size=30, pac=8)  # pac must divide batch
     with pytest.raises(ValueError):
         GanConfig(learning_rate=-1.0)
+
+
+def test_conditioned_sampler_draws_rows_holding_the_condition(small_dataset):
+    codec = TableCodec.fit(small_dataset, seed=0)
+    conds, rows = _ConditionedSampler(small_dataset, codec).sample(2000, np.random.default_rng(4))
+    names = small_dataset.schema.names
+    # reference: a bucket of matching rows per category, one scalar draw per row
+    reference = np.random.default_rng(4)
+    assert (codec.sample_conditions_logfreq(reference, 2000) == conds).all()
+    drawn = set()
+    for cond, r in zip(conds, rows):
+        (bit,) = np.flatnonzero(cond)
+        span = next(s for s in codec.cond_spans if s.cond_offset <= bit < s.cond_offset + s.width)
+        category = codec.categories[span.name][bit - span.cond_offset]
+        assert small_dataset.rows[r][names.index(span.name)] == category
+        bucket = [k for k, row in enumerate(small_dataset.rows) if row[names.index(span.name)] == category]
+        assert r == bucket[int(reference.integers(len(bucket)))]
+        drawn.add((span.name, category))
+    # log-frequency weighting reaches every category, rare ones included
+    assert drawn == {(s.name, c) for s in codec.cond_spans for c in codec.categories[s.name]}
+
+
+def test_cond_cross_entropy_matches_per_row_sum(small_dataset):
+    codec = TableCodec.fit(small_dataset, seed=0)
+    rng = np.random.default_rng(9)
+    conds, _ = _ConditionedSampler(small_dataset, codec).sample(64, rng)
+    activated = _apply_heads(rng.normal(size=(64, codec.row_width)), codec)
+    loss, grad = _cond_cross_entropy(activated, conds, codec)
+    # reference: one row at a time, -log p summed in row order
+    total, expected = 0.0, np.zeros_like(activated)
+    for i, cond in enumerate(conds):
+        (bit,) = np.flatnonzero(cond)
+        span = next(s for s in codec.cond_spans if s.cond_offset <= bit < s.cond_offset + s.width)
+        probs = activated[i, span.offset : span.offset + span.width]
+        j = bit - span.cond_offset
+        total += -math.log(max(probs[j], 1e-12))
+        expected[i, span.offset : span.offset + span.width] = probs / 64
+        expected[i, span.offset + j] -= 1.0 / 64
+    assert loss == total / 64
+    assert (grad == expected).all()
