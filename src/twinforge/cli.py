@@ -67,6 +67,7 @@ from twinforge.twin import (
     scan_tree,
     TwinState,
 )
+from twinforge.twin.manifest import walk_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import (
     ScriptMetrics,
@@ -255,7 +256,7 @@ def _cmd_twin(args, config, say) -> int:
         twin = instantiate_twin(
             image, args.sandbox, screen=(config.screen_width, config.screen_height)
         )
-        say(f"twin ready at {twin.sandbox} ({len(twin.manifest())} entries)")
+        say(f"twin ready at {twin.sandbox} ({len(walk_tree(twin.sandbox))} entries)")
         return EXIT_OK
     if args.twin_command == "patch":
         twin = _twin_state(config, args.sandbox)

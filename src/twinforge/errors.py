@@ -217,6 +217,10 @@ class TwinLocked(TwinforgeError):
     """Another writer holds the twin's advisory lock."""
 
 
+class MalformedJournal(TwinforgeError):
+    """A sandbox's undo journal holds a record that cannot be read."""
+
+
 # -- configuration and CLI ----------------------------------------------------
 
 

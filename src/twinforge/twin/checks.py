@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from twinforge.errors import MalformedChecks
+from twinforge.errors import MalformedChecks, UndecodableInput
 from twinforge.jsonfile import read_json
-from twinforge.twin.manifest import FILE
+from twinforge.twin.manifest import FILE, manifest_entry, walk_tree
 from twinforge.twin.sandbox import TwinState
 
 
@@ -50,28 +50,33 @@ class CheckResult:
 
 
 def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
-    """Pure evaluation against the live manifest and config file contents."""
-    manifest = {e.path: e for e in twin.manifest()}
+    """Pure evaluation against the live tree: one walk for the file list,
+    a hash of only the files a ``HashEquals`` names, and the config files'
+    contents."""
+    kinds = dict(walk_tree(twin.sandbox))
     results: list[CheckResult] = []
     for assertion in checks.assertions:
         if isinstance(assertion, FileExists):
-            entry = manifest.get(assertion.path)
-            ok = entry is not None and entry.kind == FILE
+            ok = kinds.get(assertion.path) == FILE
             detail = "present" if ok else "no such file"
         elif isinstance(assertion, HashEquals):
-            entry = manifest.get(assertion.path)
-            if entry is None or entry.kind != FILE:
+            if kinds.get(assertion.path) != FILE:
                 ok, detail = False, "no such file"
             else:
-                ok = entry.sha256 == assertion.sha256
-                detail = "hash matches" if ok else f"expected {assertion.sha256}, got {entry.sha256}"
+                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE).sha256
+                ok = sha256 == assertion.sha256
+                detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
         else:
             target = twin.sandbox / assertion.file
             if not target.is_file():
                 ok, detail = False, "no such config file"
             else:
+                try:
+                    text = target.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise UndecodableInput(f"{target.resolve()}: not valid UTF-8: {exc}") from exc
                 found = None
-                for line in target.read_text(encoding="utf-8").splitlines():
+                for line in text.splitlines():
                     head, sep, tail = line.partition("=")
                     if sep and head.strip() == assertion.key:
                         found = tail.strip()

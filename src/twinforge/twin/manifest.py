@@ -61,51 +61,57 @@ def _hash_bytes(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[ManifestEntry, ...]:
-    """Deterministic manifest of a tree, sorted by path.
+def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[str, str], ...]:
+    """``(path, kind)`` of every manifest entry of a tree, sorted by path,
+    without reading a file.
 
-    Symlinks resolving inside the root are recorded as the file they point
-    to (directory links are recorded but not descended, which keeps cycles
+    Symlinks resolving inside the root count as what they point to
+    (directory links are listed but not descended, which keeps cycles
     finite); links escaping the root are refused. The advisory lock file is
-    never part of a manifest.
+    never listed.
     """
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory")
-    entries: list[ManifestEntry] = []
+    entries: list[tuple[str, str]] = []
 
-    def rel_of(path: Path) -> str:
-        return path.relative_to(root).as_posix()
-
-    def check_link(path: Path) -> None:
+    def visit(path: Path, kind: str) -> None:
+        rel = path.relative_to(root).as_posix()
+        if is_excluded(rel, exclusions):
+            return
         if path.is_symlink():
             target = path.resolve()
             if not target.is_relative_to(root):
-                raise SymlinkOutsideRoot(f"{rel_of(path)} -> {target}")
+                raise SymlinkOutsideRoot(f"{rel} -> {target}")
+        entries.append((rel, kind))
 
     for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
         dirnames.sort()
         filenames.sort()
         here = Path(dirpath)
         for name in dirnames:
-            sub = here / name
-            rel = rel_of(sub)
-            if is_excluded(rel, exclusions):
-                continue
-            check_link(sub)
-            mode = sub.stat().st_mode & 0o7777
-            entries.append(ManifestEntry(rel, DIR, 0, mode, None))
+            visit(here / name, DIR)
         for name in filenames:
-            sub = here / name
-            rel = rel_of(sub)
-            if name == LOCK_FILENAME or is_excluded(rel, exclusions):
-                continue
-            check_link(sub)
-            content = sub.read_bytes()
-            mode = sub.stat().st_mode & 0o7777
-            entries.append(ManifestEntry(rel, FILE, len(content), mode, _hash_bytes(content)))
-    entries.sort(key=lambda e: e.path)
+            if name != LOCK_FILENAME:
+                visit(here / name, FILE)
+    entries.sort()
     return tuple(entries)
+
+
+def manifest_entry(root: str | Path, path: str, kind: str) -> ManifestEntry:
+    """The manifest entry of one walked path: its mode and, for a file, its
+    size and hash."""
+    full = Path(root) / path
+    if kind == DIR:
+        return ManifestEntry(path, DIR, 0, full.stat().st_mode & 0o7777, None)
+    content = full.read_bytes()
+    return ManifestEntry(path, FILE, len(content), full.stat().st_mode & 0o7777, _hash_bytes(content))
+
+
+def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[ManifestEntry, ...]:
+    """Deterministic manifest of a tree, sorted by path: every entry of
+    ``walk_tree`` with its mode, and each file read and hashed."""
+    return tuple(manifest_entry(root, path, kind) for path, kind in walk_tree(root, exclusions))
 
 
 # -- persistence -----------------------------------------------------------

@@ -1,8 +1,16 @@
-"""Declarative patch deltas with atomic application.
+"""Declarative patch deltas, applied in place under an undo journal.
 
-Ops run in order against a shadow copy of the sandbox; only if every op
-succeeds does the shadow swap in. Any failure leaves the twin byte-for-byte
-untouched. The JSON patch file is a list of op objects, e.g.::
+``apply_patch`` holds the sandbox's writer lock and runs the ops in order
+directly in the sandbox. Before an op writes anything, its undo record (the
+target's original bytes and mode, or the fact that it was absent, and the
+directories the op will create) is complete in ``<sandbox>.journal/`` (see
+``twin.journal``). If any op fails, the ops done so far are undone newest
+first and the sandbox is left as it was; if the process dies mid-patch, the
+next holder of the writer lock undoes them. Nothing is ``fsync``ed, so
+that guarantee covers a process crash, not power loss. Each op's target and
+its existing parents are resolved first, so an op never writes through a
+symbolic link to outside the sandbox. The JSON patch file is a list of op
+objects, e.g.::
 
     [{"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\\n"},
      {"op": "replace_file", "path": "docs/readme.txt", "content": "v2"},
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,8 +37,19 @@ from twinforge.errors import (
     DeleteMissing,
     MalformedPatch,
     ReplaceMissing,
+    SymlinkOutsideRoot,
+    UndecodableInput,
 )
 from twinforge.jsonfile import read_json
+from twinforge.twin.journal import (
+    ABSENT,
+    FILE,
+    LINK,
+    UndoRecord,
+    journal_dir,
+    record,
+    roll_back,
+)
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
 from twinforge.twin.sandbox import TwinState, writer_lock
 
@@ -104,65 +124,100 @@ def _describe(op: PatchOp) -> str:
     return f"set_config {op.file} {op.key}={op.value}"
 
 
-def _apply_op(root: Path, op: PatchOp) -> None:
+def _target(root: Path, rel: str, follow: bool) -> Path:
+    """The path an op on ``rel`` writes: ``rel`` with its parent's links
+    resolved and, when ``follow``, its own. It must stay inside the
+    resolved sandbox ``root`` and may not be the writer lock."""
+    path = root / rel
+    node = path.parent.resolve() / path.name
+    if follow:
+        node = node.resolve()
+    if not node.is_relative_to(root):
+        raise SymlinkOutsideRoot(f"{rel} -> {node}")
+    if node.name == LOCK_FILENAME:
+        raise MalformedPatch(f"{rel}: the writer lock {LOCK_FILENAME} is not patchable")
+    return node
+
+
+def _set_config(original: bytes, node: Path, op: SetConfig) -> bytes:
+    """The config file's new bytes, with every ``op.key`` line set."""
+    try:
+        lines = original.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{node}: not valid UTF-8: {exc}") from exc
+    hits = 0
+    for i, line in enumerate(lines):
+        head, sep, _ = line.partition("=")
+        if sep and head.strip() == op.key:
+            lines[i] = f"{op.key}={op.value}"
+            hits += 1
+    if hits == 0:
+        raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
+    """Check ``op``, journal what it will change, then apply it in place."""
     if isinstance(op, AddFile):
-        target = root / op.path
-        if target.exists():
+        node = _target(root, op.path, follow=True)
+        if node.exists():
             raise AddExisting(op.path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(op.content)
-    elif isinstance(op, ReplaceFile):
-        target = root / op.path
-        if not target.is_file():
-            raise ReplaceMissing(op.path)
-        target.write_bytes(op.content)
-    elif isinstance(op, DeleteFile):
-        target = root / op.path
-        if not target.is_file():
+        created = []
+        parent = node.parent
+        while not parent.exists():
+            created.append(parent.relative_to(root).as_posix())
+            parent = parent.parent
+        rec = UndoRecord(index, node.relative_to(root).as_posix(), ABSENT, None, None, tuple(created))
+        record(journal, rec, None)
+        node.parent.mkdir(parents=True, exist_ok=True)
+        node.write_bytes(op.content)
+        return
+    if isinstance(op, DeleteFile):
+        node = _target(root, op.path, follow=False)
+        if not node.is_file():
             raise DeleteMissing(op.path)
-        target.unlink()
     else:
-        target = root / op.file
-        if not target.is_file():
+        node = _target(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
+        if not node.is_file():
+            if isinstance(op, ReplaceFile):
+                raise ReplaceMissing(op.path)
             raise ConfigKeyMissing(f"{op.file}: config file not present")
-        lines = target.read_text(encoding="utf-8").splitlines()
-        hits = 0
-        for i, line in enumerate(lines):
-            head, sep, _ = line.partition("=")
-            if sep and head.strip() == op.key:
-                lines[i] = f"{op.key}={op.value}"
-                hits += 1
-        if hits == 0:
-            raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rel = node.relative_to(root).as_posix()
+    if node.is_symlink():  # only a deleted link: the other ops follow links
+        record(journal, UndoRecord(index, rel, LINK, None, os.readlink(node), ()), None)
+        node.unlink()
+        return
+    original = node.read_bytes()
+    if isinstance(op, DeleteFile):
+        content = None
+    else:
+        content = op.content if isinstance(op, ReplaceFile) else _set_config(original, node, op)
+    record(journal, UndoRecord(index, rel, FILE, node.stat().st_mode & 0o7777, None, ()), original)
+    if content is None:
+        node.unlink()
+    else:
+        node.write_bytes(content)
 
 
 def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
-    """Apply ops in order, atomically: all succeed or the sandbox is unchanged."""
-    sandbox = twin.sandbox
-    shadow = sandbox.parent / (sandbox.name + ".staging")
-    backup = sandbox.parent / (sandbox.name + ".previous")
-    with writer_lock(sandbox):
-        if shadow.exists():
-            shutil.rmtree(shadow)  # leftover from an interrupted run
-        shutil.copytree(
-            sandbox, shadow, symlinks=True, ignore=shutil.ignore_patterns(LOCK_FILENAME)
-        )
+    """Apply ops in order, atomically: all succeed or the sandbox is unchanged.
+
+    The report's manifest is scanned before the journal is dropped, so a
+    tree that cannot be scanned (an escaping link) undoes the patch too.
+    """
+    root = Path(twin.sandbox).resolve()
+    with writer_lock(twin.sandbox):
+        journal = journal_dir(root)
+        journal.mkdir()
         try:
-            for op in delta.ops:
-                _apply_op(shadow, op)
-        except Exception:
-            shutil.rmtree(shadow)
+            for index, op in enumerate(delta.ops):
+                _apply_op(root, journal, index, op)
+            manifest = twin.manifest()
+        except BaseException:
+            roll_back(root)
             raise
-        if backup.exists():
-            shutil.rmtree(backup)
-        sandbox.rename(backup)
-        shadow.rename(sandbox)
-        shutil.rmtree(backup)
-    return PatchReport(
-        applied=tuple(_describe(op) for op in delta.ops),
-        manifest=twin.manifest(),
-    )
+        shutil.rmtree(journal)
+    return PatchReport(applied=tuple(_describe(op) for op in delta.ops), manifest=manifest)
 
 
 # -- JSON form -----------------------------------------------------------------

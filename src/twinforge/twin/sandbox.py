@@ -9,6 +9,7 @@ from pathlib import Path
 
 from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage, unpack_archive
+from twinforge.twin.journal import roll_back
 from twinforge.twin.manifest import DIR, LOCK_FILENAME, ManifestEntry, _hash_bytes, scan_tree
 
 DEFAULT_SCREEN = (1920, 1080)
@@ -16,7 +17,9 @@ DEFAULT_SCREEN = (1920, 1080)
 
 @dataclass
 class TwinState:
-    """Handle on an instantiated sandbox; the manifest is always a live scan."""
+    """Handle on an instantiated sandbox. It caches nothing: ``manifest``
+    scans and hashes the live tree, and readers that need less (checks,
+    replay) walk it themselves. Writers hold ``writer_lock``."""
 
     sandbox: Path
     screen_width: int = DEFAULT_SCREEN[0]
@@ -40,12 +43,19 @@ def exclusive_lock(lock: Path, locked: TwinforgeError):
         yield
 
 
+@contextmanager
 def writer_lock(sandbox: Path):
-    """Advisory exclusive lock for mutating operations (create, patch)."""
-    return exclusive_lock(
+    """Advisory exclusive lock for mutating operations (create, patch).
+
+    On acquisition it rolls back any undo journal a crashed patch left
+    behind, so every writer starts from a tree no patch is half-way
+    through."""
+    with exclusive_lock(
         Path(sandbox) / LOCK_FILENAME,
         TwinLocked(f"{sandbox}: another writer holds {LOCK_FILENAME}"),
-    )
+    ):
+        roll_back(sandbox)
+        yield
 
 
 def instantiate_twin(
@@ -59,16 +69,18 @@ def instantiate_twin(
     flipped content byte surfaces as HashMismatch. Directory modes are set
     once every entry is written, deepest first, so a read-only directory
     can still be restored with its contents. The lock file a failed restore
-    leaves behind does not count as contents.
+    leaves behind does not count as contents. Emptiness is checked under the
+    writer lock, after it has rolled back a crashed patch's journal, so a
+    restore never mixes with what that journal puts back.
     """
     sandbox = Path(sandbox_dir)
-    if sandbox.exists() and any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
-        raise SandboxNotEmpty(f"{sandbox} already has contents")
     sandbox.mkdir(parents=True, exist_ok=True)
 
     expected = {e.path: e for e in image.manifest}
     dir_modes: list[tuple[str, int]] = []
     with writer_lock(sandbox):
+        if any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
+            raise SandboxNotEmpty(f"{sandbox} already has contents")
         for path, kind, mode, content in unpack_archive(image.archive):
             target = sandbox / path
             if kind == DIR:

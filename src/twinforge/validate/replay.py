@@ -16,6 +16,7 @@ from pathlib import PurePosixPath
 from typing import TYPE_CHECKING
 
 from twinforge.ingest.macro import MacroScript
+from twinforge.twin.manifest import FILE, walk_tree
 
 if TYPE_CHECKING:  # only for annotations; replay works on any twin-shaped object
     from twinforge.twin.sandbox import TwinState
@@ -41,18 +42,20 @@ class ReplayResult:
     first_failure: ReplayFailure | None
 
 
-def executable_names(manifest) -> set[str]:
-    """Base names of manifest files living under an executable prefix."""
+def executable_names(entries) -> set[str]:
+    """Base names of the files under an executable prefix, from
+    ``walk_tree``'s ``(path, kind)`` pairs."""
     names = set()
-    for entry in manifest:
-        if entry.kind == "file" and entry.path.startswith(EXECUTABLE_PREFIXES):
-            names.add(PurePosixPath(entry.path).name)
+    for path, kind in entries:
+        if kind == FILE and path.startswith(EXECUTABLE_PREFIXES):
+            names.add(PurePosixPath(path).name)
     return names
 
 
 def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
-    """Interpret the script against the twin manifest; purely read-only."""
-    executables = executable_names(twin.manifest())
+    """Interpret the script against the twin's file list; purely read-only,
+    and no file is read."""
+    executables = executable_names(walk_tree(twin.sandbox))
     screen_w, screen_h = twin.screen_width, twin.screen_height
     windows: set[str] = set()
     active: str | None = None

@@ -13,6 +13,7 @@ import pytest
 from twinforge.cli import main
 from twinforge.errors import WorkspaceLocked
 from twinforge.ingest import read_dataset_csv, write_dataset_csv
+from twinforge.twin import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import load_report
 
@@ -54,6 +55,7 @@ def test_capture_twin_patch_diff_check_flow(tmp_path, workspace, twin_tree, caps
     sandbox = tmp_path / "sandbox"
     assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
     assert (sandbox / "tmp").is_dir()
+    assert f"twin ready at {sandbox} ({len(scan_tree(sandbox))} entries)" in capsys.readouterr().out
 
     delta = tmp_path / "delta.json"
     delta.write_text(
@@ -285,6 +287,38 @@ def test_undecodable_input_is_data_error(tmp_path, workspace, script_paths, argv
     err = capsys.readouterr().err
     assert "error" in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["patch", "check"])
+def test_undecodable_sandbox_config_is_data_error(tmp_path, workspace, twin_tree, command, capsys):
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    sandbox = tmp_path / "sandbox"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    conf = sandbox / "etc" / "app.conf"
+    conf.write_bytes(b"\xff\xfemode=safe\n")
+    before = scan_tree(sandbox)
+    delta = tmp_path / "delta.json"
+    delta.write_text(
+        json.dumps(
+            [
+                {"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\n"},
+                {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    checks = tmp_path / "checks.json"
+    checks.write_text(
+        json.dumps([{"check": "config_equals", "file": "etc/app.conf", "key": "mode", "value": "safe"}]),
+        encoding="utf-8",
+    )
+    flag, spec = ("--delta", delta) if command == "patch" else ("--checks", checks)
+    capsys.readouterr()
+    assert main(["--config", str(config), "twin", command, "--sandbox", str(sandbox), flag, str(spec)]) == 2
+    assert str(conf.resolve()) in capsys.readouterr().err
+    assert scan_tree(sandbox) == before
 
 
 def test_validate_rejects_a_sidecar_that_is_not_an_object(tmp_path, workspace):

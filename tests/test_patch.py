@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ from twinforge.errors import (
     DeleteMissing,
     MalformedPatch,
     ReplaceMissing,
+    SymlinkOutsideRoot,
     TwinLocked,
 )
 from twinforge.twin import (
@@ -30,8 +36,15 @@ from twinforge.twin import (
     instantiate_twin,
     load_delta,
     run_checks,
+    scan_tree,
     writer_lock,
 )
+from twinforge.twin import patch
+from twinforge.twin.journal import journal_dir
+from twinforge.twin.manifest import LOCK_FILENAME
+from twinforge.twin.patch import delta_from_doc
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -179,3 +192,208 @@ def test_run_checks(twin):
 def test_check_spec_requires_assertions():
     with pytest.raises(ValueError):
         CheckSpec(())
+
+
+def test_run_checks_match_a_full_scan(twin, tmp_path):
+    """``run_checks`` hashes only what it names, with the same results as an
+    evaluation over a full ``scan_tree`` manifest."""
+    (twin.sandbox / "bin" / "alias").symlink_to("../apps/gedit")
+    (twin.sandbox / "apps" / "more").symlink_to("../docs")
+    (twin.sandbox / "docs" / "nested" / "deep").mkdir(parents=True)
+    (twin.sandbox / "docs" / "nested" / "deep" / "notes.txt").write_bytes(b"deep\n")
+    manifest = {e.path: e for e in scan_tree(twin.sandbox)}
+    paths = sorted(manifest) + ["missing", "bin/missing", LOCK_FILENAME]
+    assertions = []
+    for path in paths:
+        sha = manifest[path].sha256 if path in manifest else None
+        assertions += [FileExists(path), HashEquals(path, sha or "0" * 64), HashEquals(path, "f" * 64)]
+
+    expected = []
+    for a in assertions:
+        entry = manifest.get(a.path)
+        if entry is None or entry.kind != "file":
+            expected.append((False, "no such file"))
+        elif isinstance(a, FileExists):
+            expected.append((True, "present"))
+        elif entry.sha256 == a.sha256:
+            expected.append((True, "hash matches"))
+        else:
+            expected.append((False, f"expected {a.sha256}, got {entry.sha256}"))
+    results = run_checks(twin, CheckSpec(tuple(assertions)))
+    assert [(r.passed, r.detail) for r in results] == expected
+    assert any(passed for passed, _ in expected)
+
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"elsewhere\n")
+    (twin.sandbox / "docs" / "nested" / "escape").symlink_to(outside)
+    with pytest.raises(SymlinkOutsideRoot):
+        run_checks(twin, CheckSpec((FileExists("bin/term"),)))
+
+
+# -- in-place patch: confinement, the lock, fault injection, crash recovery ------
+
+
+def test_ops_never_write_outside_the_sandbox(twin, tmp_path):
+    outside_file = tmp_path / "outside.txt"
+    outside_file.write_bytes(b"keep\n")
+    outside_dir = tmp_path / "outside"
+    outside_dir.mkdir()
+    before = twin.manifest()
+    (twin.sandbox / "leak").symlink_to(outside_file)
+    (twin.sandbox / "dirleak").symlink_to(outside_dir)
+    for op in (
+        ReplaceFile("leak", b"overwritten\n"),
+        AddFile("dirleak/new.txt", b"planted\n"),
+        SetConfig("leak", "keep", "no"),
+        DeleteFile("dirleak/anything"),
+    ):
+        with pytest.raises(SymlinkOutsideRoot):
+            apply_patch(twin, PatchDelta((AddFile("bin/first", b"x"), op)))
+        assert outside_file.read_bytes() == b"keep\n"
+        assert list(outside_dir.iterdir()) == []
+    (twin.sandbox / "leak").unlink()
+    (twin.sandbox / "dirleak").unlink()
+    assert twin.manifest() == before
+    assert not journal_dir(twin.sandbox).exists()
+
+
+def test_ops_through_an_inside_link_are_undone_exactly(twin):
+    link = twin.sandbox / "docs" / "current"
+    link.symlink_to("readme.txt")
+    readme = twin.sandbox / "docs" / "readme.txt"
+    before = twin.manifest()
+    delta = PatchDelta(
+        (ReplaceFile("docs/current", b"v2\n"), DeleteFile("docs/current"), DeleteFile("not/there"))
+    )
+    with pytest.raises(DeleteMissing):
+        apply_patch(twin, delta)
+    assert link.is_symlink() and os.readlink(link) == "readme.txt"
+    assert readme.read_bytes() == b"local system under test\n"
+    assert twin.manifest() == before
+
+    apply_patch(twin, PatchDelta((ReplaceFile("docs/current", b"v2\n"),)))
+    assert link.is_symlink() and readme.read_bytes() == b"v2\n"
+
+
+def test_patch_naming_the_writer_lock_is_refused(twin):
+    with pytest.raises(MalformedPatch):
+        apply_patch(twin, PatchDelta((DeleteFile(LOCK_FILENAME),)))
+    assert (twin.sandbox / LOCK_FILENAME).exists()
+
+
+def test_patch_keeps_the_writer_lock_file(twin):
+    lock = twin.sandbox / LOCK_FILENAME
+    inode = lock.stat().st_ino
+    apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"), DeleteFile("apps/files"))))
+    assert lock.stat().st_ino == inode
+
+
+def _spawn(code: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+
+
+def _kill(child: subprocess.Popen) -> None:
+    child.send_signal(signal.SIGKILL)
+    child.wait(timeout=30)
+    child.stdout.close()
+
+
+def test_patch_while_a_child_holds_the_lock_changes_nothing(twin):
+    before = twin.manifest()
+    holder = _spawn(
+        "import time; from pathlib import Path; from twinforge.twin.sandbox import writer_lock;"
+        f"lock = writer_lock(Path({str(twin.sandbox)!r})); lock.__enter__();"
+        "print('held', flush=True); time.sleep(60)"
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(TwinLocked):
+            apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"), DeleteFile("apps/files"))))
+    finally:
+        _kill(holder)
+    assert twin.manifest() == before
+    assert not journal_dir(twin.sandbox).exists()
+
+
+# Every op kind, on files with executable and restricted modes; the add
+# creates three directories.
+ALL_KINDS = [
+    {"op": "add_file", "path": "opt/vendor/bin/agent", "content": "#!/bin/sh\nexit 0\n"},
+    {"op": "replace_file", "path": "bin/term", "content": "terminal v2\n"},
+    {"op": "delete_file", "path": "bin/featherpad"},
+    {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"},
+]
+
+
+@pytest.fixture()
+def mode_twin(twin_tree, tmp_path):
+    (twin_tree / "bin" / "term").chmod(0o755)
+    (twin_tree / "bin" / "featherpad").chmod(0o750)
+    (twin_tree / "etc" / "app.conf").chmod(0o640)
+    return instantiate_twin(capture_image(twin_tree), tmp_path / "sandbox")
+
+
+def _state(twin):
+    """Everything a rolled-back patch must restore: the manifest (bytes,
+    modes, directories), the lock file's inode and the absent journal."""
+    lock = (twin.sandbox / LOCK_FILENAME).stat().st_ino
+    return twin.manifest(), lock, journal_dir(twin.sandbox).exists()
+
+
+@pytest.mark.parametrize("stage", ["recorded", "applied"])
+@pytest.mark.parametrize("fail_at", range(len(ALL_KINDS)))
+def test_fault_after_any_op_restores_the_tree(mode_twin, monkeypatch, stage, fail_at):
+    before = _state(mode_twin)
+    assert {e.path: e.mode for e in before[0]}["bin/term"] == 0o755
+    real_record, real_apply = patch.record, patch._apply_op
+
+    def record(journal, rec, original):
+        real_record(journal, rec, original)
+        if stage == "recorded" and rec.index == fail_at:
+            raise OSError("injected fault")
+
+    def apply(root, journal, index, op):
+        real_apply(root, journal, index, op)
+        if stage == "applied" and index == fail_at:
+            raise OSError("injected fault")
+
+    monkeypatch.setattr(patch, "record", record)
+    monkeypatch.setattr(patch, "_apply_op", apply)
+    with pytest.raises(OSError, match="injected fault"):
+        apply_patch(mode_twin, delta_from_doc(ALL_KINDS))
+    assert _state(mode_twin) == before
+    assert not (mode_twin.sandbox / "opt").exists()
+
+
+@pytest.mark.parametrize("kill_after", [0, len(ALL_KINDS) - 1])
+def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, kill_after):
+    before = _state(mode_twin)
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps(ALL_KINDS), encoding="utf-8")
+    child = _spawn(
+        "import time; from pathlib import Path; from twinforge.twin import patch;"
+        "from twinforge.twin.sandbox import TwinState\n"
+        "real = patch._apply_op\n"
+        "def apply(root, journal, index, op):\n"
+        "    real(root, journal, index, op)\n"
+        f"    if index == {kill_after}:\n"
+        "        print('applied', flush=True); time.sleep(60)\n"
+        "patch._apply_op = apply\n"
+        f"patch.apply_patch(TwinState(Path({str(mode_twin.sandbox)!r})), patch.load_delta({str(delta)!r}))"
+    )
+    try:
+        assert child.stdout.readline() == "applied\n"
+    finally:
+        _kill(child)
+    journal = journal_dir(mode_twin.sandbox)
+    assert len(list(journal.glob("*.json"))) == kill_after + 1
+    assert mode_twin.manifest() != before[0]
+
+    with writer_lock(mode_twin.sandbox):
+        pass
+    assert _state(mode_twin) == before

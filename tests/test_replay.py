@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from twinforge.errors import SymlinkOutsideRoot
 from twinforge.ingest import parse_macro_script
-from twinforge.twin import capture_image, instantiate_twin
+from twinforge.twin import capture_image, instantiate_twin, scan_tree
 from twinforge.validate import (
     MISSING_TARGET,
     MISSING_WINDOW,
@@ -13,6 +14,7 @@ from twinforge.validate import (
     OUT_OF_BOUNDS,
     replay_validate,
 )
+from twinforge.validate.replay import EXECUTABLE_PREFIXES
 
 
 @pytest.fixture()
@@ -79,3 +81,30 @@ def test_fixture_corpus_replays_cleanly(twin, script_corpus):
         result = replay_validate(script, twin)
         assert result.ok, f"{script.name}: {result.first_failure}"
     assert twin.manifest() == before
+
+
+def test_executables_match_a_full_scan(twin, tmp_path):
+    """Replay takes executable names from a walk that hashes nothing, with
+    the same results as names taken from a full ``scan_tree`` manifest."""
+    (twin.sandbox / "bin" / "alias").symlink_to("../apps/gedit")
+    (twin.sandbox / "apps" / "more").symlink_to("../docs")
+    (twin.sandbox / "apps" / "suite").mkdir()
+    (twin.sandbox / "apps" / "suite" / "calc").write_bytes(b"calc\n")
+    manifest = scan_tree(twin.sandbox)
+    names = {
+        e.path.rsplit("/", 1)[-1]
+        for e in manifest
+        if e.kind == "file" and e.path.startswith(EXECUTABLE_PREFIXES)
+    }
+    assert {"alias", "calc", "gedit"} <= names and "more" not in names
+    targets = sorted({e.path.rsplit("/", 1)[-1] for e in manifest} | {e.path for e in manifest})
+    for target in targets + ["ghost.exe", "bin/ghost"]:
+        expected = target in names or any(target == p + n for p in EXECUTABLE_PREFIXES for n in names)
+        result = replay_validate(parse_macro_script(f"Run, {target}", name="run"), twin)
+        assert result.ok == expected, target
+
+    outside = tmp_path / "outside"
+    outside.write_bytes(b"elsewhere\n")
+    (twin.sandbox / "docs" / "escape").symlink_to(outside)
+    with pytest.raises(SymlinkOutsideRoot):
+        replay_validate(parse_macro_script("Run, chrome.exe", name="run"), twin)
