@@ -1,17 +1,24 @@
 """Undo journal for in-place writes to a sandbox.
 
-A patch writes the sandbox in place. Before an op touches it, the op's undo
-record is complete in ``<sandbox>.journal/``: ``NNNNNN.data`` holds the
-target's original bytes, then ``NNNNNN.json`` is written under a temporary
-name and renamed into place. A ``.json`` record therefore names everything
-needed to undo its op; a ``.tmp`` or ``.data`` file without one belongs to
-an op that never started. ``roll_back`` undoes the complete records newest
-first and drops the journal; the writer lock calls it on every
-acquisition, so a patch cut short by a crash is undone by the next writer.
+A patch writes the sandbox in place and keeps what it needs to undo each op
+in ``<sandbox>.journal/``, a sibling of the sandbox (so renames between the
+two stay on one filesystem). ``begin`` creates the journal with a marker
+file; a directory without the marker is not a journal and is never read or
+removed. Op ``i`` has one record, ``{i:06d}.json``, written under a
+temporary name and renamed into place: the node it changes (relative to the
+resolved sandbox), whether the original node is saved as ``{i:06d}.node``,
+and the directories the op creates, deepest first. A replaced file is
+copied to its ``.node`` with its mode before the record is written; a
+deleted file or link is renamed there after. An op touches the sandbox only
+once its record is complete.
 
-The guarantee covers a process crash, not power loss: nothing here calls
-``fsync``, so after a power cut the journal or the sandbox may hold data
-the kernel never wrote.
+``roll_back`` undoes the records newest first and deletes each one as soon
+as its op is undone, so the journal always lists only what is still to
+undo and a roll-back cut short can be run again. The writer lock calls it
+on every acquisition, so a patch cut short by a crash is undone by the next
+writer. The guarantee covers a process crash, not power loss: nothing here
+calls ``fsync``, so after a power cut the journal or the sandbox may hold
+data the kernel never wrote.
 """
 
 from __future__ import annotations
@@ -24,22 +31,13 @@ from pathlib import Path
 from twinforge.errors import MalformedJournal
 from twinforge.jsonfile import read_json, write_json
 
-ABSENT = "absent"
-FILE = "file"
-LINK = "link"
+MARKER = "twinforge-journal"
 
 
 @dataclass(frozen=True)
 class UndoRecord:
-    """What one op changes: the node at ``path`` (relative to the resolved
-    sandbox) as it was before, and the directories the op creates, deepest
-    first."""
-
-    index: int
     path: str
-    kind: str  # absent | file | link
-    mode: int | None  # permission bits of a file
-    link: str | None  # target of a symbolic link
+    saved: bool  # the original node is kept as the record's .node
     created: tuple[str, ...]
 
 
@@ -48,36 +46,79 @@ def journal_dir(sandbox: str | Path) -> Path:
     return root.parent / (root.name + ".journal")
 
 
-def record(journal: Path, rec: UndoRecord, original: bytes | None) -> None:
-    """Make ``rec`` (and a file's ``original`` bytes) complete in the journal."""
-    stem = f"{rec.index:06d}"
-    if original is not None:
-        (journal / f"{stem}.data").write_bytes(original)
-    tmp = journal / f"{stem}.tmp"
+def begin(sandbox: str | Path) -> Path:
+    """Create the sandbox's journal; call it under the writer lock, which has
+    already rolled back any journal a crashed patch left."""
+    journal = journal_dir(sandbox)
+    try:
+        journal.mkdir()
+    except FileExistsError:
+        raise MalformedJournal(f"{journal} exists and is not a twinforge journal") from None
+    (journal / MARKER).touch()
+    return journal
+
+
+def _saved(journal: Path, index: int) -> Path:
+    return journal / f"{index:06d}.node"
+
+
+def record(journal: Path, index: int, rec: UndoRecord) -> None:
+    """Make op ``index``'s undo record complete in the journal."""
+    tmp = journal / f"{index:06d}.tmp"
     write_json(rec, tmp)
-    tmp.rename(journal / f"{stem}.json")
+    tmp.rename(journal / f"{index:06d}.json")
 
 
-def _undo(root: Path, journal: Path, rec: UndoRecord) -> None:
+def record_add(journal: Path, index: int, rel: str, created: tuple[str, ...]) -> None:
+    """Op ``index`` will create the absent node ``rel`` and the directories
+    ``created``, deepest first."""
+    record(journal, index, UndoRecord(rel, False, created))
+
+
+def record_rewrite(journal: Path, index: int, rel: str, node: Path) -> None:
+    """Op ``index`` will rewrite the file ``node`` in place: keep a copy of
+    it, with its mode, first."""
+    shutil.copy2(node, _saved(journal, index))
+    record(journal, index, UndoRecord(rel, True, ()))
+
+
+def record_delete(journal: Path, index: int, rel: str, node: Path) -> None:
+    """Delete ``node`` for op ``index`` by moving it, a file or a link
+    itself, into the journal once the record says so."""
+    record(journal, index, UndoRecord(rel, True, ()))
+    node.rename(_saved(journal, index))
+
+
+def _discard(path: Path, remove) -> None:
+    try:
+        remove(path)
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # never created, or already undone
+
+
+def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
     node = root / rec.path
-    node.unlink(missing_ok=True)
-    if rec.kind == FILE:
-        node.write_bytes((journal / f"{rec.index:06d}.data").read_bytes())
-        node.chmod(rec.mode)
-    elif rec.kind == LINK:
-        os.symlink(rec.link, node)
+    if not rec.saved:
+        _discard(node, Path.unlink)
+    elif os.path.lexists(saved):  # absent: undone already, or a delete that never ran
+        if node.is_file():  # replaced in place: restore in place, as the op wrote
+            shutil.copy2(saved, node)
+            saved.unlink()
+        else:
+            os.replace(saved, node)
     for rel in rec.created:
-        try:
-            (root / rel).rmdir()
-        except FileNotFoundError:
-            pass  # the op stopped before creating it
+        _discard(root / rel, Path.rmdir)
 
 
 def roll_back(sandbox: str | Path) -> None:
-    """Undo every complete record of the sandbox's journal, newest first,
-    then drop the journal; a sandbox with no journal is left alone."""
+    """Undo the sandbox's journal newest first, then drop it. A sandbox with
+    no journal is left alone, and so is a directory that is not a journal."""
     journal = journal_dir(sandbox)
-    if not journal.exists():
+    if not (journal / MARKER).is_file():
+        try:
+            journal.rmdir()  # empty: a patch died between mkdir and marker
+        except OSError:
+            pass  # absent, or not ours
         return
     root = Path(sandbox).resolve()
     for path in sorted(journal.glob("*.json"), reverse=True):
@@ -86,5 +127,6 @@ def roll_back(sandbox: str | Path) -> None:
             rec = UndoRecord(**doc)
         except TypeError as exc:
             raise MalformedJournal(f"{path}: bad undo record: {exc}") from exc
-        _undo(root, journal, rec)
+        _undo(root, path.with_suffix(".node"), rec)
+        path.unlink()
     shutil.rmtree(journal)

@@ -2,8 +2,8 @@
 
 ``apply_patch`` holds the sandbox's writer lock and runs the ops in order
 directly in the sandbox. Before an op writes anything, its undo record (the
-target's original bytes and mode, or the fact that it was absent, and the
-directories the op will create) is complete in ``<sandbox>.journal/`` (see
+target's original node, or the fact that it was absent, and the directories
+the op will create) is complete in ``<sandbox>.journal/`` (see
 ``twin.journal``). If any op fails, the ops done so far are undone newest
 first and the sandbox is left as it was; if the process dies mid-patch, the
 next holder of the writer lock undoes them. Nothing is ``fsync``ed, so
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,15 +40,7 @@ from twinforge.errors import (
     UndecodableInput,
 )
 from twinforge.jsonfile import read_json
-from twinforge.twin.journal import (
-    ABSENT,
-    FILE,
-    LINK,
-    UndoRecord,
-    journal_dir,
-    record,
-    roll_back,
-)
+from twinforge.twin.journal import begin, record_add, record_delete, record_rewrite, roll_back
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
 from twinforge.twin.sandbox import TwinState, writer_lock
 
@@ -167,8 +158,9 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         while not parent.exists():
             created.append(parent.relative_to(root).as_posix())
             parent = parent.parent
-        rec = UndoRecord(index, node.relative_to(root).as_posix(), ABSENT, None, None, tuple(created))
-        record(journal, rec, None)
+        if not parent.is_dir():
+            raise AddExisting(f"{op.path}: {parent.relative_to(root).as_posix()} is not a directory")
+        record_add(journal, index, node.relative_to(root).as_posix(), tuple(created))
         node.parent.mkdir(parents=True, exist_ok=True)
         node.write_bytes(op.content)
         return
@@ -176,27 +168,16 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         node = _target(root, op.path, follow=False)
         if not node.is_file():
             raise DeleteMissing(op.path)
-    else:
-        node = _target(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
-        if not node.is_file():
-            if isinstance(op, ReplaceFile):
-                raise ReplaceMissing(op.path)
-            raise ConfigKeyMissing(f"{op.file}: config file not present")
-    rel = node.relative_to(root).as_posix()
-    if node.is_symlink():  # only a deleted link: the other ops follow links
-        record(journal, UndoRecord(index, rel, LINK, None, os.readlink(node), ()), None)
-        node.unlink()
+        record_delete(journal, index, node.relative_to(root).as_posix(), node)
         return
-    original = node.read_bytes()
-    if isinstance(op, DeleteFile):
-        content = None
-    else:
-        content = op.content if isinstance(op, ReplaceFile) else _set_config(original, node, op)
-    record(journal, UndoRecord(index, rel, FILE, node.stat().st_mode & 0o7777, None, ()), original)
-    if content is None:
-        node.unlink()
-    else:
-        node.write_bytes(content)
+    node = _target(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
+    if not node.is_file():
+        if isinstance(op, ReplaceFile):
+            raise ReplaceMissing(op.path)
+        raise ConfigKeyMissing(f"{op.file}: config file not present")
+    content = op.content if isinstance(op, ReplaceFile) else _set_config(node.read_bytes(), node, op)
+    record_rewrite(journal, index, node.relative_to(root).as_posix(), node)
+    node.write_bytes(content)
 
 
 def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
@@ -207,8 +188,7 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
     """
     root = Path(twin.sandbox).resolve()
     with writer_lock(twin.sandbox):
-        journal = journal_dir(root)
-        journal.mkdir()
+        journal = begin(root)
         try:
             for index, op in enumerate(delta.ops):
                 _apply_op(root, journal, index, op)

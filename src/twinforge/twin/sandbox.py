@@ -58,6 +58,11 @@ def writer_lock(sandbox: Path):
         yield
 
 
+def _refuse_contents(sandbox: Path) -> None:
+    if any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
+        raise SandboxNotEmpty(f"{sandbox} already has contents")
+
+
 def instantiate_twin(
     image: TwinImage,
     sandbox_dir: str | Path,
@@ -69,18 +74,20 @@ def instantiate_twin(
     flipped content byte surfaces as HashMismatch. Directory modes are set
     once every entry is written, deepest first, so a read-only directory
     can still be restored with its contents. The lock file a failed restore
-    leaves behind does not count as contents. Emptiness is checked under the
-    writer lock, after it has rolled back a crashed patch's journal, so a
-    restore never mixes with what that journal puts back.
+    leaves behind does not count as contents. A sandbox with contents is
+    refused before anything is written; emptiness is checked again under
+    the writer lock, after it has rolled back a crashed patch's journal, so
+    a restore never mixes with what that journal puts back.
     """
     sandbox = Path(sandbox_dir)
+    if sandbox.exists():
+        _refuse_contents(sandbox)
     sandbox.mkdir(parents=True, exist_ok=True)
 
     expected = {e.path: e for e in image.manifest}
     dir_modes: list[tuple[str, int]] = []
     with writer_lock(sandbox):
-        if any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
-            raise SandboxNotEmpty(f"{sandbox} already has contents")
+        _refuse_contents(sandbox)
         for path, kind, mode, content in unpack_archive(image.archive):
             target = sandbox / path
             if kind == DIR:

@@ -15,8 +15,10 @@ from twinforge.errors import (
     AddExisting,
     ConfigKeyMissing,
     DeleteMissing,
+    MalformedJournal,
     MalformedPatch,
     ReplaceMissing,
+    SandboxNotEmpty,
     SymlinkOutsideRoot,
     TwinLocked,
 )
@@ -39,8 +41,9 @@ from twinforge.twin import (
     scan_tree,
     writer_lock,
 )
-from twinforge.twin import patch
-from twinforge.twin.journal import journal_dir
+from twinforge.twin import journal, patch
+from twinforge.twin.journal import UndoRecord, journal_dir, record
+from twinforge.twin.journal import begin as begin_journal
 from twinforge.twin.manifest import LOCK_FILENAME
 from twinforge.twin.patch import delta_from_doc
 
@@ -350,11 +353,11 @@ def _state(twin):
 def test_fault_after_any_op_restores_the_tree(mode_twin, monkeypatch, stage, fail_at):
     before = _state(mode_twin)
     assert {e.path: e.mode for e in before[0]}["bin/term"] == 0o755
-    real_record, real_apply = patch.record, patch._apply_op
+    real_record, real_apply = journal.record, patch._apply_op
 
-    def record(journal, rec, original):
-        real_record(journal, rec, original)
-        if stage == "recorded" and rec.index == fail_at:
+    def record(journal, index, rec):
+        real_record(journal, index, rec)
+        if stage == "recorded" and index == fail_at:
             raise OSError("injected fault")
 
     def apply(root, journal, index, op):
@@ -362,7 +365,7 @@ def test_fault_after_any_op_restores_the_tree(mode_twin, monkeypatch, stage, fai
         if stage == "applied" and index == fail_at:
             raise OSError("injected fault")
 
-    monkeypatch.setattr(patch, "record", record)
+    monkeypatch.setattr(journal, "record", record)
     monkeypatch.setattr(patch, "_apply_op", apply)
     with pytest.raises(OSError, match="injected fault"):
         apply_patch(mode_twin, delta_from_doc(ALL_KINDS))
@@ -397,3 +400,87 @@ def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, k
     with writer_lock(mode_twin.sandbox):
         pass
     assert _state(mode_twin) == before
+
+
+def test_add_under_a_file_is_refused_and_undone(twin):
+    before = _state(twin)
+    delta = PatchDelta((AddFile("bin/x", b"x"), AddFile("etc/app.conf/x", b"x")))
+    with pytest.raises(AddExisting, match="etc/app.conf is not a directory"):
+        apply_patch(twin, delta)
+    assert _state(twin) == before
+    apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
+    assert (twin.sandbox / "bin/x").read_bytes() == b"x"
+
+
+def test_undo_of_an_add_under_a_file_completes(twin):
+    """A record whose node and created directory lie under a file (as an
+    add through a file would leave) is undone without error."""
+    before = _state(twin)
+    with writer_lock(twin.sandbox):
+        jdir = begin_journal(twin.sandbox)
+        record(jdir, 0, UndoRecord("etc/app.conf/x", False, ("etc/app.conf",)))
+    with writer_lock(twin.sandbox):
+        pass
+    assert _state(twin) == before
+
+
+class _Killed(BaseException):
+    pass
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        (AddFile("new/a", b"a"), ReplaceFile("new/a", b"b")),
+        (DeleteFile("docs/readme.txt"), AddFile("docs/readme.txt", b"b")),
+    ],
+)
+def test_roll_back_cut_short_resumes(twin, monkeypatch, ops):
+    """A roll-back killed right after undoing op 0 is finished by the next
+    writer, which must not undo op 1 a second time: that would write into
+    the directory op 0's undo removed, or delete the file it put back."""
+    before = _state(twin)
+    real_undo = journal._undo
+
+    def undo(root, saved, rec):
+        real_undo(root, saved, rec)
+        if saved.stem == "000000":
+            raise _Killed
+
+    monkeypatch.setattr(journal, "_undo", undo)
+    with pytest.raises(_Killed):
+        apply_patch(twin, PatchDelta(ops + (DeleteFile("not/there"),)))
+    assert journal_dir(twin.sandbox).exists()
+    monkeypatch.undo()
+    with writer_lock(twin.sandbox):
+        pass
+    assert _state(twin) == before
+
+
+def test_a_directory_that_is_not_a_journal_is_left_alone(twin):
+    foreign = journal_dir(twin.sandbox)
+    foreign.mkdir()
+    (foreign / "000000.json").write_text('{"path": "bin/term", "saved": false, "created": []}')
+    before = _state(twin)
+    with pytest.raises(MalformedJournal, match="not a twinforge journal"):
+        apply_patch(twin, PatchDelta((DeleteFile("bin/term"),)))
+    assert twin.manifest() == before[0]
+    assert [p.name for p in foreign.iterdir()] == ["000000.json"]
+
+    # An empty one is what a patch killed before writing its marker leaves.
+    (foreign / "000000.json").unlink()
+    apply_patch(twin, PatchDelta((DeleteFile("bin/term"),)))
+    assert not (twin.sandbox / "bin/term").exists() and not foreign.exists()
+
+
+def test_refused_create_touches_nothing(twin_tree, tmp_path):
+    sandbox = tmp_path / "busy"
+    sandbox.mkdir()
+    (sandbox / "keep.txt").write_text("keep\n")
+    sibling = tmp_path / "busy.journal"
+    sibling.mkdir()
+    (sibling / "notes.json").write_text("{}")
+    with pytest.raises(SandboxNotEmpty):
+        instantiate_twin(capture_image(twin_tree), sandbox)
+    assert sorted(p.name for p in sandbox.iterdir()) == ["keep.txt"]
+    assert [p.name for p in sibling.iterdir()] == ["notes.json"]
