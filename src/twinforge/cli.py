@@ -293,7 +293,7 @@ def _cmd_ingest(args, config, say) -> int:
         dataset = parse_top_capture(_read_text(args.input))
         out = args.out or _workspace_path(config, "datasets", args.input.stem + ".csv")
         write_dataset_csv(dataset, out)
-        say(f"{len(dataset.rows)} rows -> {out}")
+        say(f"{len(dataset)} rows -> {out}")
         return EXIT_OK
     name = args.name or args.input.stem
     script = parse_macro_script(_read_text(args.input), name=name)
@@ -312,7 +312,7 @@ def _cmd_train(args, config, say) -> int:
         out = args.out or _workspace_path(config, "models", "tabular.json")
         save_model(model, out)
         say(
-            f"trained {gan_config.epochs} epochs on {len(dataset.rows)} rows "
+            f"trained {gan_config.epochs} epochs on {len(dataset)} rows "
             f"(final G loss {model.gen_losses[-1]:.4f}) -> {out}"
         )
         return EXIT_OK

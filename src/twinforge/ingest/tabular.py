@@ -1,4 +1,5 @@
-"""Mixed-type tabular datasets: schema model and CSV persistence.
+"""Mixed-type tabular datasets: schema model, column-major storage and CSV
+persistence.
 
 The on-disk format is RFC-4180 CSV where quoting doubles as the type channel:
 continuous cells are written unquoted (numeric), discrete cells quoted. That
@@ -12,9 +13,13 @@ recover every column kind, so ``write -> read`` is an identity.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from twinforge.errors import MalformedCsv
 
@@ -65,68 +70,195 @@ class Schema:
         return tuple((i, c) for i, c in enumerate(self.columns) if c.kind == DISCRETE)
 
 
-@dataclass(frozen=True)
-class TabularDataset:
-    """Schema plus rows; continuous cells are finite floats, discrete are str.
+class Categorical:
+    """A discrete column: a table of category strings and one code per row
+    indexing into it."""
 
-    ``pids`` optionally carries one positive process id per row. It is
-    metadata, not a modeled column.
+    def __init__(self, categories: Sequence[str], codes: np.ndarray) -> None:
+        self.categories = tuple(categories)
+        self.codes = codes
+
+    @classmethod
+    def from_values(cls, values: Sequence[str]) -> "Categorical":
+        """Codes over the distinct values, in order of first appearance."""
+        categories = tuple(dict.fromkeys(values))
+        index = {c: i for i, c in enumerate(categories)}
+        return cls(categories, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: np.ndarray) -> "Categorical":
+        """The cells at an index array (or slice), on the same table."""
+        return Categorical(self.categories, self.codes[rows])
+
+    def counts(self) -> dict[str, int]:
+        """Rows per category of the table, zero counts included."""
+        return dict(zip(self.categories, np.bincount(self.codes, minlength=len(self.categories)).tolist()))
+
+    def tolist(self) -> list[str]:
+        return np.asarray(self.categories, dtype=object)[self.codes].tolist()
+
+
+class TabularDataset:
+    """Schema plus columns, held column-major.
+
+    ``columns[i]`` is a read-only float64 array of finite values for a
+    continuous column and a :class:`Categorical` of str categories for a
+    discrete one. ``pids`` optionally carries one positive process id per
+    row; it is metadata, not a modeled column.
+
+    ``TabularDataset(schema, rows, pids)`` builds from row tuples and checks
+    every cell: it is the entry point for untrusted rows.
+    :meth:`from_columns` builds from whole columns. Both end in
+    ``__post_init__``, which checks column by column.
     """
 
-    schema: Schema
-    rows: tuple[tuple[float | str, ...], ...]
-    pids: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        width = len(self.schema.columns)
-        norm_rows = []
-        for r, row in enumerate(self.rows):
+    def __init__(
+        self,
+        schema: Schema,
+        rows: Sequence[Sequence[float | str]] = (),
+        pids: Sequence[int] | None = None,
+    ) -> None:
+        width = len(schema.columns)
+        for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {r}: expected {width} cells, got {len(row)}")
-            cells = []
-            for cell, column in zip(row, self.schema.columns):
+            for cell, column in zip(row, schema.columns):
                 if column.kind == CONTINUOUS:
                     if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                         raise ValueError(f"row {r}, column {column.name!r}: expected a number")
-                    value = float(cell)
-                    if not math.isfinite(value):
-                        raise ValueError(f"row {r}, column {column.name!r}: non-finite value")
-                    cells.append(value)
-                else:
-                    if not isinstance(cell, str):
-                        raise ValueError(f"row {r}, column {column.name!r}: expected a string")
-                    cells.append(cell)
-            norm_rows.append(tuple(cells))
-        object.__setattr__(self, "rows", tuple(norm_rows))
+                elif not isinstance(cell, str):
+                    raise ValueError(f"row {r}, column {column.name!r}: expected a string")
+        if pids is not None and any(isinstance(p, bool) or not isinstance(p, int) for p in pids):
+            raise ValueError("pids must be positive integers")
+        cells = list(zip(*rows)) or [()] * width
+        self.schema = schema
+        self.columns = tuple(
+            np.array(values, dtype=float) if column.kind == CONTINUOUS else Categorical.from_values(values)
+            for column, values in zip(schema.columns, cells)
+        )
+        self.pids = pids
+        self.__post_init__()
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: Sequence[np.ndarray | Categorical],
+        pids: Sequence[int] | np.ndarray | None = None,
+    ) -> "TabularDataset":
+        """Build from a numeric array per continuous column and a
+        :class:`Categorical` per discrete one; the arrays are copied."""
+        dataset = cls.__new__(cls)
+        dataset.schema = schema
+        dataset.columns = tuple(columns)
+        dataset.pids = pids
+        dataset.__post_init__()
+        return dataset
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.schema.columns):
+            raise ValueError(f"expected {len(self.schema.columns)} columns, got {len(self.columns)}")
+        columns: list[np.ndarray | Categorical] = []
+        for column, values in zip(self.schema.columns, self.columns):
+            if column.kind == CONTINUOUS:
+                array = np.asarray(values)
+                if array.ndim != 1 or array.dtype.kind not in "iuf":
+                    raise ValueError(f"column {column.name!r}: expected a 1-d array of numbers")
+                array = np.array(array, dtype=np.float64)
+                finite = np.isfinite(array)
+                if not finite.all():
+                    row = int(finite.argmin())
+                    raise ValueError(f"row {row}, column {column.name!r}: non-finite value")
+            else:
+                if not (isinstance(values, Categorical) and all(isinstance(c, str) for c in values.categories)):
+                    raise ValueError(f"column {column.name!r}: expected a Categorical of strings")
+                if len(set(values.categories)) != len(values.categories):
+                    raise ValueError(f"column {column.name!r}: categories repeat")
+                codes = np.asarray(values.codes)
+                if (
+                    codes.ndim != 1
+                    or codes.dtype.kind not in "iu"
+                    or not ((codes >= 0) & (codes < len(values.categories))).all()
+                ):
+                    raise ValueError(f"column {column.name!r}: codes must be integers indexing the categories")
+                array = np.array(codes, dtype=np.intp)
+                values = Categorical(values.categories, array)
+            array.flags.writeable = False
+            columns.append(array if column.kind == CONTINUOUS else values)
+        n_rows = len(columns[0])
+        if any(len(c) != n_rows for c in columns):
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        self.columns = tuple(columns)
         if self.pids is not None:
-            if len(self.pids) != len(self.rows):
+            pids = np.asarray(self.pids)
+            if pids.shape != (n_rows,):
                 raise ValueError("pids must be parallel to rows")
-            if any((isinstance(p, bool) or not isinstance(p, int) or p < 1) for p in self.pids):
+            if n_rows and (pids.dtype.kind not in "iu" or pids.min() < 1):
                 raise ValueError("pids must be positive integers")
-            object.__setattr__(self, "pids", tuple(int(p) for p in self.pids))
+            self.pids = tuple(pids.tolist())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TabularDataset):
+            return NotImplemented
+        return (
+            self.schema == other.schema
+            and self.pids == other.pids
+            and all(
+                np.array_equal(a, b) if isinstance(a, np.ndarray) else a.tolist() == b.tolist()
+                for a, b in zip(self.columns, other.columns)
+            )
+        )
+
+    def column(self, name: str) -> np.ndarray | Categorical:
+        return self.columns[self.schema.names.index(name)]
 
     def column_values(self, name: str) -> tuple[float | str, ...]:
-        idx = self.schema.names.index(name)
-        return tuple(row[idx] for row in self.rows)
+        """One column's cells as Python floats or strings."""
+        return tuple(self.column(name).tolist())
+
+    def take(self, rows: np.ndarray) -> "TabularDataset":
+        """The rows at an index array, in its order, without pids. Rows of
+        checked columns need no second check, so ``__post_init__`` is skipped."""
+        subset = TabularDataset.__new__(TabularDataset)
+        subset.schema, subset.pids = self.schema, None
+        subset.columns = tuple(c[rows] for c in self.columns)
+        for column in subset.columns:
+            (column if isinstance(column, np.ndarray) else column.codes).flags.writeable = False
+        return subset
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float | str, ...], ...]:
+        """Row tuples of Python floats and strings, built on first use."""
+        return tuple(zip(*(c.tolist() for c in self.columns)))
 
 
 def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:
     """Write a dataset as UTF-8 RFC-4180 CSV (discrete quoted, continuous bare)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # .tolist() yields Python floats: the writer prints repr(), and a numpy
+    # scalar's repr is "np.float64(...)".
+    columns: list[Sequence[object]] = [c.tolist() for c in dataset.columns]
+    header = list(dataset.schema.names)
+    if dataset.pids is not None:
+        header = [PID_COLUMN] + header
+        columns.insert(0, dataset.pids)
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-        header = list(dataset.schema.names)
-        if dataset.pids is not None:
-            header = [PID_COLUMN] + header
         writer.writerow(header)
-        for r, row in enumerate(dataset.rows):
-            record: list[object] = list(row)
-            if dataset.pids is not None:
-                record = [dataset.pids[r]] + record
-            writer.writerow(record)
+        writer.writerows(zip(*columns))
+
+
+def _record_line(path: Path, index: int) -> int:
+    """The file line on which CSV record ``index`` (0 is the header) starts."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index):
+            pass
+        return reader.line_num + 1
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:
@@ -135,52 +267,68 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
     Column kinds come from the quoting discipline: a column whose cells parse
     unquoted (numeric) is continuous, a quoted column is discrete. A leading
     ``pid`` column is consumed as row metadata. A header-only file yields an
-    empty dataset whose columns all default to discrete.
+    empty dataset whose columns all default to discrete. Every error names
+    the file line it found.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
         try:
-            records = list(csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC))
+            records = list(reader)
         except (csv.Error, ValueError) as exc:
-            raise MalformedCsv(f"{path}: {exc}") from exc
+            raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from exc
+
+    def fail(record: int, message: str) -> MalformedCsv:
+        return MalformedCsv(f"{path}: line {_record_line(path, record)}: {message}")
+
     if not records:
-        raise MalformedCsv(f"{path}: missing header row")
+        raise MalformedCsv(f"{path}: line 1: missing header row")
     header = records[0]
     if not header or not all(isinstance(name, str) for name in header):
-        raise MalformedCsv(f"{path}: header row must be quoted column names")
+        raise fail(0, "header row must be quoted column names")
     has_pids = header[0] == PID_COLUMN
     names = header[1:] if has_pids else header
     if not names:
-        raise MalformedCsv(f"{path}: no data columns")
+        raise fail(0, "no data columns")
 
     data = records[1:]
     width = len(header)
-    for r, record in enumerate(data, start=2):
-        if len(record) != width:
-            raise MalformedCsv(f"{path}: row {r}: expected {width} fields, got {len(record)}")
+    if set(map(len, data)) - {width}:
+        r = next(r for r, record in enumerate(data, start=1) if len(record) != width)
+        raise fail(r, f"expected {width} fields, got {len(records[r])}")
 
-    pids: list[int] = []
-    rows: list[tuple[float | str, ...]] = []
-    kinds: list[str] | None = None
-    for r, record in enumerate(data, start=2):
-        cells = record[1:] if has_pids else record
-        if has_pids:
-            pid_cell = record[0]
-            if not isinstance(pid_cell, float) or pid_cell != int(pid_cell):
-                raise MalformedCsv(f"{path}: row {r}: pid must be an unquoted integer")
-            pids.append(int(pid_cell))
-        if kinds is None:
-            kinds = [CONTINUOUS if isinstance(c, float) else DISCRETE for c in cells]
-        for cell, kind, name in zip(cells, kinds, names):
-            actual = CONTINUOUS if isinstance(cell, float) else DISCRETE
-            if actual != kind:
-                raise MalformedCsv(f"{path}: row {r}: column {name!r} mixes quoted and unquoted cells")
-        rows.append(tuple(cells))
-    if kinds is None:
-        kinds = [DISCRETE] * len(names)
-
+    cells = list(zip(*data)) or [()] * width
+    pids = None
+    if has_pids:
+        pid_cells = cells.pop(0)
+        if set(map(type, pid_cells)) - {float}:
+            r = next(r for r, c in enumerate(pid_cells, start=1) if not isinstance(c, float))
+            raise fail(r, "pid must be an unquoted integer")
+        pids = np.array(pid_cells)
+        # every comparison is False for nan, so nan counts as bad
+        bad = ~((pids >= 1) & (pids < 2.0**63) & (pids == np.floor(pids)))
+        if bad.any():
+            raise fail(int(bad.argmax()) + 1, "pid must be an integer from 1 to 2**63 - 1")
+        pids = pids.astype(np.int64)
+    kinds: list[str] = []
+    columns: list[np.ndarray | Categorical] = []
+    for name, values in zip(names, cells):
+        types = set(map(type, values))
+        if len(types) > 1:
+            r = next(r for r, c in enumerate(values, start=1) if type(c) is not type(values[0]))
+            raise fail(r, f"column {name!r} mixes quoted and unquoted cells")
+        if types == {float}:
+            array = np.array(values)
+            finite = np.isfinite(array)
+            if not finite.all():
+                raise fail(int(finite.argmin()) + 1, f"column {name!r}: non-finite value")
+            kinds.append(CONTINUOUS)
+            columns.append(array)
+        else:
+            kinds.append(DISCRETE)
+            columns.append(Categorical.from_values(values))
     try:
         schema = Schema(tuple(Column(n, k) for n, k in zip(names, kinds)))
-        return TabularDataset(schema, tuple(rows), tuple(pids) if has_pids else None)
     except ValueError as exc:
-        raise MalformedCsv(f"{path}: {exc}") from exc
+        raise fail(0, str(exc)) from exc
+    return TabularDataset.from_columns(schema, columns, pids)

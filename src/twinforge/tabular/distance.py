@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -17,14 +17,12 @@ def emd_1d(a: Sequence[float], b: Sequence[float]) -> float:
     Integrates |F_a - F_b| over the merged support with a single sorted
     sweep; samples may differ in size.
     """
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
     if xa.size == 0 or xb.size == 0:
         raise EmptySample("emd_1d needs non-empty samples")
     if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
         raise ValueError("emd_1d requires finite values")
-    xa.sort()
-    xb.sort()
     merged = np.concatenate([xa, xb])
     merged.sort()
     gaps = np.diff(merged)
@@ -35,8 +33,9 @@ def emd_1d(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * gaps))
 
 
-def tv_distance(a: Iterable[str], b: Iterable[str]) -> float:
-    """Total variation between two category samples: half the L1 gap.
+def tv_distance(a: Iterable[str] | Mapping[str, int], b: Iterable[str] | Mapping[str, int]) -> float:
+    """Total variation between two category samples, each given as its
+    cells or as a category -> count mapping: half the L1 gap.
 
     The gaps are summed exactly, so the result does not depend on the
     (hash-seeded) order in which the category set yields them.

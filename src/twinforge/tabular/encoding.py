@@ -10,12 +10,12 @@ masks with exactly one bit set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from twinforge.errors import UnknownCategory
-from twinforge.ingest.tabular import CONTINUOUS, Schema, TabularDataset
+from twinforge.ingest.tabular import CONTINUOUS, Categorical, Schema, TabularDataset
 from twinforge.tabular.mixture import ModeNormalizer, fit_mode_normalizer
 
 ALPHA_SCALE = 4.0
@@ -93,66 +93,64 @@ class TableCodec:
         normalizers: dict[str, ModeNormalizer] = {}
         categories: dict[str, tuple[str, ...]] = {}
         frequencies: dict[str, dict[str, int]] = {}
-        for idx, column in enumerate(dataset.schema.columns):
-            values = dataset.column_values(column.name)
+        for idx, (column, values) in enumerate(zip(dataset.schema.columns, dataset.columns)):
             if column.kind == CONTINUOUS:
                 column_seed = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
-                normalizers[column.name] = fit_mode_normalizer(
-                    [float(v) for v in values], max_modes=max_modes, seed=column_seed
-                )
+                normalizers[column.name] = fit_mode_normalizer(values, max_modes=max_modes, seed=column_seed)
             else:
-                table: dict[str, int] = {}
-                for v in values:
-                    table[str(v)] = table.get(str(v), 0) + 1
+                table = {c: k for c, k in values.counts().items() if k}
                 categories[column.name] = tuple(sorted(table))
                 frequencies[column.name] = table
         return cls(dataset.schema, normalizers, categories, frequencies)
 
     # -- encoding ---------------------------------------------------------
 
-    def encode_rows(self, rows: Sequence[Sequence[float | str]], rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros((len(rows), self.row_width))
-        columns = list(zip(self.schema.columns, self.spans))
-        for i, (column, span) in enumerate(columns):
-            cells = [row[i] for row in rows]
-            if column.kind == CONTINUOUS:
-                values = np.asarray(cells, dtype=float)
-                norm = self.normalizers[column.name]
+    def codes(self, name: str, column: Categorical) -> np.ndarray:
+        """A discrete column's codes as indices into this codec's categories."""
+        index = {c: j for j, c in enumerate(self.categories[name])}
+        table = np.array([index.get(c, -1) for c in column.categories], dtype=np.intp)
+        codes = table[column.codes]
+        if codes.size and codes.min() < 0:
+            raise UnknownCategory(name, column.categories[column.codes[int(codes.argmin())]])
+        return codes
+
+    def encode_rows(self, dataset: TabularDataset, rng: np.random.Generator) -> np.ndarray:
+        n = len(dataset)
+        out = np.zeros((n, self.row_width))
+        for span, values in zip(self.spans, dataset.columns):
+            if span.kind == CONTINUOUS:
+                norm = self.normalizers[span.name]
                 resp = norm.responsibilities(values)
-                draws = rng.random((len(rows), 1))
+                draws = rng.random((n, 1))
                 modes = (draws > resp.cumsum(axis=1)).sum(axis=1)
                 modes = np.minimum(modes, norm.n_modes - 1)
                 mu = np.asarray(norm.means)[modes]
                 sd = np.asarray(norm.stdevs)[modes]
                 alpha = np.clip((values - mu) / (ALPHA_SCALE * sd), -1.0, 1.0)
                 out[:, span.offset] = alpha
-                out[np.arange(len(rows)), span.offset + 1 + modes] = 1.0
+                out[np.arange(n), span.offset + 1 + modes] = 1.0
             else:
-                cats = self.categories[column.name]
-                index = {c: j for j, c in enumerate(cats)}
-                for r, cell in enumerate(cells):
-                    j = index.get(str(cell))
-                    if j is None:
-                        raise UnknownCategory(column.name, str(cell))
-                    out[r, span.offset + j] = 1.0
+                out[np.arange(n), span.offset + self.codes(span.name, values)] = 1.0
         return out
 
     # -- decoding ---------------------------------------------------------
 
-    def decode_rows(self, encoded: np.ndarray) -> list[tuple[float | str, ...]]:
+    def decode_rows(self, encoded: np.ndarray) -> tuple[np.ndarray | Categorical, ...]:
+        """Columns of the encoded rows: continuous cells from the alpha and
+        the arg-max mode, categories by arg-max."""
         encoded = np.atleast_2d(encoded)
-        columns: list[list[float | str]] = []
+        columns: list[np.ndarray | Categorical] = []
         for span in self.spans:
             block = encoded[:, span.offset : span.offset + span.width]
             if span.kind == CONTINUOUS:
                 norm = self.normalizers[span.name]
                 modes = block[:, 1:].argmax(axis=1)
                 alpha = np.clip(block[:, 0], -1.0, 1.0)
-                cells = alpha * ALPHA_SCALE * np.asarray(norm.stdevs)[modes] + np.asarray(norm.means)[modes]
+                sd, mu = np.asarray(norm.stdevs)[modes], np.asarray(norm.means)[modes]
+                columns.append(alpha * ALPHA_SCALE * sd + mu)
             else:
-                cells = np.asarray(self.categories[span.name], dtype=object)[block.argmax(axis=1)]
-            columns.append(cells.tolist())
-        return list(zip(*columns))
+                columns.append(Categorical(self.categories[span.name], block.argmax(axis=1)))
+        return tuple(columns)
 
     # -- conditions ---------------------------------------------------------
 

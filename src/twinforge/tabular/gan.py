@@ -130,14 +130,15 @@ class _ConditionedSampler:
 
     def __init__(self, dataset: TabularDataset, codec: TableCodec) -> None:
         self.codec = codec
-        self.n_rows = len(dataset.rows)
-        members = [
-            np.flatnonzero(np.asarray(dataset.column_values(span.name), dtype=object) == category)
+        self.n_rows = len(dataset)
+        bits = [
+            span.cond_offset + codec.codes(span.name, dataset.column(span.name))
             for span in codec.cond_spans
-            for category in codec.categories[span.name]
         ]
-        self.members = np.concatenate(members or [np.empty(0, dtype=int)])
-        self.counts = np.array([m.size for m in members], dtype=int)
+        bits = np.concatenate(bits or [np.empty(0, dtype=int)])
+        # a stable sort keeps each bit's rows in row order
+        self.members = bits.argsort(kind="stable") % self.n_rows
+        self.counts = np.bincount(bits, minlength=codec.cond_width)
         self.starts = self.counts.cumsum() - self.counts
 
     def sample(self, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +172,8 @@ def _cond_cross_entropy(
 
 def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: int = 0) -> GanModel:
     """Train the conditional GAN; deterministic given (dataset, config, seed)."""
-    if len(dataset.rows) < config.batch_size:
-        raise TooFewRows(f"{len(dataset.rows)} rows < batch size {config.batch_size}")
+    if len(dataset) < config.batch_size:
+        raise TooFewRows(f"{len(dataset)} rows < batch size {config.batch_size}")
 
     codec = TableCodec.fit(dataset, max_modes=config.max_modes, seed=seed)
     sampler = _ConditionedSampler(dataset, codec)
@@ -198,7 +199,7 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
 
     batch = config.batch_size
     packs = batch // pac
-    steps_per_epoch = max(1, len(dataset.rows) // batch)
+    steps_per_epoch = max(1, len(dataset) // batch)
     gen_losses: list[float] = []
     disc_losses: list[float] = []
     step_index = 0
@@ -208,8 +209,7 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
         for _ in range(steps_per_epoch):
             # -- discriminator step
             conds, row_idx = sampler.sample(batch, rng)
-            real_rows = [dataset.rows[i] for i in row_idx]
-            real_enc = codec.encode_rows(real_rows, rng)
+            real_enc = codec.encode_rows(dataset.take(row_idx), rng)
             noise = rng.standard_normal((batch, config.noise_dim))
             fake_act = _apply_heads(generator.forward(np.hstack([noise, conds])), codec)
             d_input = np.vstack(
@@ -273,8 +273,7 @@ def generate_rows(model: GanModel, n: int, rng: np.random.Generator) -> TabularD
     conds = model.codec.sample_conditions_empirical(rng, n)
     noise = rng.standard_normal((n, model.config.noise_dim))
     activated = _apply_heads(model.generator.forward(np.hstack([noise, conds])), model.codec)
-    rows = tuple(model.codec.decode_rows(activated))
-    return TabularDataset(model.schema, rows, tuple(range(1, n + 1)))
+    return TabularDataset.from_columns(model.schema, model.codec.decode_rows(activated), np.arange(1, n + 1))
 
 
 # -- persistence ---------------------------------------------------------------

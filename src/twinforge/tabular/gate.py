@@ -44,21 +44,22 @@ class ColumnDistance:
 
 
 def column_distances(real: TabularDataset, synth: TabularDataset) -> tuple[ColumnDistance, ...]:
-    """Per-column gate distances; zero-range continuous columns are skipped."""
+    """Per-column gate distances, one for every column.
+
+    A continuous column is scaled by the real column's range, or by 1.0
+    when that range is zero (the fallback scale of the mode normalizer's
+    stdev floor), so a constant real column is measured in its own units.
+    """
     out: list[ColumnDistance] = []
-    for column in real.schema.columns:
-        real_values = real.column_values(column.name)
-        synth_values = synth.column_values(column.name)
+    for column, real_values in zip(real.schema.columns, real.columns):
+        synth_values = synth.column(column.name)
         if column.kind == CONTINUOUS:
-            lo = min(real_values)
-            span = max(real_values) - lo
-            if span == 0:
-                continue
-            real_norm = [(v - lo) / span for v in real_values]
-            synth_norm = [(v - lo) / span for v in synth_values]
-            out.append(ColumnDistance(column.name, column.kind, emd_1d(real_norm, synth_norm)))
+            lo = real_values.min()
+            span = (real_values.max() - lo) or 1.0
+            distance = emd_1d((real_values - lo) / span, (synth_values - lo) / span)
         else:
-            out.append(ColumnDistance(column.name, column.kind, tv_distance(real_values, synth_values)))
+            distance = tv_distance(real_values.counts(), synth_values.counts())
+        out.append(ColumnDistance(column.name, column.kind, distance))
     return tuple(out)
 
 

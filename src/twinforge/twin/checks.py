@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from twinforge.errors import MalformedChecks, UndecodableInput
+from twinforge.errors import MalformedChecks, SymlinkOutsideRoot, UndecodableInput
 from twinforge.jsonfile import read_json
-from twinforge.twin.manifest import FILE, manifest_entry, walk_tree
+from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, walk_tree
 from twinforge.twin.sandbox import TwinState
 
 
@@ -49,11 +49,28 @@ class CheckResult:
     detail: str
 
 
+def _config_lines(root: Path, rel: str) -> list[str] | None:
+    """The lines of the config file ``rel`` of the resolved sandbox
+    ``root``, or None when it is not a file. A path that resolves outside
+    the sandbox, through a link or otherwise, is refused."""
+    target = (root / rel).resolve()
+    if not target.is_relative_to(root):
+        raise SymlinkOutsideRoot(f"{rel} -> {target}")
+    if not target.is_file():
+        return None
+    try:
+        return target.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{target}: not valid UTF-8: {exc}") from exc
+
+
 def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
     """Pure evaluation against the live tree: one walk for the file list,
-    a hash of only the files a ``HashEquals`` names, and the config files'
-    contents."""
+    a hash of only the files a ``HashEquals`` names, and one read of each
+    config file named."""
+    root = twin.sandbox.resolve()
     kinds = dict(walk_tree(twin.sandbox))
+    configs: dict[str, list[str] | None] = {}
     results: list[CheckResult] = []
     for assertion in checks.assertions:
         if isinstance(assertion, FileExists):
@@ -67,16 +84,14 @@ def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
                 ok = sha256 == assertion.sha256
                 detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
         else:
-            target = twin.sandbox / assertion.file
-            if not target.is_file():
+            if assertion.file not in configs:
+                configs[assertion.file] = _config_lines(root, assertion.file)
+            lines = configs[assertion.file]
+            if lines is None:
                 ok, detail = False, "no such config file"
             else:
-                try:
-                    text = target.read_text(encoding="utf-8")
-                except UnicodeDecodeError as exc:
-                    raise UndecodableInput(f"{target.resolve()}: not valid UTF-8: {exc}") from exc
                 found = None
-                for line in text.splitlines():
+                for line in lines:
                     head, sep, tail = line.partition("=")
                     if sep and head.strip() == assertion.key:
                         found = tail.strip()
@@ -100,15 +115,19 @@ def checks_from_doc(doc: object) -> CheckSpec:
         kind = item["check"]
         try:
             if kind == "file_exists":
-                assertions.append(FileExists(item["path"]))
+                assertion: Assertion = FileExists(item["path"])
             elif kind == "hash_equals":
-                assertions.append(HashEquals(item["path"], item["sha256"]))
+                assertion = HashEquals(item["path"], item["sha256"])
             elif kind == "config_equals":
-                assertions.append(ConfigEquals(item["file"], item["key"], str(item["value"])))
+                assertion = ConfigEquals(item["file"], item["key"], str(item["value"]))
             else:
                 raise MalformedChecks(f"{where}: unknown check {kind!r}")
         except KeyError as exc:
             raise MalformedChecks(f"{where}: missing field {exc}") from exc
+        path = assertion.file if isinstance(assertion, ConfigEquals) else assertion.path
+        if not isinstance(path, str) or not is_safe_rel_path(path):
+            raise MalformedChecks(f"{where}: path {path!r} must be relative, without '..'")
+        assertions.append(assertion)
     return CheckSpec(tuple(assertions))
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from twinforge.errors import EmptyDataset, SchemaMismatch
 from twinforge.ingest.tabular import CONTINUOUS, TabularDataset
@@ -45,20 +46,22 @@ class StatsComparison:
 
 def summary_stats(dataset: TabularDataset) -> SummaryStats:
     """Arithmetic means and modal categories (ties break lexicographically)."""
-    if not dataset.rows:
+    n = len(dataset)
+    if n == 0:
         raise EmptyDataset("cannot summarize an empty dataset")
     means: dict[str, float] = {}
     modes: dict[str, tuple[str, float]] = {}
-    n = len(dataset.rows)
-    for i, column in enumerate(dataset.schema.columns):
-        values = [row[i] for row in dataset.rows]
+    for column, values in zip(dataset.schema.columns, dataset.columns):
         if column.kind == CONTINUOUS:
-            means[column.name] = float(sum(values)) / n
+            # Left to right, as the built-in sum adds before Python 3.12 (np.sum
+            # adds pairwise and changes the bits); + 0.0 gives an all -0.0
+            # column the +0.0 sum that the built-in sum's start value 0 gives.
+            means[column.name] = float(np.cumsum(values)[-1] + 0.0) / n
         else:
-            counts = Counter(values)
+            counts = values.counts()
             top = max(counts.values())
             modal = min(c for c, k in counts.items() if k == top)
-            modes[column.name] = (str(modal), top / n)
+            modes[column.name] = (modal, top / n)
     return SummaryStats(row_count=n, means=means, modes=modes)
 
 

@@ -106,3 +106,43 @@ def test_round_trip_random_datasets(tmp_path_factory, raw_rows):
     write_dataset_csv(dataset, path)
     assert read_dataset_csv(path) == dataset
 
+
+
+@pytest.mark.parametrize("pid", ["inf", "-inf", "nan", "0", "-4", "1.5", "1e300"])
+def test_bad_pid_cell_names_its_line(tmp_path, pid):
+    path = tmp_path / "bad.csv"
+    path.write_text(f'"pid","a"\n1,1.0\n{pid},2.0\n', encoding="utf-8")
+    with pytest.raises(MalformedCsv, match="line 3: pid"):
+        read_dataset_csv(path)
+
+
+def test_bad_pid_cell_is_a_data_error_in_the_cli(tmp_path, monkeypatch, capsys):
+    from twinforge.cli import main
+
+    monkeypatch.chdir(tmp_path)  # the default workspace is the working directory
+    path = tmp_path / "bad.csv"
+    path.write_text('"pid","a","u"\n' + "".join(f'{p},1.0,"x"\n' for p in ("1", "inf")), encoding="utf-8")
+    code = main(["train", "tabular", "--data", str(path), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "line 3: pid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ('"a"\n1.0\ninf\n', 3, "non-finite"),
+        ('"a","b"\n"x",-nan\n', 2, "non-finite"),
+        ('"a","b"\n"x",1.0\n"y"\n', 3, "expected 2 fields"),
+        ('"a"\n1.5\n"oops"\n', 3, "mixes quoted and unquoted"),
+        ('"a"\n1.5\nabc\n', 3, "could not convert"),
+        ('"a","a"\n1.0,2.0\n', 1, "duplicate column names"),
+        ('"a","pid"\n1.0,2.0\n', 1, "reserved"),
+        # a quoted cell over two lines: the ragged record after it starts on line 4
+        ('"a","b"\n"x\ny",1.0\n"z"\n', 4, "expected 2 fields"),
+    ],
+)
+def test_reader_errors_name_the_file_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedCsv, match=f"line {line}: .*{message}"):
+        read_dataset_csv(path)

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 from twinforge.errors import UnknownCategory
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema
+from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
 from twinforge.ingest.top import parse_top_capture
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
@@ -20,13 +20,17 @@ def _codec_for(norm: ModeNormalizer) -> TableCodec:
     return TableCodec(schema, {"x": norm}, {"u": ("a", "b")}, {"u": {"a": 3, "b": 1}})
 
 
+def _table(codec: TableCodec, *rows) -> TabularDataset:
+    return TabularDataset(codec.schema, rows)
+
+
 NORM = ModeNormalizer((0.5, 0.5), (0.0, 10.0), (1.0, 2.0), 1e-6)
 
 
 def test_alpha_zero_at_mode_mean():
     codec = _codec_for(NORM)
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows([(0.0, "a")], rng)
+    enc = codec.encode_rows(_table(codec, (0.0, "a")), rng)
     mode = int(np.argmax(enc[0, 1:3]))
     assert enc[0, 0] == pytest.approx(0.0, abs=1e-12) or mode == 1
     # decoding inverts regardless of which mode the posterior picked
@@ -36,7 +40,7 @@ def test_alpha_zero_at_mode_mean():
 def test_alpha_one_at_four_stdevs():
     codec = _codec_for(ModeNormalizer((1.0,), (2.0,), (0.5,), 1e-6))
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows([(2.0 + ALPHA_SCALE * 0.5, "a")], rng)
+    enc = codec.encode_rows(_table(codec, (2.0 + ALPHA_SCALE * 0.5, "a")), rng)
     assert enc[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert codec.decode_rows(enc)[0][0] == pytest.approx(4.0, abs=1e-12)
 
@@ -44,7 +48,7 @@ def test_alpha_one_at_four_stdevs():
 def test_clipped_value_decodes_to_envelope_edge():
     codec = _codec_for(ModeNormalizer((1.0,), (0.0,), (1.0,), 1e-6))
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows([(100.0, "a")], rng)
+    enc = codec.encode_rows(_table(codec, (100.0, "a")), rng)
     assert enc[0, 0] == 1.0
     assert codec.decode_rows(enc)[0][0] == pytest.approx(ALPHA_SCALE, abs=1e-12)
 
@@ -52,7 +56,7 @@ def test_clipped_value_decodes_to_envelope_edge():
 def test_one_hot_invariants():
     codec = _codec_for(NORM)
     rng = np.random.default_rng(1)
-    enc = codec.encode_rows([(5.0, "a"), (-1.0, "b")], rng)
+    enc = codec.encode_rows(_table(codec, (5.0, "a"), (-1.0, "b")), rng)
     for row in enc:
         assert row[1:3].sum() == 1.0  # exactly one mode flag
         assert row[3:5].sum() == 1.0  # exactly one category flag
@@ -61,17 +65,17 @@ def test_one_hot_invariants():
 def test_unknown_category():
     codec = _codec_for(NORM)
     with pytest.raises(UnknownCategory):
-        codec.encode_rows([(0.0, "zz")], np.random.default_rng(0))
+        codec.encode_rows(_table(codec, (0.0, "zz")), np.random.default_rng(0))
 
 
 def test_encode_decode_identity_on_table_cpu(top_capture_text):
     dataset = parse_top_capture(top_capture_text)
     codec = TableCodec.fit(dataset, seed=0)
-    decoded = codec.decode_rows(codec.encode_rows(dataset.rows, np.random.default_rng(0)))
-    cpu_idx = dataset.schema.names.index("cpu_pct")
-    assert len(decoded) == len(dataset.rows)
-    for row, back in zip(dataset.rows, decoded):
-        assert back[cpu_idx] == pytest.approx(row[cpu_idx], abs=1e-9)
+    decoded = codec.decode_rows(codec.encode_rows(dataset, np.random.default_rng(0)))
+    cpu = decoded[dataset.schema.names.index("cpu_pct")]
+    assert len(cpu) == len(dataset)
+    for value, back in zip(dataset.column_values("cpu_pct"), cpu):
+        assert back == pytest.approx(value, abs=1e-9)
 
 
 def _condition_codec(freq: dict[str, float]) -> TableCodec:
@@ -169,7 +173,7 @@ def test_decode_rows_matches_per_row_decode(fixture_dataset):
             else:
                 cells.append(codec.categories[span.name][int(np.argmax(block))])
         expected.append(tuple(cells))
-    assert codec.decode_rows(encoded) == expected
+    assert list(zip(*(c.tolist() for c in codec.decode_rows(encoded)))) == expected
 
 
 # rng.choice refused such tables at draw time; the codec refuses them when built

@@ -13,7 +13,11 @@ import pytest
 
 from twinforge.errors import GateExhausted
 from twinforge.ingest import CONTINUOUS
-from twinforge.tabular import GateConfig, column_distances, generate_gated
+from twinforge.tabular import GanConfig, GateConfig, column_distances, generate_gated, train_gan
+from twinforge.tabular.encoding import ALPHA_SCALE
+from twinforge.tabular.gate import ColumnDistance
+
+TINY = GanConfig(epochs=1, batch_size=32, noise_dim=4, hidden_dim=8)
 
 
 def test_gate_config_validation():
@@ -65,14 +69,27 @@ def test_gate_rejects_nonpositive_n(trained_model, fixture_dataset):
         generate_gated(trained_model, fixture_dataset, 0, GateConfig())
 
 
-def test_zero_range_columns_skip_the_emd_check():
-    from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
+def test_zero_range_columns_are_checked_in_their_own_units():
+    from twinforge.ingest import DISCRETE, Column, Schema, TabularDataset
 
     schema = Schema((Column("flat", CONTINUOUS), Column("u", DISCRETE)))
-    real = TabularDataset(schema, ((5.0, "a"), (5.0, "b")))
-    synth = TabularDataset(schema, ((9.0, "a"), (9.0, "b")))
-    distances = column_distances(real, synth)
-    assert [cd.column for cd in distances] == ["u"]
+    real = TabularDataset(schema, ((5.0, "a"),) * 2)
+    far = TabularDataset(schema, ((9.0, "a"),) * 2)
+    assert column_distances(real, far) == (
+        ColumnDistance("flat", CONTINUOUS, 4.0),
+        ColumnDistance("u", DISCRETE, 0.0),
+    )
+
+    # decode puts a constant column within ALPHA_SCALE stdev floors of its
+    # value, so the gate accepts the model's own column and refuses 9 vs 5
+    model = train_gan(TabularDataset(schema, ((5.0, "a"),) * 32), TINY, seed=0)
+    batch, attempts = generate_gated(model, real, 40, GateConfig(max_attempts=1), np.random.default_rng(0))
+    assert attempts == 1
+    assert column_distances(real, batch)[0].distance <= ALPHA_SCALE * 1e-6
+    with pytest.raises(GateExhausted) as info:
+        generate_gated(model, far, 40, GateConfig(max_attempts=2), np.random.default_rng(0))
+    assert info.value.column == "flat"
+    assert info.value.distance > 3.9
 
 
 # Prints the gate distances of a 40-row sample against the fixture table; on

@@ -1,0 +1,58 @@
+"""Byte identity of the tabular artifacts, pinned by sha256.
+
+The CSV writer, the summary statistics and the gate distances feed the
+pipeline's artifacts. Three ways to change their bytes without changing any
+value a test compares with a tolerance: writing numpy float reprs instead
+of Python floats, summing a column in another order, and summing the TV
+gaps in another order. These pins catch all three. The path runs on
+numpy's seeded generator and plain float arithmetic, with no BLAS call, so
+the digests do not depend on the host's linear-algebra library.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from twinforge.ingest import write_dataset_csv
+from twinforge.tabular.gate import column_distances
+from twinforge.validate import build_report, compare_stats, summary_stats
+from twinforge.validate.report import report_to_json
+
+from conftest import make_fixture_dataset
+
+FIXTURE_CSV_SHA256 = "0eca6393d722d791a6142ca4031843d158cdfae9962211e88b40fa27a8db0913"
+SMALL_CSV_SHA256 = "f144de16c478090f175b0d160b83b64df04ea0458c129079861c0ff02cab18e7"
+REPORT_SHA256 = "8b1f84689bb75102adc52fb5d9f4ea902cf0c82d62bc4a55a8c695a99c9903ce"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_fixture_csv_bytes(tmp_path):
+    path = tmp_path / "fixture.csv"
+    write_dataset_csv(make_fixture_dataset(), path)
+    assert _sha256(path.read_bytes()) == FIXTURE_CSV_SHA256
+
+
+def test_small_csv_bytes(tmp_path):
+    path = tmp_path / "small.csv"
+    write_dataset_csv(make_fixture_dataset(n_rows=70, seed=1), path)
+    assert _sha256(path.read_bytes()) == SMALL_CSV_SHA256
+
+
+def test_report_bytes():
+    real = make_fixture_dataset()
+    synth = make_fixture_dataset(n_rows=70, seed=1)
+    report = build_report(
+        run_id="golden",
+        created_at="1970-01-01T00:00:00Z",
+        seeds={"gen_tabular": 1},
+        config={},
+        real_stats=summary_stats(real),
+        synth_stats=summary_stats(synth),
+        comparison=compare_stats(real, synth),
+        distances=column_distances(real, synth),
+        gate_attempts=1,
+    )
+    assert _sha256(report_to_json(report).encode("utf-8")) == REPORT_SHA256

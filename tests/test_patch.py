@@ -15,6 +15,7 @@ from twinforge.errors import (
     AddExisting,
     ConfigKeyMissing,
     DeleteMissing,
+    MalformedChecks,
     MalformedJournal,
     MalformedPatch,
     ReplaceMissing,
@@ -42,6 +43,7 @@ from twinforge.twin import (
     writer_lock,
 )
 from twinforge.twin import journal, patch
+from twinforge.twin.checks import checks_from_doc
 from twinforge.twin.journal import UndoRecord, journal_dir, record
 from twinforge.twin.journal import begin as begin_journal
 from twinforge.twin.manifest import LOCK_FILENAME
@@ -231,6 +233,49 @@ def test_run_checks_match_a_full_scan(twin, tmp_path):
     (twin.sandbox / "docs" / "nested" / "escape").symlink_to(outside)
     with pytest.raises(SymlinkOutsideRoot):
         run_checks(twin, CheckSpec((FileExists("bin/term"),)))
+
+
+@pytest.mark.parametrize("path", ["/etc/outside.conf", "../outside.conf", "etc/../../outside.conf"])
+@pytest.mark.parametrize("kind", ["file_exists", "hash_equals", "config_equals"])
+def test_check_paths_must_stay_inside_the_sandbox(kind, path):
+    item = {"check": kind, "path": path, "sha256": "0" * 64}
+    if kind == "config_equals":
+        item = {"check": kind, "file": path, "key": "secret", "value": "x"}
+    with pytest.raises(MalformedChecks, match="check 1: path"):
+        checks_from_doc([{"check": "file_exists", "path": "bin/term"}, item])
+
+
+def test_config_check_never_reads_outside_the_sandbox(twin, tmp_path):
+    outside = tmp_path / "outside.conf"
+    outside.write_text("secret=hunter2\n", encoding="utf-8")
+    # the walk never lists a file named like the writer lock, so only the
+    # read itself can see that this one escapes
+    (twin.sandbox / "etc" / LOCK_FILENAME).symlink_to(outside)
+    for rel in (str(outside), "../outside.conf", f"etc/{LOCK_FILENAME}"):
+        with pytest.raises(SymlinkOutsideRoot):
+            run_checks(twin, CheckSpec((ConfigEquals(rel, "secret", "x"),)))
+
+
+def test_config_checks_read_each_file_once(twin, monkeypatch):
+    reads = []
+    original = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, **kw: reads.append(self.name) or original(self, **kw))
+    spec = CheckSpec(
+        (
+            ConfigEquals("etc/app.conf", "mode", "safe"),
+            ConfigEquals("etc/app.conf", "retries", "3"),
+            ConfigEquals("etc/app.conf", "mode", "fast"),
+            ConfigEquals("etc/missing.conf", "mode", "safe"),
+        )
+    )
+    results = run_checks(twin, spec)
+    assert [(r.passed, r.detail) for r in results] == [
+        (True, "value matches"),
+        (True, "value matches"),
+        (False, "expected 'fast', got 'safe'"),
+        (False, "no such config file"),
+    ]
+    assert reads == ["app.conf"]
 
 
 # -- in-place patch: confinement, the lock, fault injection, crash recovery ------
