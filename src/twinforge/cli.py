@@ -226,12 +226,6 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _twin_state(config: PipelineConfig, sandbox: Path) -> TwinState:
-    return TwinState(
-        sandbox=sandbox, screen_width=config.screen_width, screen_height=config.screen_height
-    )
-
-
 def _manifest_source(path: Path):
     if path.is_dir():
         return scan_tree(path)
@@ -253,13 +247,11 @@ def _cmd_capture(args, config, say) -> int:
 def _cmd_twin(args, config, say) -> int:
     if args.twin_command == "create":
         image = load_image(args.image)
-        twin = instantiate_twin(
-            image, args.sandbox, screen=(config.screen_width, config.screen_height)
-        )
+        twin = instantiate_twin(image, args.sandbox)
         say(f"twin ready at {twin.sandbox} ({len(walk_tree(twin.sandbox))} entries)")
         return EXIT_OK
     if args.twin_command == "patch":
-        twin = _twin_state(config, args.sandbox)
+        twin = TwinState(args.sandbox, config.screen)
         report = apply_patch(twin, load_delta(args.delta))
         for op in report.applied:
             say(f"applied {op}")
@@ -274,7 +266,7 @@ def _cmd_twin(args, config, say) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     # check
-    twin = _twin_state(config, args.sandbox)
+    twin = TwinState(args.sandbox, config.screen)
     results = run_checks(twin, load_checks(args.checks))
     failed = 0
     for result in results:
@@ -376,7 +368,7 @@ def _cmd_validate(args, config, say) -> int:
         gen_path, ref_path = Path(gen_path), Path(ref_path)
         gen = parse_macro_script(_read_text(gen_path), name=gen_path.stem)
         ref = parse_macro_script(_read_text(ref_path), name=ref_path.stem)
-        twin = _twin_state(config, args.sandbox)
+        twin = TwinState(args.sandbox, config.screen)
         replay = replay_validate(gen, twin)
         scripts.append(
             ScriptMetrics(

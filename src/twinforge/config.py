@@ -1,15 +1,17 @@
 """Pipeline configuration: one strict JSON file drives every subcommand.
 
-Unknown keys are rejected rather than ignored so a typo cannot silently
-fall back to a default. Absent optional fields take the documented
-defaults. The loaded config is echoed into every report for provenance.
+Each section is read through its dataclass: its keys are the fields, and a
+value's JSON type follows the field's annotation. Unknown keys are rejected
+so a typo cannot silently fall back to a default. The loaded config is
+echoed into every report for provenance.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from twinforge.errors import ConfigParse, UnknownKey
 from twinforge.jsonfile import read_json
@@ -17,6 +19,7 @@ from twinforge.sequence.service import ServiceEndpoint
 from twinforge.tabular.gan import GanConfig
 from twinforge.tabular.gate import GateConfig
 from twinforge.twin.manifest import DEFAULT_EXCLUSIONS
+from twinforge.twin.sandbox import Screen
 
 WORKSPACE_ENV = "TWINFORGE_WORKSPACE"
 
@@ -42,68 +45,52 @@ class PipelineConfig:
     ngram: NgramConfig = field(default_factory=NgramConfig)
     service: ServiceEndpoint | None = None
     exclusions: tuple[str, ...] = DEFAULT_EXCLUSIONS
-    screen_width: int = 1920
-    screen_height: int = 1080
+    screen: Screen = field(default_factory=Screen)
 
     def snapshot(self) -> dict:
         """JSON-ready view embedded into reports."""
-        doc = {
-            "workspace": str(self.workspace),
-            "seed": self.seed,
-            "gan": asdict(self.gan),
-            "gate": asdict(self.gate),
-            "ngram": asdict(self.ngram),
-            "service": asdict(self.service) if self.service else None,
-            "exclusions": list(self.exclusions),
-            "screen": {"width": self.screen_width, "height": self.screen_height},
-        }
-        return doc
+        return {**asdict(self), "workspace": str(self.workspace), "exclusions": list(self.exclusions)}
 
 
 def default_workspace() -> Path:
     return Path(os.environ.get(WORKSPACE_ENV, "."))
 
 
-def _section(doc: dict, name: str, allowed: dict, path: str) -> dict:
-    raw = doc.get(name)
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigParse(path, "expected an object")
-    for key in raw:
-        if key not in allowed:
-            raise UnknownKey(f"{path}.{key}")
-    for key, types in allowed.items():
-        # JSON true/false are Python ints; no field here takes a boolean
-        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], types)):
-            raise ConfigParse(f"{path}.{key}", f"expected {types}")
-    return raw
-
-
-_GAN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": (int, float),
-    "beta1": (int, float),
-    "beta2": (int, float),
-    "noise_dim": int,
-    "hidden_dim": int,
-    "max_modes": int,
-    "cond_loss_weight": (int, float),
-    "pac": int,
+# The JSON types a section field accepts, by annotation. JSON true/false load
+# as Python ints, and no section field takes a boolean, so they are refused.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), str | None: (str,)}
+_SECTIONS = {
+    name: (cls, {k: _JSON_TYPES[t] for k, t in get_type_hints(cls).items()})
+    for name, cls in (("gan", GanConfig), ("gate", GateConfig), ("ngram", NgramConfig),
+                      ("service", ServiceEndpoint), ("screen", Screen))
 }
-_GATE_KEYS = {"tau_continuous": (int, float), "tau_discrete": (int, float), "max_attempts": int}
-_NGRAM_KEYS = {"order": int, "delta": (int, float)}
-_SERVICE_KEYS = {"url": str, "auth_token": str, "timeout_s": (int, float)}
-_SCREEN_KEYS = {"width": int, "height": int}
-_TOP_KEYS = ("workspace", "seed", "gan", "gate", "ngram", "service", "exclusions", "screen")
+
+
+def _section(raw: object, name: str):
+    cls, schema = _SECTIONS[name]
+    if not isinstance(raw, dict):
+        raise ConfigParse(name, "expected an object")
+    for key in raw:
+        if key not in schema:
+            raise UnknownKey(f"{name}.{key}")
+    for f in fields(cls):
+        if f.name in raw:
+            if isinstance(raw[f.name], bool) or not isinstance(raw[f.name], schema[f.name]):
+                raise ConfigParse(f"{name}.{f.name}", f"expected {schema[f.name]}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigParse(f"{name}.{f.name}", f"required when a {name} block is present")
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise ConfigParse(name, str(exc)) from exc
 
 
 def config_from_doc(doc: object, source: str = "<config>") -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigParse(source, "config root must be a JSON object")
+    top = [f.name for f in fields(PipelineConfig)]
     for key in doc:
-        if key not in _TOP_KEYS:
+        if key not in top:
             raise UnknownKey(key)
 
     workspace = doc.get("workspace")
@@ -113,50 +100,17 @@ def config_from_doc(doc: object, source: str = "<config>") -> PipelineConfig:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigParse("seed", "must be a non-negative integer")
 
-    try:
-        gan = GanConfig(**_section(doc, "gan", _GAN_KEYS, "gan"))
-    except ValueError as exc:
-        raise ConfigParse("gan", str(exc)) from exc
-    try:
-        gate = GateConfig(**_section(doc, "gate", _GATE_KEYS, "gate"))
-    except ValueError as exc:
-        raise ConfigParse("gate", str(exc)) from exc
-    try:
-        ngram = NgramConfig(**_section(doc, "ngram", _NGRAM_KEYS, "ngram"))
-    except ValueError as exc:
-        raise ConfigParse("ngram", str(exc)) from exc
-
-    service = None
-    if doc.get("service") is not None:
-        raw = _section(doc, "service", _SERVICE_KEYS, "service")
-        if "url" not in raw:
-            raise ConfigParse("service.url", "required when a service block is present")
-        try:
-            service = ServiceEndpoint(**raw)
-        except ValueError as exc:
-            raise ConfigParse("service", str(exc)) from exc
-
-    exclusions = doc.get("exclusions", list(DEFAULT_EXCLUSIONS))
-    if not isinstance(exclusions, list) or not all(isinstance(x, str) and x for x in exclusions):
-        raise ConfigParse("exclusions", "must be a list of glob strings")
-
-    screen = _section(doc, "screen", _SCREEN_KEYS, "screen")
-    width = screen.get("width", 1920)
-    height = screen.get("height", 1080)
-    if width < 1 or height < 1:
-        raise ConfigParse("screen", "dimensions must be positive")
-
-    return PipelineConfig(
-        workspace=Path(workspace),
-        seed=seed,
-        gan=gan,
-        gate=gate,
-        ngram=ngram,
-        service=service,
-        exclusions=tuple(exclusions),
-        screen_width=width,
-        screen_height=height,
-    )
+    values: dict = {"workspace": Path(workspace), "seed": seed}
+    # read in field order, so of several faults the first field's is reported
+    for name in top:
+        raw = doc.get(name)
+        if name == "exclusions" and name in doc:
+            if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
+                raise ConfigParse("exclusions", "must be a list of glob strings")
+            values[name] = tuple(raw)
+        elif name in _SECTIONS and raw is not None:
+            values[name] = _section(raw, name)
+    return PipelineConfig(**values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

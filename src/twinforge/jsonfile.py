@@ -34,3 +34,27 @@ def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+
+
+def text_fields(
+    doc: dict, cls: type, where: str, error: Callable[[str], Exception], extra: tuple[str, ...] = ()
+) -> dict[str, str]:
+    """The text of each of ``cls``'s fields in the JSON object ``doc``: a
+    string, or, for a field named ``value``, a string or a number. A missing
+    field, a value of another type (booleans included) or a key that is
+    neither a field nor in ``extra`` raises ``error`` naming ``where`` and
+    the key."""
+    names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names and key not in extra:
+            raise error(f"{where}: unknown key {key!r}")
+    texts = {}
+    for name in names:
+        if name not in doc:
+            raise error(f"{where}: missing field {name!r}")
+        value = doc[name]
+        kinds, what = ((str, int, float), "a string or a number") if name == "value" else (str, "a string")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise error(f"{where}: {name!r} must be {what}, not {value!r}")
+        texts[name] = str(value)
+    return texts

@@ -53,19 +53,20 @@ class ModeNormalizer:
     def n_modes(self) -> int:
         return len(self.weights)
 
-    def log_pdf(self, values: np.ndarray) -> np.ndarray:
-        """Per-mode log densities, shape (n, K)."""
-        x = np.asarray(values, dtype=float)[:, None]
-        mu = np.asarray(self.means)[None, :]
-        sd = np.asarray(self.stdevs)[None, :]
-        return -0.5 * ((x - mu) / sd) ** 2 - np.log(sd) - 0.5 * _LOG_2PI
-
     def responsibilities(self, values: np.ndarray) -> np.ndarray:
         """Posterior mode probabilities for each value, shape (n, K)."""
-        logp = self.log_pdf(values) + np.log(self.weights)[None, :]
-        shift = logp.max(axis=1, keepdims=True)
-        p = np.exp(logp - shift)
+        p, _ = _shifted_density(values, self.weights, self.means, self.stdevs)
         return p / p.sum(axis=1, keepdims=True)
+
+
+def _shifted_density(values, weights, means, stdevs) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted per-mode Gaussian densities, shape (n, K), each row divided by
+    ``exp(shift)``, where ``shift`` (shape (n, 1)) is its largest log-density."""
+    x = np.asarray(values, dtype=float)[:, None]
+    mu, sd = np.asarray(means)[None, :], np.asarray(stdevs)[None, :]
+    logp = -0.5 * ((x - mu) / sd) ** 2 - np.log(sd) - 0.5 * _LOG_2PI + np.log(weights)[None, :]
+    shift = logp.max(axis=1, keepdims=True)
+    return np.exp(logp - shift), shift
 
 
 def _kmeanspp_centers(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,14 +92,7 @@ def _run_em(
     accepted = (weights, means, stdevs)
     trajectory: list[float] = []
     for _ in range(EM_MAX_ITER):
-        logp = (
-            -0.5 * ((values[:, None] - means[None, :]) / stdevs[None, :]) ** 2
-            - np.log(stdevs)[None, :]
-            - 0.5 * _LOG_2PI
-            + np.log(weights)[None, :]
-        )
-        shift = logp.max(axis=1, keepdims=True)
-        expp = np.exp(logp - shift)
+        expp, shift = _shifted_density(values, weights, means, stdevs)
         ll = float((shift[:, 0] + np.log(expp.sum(axis=1))).sum())
         if trajectory and ll < trajectory[-1]:
             # The stdev floor broke the EM guarantee; keep the previous fit.

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Union
 
 from twinforge.errors import MalformedChecks, SymlinkOutsideRoot, UndecodableInput
-from twinforge.jsonfile import read_json
+from twinforge.jsonfile import read_json, text_fields
 from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, walk_tree
 from twinforge.twin.sandbox import TwinState
 
@@ -104,6 +104,9 @@ def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
     return tuple(results)
 
 
+_CHECKS = {"file_exists": FileExists, "hash_equals": HashEquals, "config_equals": ConfigEquals}
+
+
 def checks_from_doc(doc: object) -> CheckSpec:
     if not isinstance(doc, list) or not doc:
         raise MalformedChecks("check file must hold a non-empty JSON list")
@@ -113,21 +116,14 @@ def checks_from_doc(doc: object) -> CheckSpec:
         if not isinstance(item, dict) or "check" not in item:
             raise MalformedChecks(f"{where}: each check is an object with a 'check' field")
         kind = item["check"]
-        try:
-            if kind == "file_exists":
-                assertion: Assertion = FileExists(item["path"])
-            elif kind == "hash_equals":
-                assertion = HashEquals(item["path"], item["sha256"])
-            elif kind == "config_equals":
-                assertion = ConfigEquals(item["file"], item["key"], str(item["value"]))
-            else:
-                raise MalformedChecks(f"{where}: unknown check {kind!r}")
-        except KeyError as exc:
-            raise MalformedChecks(f"{where}: missing field {exc}") from exc
-        path = assertion.file if isinstance(assertion, ConfigEquals) else assertion.path
-        if not isinstance(path, str) or not is_safe_rel_path(path):
+        cls = _CHECKS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MalformedChecks(f"{where}: unknown check {kind!r}")
+        args = text_fields(item, cls, where, MalformedChecks, ("check",))
+        path = args.get("file", args.get("path"))
+        if not is_safe_rel_path(path):
             raise MalformedChecks(f"{where}: path {path!r} must be relative, without '..'")
-        assertions.append(assertion)
+        assertions.append(cls(**args))
     return CheckSpec(tuple(assertions))
 
 

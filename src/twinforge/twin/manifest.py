@@ -67,8 +67,9 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
 
     Symlinks resolving inside the root count as what they point to
     (directory links are listed but not descended, which keeps cycles
-    finite); links escaping the root are refused. The advisory lock file is
-    never listed.
+    finite); links escaping the root are refused. The writer lock, the
+    root's own ``LOCK_FILENAME``, is never listed; a file of that name
+    deeper in the tree is listed like any other.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -92,7 +93,7 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         for name in dirnames:
             visit(here / name, DIR)
         for name in filenames:
-            if name != LOCK_FILENAME:
+            if name != LOCK_FILENAME or here != root:
                 visit(here / name, FILE)
     entries.sort()
     return tuple(entries)

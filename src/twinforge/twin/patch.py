@@ -18,7 +18,8 @@ objects, e.g.::
      {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"}]
 
 File content is a UTF-8 string by default; ``"encoding": "base64"`` carries
-binary payloads.
+binary payloads. A key an op does not take is refused. Every field is a
+string, except that a ``value`` may also be a number.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from twinforge.errors import (
     SymlinkOutsideRoot,
     UndecodableInput,
 )
-from twinforge.jsonfile import read_json
+from twinforge.jsonfile import read_json, text_fields
 from twinforge.twin.journal import begin, record_add, record_delete, record_rewrite, roll_back
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
 from twinforge.twin.sandbox import TwinState, writer_lock
@@ -118,14 +119,15 @@ def _describe(op: PatchOp) -> str:
 def _target(root: Path, rel: str, follow: bool) -> Path:
     """The path an op on ``rel`` writes: ``rel`` with its parent's links
     resolved and, when ``follow``, its own. It must stay inside the
-    resolved sandbox ``root`` and may not be the writer lock."""
+    resolved sandbox ``root`` and may not be the writer lock, the root's
+    ``LOCK_FILENAME``."""
     path = root / rel
     node = path.parent.resolve() / path.name
     if follow:
         node = node.resolve()
     if not node.is_relative_to(root):
         raise SymlinkOutsideRoot(f"{rel} -> {node}")
-    if node.name == LOCK_FILENAME:
+    if node == root / LOCK_FILENAME:
         raise MalformedPatch(f"{rel}: the writer lock {LOCK_FILENAME} is not patchable")
     return node
 
@@ -203,11 +205,7 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
 # -- JSON form -----------------------------------------------------------------
 
 
-def _content_from_doc(doc: dict, where: str) -> bytes:
-    content = doc.get("content")
-    if not isinstance(content, str):
-        raise MalformedPatch(f"{where}: missing string 'content'")
-    encoding = doc.get("encoding", "utf-8")
+def _content_from_doc(content: str, encoding: object, where: str) -> bytes:
     if encoding == "utf-8":
         return content.encode("utf-8")
     if encoding == "base64":
@@ -216,6 +214,9 @@ def _content_from_doc(doc: dict, where: str) -> bytes:
         except binascii.Error as exc:
             raise MalformedPatch(f"{where}: invalid base64 content") from exc
     raise MalformedPatch(f"{where}: unsupported encoding {encoding!r}")
+
+
+_OPS = {"add_file": AddFile, "replace_file": ReplaceFile, "delete_file": DeleteFile, "set_config": SetConfig}
 
 
 def delta_from_doc(doc: object) -> PatchDelta:
@@ -227,19 +228,14 @@ def delta_from_doc(doc: object) -> PatchDelta:
         if not isinstance(item, dict) or "op" not in item:
             raise MalformedPatch(f"{where}: each op is an object with an 'op' field")
         kind = item["op"]
-        try:
-            if kind == "add_file":
-                ops.append(AddFile(item["path"], _content_from_doc(item, where)))
-            elif kind == "replace_file":
-                ops.append(ReplaceFile(item["path"], _content_from_doc(item, where)))
-            elif kind == "delete_file":
-                ops.append(DeleteFile(item["path"]))
-            elif kind == "set_config":
-                ops.append(SetConfig(item["file"], item["key"], str(item["value"])))
-            else:
-                raise MalformedPatch(f"{where}: unknown op {kind!r}")
-        except KeyError as exc:
-            raise MalformedPatch(f"{where}: missing field {exc}") from exc
+        cls = _OPS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MalformedPatch(f"{where}: unknown op {kind!r}")
+        extra = ("op", "encoding") if cls in (AddFile, ReplaceFile) else ("op",)
+        args: dict = text_fields(item, cls, where, MalformedPatch, extra)
+        if "content" in args:
+            args["content"] = _content_from_doc(args["content"], item.get("encoding", "utf-8"), where)
+        ops.append(cls(**args))
     return PatchDelta(tuple(ops))
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import fcntl
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinforgeError, TwinLocked
@@ -12,7 +13,17 @@ from twinforge.twin.image import TwinImage, unpack_archive
 from twinforge.twin.journal import roll_back
 from twinforge.twin.manifest import DIR, LOCK_FILENAME, ManifestEntry, _hash_bytes, scan_tree
 
-DEFAULT_SCREEN = (1920, 1080)
+
+@dataclass(frozen=True)
+class Screen:
+    """The virtual screen replayed clicks must land on."""
+
+    width: int = 1920
+    height: int = 1080
+
+    def __post_init__(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError("dimensions must be positive")
 
 
 @dataclass
@@ -22,8 +33,7 @@ class TwinState:
     replay) walk it themselves. Writers hold ``writer_lock``."""
 
     sandbox: Path
-    screen_width: int = DEFAULT_SCREEN[0]
-    screen_height: int = DEFAULT_SCREEN[1]
+    screen: Screen = field(default_factory=Screen)
 
     def manifest(self) -> tuple[ManifestEntry, ...]:
         return scan_tree(self.sandbox)
@@ -34,8 +44,10 @@ def exclusive_lock(lock: Path, locked: TwinforgeError):
     """Hold an exclusive ``flock`` on ``lock`` for the block; raise ``locked``
     if another holder has it. The file is created once and never removed:
     the kernel drops the lock when its descriptor closes, so a holder that
-    dies, even by SIGKILL, leaves nothing that blocks the next one."""
-    with open(lock, "a") as fh:
+    dies, even by SIGKILL, leaves nothing that blocks the next one. A lock
+    path that is a symbolic link is refused (``OSError``), so the lock
+    never creates or opens a file the link points to."""
+    with open(lock, "a", opener=lambda path, flags: os.open(path, flags | os.O_NOFOLLOW, 0o666)) as fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -63,11 +75,7 @@ def _refuse_contents(sandbox: Path) -> None:
         raise SandboxNotEmpty(f"{sandbox} already has contents")
 
 
-def instantiate_twin(
-    image: TwinImage,
-    sandbox_dir: str | Path,
-    screen: tuple[int, int] = DEFAULT_SCREEN,
-) -> TwinState:
+def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     """Restore an image into an empty sandbox and add a fresh ``tmp/``.
 
     Every file is verified against the manifest hash while restoring; one
@@ -106,4 +114,4 @@ def instantiate_twin(
         tmp = sandbox / "tmp"
         tmp.mkdir(exist_ok=True)
         tmp.chmod(0o755)
-    return TwinState(sandbox=sandbox, screen_width=screen[0], screen_height=screen[1])
+    return TwinState(sandbox)

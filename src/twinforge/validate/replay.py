@@ -56,7 +56,7 @@ def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
     """Interpret the script against the twin's file list; purely read-only,
     and no file is read."""
     executables = executable_names(walk_tree(twin.sandbox))
-    screen_w, screen_h = twin.screen_width, twin.screen_height
+    screen = twin.screen
     windows: set[str] = set()
     active: str | None = None
 
@@ -78,9 +78,9 @@ def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
                 failure = ReplayFailure(MISSING_WINDOW, index, f"window {title!r} was never opened")
         elif cmd.verb == "Click":
             x, y = int(cmd.args[0]), int(cmd.args[1])
-            if not (0 <= x < screen_w and 0 <= y < screen_h):
+            if not (0 <= x < screen.width and 0 <= y < screen.height):
                 failure = ReplayFailure(
-                    OUT_OF_BOUNDS, index, f"({x}, {y}) outside {screen_w}x{screen_h}"
+                    OUT_OF_BOUNDS, index, f"({x}, {y}) outside {screen.width}x{screen.height}"
                 )
         elif cmd.verb == "Send":
             if active is None:

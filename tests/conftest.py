@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from twinforge.ingest import (
     Schema,
     TabularDataset,
     parse_macro_script,
+    write_dataset_csv,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -97,11 +100,49 @@ def fixture_dataset() -> TabularDataset:
 
 
 @pytest.fixture(scope="session")
-def trained_model(fixture_dataset):
-    """Default-config model over the 560-row fixture, shared by slow tests."""
-    from twinforge.tabular import GanConfig, train_gan
+def pipeline_artifacts(tmp_path_factory):
+    """One default-config CLI run of train + gen + validate on the 560-row
+    fixture: the suite's only default-config training."""
+    from twinforge.cli import main
 
-    return train_gan(fixture_dataset, GanConfig(), seed=7)
+    tmp = tmp_path_factory.mktemp("pipeline")
+    workspace = tmp / "ws"
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"workspace": str(workspace), "seed": 7}), encoding="utf-8")
+
+    real_csv = tmp / "real.csv"
+    write_dataset_csv(make_fixture_dataset(), real_csv)
+
+    model_path = tmp / "tabular.json"
+    synth_csv = tmp / "synth.csv"
+    report_path = tmp / "report.json"
+
+    started = time.monotonic()
+    assert main(["--config", str(config), "--quiet", "train", "tabular", "--data", str(real_csv), "--out", str(model_path)]) == 0
+    assert main(
+        ["--config", str(config), "--quiet", "gen", "tabular", "--model", str(model_path), "--real", str(real_csv), "--n", "70", "--out", str(synth_csv)]
+    ) == 0
+    elapsed = time.monotonic() - started
+    assert main(
+        ["--config", str(config), "--quiet", "validate", "--real", str(real_csv), "--synth", str(synth_csv), "--out", str(report_path)]
+    ) == 0
+    return {
+        "config": config,
+        "real_csv": real_csv,
+        "synth_csv": synth_csv,
+        "model_path": model_path,
+        "report_path": report_path,
+        "train_gen_seconds": elapsed,
+    }
+
+
+@pytest.fixture(scope="session")
+def trained_model(pipeline_artifacts):
+    """The default-config model the pipeline run trained (seed
+    ``stage_seed(7, "train.tabular")``), shared by slow tests."""
+    from twinforge.tabular import load_model
+
+    return load_model(pipeline_artifacts["model_path"])
 
 
 def build_twin_tree(root: Path) -> Path:

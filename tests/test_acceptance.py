@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import shutil
 import sys
-import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -74,40 +73,6 @@ def criterion(number: int, summary: str):
 
 def _run(args: list[str]) -> int:
     return main(args)
-
-
-@pytest.fixture(scope="module")
-def pipeline_artifacts(tmp_path_factory):
-    """One default-config CLI run of train + gen + validate on the 560-row fixture."""
-    tmp = tmp_path_factory.mktemp("pipeline")
-    workspace = tmp / "ws"
-    config = tmp / "config.json"
-    config.write_text(json.dumps({"workspace": str(workspace), "seed": 7}), encoding="utf-8")
-
-    real_csv = tmp / "real.csv"
-    write_dataset_csv(make_fixture_dataset(), real_csv)
-
-    model_path = tmp / "tabular.json"
-    synth_csv = tmp / "synth.csv"
-    report_path = tmp / "report.json"
-
-    started = time.monotonic()
-    assert _run(["--config", str(config), "--quiet", "train", "tabular", "--data", str(real_csv), "--out", str(model_path)]) == 0
-    assert _run(
-        ["--config", str(config), "--quiet", "gen", "tabular", "--model", str(model_path), "--real", str(real_csv), "--n", "70", "--out", str(synth_csv)]
-    ) == 0
-    elapsed = time.monotonic() - started
-    assert _run(
-        ["--config", str(config), "--quiet", "validate", "--real", str(real_csv), "--synth", str(synth_csv), "--out", str(report_path)]
-    ) == 0
-    return {
-        "config": config,
-        "real_csv": real_csv,
-        "synth_csv": synth_csv,
-        "model_path": model_path,
-        "report_path": report_path,
-        "train_gen_seconds": elapsed,
-    }
 
 
 def test_criterion_1_pipeline_shape_and_stat_bands(pipeline_artifacts):

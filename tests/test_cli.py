@@ -345,6 +345,16 @@ def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
     assert main(_ingest_top(config)) == 0
 
 
+def test_linked_workspace_lock_is_a_data_error_that_creates_nothing(tmp_path, workspace):
+    config = _config(tmp_path, workspace)
+    workspace.mkdir(parents=True)
+    planted = tmp_path / "elsewhere" / "planted.lock"
+    planted.parent.mkdir()
+    (workspace / "workspace.lock").symlink_to(planted)
+    assert main(_ingest_top(config)) == 2
+    assert list(planted.parent.iterdir()) == []
+
+
 def test_workspace_lock_is_released_when_its_holder_is_killed(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)

@@ -161,6 +161,11 @@ def test_delta_base64_content(tmp_path):
         [{"op": "warp", "path": "x"}],
         [{"op": "add_file", "path": "x"}],  # missing content
         [{"op": "add_file", "path": "x", "content": "e", "encoding": "ebcdic"}],
+        [{"op": ["add_file"], "path": "x", "content": "e"}],
+        [{"op": "delete_file", "path": 5}],
+        [{"op": "add_file", "path": ["x"], "content": "e"}],
+        [{"op": "add_file", "path": "x", "content": 5}],
+        [{"op": "set_config", "file": "f", "key": 5, "value": "v"}],
     ],
 )
 def test_malformed_delta_docs(tmp_path, doc):
@@ -168,6 +173,62 @@ def test_malformed_delta_docs(tmp_path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(MalformedPatch):
         load_delta(path)
+
+
+@pytest.mark.parametrize(
+    "item, key",
+    [
+        ({"op": "add_file", "path": "x.bin", "content": "aGk=", "encodng": "base64"}, "encodng"),
+        ({"op": "replace_file", "path": "x", "content": "v", "mode": 493}, "mode"),
+        ({"op": "delete_file", "path": "x", "content": "v"}, "content"),
+        ({"op": "set_config", "file": "f", "key": "k", "value": "v", "encoding": "base64"}, "encoding"),
+    ],
+)
+def test_unknown_op_key_is_refused(item, key):
+    with pytest.raises(MalformedPatch, match=f"op 1: unknown key '{key}'"):
+        delta_from_doc([{"op": "delete_file", "path": "y"}, item])
+
+
+@pytest.mark.parametrize(
+    "item, key",
+    [
+        ({"check": "file_exists", "path": "x", "sha256": "0" * 64}, "sha256"),
+        ({"check": "hash_equals", "path": "x", "sha256": "0" * 64, "sha": "0"}, "sha"),
+        ({"check": "config_equals", "file": "f", "key": "k", "value": "v", "path": "f"}, "path"),
+    ],
+)
+def test_unknown_check_key_is_refused(item, key):
+    with pytest.raises(MalformedChecks, match=f"check 1: unknown key '{key}'"):
+        checks_from_doc([{"check": "file_exists", "path": "y"}, item])
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"check": {"file_exists": 1}, "path": "x"},
+        {"check": "hash_equals", "path": "x", "sha256": 5},
+        {"check": "config_equals", "file": "f", "key": True, "value": "v"},
+        {"check": "file_exists", "path": None},
+    ],
+)
+def test_malformed_check_fields_are_refused(item):
+    with pytest.raises(MalformedChecks, match="check 0: "):
+        checks_from_doc([item])
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, [1], None, True, False])
+def test_config_value_must_be_a_string_or_a_number(value):
+    with pytest.raises(MalformedPatch, match="op 0: 'value'"):
+        delta_from_doc([{"op": "set_config", "file": "f", "key": "k", "value": value}])
+    with pytest.raises(MalformedChecks, match="check 0: 'value'"):
+        checks_from_doc([{"check": "config_equals", "file": "f", "key": "k", "value": value}])
+
+
+def test_numeric_config_values_are_their_json_text():
+    delta = delta_from_doc([{"op": "set_config", "file": "f", "key": "k", "value": 5}])
+    assert delta.ops[0].value == "5"
+    spec = checks_from_doc([{"check": "config_equals", "file": "f", "key": "k", "value": 0.5}])
+    assert spec.assertions[0].value == "0.5"
 
 
 def test_writer_lock_excludes_second_writer(twin):
@@ -238,7 +299,9 @@ def test_run_checks_match_a_full_scan(twin, tmp_path):
 @pytest.mark.parametrize("path", ["/etc/outside.conf", "../outside.conf", "etc/../../outside.conf"])
 @pytest.mark.parametrize("kind", ["file_exists", "hash_equals", "config_equals"])
 def test_check_paths_must_stay_inside_the_sandbox(kind, path):
-    item = {"check": kind, "path": path, "sha256": "0" * 64}
+    item = {"check": kind, "path": path}
+    if kind == "hash_equals":
+        item["sha256"] = "0" * 64
     if kind == "config_equals":
         item = {"check": kind, "file": path, "key": "secret", "value": "x"}
     with pytest.raises(MalformedChecks, match="check 1: path"):
@@ -248,10 +311,12 @@ def test_check_paths_must_stay_inside_the_sandbox(kind, path):
 def test_config_check_never_reads_outside_the_sandbox(twin, tmp_path):
     outside = tmp_path / "outside.conf"
     outside.write_text("secret=hunter2\n", encoding="utf-8")
-    # the walk never lists a file named like the writer lock, so only the
-    # read itself can see that this one escapes
-    (twin.sandbox / "etc" / LOCK_FILENAME).symlink_to(outside)
-    for rel in (str(outside), "../outside.conf", f"etc/{LOCK_FILENAME}"):
+    # the walk never lists the writer lock, so only the read itself can see
+    # that this one escapes
+    lock = twin.sandbox / LOCK_FILENAME
+    lock.unlink()
+    lock.symlink_to(outside)
+    for rel in (str(outside), "../outside.conf", LOCK_FILENAME):
         with pytest.raises(SymlinkOutsideRoot):
             run_checks(twin, CheckSpec((ConfigEquals(rel, "secret", "x"),)))
 
@@ -327,6 +392,28 @@ def test_patch_naming_the_writer_lock_is_refused(twin):
     with pytest.raises(MalformedPatch):
         apply_patch(twin, PatchDelta((DeleteFile(LOCK_FILENAME),)))
     assert (twin.sandbox / LOCK_FILENAME).exists()
+
+
+def test_only_the_root_lock_is_the_writer_lock(twin):
+    nested = twin.sandbox / "etc" / LOCK_FILENAME
+    apply_patch(twin, PatchDelta((AddFile(f"etc/{LOCK_FILENAME}", b"data\n"),)))
+    assert nested.read_bytes() == b"data\n"
+    apply_patch(twin, PatchDelta((DeleteFile(f"etc/{LOCK_FILENAME}"),)))
+    assert not nested.exists()
+
+
+def test_linked_writer_lock_is_refused(twin, tmp_path):
+    outside = tmp_path / "outside" / "planted"
+    outside.parent.mkdir()
+    lock = twin.sandbox / LOCK_FILENAME
+    lock.unlink()
+    lock.symlink_to(outside)
+    before = twin.manifest()
+    with pytest.raises(OSError):
+        apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
+    assert not outside.exists()
+    assert list(outside.parent.iterdir()) == []
+    assert twin.manifest() == before
 
 
 def test_patch_keeps_the_writer_lock_file(twin):

@@ -60,6 +60,25 @@ def test_symlink_escaping_root_is_refused(tmp_path):
         capture_image(root)
 
 
+def test_nested_lock_named_file_is_an_ordinary_file(twin_tree, tmp_path):
+    (twin_tree / "etc" / ".twin.lock").write_bytes(b"not a lock\n")
+    (twin_tree / ".twin.lock").write_bytes(b"")
+    paths = [e.path for e in scan_tree(twin_tree)]
+    assert "etc/.twin.lock" in paths and ".twin.lock" not in paths
+    image = capture_image(twin_tree)
+    assert "etc/.twin.lock" in [e.path for e in image.manifest]
+    twin = instantiate_twin(image, tmp_path / "sandbox")
+    assert (twin.sandbox / "etc" / ".twin.lock").read_bytes() == b"not a lock\n"
+    assert "etc/.twin.lock" in [e.path for e in twin.manifest()]
+
+
+def test_escaping_link_named_like_the_lock_is_refused(twin_tree, tmp_path):
+    (tmp_path / "outside.txt").write_text("secret", encoding="utf-8")
+    os.symlink(tmp_path / "outside.txt", twin_tree / "etc" / ".twin.lock")
+    with pytest.raises(SymlinkOutsideRoot):
+        scan_tree(twin_tree)
+
+
 def test_internal_file_symlink_is_captured_as_file(tmp_path):
     root = tmp_path / "root"
     root.mkdir()
