@@ -25,7 +25,6 @@ from twinforge.errors import (
     MalformedCsv,
     EmptyScript,
     TwinforgeError,
-    UndecodableInput,
     WorkspaceLocked,
 )
 from twinforge.ingest import (
@@ -36,7 +35,7 @@ from twinforge.ingest import (
     tokenize_script,
     write_dataset_csv,
 )
-from twinforge.jsonfile import dumps, read_json, write_json
+from twinforge.jsonfile import dumps, read_json, read_text, write_json
 from twinforge.sequence import (
     GenRequest,
     generate_sequence,
@@ -67,7 +66,7 @@ from twinforge.twin import (
     scan_tree,
     TwinState,
 )
-from twinforge.twin.manifest import walk_tree
+from twinforge.twin.manifest import sha256_hex, walk_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import (
     ScriptMetrics,
@@ -119,18 +118,6 @@ def _workspace_path(config: PipelineConfig, subdir: str, name: str) -> Path:
     target = config.workspace / subdir
     target.mkdir(parents=True, exist_ok=True)
     return target / name
-
-
-def _read_text(path: Path) -> str:
-    """A text input's contents; undecodable bytes raise an error naming the file."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
-
-
-def _file_sha(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _build_parser() -> _Parser:
@@ -282,13 +269,13 @@ def _cmd_twin(args, config, say) -> int:
 
 def _cmd_ingest(args, config, say) -> int:
     if args.ingest_command == "top":
-        dataset = parse_top_capture(_read_text(args.input))
+        dataset = parse_top_capture(read_text(args.input))
         out = args.out or _workspace_path(config, "datasets", args.input.stem + ".csv")
         write_dataset_csv(dataset, out)
         say(f"{len(dataset)} rows -> {out}")
         return EXIT_OK
     name = args.name or args.input.stem
-    script = parse_macro_script(_read_text(args.input), name=name)
+    script = parse_macro_script(read_text(args.input), name=name)
     out = args.out or _workspace_path(config, "scripts", f"{name}.ahk")
     out.write_text(emit_macro_script(script), encoding="utf-8")
     say(f"{len(script.commands)} commands -> {out}")
@@ -311,7 +298,7 @@ def _cmd_train(args, config, say) -> int:
     order = args.order if args.order is not None else config.ngram.order
     corpus = []
     for path in args.corpus:
-        script = parse_macro_script(_read_text(path), name=path.stem)
+        script = parse_macro_script(read_text(path), name=path.stem)
         corpus.append(tokenize_script(script))
     model = train_ngram(corpus, order=order, delta=config.ngram.delta, seed=config.seed)
     out = args.out or _workspace_path(config, "models", "sequence.json")
@@ -366,8 +353,8 @@ def _cmd_validate(args, config, say) -> int:
     scripts = []
     for gen_path, ref_path in args.pair:
         gen_path, ref_path = Path(gen_path), Path(ref_path)
-        gen = parse_macro_script(_read_text(gen_path), name=gen_path.stem)
-        ref = parse_macro_script(_read_text(ref_path), name=ref_path.stem)
+        gen = parse_macro_script(read_text(gen_path), name=gen_path.stem)
+        ref = parse_macro_script(read_text(ref_path), name=ref_path.stem)
         twin = TwinState(args.sandbox, config.screen)
         replay = replay_validate(gen, twin)
         scripts.append(
@@ -392,9 +379,10 @@ def _cmd_validate(args, config, say) -> int:
         if "seed" in meta:
             seeds["gen_tabular"] = meta["seed"]
 
-    run_id = args.run_id or hashlib.sha256(
-        f"{config.seed}|{_file_sha(args.real)}|{_file_sha(args.synth)}".encode("utf-8")
-    ).hexdigest()[:12]
+    run_id = args.run_id or sha256_hex(
+        f"{config.seed}|{sha256_hex(args.real.read_bytes())}|"
+        f"{sha256_hex(args.synth.read_bytes())}".encode("utf-8")
+    )[:12]
     report = build_report(
         run_id=run_id,
         created_at=now_iso(),

@@ -8,6 +8,7 @@ echoed into every report for provenance.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,8 +33,8 @@ class NgramConfig:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The one text form of every JSON artifact, and its one reader.
+"""The one text form of every JSON artifact, its one reader, and the one
+reader of UTF-8 text inputs.
 
 Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
@@ -13,6 +14,8 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
+from twinforge.errors import UndecodableInput
+
 
 def _fields(obj: object) -> dict:
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -26,6 +29,15 @@ def dumps(doc: object) -> str:
 
 def write_json(doc: object, path: str | Path) -> None:
     Path(path).write_text(dumps(doc), encoding="utf-8")
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text input's contents; undecodable bytes raise
+    ``UndecodableInput`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -31,8 +32,9 @@ class ServiceEndpoint:
     def __post_init__(self) -> None:
         if not self.url:
             raise ValueError("endpoint url must be non-empty")
-        if not self.timeout_s > 0:
-            raise ValueError("timeout_s must be positive")
+        # a longer timeout overflows the socket layer's clock
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout_s must be positive and at most {threading.TIMEOUT_MAX:.0f}")
 
 
 def generate_via_service(endpoint: ServiceEndpoint, request: GenRequest) -> tuple[str, ...]:

@@ -66,8 +66,8 @@ class GanConfig:
             raise ValueError("noise_dim and hidden_dim must be >= 1")
         if not 1 <= self.max_modes:
             raise ValueError("max_modes must be >= 1")
-        if self.cond_loss_weight < 0:
-            raise ValueError("cond_loss_weight must be >= 0")
+        if not 0 <= self.cond_loss_weight < math.inf:
+            raise ValueError("cond_loss_weight must be >= 0 and finite")
         if self.pac < 1 or self.batch_size % self.pac != 0:
             raise ValueError("pac must be >= 1 and divide batch_size")
 

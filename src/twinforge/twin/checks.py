@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from twinforge.errors import MalformedChecks, SymlinkOutsideRoot, UndecodableInput
-from twinforge.jsonfile import read_json, text_fields
-from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, walk_tree
+from twinforge.errors import MalformedChecks
+from twinforge.jsonfile import read_json, read_text, text_fields
+from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, resolve_inside, walk_tree
 from twinforge.twin.sandbox import TwinState
 
 
@@ -53,15 +53,8 @@ def _config_lines(root: Path, rel: str) -> list[str] | None:
     """The lines of the config file ``rel`` of the resolved sandbox
     ``root``, or None when it is not a file. A path that resolves outside
     the sandbox, through a link or otherwise, is refused."""
-    target = (root / rel).resolve()
-    if not target.is_relative_to(root):
-        raise SymlinkOutsideRoot(f"{rel} -> {target}")
-    if not target.is_file():
-        return None
-    try:
-        return target.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise UndecodableInput(f"{target}: not valid UTF-8: {exc}") from exc
+    target = resolve_inside(root, rel)
+    return read_text(target).splitlines() if target.is_file() else None
 
 
 def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
@@ -80,7 +73,7 @@ def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
             if kinds.get(assertion.path) != FILE:
                 ok, detail = False, "no such file"
             else:
-                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE).sha256
+                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE)[0].sha256
                 ok = sha256 == assertion.sha256
                 detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
         else:

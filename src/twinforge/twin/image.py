@@ -23,10 +23,10 @@ from twinforge.twin.manifest import (
     FILE,
     MANIFEST_FORMAT_VERSION,
     ManifestEntry,
-    _hash_bytes,
     is_safe_rel_path,
+    manifest_entry,
     manifest_from_doc,
-    scan_tree,
+    walk_tree,
 )
 
 MAGIC = b"TWIMG1\x00"
@@ -43,31 +43,23 @@ class TwinImage:
 def capture_image(
     root: str | Path, exclusions: Sequence[str] = DEFAULT_EXCLUSIONS
 ) -> TwinImage:
-    """Scan and pack a tree; same tree and exclusions give identical bytes."""
-    root = Path(root)
-    manifest = scan_tree(root, exclusions)
-    archive = _pack(root, manifest)
-    return TwinImage(manifest, archive, tuple(exclusions), now_iso())
-
-
-def _pack(root: Path, manifest: Sequence[ManifestEntry]) -> bytes:
+    """Scan and pack a tree; same tree and exclusions give identical bytes.
+    Each file is read once, and the archive packs the bytes its manifest
+    entry hashed."""
+    walked = walk_tree(root, exclusions)
+    manifest = []
     out = io.BytesIO()
     out.write(MAGIC)
-    out.write(struct.pack(">I", len(manifest)))
-    for entry in manifest:
-        path_bytes = entry.path.encode("utf-8")
-        kind = 0 if entry.kind == DIR else 1
-        if entry.kind == DIR:
-            content = b""
-        else:
-            content = (root / entry.path).read_bytes()
-            if _hash_bytes(content) != entry.sha256:
-                raise MalformedArchive(f"{entry.path}: tree changed while capturing")
-        out.write(struct.pack(">BIH", kind, entry.mode, len(path_bytes)))
+    out.write(struct.pack(">I", len(walked)))
+    for path, kind in walked:
+        entry, content = manifest_entry(root, path, kind)
+        manifest.append(entry)
+        path_bytes = path.encode("utf-8")
+        out.write(struct.pack(">BIH", 0 if kind == DIR else 1, entry.mode, len(path_bytes)))
         out.write(path_bytes)
         out.write(struct.pack(">Q", len(content)))
         out.write(content)
-    return out.getvalue()
+    return TwinImage(tuple(manifest), out.getvalue(), tuple(exclusions), now_iso())
 
 
 def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:

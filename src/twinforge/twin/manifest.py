@@ -57,8 +57,20 @@ def is_excluded(rel_path: str, patterns: Sequence[str]) -> bool:
     return False
 
 
-def _hash_bytes(content: bytes) -> str:
+def sha256_hex(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
+
+
+def resolve_inside(root: Path, rel: str, follow: bool = True) -> Path:
+    """The node ``rel`` names under the resolved directory ``root``: its
+    parent's links resolved and, when ``follow``, its own. A node that
+    lands outside ``root`` raises ``SymlinkOutsideRoot``. This is the one
+    rule that keeps every walk, patch op and check inside the sandbox."""
+    path = root / rel
+    node = path.resolve() if follow else path.parent.resolve() / path.name
+    if not node.is_relative_to(root):
+        raise SymlinkOutsideRoot(f"{rel} -> {node}")
+    return node
 
 
 def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[str, str], ...]:
@@ -81,9 +93,7 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         if is_excluded(rel, exclusions):
             return
         if path.is_symlink():
-            target = path.resolve()
-            if not target.is_relative_to(root):
-                raise SymlinkOutsideRoot(f"{rel} -> {target}")
+            resolve_inside(root, rel)
         entries.append((rel, kind))
 
     for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
@@ -99,20 +109,22 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
     return tuple(entries)
 
 
-def manifest_entry(root: str | Path, path: str, kind: str) -> ManifestEntry:
-    """The manifest entry of one walked path: its mode and, for a file, its
-    size and hash."""
+def manifest_entry(root: str | Path, path: str, kind: str) -> tuple[ManifestEntry, bytes]:
+    """The manifest entry of one walked path, its mode and, for a file, its
+    size and hash, with the content it hashed (empty for a directory). A
+    file is read once."""
     full = Path(root) / path
+    mode = full.stat().st_mode & 0o7777
     if kind == DIR:
-        return ManifestEntry(path, DIR, 0, full.stat().st_mode & 0o7777, None)
+        return ManifestEntry(path, DIR, 0, mode, None), b""
     content = full.read_bytes()
-    return ManifestEntry(path, FILE, len(content), full.stat().st_mode & 0o7777, _hash_bytes(content))
+    return ManifestEntry(path, FILE, len(content), mode, sha256_hex(content)), content
 
 
 def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[ManifestEntry, ...]:
     """Deterministic manifest of a tree, sorted by path: every entry of
     ``walk_tree`` with its mode, and each file read and hashed."""
-    return tuple(manifest_entry(root, path, kind) for path, kind in walk_tree(root, exclusions))
+    return tuple(manifest_entry(root, path, kind)[0] for path, kind in walk_tree(root, exclusions))
 
 
 # -- persistence -----------------------------------------------------------

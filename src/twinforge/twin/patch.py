@@ -37,12 +37,10 @@ from twinforge.errors import (
     DeleteMissing,
     MalformedPatch,
     ReplaceMissing,
-    SymlinkOutsideRoot,
-    UndecodableInput,
 )
-from twinforge.jsonfile import read_json, text_fields
+from twinforge.jsonfile import read_json, read_text, text_fields
 from twinforge.twin.journal import begin, record_add, record_delete, record_rewrite, roll_back
-from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path
+from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, writer_lock
 
 
@@ -117,27 +115,17 @@ def _describe(op: PatchOp) -> str:
 
 
 def _target(root: Path, rel: str, follow: bool) -> Path:
-    """The path an op on ``rel`` writes: ``rel`` with its parent's links
-    resolved and, when ``follow``, its own. It must stay inside the
-    resolved sandbox ``root`` and may not be the writer lock, the root's
-    ``LOCK_FILENAME``."""
-    path = root / rel
-    node = path.parent.resolve() / path.name
-    if follow:
-        node = node.resolve()
-    if not node.is_relative_to(root):
-        raise SymlinkOutsideRoot(f"{rel} -> {node}")
+    """The path an op on ``rel`` writes (``resolve_inside``), which may not
+    be the writer lock, the root's ``LOCK_FILENAME``."""
+    node = resolve_inside(root, rel, follow)
     if node == root / LOCK_FILENAME:
         raise MalformedPatch(f"{rel}: the writer lock {LOCK_FILENAME} is not patchable")
     return node
 
 
-def _set_config(original: bytes, node: Path, op: SetConfig) -> bytes:
+def _set_config(node: Path, op: SetConfig) -> bytes:
     """The config file's new bytes, with every ``op.key`` line set."""
-    try:
-        lines = original.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise UndecodableInput(f"{node}: not valid UTF-8: {exc}") from exc
+    lines = read_text(node).splitlines()
     hits = 0
     for i, line in enumerate(lines):
         head, sep, _ = line.partition("=")
@@ -177,7 +165,7 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         if isinstance(op, ReplaceFile):
             raise ReplaceMissing(op.path)
         raise ConfigKeyMissing(f"{op.file}: config file not present")
-    content = op.content if isinstance(op, ReplaceFile) else _set_config(node.read_bytes(), node, op)
+    content = op.content if isinstance(op, ReplaceFile) else _set_config(node, op)
     record_rewrite(journal, index, node.relative_to(root).as_posix(), node)
     node.write_bytes(content)
 
@@ -194,7 +182,7 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
         try:
             for index, op in enumerate(delta.ops):
                 _apply_op(root, journal, index, op)
-            manifest = twin.manifest()
+            manifest = scan_tree(twin.sandbox)
         except BaseException:
             roll_back(root)
             raise

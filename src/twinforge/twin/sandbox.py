@@ -11,7 +11,7 @@ from pathlib import Path
 from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage, unpack_archive
 from twinforge.twin.journal import roll_back
-from twinforge.twin.manifest import DIR, LOCK_FILENAME, ManifestEntry, _hash_bytes, scan_tree
+from twinforge.twin.manifest import DIR, LOCK_FILENAME, sha256_hex
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,11 @@ class Screen:
 
 @dataclass
 class TwinState:
-    """Handle on an instantiated sandbox. It caches nothing: ``manifest``
-    scans and hashes the live tree, and readers that need less (checks,
-    replay) walk it themselves. Writers hold ``writer_lock``."""
+    """Handle on an instantiated sandbox. It caches nothing: readers scan
+    or walk the live tree themselves. Writers hold ``writer_lock``."""
 
     sandbox: Path
     screen: Screen = field(default_factory=Screen)
-
-    def manifest(self) -> tuple[ManifestEntry, ...]:
-        return scan_tree(self.sandbox)
 
 
 @contextmanager
@@ -103,7 +99,7 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
                 dir_modes.append((path, mode))
                 continue
             entry = expected.get(path)
-            actual = _hash_bytes(content)
+            actual = sha256_hex(content)
             if entry is None or entry.sha256 != actual:
                 raise HashMismatch(path, entry.sha256 if entry else "<absent>", actual)
             target.parent.mkdir(parents=True, exist_ok=True)

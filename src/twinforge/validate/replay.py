@@ -2,11 +2,11 @@
 
 No process is launched: the interpreter only checks the same failure
 classes a desktop replay would hit. ``Run`` targets must name an executable
-manifest entry (a file under ``bin/`` or ``apps/``) and register a window
-titled by the target's stem; window verbs require that window to have been
-opened; ``Send`` requires an active window; ``Click`` must land inside the
-virtual screen. Failures are data, not exceptions, and the walk stops at
-the first one.
+(a file under ``bin/`` or ``apps/``), by its bare base name or by its exact
+path, and register a window titled by the target's stem; window verbs
+require that window to have been opened; ``Send`` requires an active
+window; ``Click`` must land inside the virtual screen. Failures are data,
+not exceptions, and the walk stops at the first one.
 """
 
 from __future__ import annotations
@@ -42,20 +42,21 @@ class ReplayResult:
     first_failure: ReplayFailure | None
 
 
-def executable_names(entries) -> set[str]:
-    """Base names of the files under an executable prefix, from
-    ``walk_tree``'s ``(path, kind)`` pairs."""
-    names = set()
+def executable_targets(entries) -> set[str]:
+    """What a ``Run`` may name, from ``walk_tree``'s ``(path, kind)``
+    pairs: the path of each file under an executable prefix, and its base
+    name."""
+    targets = set()
     for path, kind in entries:
         if kind == FILE and path.startswith(EXECUTABLE_PREFIXES):
-            names.add(PurePosixPath(path).name)
-    return names
+            targets.update((path, PurePosixPath(path).name))
+    return targets
 
 
 def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
     """Interpret the script against the twin's file list; purely read-only,
     and no file is read."""
-    executables = executable_names(walk_tree(twin.sandbox))
+    executables = executable_targets(walk_tree(twin.sandbox))
     screen = twin.screen
     windows: set[str] = set()
     active: str | None = None
@@ -64,9 +65,7 @@ def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
         failure: ReplayFailure | None = None
         if cmd.verb == "Run":
             target = str(cmd.args[0])
-            if target in executables or any(
-                target == f"{prefix}{name}" for prefix in EXECUTABLE_PREFIXES for name in executables
-            ):
+            if target in executables:
                 windows.add(PurePosixPath(target).stem)
             else:
                 failure = ReplayFailure(MISSING_TARGET, index, f"no executable {target!r} in manifest")

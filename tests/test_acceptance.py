@@ -38,6 +38,7 @@ from twinforge.twin import (
     capture_image,
     diff_states,
     instantiate_twin,
+    scan_tree,
 )
 from twinforge.validate import (
     bleu,
@@ -207,7 +208,7 @@ def test_criterion_6_twin_round_trip(tmp_path):
         assert not any(p == "tmp" or p.startswith("tmp/") for p in source_manifest)
 
         twin = instantiate_twin(image_a, tmp_path / "sandbox")
-        live = {e.path: e for e in twin.manifest()}
+        live = {e.path: e for e in scan_tree(twin.sandbox)}
         assert set(live) == set(source_manifest) | {"tmp"}
         for path, entry in source_manifest.items():
             assert live[path] == entry
@@ -223,7 +224,7 @@ def test_criterion_7_patch_atomicity(tmp_path):
     with criterion(7, "failing third op leaves the twin untouched; identity patch diffs empty"):
         tree = build_twin_tree(tmp_path / "source")
         twin = instantiate_twin(capture_image(tree), tmp_path / "sandbox")
-        before = twin.manifest()
+        before = scan_tree(twin.sandbox)
 
         bad_delta = PatchDelta(
             (
@@ -234,7 +235,7 @@ def test_criterion_7_patch_atomicity(tmp_path):
         )
         with pytest.raises(Exception):
             apply_patch(twin, bad_delta)
-        assert twin.manifest() == before
+        assert scan_tree(twin.sandbox) == before
 
         report = apply_patch(twin, PatchDelta(()))
         assert diff_states(before, report.manifest).empty

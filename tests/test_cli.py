@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -203,6 +204,23 @@ def test_seq_train_and_gen(tmp_path, workspace, script_paths, capsys):
     ) == 0
     text = out_script.read_text(encoding="utf-8")
     assert text.startswith("Run, chrome.exe\n")
+
+
+NON_FINITE = {
+    "ngram": {"delta": math.nan},
+    "service": {"url": "http://localhost:1", "timeout_s": math.inf},
+    "gan": {"cond_loss_weight": math.inf},
+}
+
+
+@pytest.mark.parametrize("section", sorted(NON_FINITE))
+def test_non_finite_config_value_is_a_data_error(tmp_path, workspace, script_paths, section, capsys):
+    config = _config(tmp_path, workspace, **{section: NON_FINITE[section]})
+    model_path = tmp_path / "seq.json"
+    args = ["--config", str(config), "train", "seq", "--corpus", *map(str, script_paths), "--out", str(model_path)]
+    assert main(args) == 2
+    assert f"config field {section!r}" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 def test_validate_with_script_pairs(tmp_path, workspace, twin_tree, script_paths):

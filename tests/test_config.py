@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -115,6 +117,26 @@ def test_boolean_is_not_a_number(tmp_path, section, key):
     if section == "service":
         doc[section]["url"] = SERVICE_URL
     with pytest.raises(ConfigParse, match=f"{section}.{key}"):
+        load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("section, key", [("ngram", "delta"), ("service", "timeout_s"), ("gan", "cond_loss_weight")])
+def test_non_finite_values_are_refused(tmp_path, section, key, value):
+    # each would otherwise fail later: NaN probabilities in generation, an
+    # OverflowError from the socket layer, a non-finite loss after the fit
+    doc = {"workspace": "ws", section: {key: value}}
+    if section == "service":
+        doc[section]["url"] = SERVICE_URL
+    with pytest.raises(ConfigParse, match=section):
+        load_config(_write(tmp_path, doc))
+
+
+def test_service_timeout_must_fit_the_socket_clock(tmp_path):
+    doc = {"workspace": "ws", "service": {"url": SERVICE_URL, "timeout_s": threading.TIMEOUT_MAX}}
+    assert load_config(_write(tmp_path, doc)).service.timeout_s == threading.TIMEOUT_MAX
+    doc["service"]["timeout_s"] = 1e12
+    with pytest.raises(ConfigParse, match="service"):
         load_config(_write(tmp_path, doc))
 
 

@@ -1,0 +1,90 @@
+"""One sandbox rule: every walk, patch op and check resolves through
+``resolve_inside`` and refuses what lands outside the sandbox."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import twinforge
+from twinforge.errors import SymlinkOutsideRoot
+from twinforge.twin import (
+    AddFile,
+    CheckSpec,
+    ConfigEquals,
+    DeleteFile,
+    PatchDelta,
+    ReplaceFile,
+    SetConfig,
+    apply_patch,
+    capture_image,
+    instantiate_twin,
+    run_checks,
+    scan_tree,
+)
+from twinforge.twin.journal import journal_dir
+
+SRC = Path(twinforge.__file__).parent
+
+READERS = {
+    "walk": lambda twin: scan_tree(twin.sandbox),
+    "add_file": lambda twin: apply_patch(twin, PatchDelta((AddFile("hop1/planted", b"x\n"),))),
+    "replace_file": lambda twin: apply_patch(twin, PatchDelta((ReplaceFile("hop1/app.conf", b"x\n"),))),
+    "delete_file": lambda twin: apply_patch(twin, PatchDelta((DeleteFile("hop1/app.conf"),))),
+    "set_config": lambda twin: apply_patch(twin, PatchDelta((SetConfig("hop1/app.conf", "secret", "x"),))),
+    "config_equals": lambda twin: run_checks(twin, CheckSpec((ConfigEquals("hop1/app.conf", "secret", "1"),))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_an_escape_at_the_end_of_a_chain_of_inside_links_is_refused(twin_tree, tmp_path, reader):
+    twin = instantiate_twin(capture_image(twin_tree), tmp_path / "sandbox")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "app.conf").write_bytes(b"secret=1\n")
+    # hop1 -> hop2 -> etc/hop3 stay inside; etc/hop3 -> outside escapes
+    (twin.sandbox / "etc" / "hop3").symlink_to(outside)
+    (twin.sandbox / "hop2").symlink_to("etc/hop3")
+    (twin.sandbox / "hop1").symlink_to("hop2")
+    with pytest.raises(SymlinkOutsideRoot):
+        READERS[reader](twin)
+    assert sorted(p.name for p in outside.iterdir()) == ["app.conf"]
+    assert (outside / "app.conf").read_bytes() == b"secret=1\n"
+    assert not journal_dir(twin.sandbox).exists()
+
+
+def _enclosing_functions(tree: ast.AST):
+    """Each node of ``tree`` with the name of the function it is in."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        yield node, function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def _mentions(node: ast.AST | None, name: str) -> bool:
+    """Whether ``node`` names ``name``, bare or as a module attribute."""
+    return node is not None and any(
+        getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(node)
+    )
+
+
+def test_only_the_resolver_confines_paths():
+    """No module but the resolver calls ``is_relative_to`` or raises
+    ``SymlinkOutsideRoot``: a second copy of the rule is how a reader once
+    escaped the sandbox."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}"
+            if where.startswith("twin/manifest.py") and function == "resolve_inside":
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "is_relative_to":
+                offenders.append(f"{where} is_relative_to")
+            if isinstance(node, ast.Raise) and _mentions(node.exc, "SymlinkOutsideRoot"):
+                offenders.append(f"{where} raise SymlinkOutsideRoot")
+    assert offenders == []

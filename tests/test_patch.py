@@ -58,7 +58,7 @@ def twin(twin_tree, tmp_path):
 
 
 def test_add_file(twin):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     report = apply_patch(twin, PatchDelta((AddFile("bin/newtool", b"#!/bin/sh\n"),)))
     assert report.applied == ("add_file bin/newtool",)
     diff = diff_states(before, report.manifest)
@@ -84,7 +84,7 @@ def test_replace_and_delete_and_set_config(twin):
 
 
 def test_empty_delta_is_identity(twin):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     report = apply_patch(twin, PatchDelta(()))
     assert report.applied == ()
     assert diff_states(before, report.manifest).empty
@@ -101,14 +101,14 @@ def test_empty_delta_is_identity(twin):
     ],
 )
 def test_failing_op_leaves_manifest_unchanged(twin, delta, err):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     with pytest.raises(err):
         apply_patch(twin, delta)
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
 
 
 def test_third_op_failure_rolls_back_first_two(twin):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     delta = PatchDelta(
         (
             AddFile("bin/tool-a", b"a"),
@@ -118,7 +118,7 @@ def test_third_op_failure_rolls_back_first_two(twin):
     )
     with pytest.raises(DeleteMissing):
         apply_patch(twin, delta)
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
     assert (twin.sandbox / "docs/readme.txt").read_text(encoding="utf-8") == "local system under test\n"
     assert not (twin.sandbox / "bin/tool-a").exists()
 
@@ -239,7 +239,7 @@ def test_writer_lock_excludes_second_writer(twin):
 
 def test_run_checks(twin):
     apply_patch(twin, PatchDelta((ReplaceFile("docs/readme.txt", b"v2\n"),)))
-    manifest = {e.path: e for e in twin.manifest()}
+    manifest = {e.path: e for e in scan_tree(twin.sandbox)}
     spec = CheckSpec(
         (
             FileExists("bin/chrome.exe"),
@@ -343,6 +343,14 @@ def test_config_checks_read_each_file_once(twin, monkeypatch):
     assert reads == ["app.conf"]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_set_config_writes_the_same_bytes_whatever_the_line_ends(twin, newline):
+    conf = twin.sandbox / "etc" / "app.conf"
+    conf.write_bytes(newline.join(["mode=safe", "retries=3", "", "log_level=info", ""]).encode("utf-8"))
+    apply_patch(twin, PatchDelta((SetConfig("etc/app.conf", "retries", "5"),)))
+    assert conf.read_bytes() == b"mode=safe\nretries=5\n\nlog_level=info\n"
+
+
 # -- in-place patch: confinement, the lock, fault injection, crash recovery ------
 
 
@@ -351,7 +359,7 @@ def test_ops_never_write_outside_the_sandbox(twin, tmp_path):
     outside_file.write_bytes(b"keep\n")
     outside_dir = tmp_path / "outside"
     outside_dir.mkdir()
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     (twin.sandbox / "leak").symlink_to(outside_file)
     (twin.sandbox / "dirleak").symlink_to(outside_dir)
     for op in (
@@ -366,7 +374,7 @@ def test_ops_never_write_outside_the_sandbox(twin, tmp_path):
         assert list(outside_dir.iterdir()) == []
     (twin.sandbox / "leak").unlink()
     (twin.sandbox / "dirleak").unlink()
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
     assert not journal_dir(twin.sandbox).exists()
 
 
@@ -374,7 +382,7 @@ def test_ops_through_an_inside_link_are_undone_exactly(twin):
     link = twin.sandbox / "docs" / "current"
     link.symlink_to("readme.txt")
     readme = twin.sandbox / "docs" / "readme.txt"
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     delta = PatchDelta(
         (ReplaceFile("docs/current", b"v2\n"), DeleteFile("docs/current"), DeleteFile("not/there"))
     )
@@ -382,7 +390,7 @@ def test_ops_through_an_inside_link_are_undone_exactly(twin):
         apply_patch(twin, delta)
     assert link.is_symlink() and os.readlink(link) == "readme.txt"
     assert readme.read_bytes() == b"local system under test\n"
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
 
     apply_patch(twin, PatchDelta((ReplaceFile("docs/current", b"v2\n"),)))
     assert link.is_symlink() and readme.read_bytes() == b"v2\n"
@@ -408,12 +416,12 @@ def test_linked_writer_lock_is_refused(twin, tmp_path):
     lock = twin.sandbox / LOCK_FILENAME
     lock.unlink()
     lock.symlink_to(outside)
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     with pytest.raises(OSError):
         apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
     assert not outside.exists()
     assert list(outside.parent.iterdir()) == []
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
 
 
 def test_patch_keeps_the_writer_lock_file(twin):
@@ -439,7 +447,7 @@ def _kill(child: subprocess.Popen) -> None:
 
 
 def test_patch_while_a_child_holds_the_lock_changes_nothing(twin):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     holder = _spawn(
         "import time; from pathlib import Path; from twinforge.twin.sandbox import writer_lock;"
         f"lock = writer_lock(Path({str(twin.sandbox)!r})); lock.__enter__();"
@@ -451,7 +459,7 @@ def test_patch_while_a_child_holds_the_lock_changes_nothing(twin):
             apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"), DeleteFile("apps/files"))))
     finally:
         _kill(holder)
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
     assert not journal_dir(twin.sandbox).exists()
 
 
@@ -477,7 +485,7 @@ def _state(twin):
     """Everything a rolled-back patch must restore: the manifest (bytes,
     modes, directories), the lock file's inode and the absent journal."""
     lock = (twin.sandbox / LOCK_FILENAME).stat().st_ino
-    return twin.manifest(), lock, journal_dir(twin.sandbox).exists()
+    return scan_tree(twin.sandbox), lock, journal_dir(twin.sandbox).exists()
 
 
 @pytest.mark.parametrize("stage", ["recorded", "applied"])
@@ -527,7 +535,7 @@ def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, k
         _kill(child)
     journal = journal_dir(mode_twin.sandbox)
     assert len(list(journal.glob("*.json"))) == kill_after + 1
-    assert mode_twin.manifest() != before[0]
+    assert scan_tree(mode_twin.sandbox) != before[0]
 
     with writer_lock(mode_twin.sandbox):
         pass
@@ -596,7 +604,7 @@ def test_a_directory_that_is_not_a_journal_is_left_alone(twin):
     before = _state(twin)
     with pytest.raises(MalformedJournal, match="not a twinforge journal"):
         apply_patch(twin, PatchDelta((DeleteFile("bin/term"),)))
-    assert twin.manifest() == before[0]
+    assert scan_tree(twin.sandbox) == before[0]
     assert [p.name for p in foreign.iterdir()] == ["000000.json"]
 
     # An empty one is what a patch killed before writing its marker leaves.

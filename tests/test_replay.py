@@ -76,30 +76,29 @@ def test_events_truncate_at_first_failure(twin):
 
 
 def test_fixture_corpus_replays_cleanly(twin, script_corpus):
-    before = twin.manifest()
+    before = scan_tree(twin.sandbox)
     for script in script_corpus:
         result = replay_validate(script, twin)
         assert result.ok, f"{script.name}: {result.first_failure}"
-    assert twin.manifest() == before
+    assert scan_tree(twin.sandbox) == before
 
 
 def test_executables_match_a_full_scan(twin, tmp_path):
-    """Replay takes executable names from a walk that hashes nothing, with
-    the same results as names taken from a full ``scan_tree`` manifest."""
+    """Replay takes executables from a walk that hashes nothing, with the
+    results the module's contract gives for a full ``scan_tree`` manifest:
+    a ``Run`` names a file under ``bin/`` or ``apps/`` by its bare base name
+    or by its exact path."""
     (twin.sandbox / "bin" / "alias").symlink_to("../apps/gedit")
     (twin.sandbox / "apps" / "more").symlink_to("../docs")
     (twin.sandbox / "apps" / "suite").mkdir()
     (twin.sandbox / "apps" / "suite" / "calc").write_bytes(b"calc\n")
     manifest = scan_tree(twin.sandbox)
-    names = {
-        e.path.rsplit("/", 1)[-1]
-        for e in manifest
-        if e.kind == "file" and e.path.startswith(EXECUTABLE_PREFIXES)
-    }
+    executables = {e.path for e in manifest if e.kind == "file" and e.path.startswith(EXECUTABLE_PREFIXES)}
+    names = {path.rsplit("/", 1)[-1] for path in executables}
     assert {"alias", "calc", "gedit"} <= names and "more" not in names
     targets = sorted({e.path.rsplit("/", 1)[-1] for e in manifest} | {e.path for e in manifest})
-    for target in targets + ["ghost.exe", "bin/ghost"]:
-        expected = target in names or any(target == p + n for p in EXECUTABLE_PREFIXES for n in names)
+    for target in targets + ["ghost.exe", "bin/ghost", "bin/gedit", "bin/calc", "suite/calc"]:
+        expected = target in executables or ("/" not in target and target in names)
         result = replay_validate(parse_macro_script(f"Run, {target}", name="run"), twin)
         assert result.ok == expected, target
 
@@ -108,3 +107,23 @@ def test_executables_match_a_full_scan(twin, tmp_path):
     (twin.sandbox / "docs" / "escape").symlink_to(outside)
     with pytest.raises(SymlinkOutsideRoot):
         replay_validate(parse_macro_script("Run, chrome.exe", name="run"), twin)
+
+
+@pytest.mark.parametrize(
+    "target, ok",
+    [
+        ("gedit", True),
+        ("apps/gedit", True),
+        ("bin/gedit", False),  # gedit is under apps/, not bin/
+        ("tool", True),
+        ("bin/sub/tool", True),
+        ("bin/tool", False),  # tool is under bin/sub/
+        ("sub/tool", False),
+    ],
+)
+def test_run_names_a_base_name_or_an_exact_path(twin, target, ok):
+    (twin.sandbox / "bin" / "sub").mkdir()
+    (twin.sandbox / "bin" / "sub" / "tool").write_bytes(b"tool\n")
+    result = replay_validate(parse_macro_script(f"Run, {target}", name="run"), twin)
+    assert result.ok == ok
+    assert ok or result.first_failure.kind == MISSING_TARGET

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,23 @@ def test_capture_is_byte_deterministic(twin_tree):
     assert a.manifest == b.manifest
 
 
+def test_capture_reads_each_file_once(twin_tree, monkeypatch):
+    opened = Counter()
+    original = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened[self.relative_to(twin_tree).as_posix()] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    image = capture_image(twin_tree)
+    files = [e.path for e in image.manifest if e.kind == "file"]
+    assert files and opened == Counter(files)
+    for path, kind, _, content in unpack_archive(image.archive):
+        if kind == "file":
+            assert content == (twin_tree / path).read_bytes()
+
+
 def test_empty_directory_yields_empty_valid_image(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -69,7 +87,7 @@ def test_nested_lock_named_file_is_an_ordinary_file(twin_tree, tmp_path):
     assert "etc/.twin.lock" in [e.path for e in image.manifest]
     twin = instantiate_twin(image, tmp_path / "sandbox")
     assert (twin.sandbox / "etc" / ".twin.lock").read_bytes() == b"not a lock\n"
-    assert "etc/.twin.lock" in [e.path for e in twin.manifest()]
+    assert "etc/.twin.lock" in [e.path for e in scan_tree(twin.sandbox)]
 
 
 def test_escaping_link_named_like_the_lock_is_refused(twin_tree, tmp_path):
@@ -92,7 +110,7 @@ def test_internal_file_symlink_is_captured_as_file(tmp_path):
 def test_restore_round_trip(twin_tree, tmp_path):
     image = capture_image(twin_tree)
     twin = instantiate_twin(image, tmp_path / "sandbox")
-    live = twin.manifest()
+    live = scan_tree(twin.sandbox)
     # restored manifest = captured manifest plus the fresh tmp/ directory
     assert [e for e in live if e.path != "tmp"] == list(image.manifest)
     assert any(e.path == "tmp" and e.kind == "dir" for e in live)
