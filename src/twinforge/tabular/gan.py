@@ -170,6 +170,10 @@ def _cond_cross_entropy(
     return total / batch, grad_raw
 
 
+def _generator_sizes(config: GanConfig, codec: TableCodec) -> list[int]:
+    return [config.noise_dim + codec.cond_width, config.hidden_dim, config.hidden_dim, codec.row_width]
+
+
 def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: int = 0) -> GanModel:
     """Train the conditional GAN; deterministic given (dataset, config, seed)."""
     if len(dataset) < config.batch_size:
@@ -178,23 +182,18 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
     codec = TableCodec.fit(dataset, max_modes=config.max_modes, seed=seed)
     sampler = _ConditionedSampler(dataset, codec)
     encoded_width = codec.row_width
-    cond_width = codec.cond_width
-    sample_width = encoded_width + cond_width
+    sample_width = encoded_width + codec.cond_width
     pac = config.pac
 
     init_g, init_d, stream = np.random.SeedSequence(seed).spawn(3)
-    generator = FeedForward(
-        [config.noise_dim + cond_width, config.hidden_dim, config.hidden_dim, encoded_width],
-        RELU,
-        np.random.default_rng(init_g),
-    )
+    generator = FeedForward(_generator_sizes(config, codec), RELU, np.random.default_rng(init_g))
     discriminator = FeedForward(
         [sample_width * pac, config.hidden_dim, config.hidden_dim, 1],
         LEAKY_RELU,
         np.random.default_rng(init_d),
     )
-    adam_g = Adam(generator.params, config.learning_rate, config.beta1, config.beta2)
-    adam_d = Adam(discriminator.params, config.learning_rate, config.beta1, config.beta2)
+    adam_g = Adam(generator.param_vector, config.learning_rate, config.beta1, config.beta2)
+    adam_d = Adam(discriminator.param_vector, config.learning_rate, config.beta1, config.beta2)
     rng = np.random.default_rng(stream)
 
     batch = config.batch_size
@@ -287,12 +286,21 @@ def _net_to_lists(net: FeedForward) -> dict:
     }
 
 
-def _net_from_lists(data: dict) -> FeedForward:
-    weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-    sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+def _net_from_lists(data: dict, sizes: list[int]) -> FeedForward:
+    """A network of the given layer sizes holding the stored parameters;
+    raises ``ValueError`` unless every array has its layer's shape and is finite."""
     net = FeedForward(sizes, data["activation"], np.random.default_rng(0))
-    net.weights = weights
-    net.biases = [np.asarray(b, dtype=float) for b in data["biases"]]
+    for kind, targets in (("weights", net.weights), ("biases", net.biases)):
+        sources = data[kind]
+        if len(sources) != len(targets):
+            raise ValueError(f"generator has {len(sources)} {kind} arrays, expected {len(targets)}")
+        for i, (target, source) in enumerate(zip(targets, sources)):
+            arr = np.asarray(source, dtype=float)
+            if arr.shape != target.shape:
+                raise ValueError(f"generator {kind}[{i}] has shape {arr.shape}, expected {target.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"generator {kind}[{i}] holds a non-finite value")
+            target[...] = arr
     return net
 
 
@@ -335,11 +343,12 @@ def load_model(path: str | Path) -> GanModel:
             {k: tuple(v) for k, v in doc["categories"].items()},
             doc["frequencies"],
         )
+        config = GanConfig(**doc["config"])
         return GanModel(
             codec=codec,
-            config=GanConfig(**doc["config"]),
+            config=config,
             seed=doc["seed"],
-            generator=_net_from_lists(doc["generator"]),
+            generator=_net_from_lists(doc["generator"], _generator_sizes(config, codec)),
             gen_losses=tuple(doc["gen_losses"]),
             disc_losses=tuple(doc["disc_losses"]),
         )

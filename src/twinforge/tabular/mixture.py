@@ -56,17 +56,39 @@ class ModeNormalizer:
     def responsibilities(self, values: np.ndarray) -> np.ndarray:
         """Posterior mode probabilities for each value, shape (n, K)."""
         p, _ = _shifted_density(values, self.weights, self.means, self.stdevs)
-        return p / p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=0)
+        return p.T
+
+
+# The fit works in a (modes x values) layout, one contiguous row per mode.
+# Every sum adds in the order numpy uses for the same sum over the
+# (values x modes) array, so the layout does not change the fit's bits. Over
+# modes, numpy adds left to right in both layouts; over values, see
+# ``_sum_over_values`` and the mean numerator in ``_run_em``.
 
 
 def _shifted_density(values, weights, means, stdevs) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted per-mode Gaussian densities, shape (n, K), each row divided by
-    ``exp(shift)``, where ``shift`` (shape (n, 1)) is its largest log-density."""
-    x = np.asarray(values, dtype=float)[:, None]
-    mu, sd = np.asarray(means)[None, :], np.asarray(stdevs)[None, :]
-    logp = -0.5 * ((x - mu) / sd) ** 2 - np.log(sd) - 0.5 * _LOG_2PI + np.log(weights)[None, :]
-    shift = logp.max(axis=1, keepdims=True)
-    return np.exp(logp - shift), shift
+    """Weighted per-mode Gaussian densities, shape (K, n), each column divided
+    by ``exp(shift)``, where ``shift`` (shape (n,)) is its largest log-density."""
+    sd = np.asarray(stdevs, dtype=float)[:, None]
+    logp = np.asarray(values, dtype=float)[None, :] - np.asarray(means, dtype=float)[:, None]
+    logp /= sd
+    np.square(logp, out=logp)
+    logp *= -0.5
+    logp -= np.log(sd)
+    logp -= 0.5 * _LOG_2PI
+    logp += np.log(np.asarray(weights, dtype=float))[:, None]
+    shift = logp.max(axis=0)
+    logp -= shift
+    return np.exp(logp, out=logp), shift
+
+
+def _sum_over_values(a: np.ndarray) -> np.ndarray:
+    """Per-mode sums over values, in the order numpy sums axis 0 of the
+    C-ordered (n, K) array: value after value, or pairwise when K is 1."""
+    if a.shape[0] == 1:
+        return a.sum(axis=1)
+    return np.cumsum(a, axis=1)[:, -1]
 
 
 def _kmeanspp_centers(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,25 +114,30 @@ def _run_em(
     accepted = (weights, means, stdevs)
     trajectory: list[float] = []
     for _ in range(EM_MAX_ITER):
-        expp, shift = _shifted_density(values, weights, means, stdevs)
-        ll = float((shift[:, 0] + np.log(expp.sum(axis=1))).sum())
+        resp, shift = _shifted_density(values, weights, means, stdevs)
+        total = resp.sum(axis=0)
+        ll = float((shift + np.log(total)).sum())
         if trajectory and ll < trajectory[-1]:
             # The stdev floor broke the EM guarantee; keep the previous fit.
             break
-        assert not trajectory or ll >= trajectory[-1]
         converged = bool(trajectory) and (ll - trajectory[-1] < EM_TOL)
         trajectory.append(ll)
-        accepted = (weights.copy(), means.copy(), stdevs.copy())
+        accepted = (weights, means, stdevs)
         if converged:
             break
 
-        resp = expp / expp.sum(axis=1, keepdims=True)
-        mass = resp.sum(axis=0)
+        resp /= total
+        mass = _sum_over_values(resp)
         alive = mass > 1e-10
+        live = resp[alive]
         new_means = means.copy()
         new_stdevs = stdevs.copy()
-        new_means[alive] = (resp[:, alive] * values[:, None]).sum(axis=0) / mass[alive]
-        var = (resp[:, alive] * (values[:, None] - new_means[None, alive]) ** 2).sum(axis=0) / mass[alive]
+        # boolean indexing made the (values x modes) product F-ordered, which numpy sums pairwise
+        new_means[alive] = (live * values).sum(axis=1) / mass[alive]
+        dev = values - new_means[alive][:, None]
+        np.square(dev, out=dev)
+        dev *= live
+        var = _sum_over_values(dev) / mass[alive]
         new_stdevs[alive] = np.maximum(np.sqrt(var), floor)
         weights = np.maximum(mass / n, 1e-12)
         weights = weights / weights.sum()

@@ -3,6 +3,10 @@
 Two tiny MLPs are all the tabular GAN needs, so the forward and backward
 passes are written out by hand instead of pulling in an autograd framework.
 Everything is float64 and deterministic given the initialization rng.
+
+A network keeps all of its weights and biases in one contiguous vector, and
+``backward`` writes the parameter gradients into one vector laid out the same
+way, so ``Adam`` updates every parameter with a handful of whole-vector ops.
 """
 
 from __future__ import annotations
@@ -14,8 +18,27 @@ LEAKY_RELU = "leaky_relu"
 LEAK = 0.2
 
 
+def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (fan_in, fan_out) weight and (fan_out,) bias views into
+    ``flat``, laid out w0, b0, w1, b1, ..."""
+    weights: list[np.ndarray] = []
+    biases: list[np.ndarray] = []
+    at = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 class FeedForward:
-    """Linear stack with a fixed hidden activation and a linear output layer."""
+    """Linear stack with a fixed hidden activation and a linear output layer.
+
+    ``weights`` and ``biases`` are views into ``param_vector``. ``backward``
+    returns the parameter gradients as one vector laid out the same way,
+    which the next call overwrites.
+    """
 
     def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator) -> None:
         if len(sizes) < 2:
@@ -23,12 +46,13 @@ class FeedForward:
         if activation not in (RELU, LEAKY_RELU):
             raise ValueError(f"unsupported activation {activation!r}")
         self.activation = activation
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-            self.biases.append(np.zeros(fan_out))
+        n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.param_vector = np.zeros(n_params)
+        self._grad_vector = np.zeros(n_params)
+        self.weights, self.biases = _layer_views(self.param_vector, sizes)
+        self._grad_weights, self._grad_biases = _layer_views(self._grad_vector, sizes)
+        for w in self.weights:
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
         self._cache: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
@@ -45,7 +69,7 @@ class FeedForward:
 
     def _act_grad(self, pre: np.ndarray) -> np.ndarray:
         if self.activation == RELU:
-            return (pre > 0).astype(float)
+            return pre > 0
         return np.where(pre > 0, 1.0, LEAK)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -54,36 +78,42 @@ class FeedForward:
         out = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = out @ w + b
+            pre = out @ w
+            pre += b
             cache.append((out, pre))
             out = pre if i == last else self._act(pre)
         self._cache = cache
         return out
 
-    def backward(self, grad_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients for the most recent forward; returns (param grads, input grad)."""
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients for the most recent forward: (parameter gradients, input grad)."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         grad = grad_out
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             x_in, pre = self._cache[i]
             if i != last:
                 grad = grad * self._act_grad(pre)
-            grads[2 * i] = x_in.T @ grad
-            grads[2 * i + 1] = grad.sum(axis=0)
+            np.matmul(x_in.T, grad, out=self._grad_weights[i])
+            grad.sum(axis=0, out=self._grad_biases[i])
             grad = grad @ self.weights[i].T
         self._cache = None
-        return grads, grad
+        return self._grad_vector, grad
 
 
 class Adam:
-    """Adam updates over a fixed parameter list, in place."""
+    """Adam updates of one parameter vector, in place.
+
+    Each step is the per-element update of Kingma & Ba, one whole-vector op
+    per arithmetic operation, in the order the model bytes depend on:
+    ``m += (1 - beta1) * g``, ``v += ((1 - beta2) * g) * g``, then
+    ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``.
+    """
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         learning_rate: float,
         beta1: float,
         beta2: float,
@@ -95,17 +125,26 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._update = np.empty_like(params)
+        self._denom = np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        update, denom = self._update, self._denom
+        self.m *= self.beta1
+        np.multiply(grads, 1 - self.beta1, out=update)
+        self.m += update
+        self.v *= self.beta2
+        np.multiply(grads, 1 - self.beta2, out=update)
+        update *= grads
+        self.v += update
+        np.divide(self.m, 1 - self.beta1**t, out=update)
+        update *= self.learning_rate
+        np.divide(self.v, 1 - self.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self.params -= update

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from twinforge.cli import main
-from twinforge.errors import WorkspaceLocked
+from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest import read_dataset_csv, write_dataset_csv
+from twinforge.tabular import load_model
 from twinforge.twin import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import load_report
@@ -182,6 +183,49 @@ def test_gate_exhaustion_exits_three(tmp_path, workspace, capsys):
     )
     assert code == 3
     assert "gate" in capsys.readouterr().err
+
+
+def _short_bias(gen):
+    gen["biases"][0].pop()
+
+
+def _length_1_bias(gen):
+    gen["biases"][1] = gen["biases"][1][:1]
+
+
+def _narrow_output(gen):
+    gen["weights"][-1] = [row[:-1] for row in gen["weights"][-1]]
+    gen["biases"][-1] = gen["biases"][-1][:-1]
+
+
+def _wrong_input_width(gen):
+    gen["weights"][0].pop()
+
+
+def _nan_weight(gen):
+    gen["weights"][1][0][0] = math.nan
+
+
+# Edits of the trained model's generator block. Unchecked, a short bias raised
+# a bare ValueError in forward, a length-1 bias broadcast silently, a narrow
+# last layer loaded and then exhausted the gate, and a NaN weight raised a
+# bare ValueError in validation.
+@pytest.mark.parametrize(
+    "edit", [_short_bias, _length_1_bias, _narrow_output, _wrong_input_width, _nan_weight]
+)
+def test_malformed_generator_is_a_data_error(tmp_path, workspace, pipeline_artifacts, edit, capsys):
+    doc = json.loads(pipeline_artifacts["model_path"].read_text(encoding="utf-8"))
+    edit(doc["generator"])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedModel):
+        load_model(model_path)
+
+    config = _config(tmp_path, workspace)
+    real_csv = str(pipeline_artifacts["real_csv"])
+    code = main(["--config", str(config), "gen", "tabular", "--model", str(model_path), "--real", real_csv, "--n", "10"])
+    assert code == 2
+    assert "generator" in capsys.readouterr().err
 
 
 def test_seq_train_and_gen(tmp_path, workspace, script_paths, capsys):
