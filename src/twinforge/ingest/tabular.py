@@ -88,10 +88,6 @@ class Categorical:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, rows: np.ndarray) -> "Categorical":
-        """The cells at an index array (or slice), on the same table."""
-        return Categorical(self.categories, self.codes[rows])
-
     def counts(self) -> dict[str, int]:
         """Rows per category of the table, zero counts included."""
         return dict(zip(self.categories, np.bincount(self.codes, minlength=len(self.categories)).tolist()))
@@ -220,16 +216,6 @@ class TabularDataset:
     def column_values(self, name: str) -> tuple[float | str, ...]:
         """One column's cells as Python floats or strings."""
         return tuple(self.column(name).tolist())
-
-    def take(self, rows: np.ndarray) -> "TabularDataset":
-        """The rows at an index array, in its order, without pids. Rows of
-        checked columns need no second check, so ``__post_init__`` is skipped."""
-        subset = TabularDataset.__new__(TabularDataset)
-        subset.schema, subset.pids = self.schema, None
-        subset.columns = tuple(c[rows] for c in self.columns)
-        for column in subset.columns:
-            (column if isinstance(column, np.ndarray) else column.codes).flags.writeable = False
-        return subset
 
     @cached_property
     def rows(self) -> tuple[tuple[float | str, ...], ...]:

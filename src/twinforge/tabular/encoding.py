@@ -5,6 +5,10 @@ from the mixture posterior and ``alpha = clamp((x - mean) / (4 * stdev), -1, 1)`
 for the drawn mode. Discrete cells become one-hot vectors over the training
 categories. The conditional vector concatenates the per-discrete-column
 masks with exactly one bit set.
+
+Everything about a row's encoding except the posterior mode draw is fixed by
+the row, so :meth:`TableCodec.row_constants` computes it once per table and
+:meth:`TableCodec.encode_rows` only draws the modes of the rows it is given.
 """
 
 from __future__ import annotations
@@ -28,6 +32,62 @@ class _ColumnSpan:
     offset: int
     width: int
     cond_offset: int = -1  # a discrete column's block in the condition vector
+
+
+# numpy adds a contiguous run of fewer values than this one after another,
+# and a longer run pairwise.
+PAIRWISE_FROM = 8
+
+
+@dataclass(frozen=True)
+class FlagGroup:
+    """Flag blocks side by side, so a softmax over all of them is a few
+    whole-array ops: block ``b`` holds ``columns[b]``, padded (``pad``) by
+    repeating its first column. ``kept_columns`` are the columns of the
+    entries that are not padding, in row-major order."""
+
+    columns: np.ndarray
+    pad: np.ndarray
+    kept_columns: np.ndarray
+
+
+def _flag_groups(blocks: list[range]) -> tuple[FlagGroup, ...]:
+    """Blocks narrower than ``PAIRWISE_FROM`` share one group, padded to the
+    widest of them: padding that adds nothing leaves their sums' bits alone.
+    Wider blocks are grouped by width, unpadded: numpy would pair the entries
+    of a padded block differently."""
+    groups: dict[int, list[range]] = {}
+    for block in blocks:
+        groups.setdefault(len(block) if len(block) >= PAIRWISE_FROM else 0, []).append(block)
+    out = []
+    for group in groups.values():
+        width = max(len(b) for b in group)
+        columns = np.array([list(b) + [b[0]] * (width - len(b)) for b in group], dtype=np.intp)
+        pad = np.array([[k >= len(b) for k in range(width)] for b in group])
+        out.append(FlagGroup(columns, pad, columns[~pad]))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class RowConstants:
+    """The per-row parts of a table's encoding, row-aligned.
+
+    ``onehots`` is the encoded row with its discrete one-hots set and zeros
+    elsewhere. For the j-th continuous column, ``cum_posterior[:, j]`` holds
+    the cumulative mode posterior and ``alphas[:, j]`` the clipped alpha under
+    each mode, padded to the codec's widest mixture with ``inf`` and 0.
+    """
+
+    onehots: np.ndarray
+    cum_posterior: np.ndarray
+    alphas: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.onehots)
+
+    def take(self, rows: np.ndarray) -> "RowConstants":
+        """The rows at an index array, in its order."""
+        return RowConstants(*(a.take(rows, axis=0) for a in (self.onehots, self.cum_posterior, self.alphas)))
 
 
 class TableCodec:
@@ -66,20 +126,36 @@ class TableCodec:
         self.row_width = offset
         self.cond_spans = tuple(s for s in spans if s.kind != CONTINUOUS)
         self.cond_width = cond_offset
+        continuous = [s for s in spans if s.kind == CONTINUOUS]
         # generator heads: a tanh alpha per continuous column, a softmax per flag block
-        self.alpha_columns = tuple(s.offset for s in spans if s.kind == CONTINUOUS)
-        self.flag_blocks = tuple((s.offset + (s.kind == CONTINUOUS), s.offset + s.width) for s in spans)
+        self.alpha_columns = np.array([s.offset for s in continuous], dtype=np.intp)
+        self._mode_columns = self.alpha_columns + 1  # each column's first mode flag
+        self._last_modes = np.array([s.width - 2 for s in continuous], dtype=np.intp)
+        self._max_modes = max((s.width - 1 for s in continuous), default=0)
+        self.flag_groups = _flag_groups(
+            [range(s.offset + (s.kind == CONTINUOUS), s.offset + s.width) for s in spans]
+        )
+        # per condition bit, its flag column and a mask of its column's flag block
+        self.cond_columns = np.array(
+            [s.offset + k for s in self.cond_spans for k in range(s.width)], dtype=np.intp
+        )
+        self.cond_blocks = np.zeros((self.cond_width, self.row_width), dtype=bool)
+        for s in self.cond_spans:
+            self.cond_blocks[s.cond_offset : s.cond_offset + s.width, s.offset : s.offset + s.width] = True
 
-        # per condition column and weighting, the table Generator.choice builds from p
-        self._cdfs: dict[bool, list[np.ndarray]] = {True: [], False: []}
-        for span in self.cond_spans:
+        # Per weighting, each condition column's cumulative weights (the table
+        # Generator.choice builds from p), one column each, padded with inf.
+        self._cond_offsets = np.array([s.cond_offset for s in self.cond_spans], dtype=np.intp)
+        widest = max((s.width for s in self.cond_spans), default=0)
+        self._cdfs = {w: np.full((widest, len(self.cond_spans)), np.inf) for w in (True, False)}
+        for c, span in enumerate(self.cond_spans):
             table = self.frequencies[span.name]
-            counts = np.array([table[c] for c in self.categories[span.name]], dtype=float)
+            counts = np.array([table[k] for k in self.categories[span.name]], dtype=float)
             if not (counts >= 0).all() or not 0 < counts.sum() < np.inf:
                 raise ValueError(f"frequencies of {span.name!r} must be finite, >= 0 and not all 0")
             for log_weighted, weights in ((True, np.log1p(counts)), (False, counts)):
                 cdf = (weights / weights.sum()).cumsum()
-                self._cdfs[log_weighted].append(cdf / cdf[-1])
+                self._cdfs[log_weighted][: span.width, c] = cdf / cdf[-1]
 
     # -- construction ---------------------------------------------------
 
@@ -114,23 +190,39 @@ class TableCodec:
             raise UnknownCategory(name, column.categories[column.codes[int(codes.argmin())]])
         return codes
 
-    def encode_rows(self, dataset: TabularDataset, rng: np.random.Generator) -> np.ndarray:
+    def row_constants(self, dataset: TabularDataset) -> RowConstants:
+        """The parts of the dataset's encoding that do not depend on the
+        mode draws. Every sum in them runs within one row, so they hold the
+        same bits whichever rows they are computed over."""
         n = len(dataset)
-        out = np.zeros((n, self.row_width))
+        onehots = np.zeros((n, self.row_width))
+        cum_posterior = np.full((n, len(self.alpha_columns), self._max_modes), np.inf)
+        alphas = np.zeros((n, len(self.alpha_columns), self._max_modes))
+        j = 0
         for span, values in zip(self.spans, dataset.columns):
             if span.kind == CONTINUOUS:
                 norm = self.normalizers[span.name]
-                resp = norm.responsibilities(values)
-                draws = rng.random((n, 1))
-                modes = (draws > resp.cumsum(axis=1)).sum(axis=1)
-                modes = np.minimum(modes, norm.n_modes - 1)
-                mu = np.asarray(norm.means)[modes]
-                sd = np.asarray(norm.stdevs)[modes]
-                alpha = np.clip((values - mu) / (ALPHA_SCALE * sd), -1.0, 1.0)
-                out[:, span.offset] = alpha
-                out[np.arange(n), span.offset + 1 + modes] = 1.0
+                k = norm.n_modes
+                cum_posterior[:, j, :k] = norm.responsibilities(values).cumsum(axis=1)
+                scaled = (values[:, None] - np.asarray(norm.means)) / (ALPHA_SCALE * np.asarray(norm.stdevs))
+                alphas[:, j, :k] = np.clip(scaled, -1.0, 1.0)
+                j += 1
             else:
-                out[np.arange(n), span.offset + self.codes(span.name, values)] = 1.0
+                onehots[np.arange(n), span.offset + self.codes(span.name, values)] = 1.0
+        return RowConstants(onehots, cum_posterior, alphas)
+
+    def encode_rows(self, rows: RowConstants, rng: np.random.Generator) -> np.ndarray:
+        """Encode the rows, drawing each continuous cell's mode from its
+        posterior: one uniform per row for each continuous column in turn."""
+        n = len(rows)
+        out = rows.onehots.copy()
+        draws = rng.random((len(self.alpha_columns), n)).T
+        # the posterior entries a draw exceeds; rounding can leave the last below it
+        modes = (draws[:, :, None] > rows.cum_posterior).sum(axis=2)
+        np.minimum(modes, self._last_modes, out=modes)
+        at = np.arange(n)[:, None]
+        out[at, self.alpha_columns] = rows.alphas[at, np.arange(len(self.alpha_columns)), modes]
+        out[at, self._mode_columns + modes] = 1.0
         return out
 
     # -- decoding ---------------------------------------------------------
@@ -162,9 +254,9 @@ class TableCodec:
             return conds
         picks = rng.integers(len(self.cond_spans), size=size)
         uniforms = rng.random(size)
-        for c, (span, cdf) in enumerate(zip(self.cond_spans, self._cdfs[log_weighted])):
-            rows = np.flatnonzero(picks == c)
-            conds[rows, span.cond_offset + cdf.searchsorted(uniforms[rows], side="right")] = 1.0
+        # the cdf entries <= u: the index searchsorted(side="right") returns
+        cats = (self._cdfs[log_weighted].take(picks, axis=1) <= uniforms).sum(axis=0)
+        conds[np.arange(size), self._cond_offsets[picks] + cats] = 1.0
         return conds
 
     def sample_conditions_logfreq(self, rng: np.random.Generator, size: int) -> np.ndarray:

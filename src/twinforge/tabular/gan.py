@@ -33,9 +33,9 @@ import numpy as np
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import Column, Schema, TabularDataset
 from twinforge.jsonfile import dumps, read_json
-from twinforge.tabular.encoding import TableCodec
+from twinforge.tabular.encoding import PAIRWISE_FROM, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
-from twinforge.tabular.net import LEAKY_RELU, RELU, Adam, FeedForward
+from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
 
 MODEL_FORMAT_VERSION = 2
 
@@ -96,28 +96,42 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def _block_sums(blocks: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Each block's sum over the last axis, bit for bit the sum numpy makes of
+    a C-ordered row of the block's entries. Padding is set to -0.0, which adds
+    nothing to any sum. A narrow block may keep whatever layout it has, since
+    numpy then adds its entries one after another either way; a wider one is
+    made C-ordered, so numpy adds it pairwise as it would add the row."""
+    blocks[:, pad] = -0.0
+    if blocks.shape[2] >= PAIRWISE_FROM:
+        blocks = np.ascontiguousarray(blocks)
+    return blocks.sum(axis=2, keepdims=True)
+
+
 def _apply_heads(raw: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Per-column output activations: tanh alphas, softmax flag blocks."""
     out = np.empty_like(raw)
-    for col in codec.alpha_columns:
-        out[:, col] = np.tanh(raw[:, col])
-    for lo, hi in codec.flag_blocks:
-        shifted = raw[:, lo:hi] - raw[:, lo:hi].max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        out[:, lo:hi] = exp / exp.sum(axis=1, keepdims=True)
+    out[:, codec.alpha_columns] = np.tanh(raw[:, codec.alpha_columns])
+    for group in codec.flag_groups:
+        block = raw[:, group.columns]  # (rows, blocks, width)
+        block -= block.max(axis=2, keepdims=True)
+        np.exp(block, out=block)
+        block /= _block_sums(block, group.pad)
+        out[:, group.kept_columns] = block[:, ~group.pad]
     return out
 
 
 def _heads_backward(grad_act: np.ndarray, activated: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Pull gradients back through the head activations onto the raw outputs."""
     grad_raw = np.empty_like(grad_act)
-    for col in codec.alpha_columns:
-        a = activated[:, col]
-        grad_raw[:, col] = grad_act[:, col] * (1.0 - a * a)
-    for lo, hi in codec.flag_blocks:
-        p = activated[:, lo:hi]
-        g = grad_act[:, lo:hi]
-        grad_raw[:, lo:hi] = p * (g - (p * g).sum(axis=1, keepdims=True))
+    a = activated[:, codec.alpha_columns]
+    grad_raw[:, codec.alpha_columns] = grad_act[:, codec.alpha_columns] * (1.0 - a * a)
+    for group in codec.flag_groups:
+        p = activated[:, group.columns]
+        g = grad_act[:, group.columns]
+        g -= _block_sums(p * g, group.pad)
+        g *= p
+        grad_raw[:, group.kept_columns] = g[:, ~group.pad]
     return grad_raw
 
 
@@ -152,19 +166,21 @@ class _ConditionedSampler:
 def _cond_cross_entropy(
     activated: np.ndarray, conds: np.ndarray, codec: TableCodec
 ) -> tuple[float, np.ndarray]:
-    """Mean -log p(conditioned category) plus its gradient on the raw logits."""
+    """Mean -log p(conditioned category) plus its gradient on the raw logits;
+    each row of ``conds`` holds one bit, or none when the table has no
+    discrete column."""
     batch = activated.shape[0]
     grad_raw = np.zeros_like(activated)
-    picked = np.ones(batch)  # p of each row's conditioned category; 1 adds no loss
-    for span in codec.cond_spans:
-        cond = conds[:, span.cond_offset : span.cond_offset + span.width]
-        rows = np.flatnonzero(cond.any(axis=1))
-        cats = cond[rows].argmax(axis=1)
-        probs = activated[rows, span.offset : span.offset + span.width]
-        picked[rows] = probs[np.arange(rows.size), cats]
-        # combined softmax + CE gradient on the raw logits: (p - onehot) / batch
-        grad_raw[rows, span.offset : span.offset + span.width] = probs / batch
-        grad_raw[rows, span.offset + cats] -= 1.0 / batch
+    if not codec.cond_width:
+        return 0.0, grad_raw
+    bits = conds.argmax(axis=1)
+    rows = np.arange(batch)
+    columns = codec.cond_columns[bits]
+    picked = activated[rows, columns]  # p of each row's conditioned category
+    # combined softmax + CE gradient on the raw logits: (p - onehot) / batch,
+    # over the conditioned column's block and +0.0 elsewhere
+    np.divide(activated, batch, out=grad_raw, where=codec.cond_blocks[bits])
+    grad_raw[rows, columns] -= 1.0 / batch
     # math.log terms taken off left to right: the loss of a row-by-row sum, bit for bit
     total = reduce(operator.sub, map(math.log, np.maximum(picked, 1e-12).tolist()), 0.0)
     return total / batch, grad_raw
@@ -181,6 +197,7 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
 
     codec = TableCodec.fit(dataset, max_modes=config.max_modes, seed=seed)
     sampler = _ConditionedSampler(dataset, codec)
+    table = codec.row_constants(dataset)
     encoded_width = codec.row_width
     sample_width = encoded_width + codec.cond_width
     pac = config.pac
@@ -197,8 +214,16 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
     rng = np.random.default_rng(stream)
 
     batch = config.batch_size
+    noise_dim = config.noise_dim
     packs = batch // pac
     steps_per_epoch = max(1, len(dataset) // batch)
+    # The networks' inputs, filled in place: G reads noise ++ condition; D reads
+    # packs of (encoded row ++ condition), the real rows' packs before the fakes'.
+    g_input = np.empty((batch, noise_dim + codec.cond_width))
+    d_rows = np.empty((2 * batch, sample_width))
+    real_rows, fake_rows = d_rows[:batch], d_rows[batch:]
+    d_input, fake_packs = d_rows.reshape(2 * packs, -1), fake_rows.reshape(packs, -1)
+    d_signs = np.repeat([-1.0, 1.0], packs)
     gen_losses: list[float] = []
     disc_losses: list[float] = []
     step_index = 0
@@ -208,44 +233,40 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
         for _ in range(steps_per_epoch):
             # -- discriminator step
             conds, row_idx = sampler.sample(batch, rng)
-            real_enc = codec.encode_rows(dataset.take(row_idx), rng)
-            noise = rng.standard_normal((batch, config.noise_dim))
-            fake_act = _apply_heads(generator.forward(np.hstack([noise, conds])), codec)
-            d_input = np.vstack(
-                [
-                    np.hstack([real_enc, conds]).reshape(packs, -1),
-                    np.hstack([fake_act, conds]).reshape(packs, -1),
-                ]
-            )
-            scores = discriminator.forward(d_input)[:, 0]
-            s_real, s_fake = scores[:packs], scores[packs:]
-            d_loss = float(_softplus(-s_real).mean() + _softplus(s_fake).mean())
+            real_rows[:, :encoded_width] = codec.encode_rows(table.take(row_idx), rng)
+            real_rows[:, encoded_width:] = conds
+            g_input[:, :noise_dim] = rng.standard_normal((batch, noise_dim))
+            g_input[:, noise_dim:] = conds
+            fake_rows[:, :encoded_width] = _apply_heads(generator.forward(g_input), codec)
+            fake_rows[:, encoded_width:] = conds
+            # -s for the real packs and s for the fakes, as one array
+            signed = discriminator.forward(d_input)[:, 0] * d_signs
+            losses = _softplus(signed)
+            d_loss = float(losses[:packs].mean() + losses[packs:].mean())
             if not math.isfinite(d_loss):
                 raise NonFiniteLoss(step_index, "discriminator")
-            grad_scores = np.concatenate(
-                [-_sigmoid(-s_real) / packs, _sigmoid(s_fake) / packs]
-            )[:, None]
-            d_grads, _ = discriminator.backward(grad_scores)
-            adam_d.step(d_grads)
+            grad_scores = (_sigmoid(signed) * d_signs / packs)[:, None]
+            adam_d.step(discriminator.backward(grad_scores, PARAMS))
 
             # -- generator step
             conds, _ = sampler.sample(batch, rng)
-            noise = rng.standard_normal((batch, config.noise_dim))
-            raw = generator.forward(np.hstack([noise, conds]))
-            fake_act = _apply_heads(raw, codec)
-            scores = discriminator.forward(np.hstack([fake_act, conds]).reshape(packs, -1))[:, 0]
-            adv_loss = float(_softplus(-scores).mean())
+            g_input[:, :noise_dim] = rng.standard_normal((batch, noise_dim))
+            g_input[:, noise_dim:] = conds
+            fake_act = _apply_heads(generator.forward(g_input), codec)
+            fake_rows[:, :encoded_width] = fake_act
+            fake_rows[:, encoded_width:] = conds
+            neg_scores = -discriminator.forward(fake_packs)[:, 0]
+            adv_loss = float(_softplus(neg_scores).mean())
             ce_loss, ce_grad_raw = _cond_cross_entropy(fake_act, conds, codec)
             g_loss = adv_loss + config.cond_loss_weight * ce_loss
             if not math.isfinite(g_loss):
                 raise NonFiniteLoss(step_index, "generator")
-            grad_scores = (-_sigmoid(-scores) / packs)[:, None]
-            _, d_input_grad = discriminator.backward(grad_scores)
+            grad_scores = (-_sigmoid(neg_scores) / packs)[:, None]
+            d_input_grad = discriminator.backward(grad_scores, INPUT)
             grad_act = d_input_grad.reshape(batch, sample_width)[:, :encoded_width]
             grad_raw = _heads_backward(grad_act, fake_act, codec)
             grad_raw += config.cond_loss_weight * ce_grad_raw
-            g_grads, _ = generator.backward(grad_raw)
-            adam_g.step(g_grads)
+            adam_g.step(generator.backward(grad_raw, PARAMS))
 
             epoch_d += d_loss
             epoch_g += g_loss

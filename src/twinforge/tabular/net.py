@@ -7,6 +7,8 @@ Everything is float64 and deterministic given the initialization rng.
 A network keeps all of its weights and biases in one contiguous vector, and
 ``backward`` writes the parameter gradients into one vector laid out the same
 way, so ``Adam`` updates every parameter with a handful of whole-vector ops.
+A backward pass computes only the gradient its caller asks for: a GAN step
+reads either a network's parameter gradients or its input gradient, never both.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 RELU = "relu"
 LEAKY_RELU = "leaky_relu"
 LEAK = 0.2
+PARAMS = "params"
+INPUT = "input"
 
 
 def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -35,9 +39,10 @@ def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], 
 class FeedForward:
     """Linear stack with a fixed hidden activation and a linear output layer.
 
-    ``weights`` and ``biases`` are views into ``param_vector``. ``backward``
-    returns the parameter gradients as one vector laid out the same way,
-    which the next call overwrites.
+    ``weights`` and ``biases`` are views into ``param_vector``.
+    ``backward(grad, PARAMS)`` returns the parameter gradients as one vector
+    laid out the same way, which the next call overwrites;
+    ``backward(grad, INPUT)`` returns the gradient on the input.
     """
 
     def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator) -> None:
@@ -65,7 +70,7 @@ class FeedForward:
     def _act(self, pre: np.ndarray) -> np.ndarray:
         if self.activation == RELU:
             return np.maximum(pre, 0.0)
-        return np.where(pre > 0, pre, LEAK * pre)
+        return np.maximum(pre, LEAK * pre)
 
     def _act_grad(self, pre: np.ndarray) -> np.ndarray:
         if self.activation == RELU:
@@ -85,8 +90,11 @@ class FeedForward:
         self._cache = cache
         return out
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients for the most recent forward: (parameter gradients, input grad)."""
+    def backward(self, grad_out: np.ndarray, wrt: str) -> np.ndarray:
+        """The gradient, for the most recent forward, with respect to ``wrt``:
+        the parameters (``PARAMS``) or the input (``INPUT``)."""
+        if wrt not in (PARAMS, INPUT):
+            raise ValueError(f"cannot differentiate with respect to {wrt!r}")
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         grad = grad_out
@@ -95,11 +103,14 @@ class FeedForward:
             x_in, pre = self._cache[i]
             if i != last:
                 grad = grad * self._act_grad(pre)
-            np.matmul(x_in.T, grad, out=self._grad_weights[i])
-            grad.sum(axis=0, out=self._grad_biases[i])
+            if wrt == PARAMS:
+                np.matmul(x_in.T, grad, out=self._grad_weights[i])
+                grad.sum(axis=0, out=self._grad_biases[i])
+                if i == 0:
+                    break  # the input gradient is not asked for
             grad = grad @ self.weights[i].T
         self._cache = None
-        return self._grad_vector, grad
+        return self._grad_vector if wrt == PARAMS else grad
 
 
 class Adam:

@@ -21,6 +21,8 @@ from twinforge.ingest import (
     parse_macro_script,
     write_dataset_csv,
 )
+from twinforge.tabular.encoding import TableCodec
+from twinforge.tabular.mixture import ModeNormalizer
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -92,6 +94,26 @@ def make_fixture_dataset(
     )
     pids = tuple(range(1, n_rows + 1))
     return TabularDataset(schema, rows, pids)
+
+
+def make_codec_with_widths() -> TableCodec:
+    """Flag blocks of every width from 1 to 20: a discrete column with that
+    many categories each (two of width 9), continuous columns of 1 to 5 modes."""
+    rng = np.random.default_rng(17)
+    columns, normalizers, categories, frequencies = [], {}, {}, {}
+    for k in range(1, 6):
+        name = f"x{k}"
+        columns.append(Column(name, CONTINUOUS))
+        normalizers[name] = ModeNormalizer((1.0 / k,) * k, tuple(float(m) for m in range(k)), (1.0,) * k, 1e-6)
+    for width in list(range(1, 21)) + [9]:
+        name = f"d{len(columns)}"
+        columns.append(Column(name, DISCRETE))
+        categories[name] = tuple(f"c{j:02d}" for j in range(width))
+        counts = rng.integers(0, 50, size=width)  # zero counts leave flat steps in a cdf
+        counts[0] += 1
+        frequencies[name] = {c: int(n) for c, n in zip(categories[name], counts)}
+    rng.shuffle(columns)
+    return TableCodec(Schema(tuple(columns)), normalizers, categories, frequencies)
 
 
 @pytest.fixture(scope="session")

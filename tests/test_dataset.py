@@ -40,7 +40,9 @@ def test_both_constructors_build_equal_datasets():
     assert by_columns.column_values("x") == (1.0, 2.5, -3.0)
     assert by_rows != TabularDataset(SCHEMA, ROWS)
     assert len(by_rows) == 3
-    assert by_columns.take(np.array([2, 0, 2])) == TabularDataset(SCHEMA, (ROWS[2], ROWS[0], ROWS[2]))
+    users, xs = by_columns.columns
+    picked = TabularDataset.from_columns(SCHEMA, [Categorical(users.categories, users.codes[[2, 0, 2]]), xs[[2, 0, 2]]])
+    assert picked == TabularDataset(SCHEMA, (ROWS[2], ROWS[0], ROWS[2]))
     assert TabularDataset(SCHEMA, ()) == _by_columns(())
 
 
@@ -49,7 +51,9 @@ def test_columns_are_copied_and_read_only():
     dataset = TabularDataset.from_columns(SCHEMA, [Categorical.from_values(["a", "b", "a"]), xs])
     xs[0] = 99.0
     assert dataset.column_values("x") == (1.0, 2.5, -3.0)
-    for subset in (dataset, dataset.take(np.array([1]))):
+    users, xs = dataset.columns
+    picked = TabularDataset.from_columns(SCHEMA, [Categorical(users.categories, users.codes[[1]]), xs[[1]]])
+    for subset in (dataset, picked):
         with pytest.raises(ValueError):
             subset.column("x")[0] = 5.0
         with pytest.raises(ValueError):

@@ -14,6 +14,9 @@ from twinforge.ingest.top import parse_top_capture
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 
+import reference_loops as reference
+from conftest import make_codec_with_widths
+
 
 def _codec_for(norm: ModeNormalizer) -> TableCodec:
     schema = Schema((Column("x", CONTINUOUS), Column("u", DISCRETE)))
@@ -30,7 +33,7 @@ NORM = ModeNormalizer((0.5, 0.5), (0.0, 10.0), (1.0, 2.0), 1e-6)
 def test_alpha_zero_at_mode_mean():
     codec = _codec_for(NORM)
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows(_table(codec, (0.0, "a")), rng)
+    enc = codec.encode_rows(codec.row_constants(_table(codec, (0.0, "a"))), rng)
     mode = int(np.argmax(enc[0, 1:3]))
     assert enc[0, 0] == pytest.approx(0.0, abs=1e-12) or mode == 1
     # decoding inverts regardless of which mode the posterior picked
@@ -40,7 +43,7 @@ def test_alpha_zero_at_mode_mean():
 def test_alpha_one_at_four_stdevs():
     codec = _codec_for(ModeNormalizer((1.0,), (2.0,), (0.5,), 1e-6))
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows(_table(codec, (2.0 + ALPHA_SCALE * 0.5, "a")), rng)
+    enc = codec.encode_rows(codec.row_constants(_table(codec, (2.0 + ALPHA_SCALE * 0.5, "a"))), rng)
     assert enc[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert codec.decode_rows(enc)[0][0] == pytest.approx(4.0, abs=1e-12)
 
@@ -48,7 +51,7 @@ def test_alpha_one_at_four_stdevs():
 def test_clipped_value_decodes_to_envelope_edge():
     codec = _codec_for(ModeNormalizer((1.0,), (0.0,), (1.0,), 1e-6))
     rng = np.random.default_rng(0)
-    enc = codec.encode_rows(_table(codec, (100.0, "a")), rng)
+    enc = codec.encode_rows(codec.row_constants(_table(codec, (100.0, "a"))), rng)
     assert enc[0, 0] == 1.0
     assert codec.decode_rows(enc)[0][0] == pytest.approx(ALPHA_SCALE, abs=1e-12)
 
@@ -56,7 +59,7 @@ def test_clipped_value_decodes_to_envelope_edge():
 def test_one_hot_invariants():
     codec = _codec_for(NORM)
     rng = np.random.default_rng(1)
-    enc = codec.encode_rows(_table(codec, (5.0, "a"), (-1.0, "b")), rng)
+    enc = codec.encode_rows(codec.row_constants(_table(codec, (5.0, "a"), (-1.0, "b"))), rng)
     for row in enc:
         assert row[1:3].sum() == 1.0  # exactly one mode flag
         assert row[3:5].sum() == 1.0  # exactly one category flag
@@ -65,13 +68,13 @@ def test_one_hot_invariants():
 def test_unknown_category():
     codec = _codec_for(NORM)
     with pytest.raises(UnknownCategory):
-        codec.encode_rows(_table(codec, (0.0, "zz")), np.random.default_rng(0))
+        codec.encode_rows(codec.row_constants(_table(codec, (0.0, "zz"))), np.random.default_rng(0))
 
 
 def test_encode_decode_identity_on_table_cpu(top_capture_text):
     dataset = parse_top_capture(top_capture_text)
     codec = TableCodec.fit(dataset, seed=0)
-    decoded = codec.decode_rows(codec.encode_rows(dataset, np.random.default_rng(0)))
+    decoded = codec.decode_rows(codec.encode_rows(codec.row_constants(dataset), np.random.default_rng(0)))
     cpu = decoded[dataset.schema.names.index("cpu_pct")]
     assert len(cpu) == len(dataset)
     for value, back in zip(dataset.column_values("cpu_pct"), cpu):
@@ -155,6 +158,47 @@ def test_sample_conditions_match_per_row_choice(frequencies, seed):
             assert (sample(ours, size) == _per_row_conditions(codec, theirs, size, log_weighted)).all()
             # the same stream is consumed, so later draws agree too
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [2, 32, 560])
+def test_encode_rows_matches_the_per_column_loop(fixture_dataset, size):
+    codec = TableCodec.fit(fixture_dataset, seed=0)
+    table = codec.row_constants(fixture_dataset)
+    for seed in range(3):
+        rows = np.random.default_rng(seed).integers(len(fixture_dataset), size=size)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        encoded = codec.encode_rows(table.take(rows), ours)
+        expected = reference.encode_rows(codec, reference.rows_of(fixture_dataset.columns, rows), theirs)
+        assert reference.same_bits(encoded, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("log_weighted", [True, False])
+@pytest.mark.parametrize("size", [1, 32, 20000])
+def test_sample_conditions_match_the_per_span_loop(size, log_weighted):
+    codec = make_codec_with_widths()
+    sample = codec.sample_conditions_logfreq if log_weighted else codec.sample_conditions_empirical
+    for seed in range(3):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        conds = sample(ours, size)
+        assert reference.same_bits(conds, reference.sample_conditions(codec, theirs, size, log_weighted))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_uniform_on_a_cdf_step_picks_the_next_category(seed):
+    # The draw the sampler will make, then weights whose cdf steps exactly there.
+    probe = np.random.default_rng(seed)
+    probe.integers(1, size=1)
+    u = float(probe.random(1)[0])
+    weights = np.array([u, 1.0 - u])
+    cdf = (weights / weights.sum()).cumsum()
+    assert (cdf / cdf[-1])[0] == u
+    codec = _condition_codec({"a": u, "b": 1.0 - u})
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    conds = codec.sample_conditions_empirical(ours, 1)
+    assert conds.tolist() == [[0.0, 1.0]]  # searchsorted(side="right") steps past an equal entry
+    assert reference.same_bits(conds, reference.sample_conditions(codec, theirs, 1, log_weighted=False))
 
 
 def test_decode_rows_matches_per_row_decode(fixture_dataset):

@@ -20,9 +20,10 @@ from twinforge.tabular import (
     train_gan,
 )
 from twinforge.tabular.encoding import TableCodec
-from twinforge.tabular.gan import _apply_heads, _cond_cross_entropy, _ConditionedSampler
+from twinforge.tabular.gan import _apply_heads, _cond_cross_entropy, _ConditionedSampler, _heads_backward
 
-from conftest import make_fixture_dataset
+import reference_loops as reference
+from conftest import make_codec_with_widths, make_fixture_dataset
 
 SMALL_CONFIG = GanConfig(epochs=4, batch_size=16, pac=4)
 
@@ -171,4 +172,83 @@ def test_cond_cross_entropy_matches_per_row_sum(small_dataset):
         expected[i, span.offset : span.offset + span.width] = probs / 64
         expected[i, span.offset + j] -= 1.0 / 64
     assert loss == total / 64
-    assert (grad == expected).all()
+    assert reference.same_bits(grad, expected)
+
+
+# -- the whole-batch step against the per-block loops it replaced ------------------
+
+
+def _columns_of(dataset: TabularDataset, kind: str) -> TabularDataset:
+    schema = Schema(tuple(c for c in dataset.schema.columns if c.kind == kind))
+    return TabularDataset.from_columns(schema, [dataset.column(c.name) for c in schema.columns])
+
+
+def _wide_and_narrow_table(n_rows: int = 96, seed: int = 13) -> TabularDataset:
+    """An 11-category column (wider than numpy's 8-value pairwise block)
+    beside a 2-category one and a bimodal continuous column."""
+    rng = np.random.default_rng(seed)
+    schema = Schema((Column("cmd", DISCRETE), Column("x", CONTINUOUS), Column("flag", DISCRETE)))
+    weights = np.arange(1, 12, dtype=float)
+    cmds = rng.choice([f"c{k:02d}" for k in range(11)], size=n_rows, p=weights / weights.sum())
+    xs = np.where(rng.random(n_rows) < 0.5, rng.normal(0.0, 1.0, n_rows), rng.normal(9.0, 2.0, n_rows))
+    flags = rng.choice(["on", "off"], size=n_rows, p=[0.9, 0.1])
+    return TabularDataset(schema, tuple(zip(cmds.tolist(), xs.tolist(), flags.tolist())))
+
+
+_TRAINING_CASES = {
+    "small-seed-3": (lambda d: d, SMALL_CONFIG, 3),
+    "small-seed-21": (lambda d: d, SMALL_CONFIG, 21),
+    "small-seed-40": (lambda d: d, SMALL_CONFIG, 40),
+    "continuous-only": (lambda d: _columns_of(d, CONTINUOUS), SMALL_CONFIG, 5),
+    "discrete-only": (lambda d: _columns_of(d, DISCRETE), SMALL_CONFIG, 6),
+    "wide-and-narrow": (lambda d: _wide_and_narrow_table(), SMALL_CONFIG, 7),
+    "pac-1": (lambda d: d, GanConfig(epochs=2, batch_size=16, pac=1), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAINING_CASES))
+def test_training_matches_the_per_block_loop_byte_for_byte(case, small_dataset):
+    make, config, seed = _TRAINING_CASES[case]
+    dataset = make(small_dataset)
+    model = train_gan(dataset, config, seed=seed)
+    assert model_to_json(model) == model_to_json(reference.train_gan(dataset, config, seed=seed))
+    # synthesis from the trained model runs the same heads and condition sampler
+    synth = generate_rows(model, 40, np.random.default_rng(seed))
+    activated = reference.generate_activated(model, 40, np.random.default_rng(seed))
+    expected = TabularDataset.from_columns(model.schema, model.codec.decode_rows(activated), np.arange(1, 41))
+    assert synth == expected
+
+
+def _raw_outputs(n: int, width: int, seed: int) -> np.ndarray:
+    """Logits over several decades, with some exact and negative zeros."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 3, size=(n, width))
+    raw[rng.random((n, width)) < 0.05] = 0.0
+    raw[rng.random((n, width)) < 0.05] = -0.0
+    return raw
+
+
+@pytest.mark.parametrize("n", [1, 32, 20000])
+def test_heads_match_the_per_block_loops(n):
+    codec = make_codec_with_widths()
+    blocks_by_width = {g.columns.shape[1]: g.columns.shape[0] for g in codec.flag_groups}
+    assert blocks_by_width[9] == 2 and set(range(8, 21)) <= set(blocks_by_width)  # wide blocks grouped by width
+    raw = _raw_outputs(n, codec.row_width, seed=n)
+    activated = _apply_heads(raw, codec)
+    assert reference.same_bits(activated, reference.apply_heads(raw, codec))
+    grad_act = _raw_outputs(n, codec.row_width, seed=n + 1)
+    assert reference.same_bits(
+        _heads_backward(grad_act, activated, codec), reference.heads_backward(grad_act, activated, codec)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 32, 20000])
+def test_cond_cross_entropy_matches_the_per_span_loop(n):
+    codec = make_codec_with_widths()
+    activated = _apply_heads(_raw_outputs(n, codec.row_width, seed=n + 2), codec)
+    assert (activated[:, codec.alpha_columns] < 0).any()  # where a 0/1 mask would write -0.0
+    conds = reference.sample_conditions(codec, np.random.default_rng(n), n, log_weighted=True)
+    loss, grad = _cond_cross_entropy(activated, conds, codec)
+    expected_loss, expected_grad = reference.cond_cross_entropy(activated, conds, codec)
+    assert loss == expected_loss
+    assert reference.same_bits(grad, expected_grad)

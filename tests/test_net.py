@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twinforge.tabular.net import LEAKY_RELU, RELU, Adam, FeedForward
+from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
+
+import reference_loops as reference
 
 
 class _PerTensorAdam:
@@ -60,6 +62,28 @@ def test_flat_adam_matches_the_per_tensor_loop_bit_for_bit(seed):
     assert _same_bits(adam.v, np.concatenate([v.ravel() for v in reference.v]))
 
 
+@pytest.mark.parametrize("wrt", [PARAMS, INPUT])
+@pytest.mark.parametrize("activation", [RELU, LEAKY_RELU])
+def test_backward_matches_the_full_pass_bit_for_bit(activation, wrt):
+    for seed in range(4):
+        sizes = [6, 9, 7, 3]
+        net = FeedForward(sizes, activation, np.random.default_rng(seed))
+        full = reference.FeedForward(sizes, activation, np.random.default_rng(seed))
+        assert reference.same_bits(net.param_vector, full.param_vector)
+        rng = np.random.default_rng(100 + seed)
+        biases = 0.1 * rng.standard_normal(net.param_vector.size)
+        for p in (net.param_vector, full.param_vector):
+            p += biases
+        x = rng.standard_normal((8, 6))
+        x[0] = 0.0  # zero and negative-zero rows reach the activations' zero case
+        x[1] = -0.0
+        grad_out = rng.standard_normal((8, 3))
+        grad_out[2] = -0.0
+        assert reference.same_bits(net.forward(x), full.forward(x))
+        grads, input_grad = full.backward(grad_out)
+        assert reference.same_bits(net.backward(grad_out, wrt), grads if wrt == PARAMS else input_grad)
+
+
 @pytest.mark.parametrize("activation", [RELU, LEAKY_RELU])
 def test_backward_matches_central_differences(activation):
     rng = np.random.default_rng(4)
@@ -72,8 +96,9 @@ def test_backward_matches_central_differences(activation):
         return float((net.forward(x) * weight).sum())
 
     loss()
-    grads, input_grad = net.backward(weight)
-    grads = grads.copy()
+    grads = net.backward(weight, PARAMS).copy()
+    loss()
+    input_grad = net.backward(weight, INPUT)
 
     eps = 1e-6
     numeric = np.empty_like(grads)
@@ -104,7 +129,7 @@ def test_adam_step_moves_the_layer_views():
     net = FeedForward([3, 4, 2], RELU, rng)
     before = [p.copy() for p in net.params]
     net.forward(rng.standard_normal((5, 3)))
-    grads, _ = net.backward(rng.standard_normal((5, 2)))
+    grads = net.backward(rng.standard_normal((5, 2)), PARAMS)
     Adam(net.param_vector, 1e-2, 0.5, 0.9).step(grads)
     for i, w in enumerate(net.weights):
         assert np.shares_memory(w, net.param_vector)
@@ -113,6 +138,24 @@ def test_adam_step_moves_the_layer_views():
 
 
 def test_backward_before_forward_is_refused():
+    net = FeedForward([2, 3, 2], RELU, np.random.default_rng(0))
+    for wrt in (PARAMS, INPUT):
+        with pytest.raises(RuntimeError):
+            net.backward(np.zeros((1, 2)), wrt)
+
+
+@pytest.mark.parametrize("wrt", [PARAMS, INPUT])
+def test_a_forward_allows_one_backward(wrt):
+    net = FeedForward([2, 3, 2], RELU, np.random.default_rng(0))
+    net.forward(np.ones((1, 2)))
+    net.backward(np.ones((1, 2)), wrt)
+    for again in (PARAMS, INPUT):
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones((1, 2)), again)
+
+
+def test_backward_refuses_an_unknown_gradient():
     net = FeedForward([2, 2], RELU, np.random.default_rng(0))
-    with pytest.raises(RuntimeError):
-        net.backward(np.zeros((1, 2)))
+    net.forward(np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        net.backward(np.ones((1, 2)), "weights")
