@@ -224,18 +224,31 @@ class TabularDataset:
 
 
 def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:
-    """Write a dataset as UTF-8 RFC-4180 CSV (discrete quoted, continuous bare)."""
-    # .tolist() yields Python floats: the writer prints repr(), and a numpy
-    # scalar's repr is "np.float64(...)".
-    columns: list[Sequence[object]] = [c.tolist() for c in dataset.columns]
+    """Write a dataset as UTF-8 RFC-4180 CSV (discrete quoted, continuous bare).
+
+    The bytes are those of ``csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)``
+    over the rows: every discrete cell quoted, with ``"`` doubled; every
+    number bare, a float as its ``repr`` and a pid as its ``str``; CRLF line
+    ends. Each column's text is built once, with no per-cell dispatch.
+    """
+    cells: list[list[str]] = []
+    for column in dataset.columns:
+        if isinstance(column, Categorical):
+            quoted = np.array(['"' + c.replace('"', '""') + '"' for c in column.categories], dtype=object)
+            cells.append(quoted[column.codes].tolist())
+        else:
+            # .tolist() yields Python floats, whose repr is the number; a
+            # numpy scalar's repr is "np.float64(...)".
+            cells.append(list(map(repr, column.tolist())))
     header = list(dataset.schema.names)
     if dataset.pids is not None:
         header = [PID_COLUMN] + header
-        columns.insert(0, dataset.pids)
+        cells.insert(0, list(map(str, dataset.pids)))
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerow(header)
+        if len(dataset):
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def _record_line(path: Path, index: int) -> int:

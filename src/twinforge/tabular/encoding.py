@@ -43,15 +43,16 @@ PAIRWISE_FROM = 8
 class FlagGroup:
     """Flag blocks side by side, so a softmax over all of them is a few
     whole-array ops: block ``b`` holds ``columns[b]``, padded (``pad``) by
-    repeating its first column. ``kept_columns`` are the columns of the
-    entries that are not padding, in row-major order."""
+    repeating its first column. ``targets`` is where each entry is written
+    back: its column, or for padding a spare column one past the row, which
+    the heads then drop."""
 
     columns: np.ndarray
     pad: np.ndarray
-    kept_columns: np.ndarray
+    targets: np.ndarray
 
 
-def _flag_groups(blocks: list[range]) -> tuple[FlagGroup, ...]:
+def _flag_groups(blocks: list[range], spare: int) -> tuple[FlagGroup, ...]:
     """Blocks narrower than ``PAIRWISE_FROM`` share one group, padded to the
     widest of them: padding that adds nothing leaves their sums' bits alone.
     Wider blocks are grouped by width, unpadded: numpy would pair the entries
@@ -64,7 +65,7 @@ def _flag_groups(blocks: list[range]) -> tuple[FlagGroup, ...]:
         width = max(len(b) for b in group)
         columns = np.array([list(b) + [b[0]] * (width - len(b)) for b in group], dtype=np.intp)
         pad = np.array([[k >= len(b) for k in range(width)] for b in group])
-        out.append(FlagGroup(columns, pad, columns[~pad]))
+        out.append(FlagGroup(columns, pad, np.where(pad, spare, columns)))
     return tuple(out)
 
 
@@ -133,7 +134,7 @@ class TableCodec:
         self._last_modes = np.array([s.width - 2 for s in continuous], dtype=np.intp)
         self._max_modes = max((s.width - 1 for s in continuous), default=0)
         self.flag_groups = _flag_groups(
-            [range(s.offset + (s.kind == CONTINUOUS), s.offset + s.width) for s in spans]
+            [range(s.offset + (s.kind == CONTINUOUS), s.offset + s.width) for s in spans], spare=offset
         )
         # per condition bit, its flag column and a mask of its column's flag block
         self.cond_columns = np.array(

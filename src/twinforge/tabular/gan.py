@@ -110,20 +110,20 @@ def _block_sums(blocks: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 def _apply_heads(raw: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Per-column output activations: tanh alphas, softmax flag blocks."""
-    out = np.empty_like(raw)
+    out = np.empty((raw.shape[0], raw.shape[1] + 1))  # + the padding's spare column
     out[:, codec.alpha_columns] = np.tanh(raw[:, codec.alpha_columns])
     for group in codec.flag_groups:
         block = raw[:, group.columns]  # (rows, blocks, width)
         block -= block.max(axis=2, keepdims=True)
         np.exp(block, out=block)
         block /= _block_sums(block, group.pad)
-        out[:, group.kept_columns] = block[:, ~group.pad]
-    return out
+        out[:, group.targets] = block
+    return out[:, :-1]
 
 
 def _heads_backward(grad_act: np.ndarray, activated: np.ndarray, codec: TableCodec) -> np.ndarray:
     """Pull gradients back through the head activations onto the raw outputs."""
-    grad_raw = np.empty_like(grad_act)
+    grad_raw = np.empty((grad_act.shape[0], grad_act.shape[1] + 1))  # + the padding's spare column
     a = activated[:, codec.alpha_columns]
     grad_raw[:, codec.alpha_columns] = grad_act[:, codec.alpha_columns] * (1.0 - a * a)
     for group in codec.flag_groups:
@@ -131,8 +131,8 @@ def _heads_backward(grad_act: np.ndarray, activated: np.ndarray, codec: TableCod
         g = grad_act[:, group.columns]
         g -= _block_sums(p * g, group.pad)
         g *= p
-        grad_raw[:, group.kept_columns] = g[:, ~group.pad]
-    return grad_raw
+        grad_raw[:, group.targets] = g
+    return grad_raw[:, :-1]
 
 
 class _ConditionedSampler:

@@ -43,6 +43,14 @@ class FeedForward:
     ``backward(grad, PARAMS)`` returns the parameter gradients as one vector
     laid out the same way, which the next call overwrites;
     ``backward(grad, INPUT)`` returns the gradient on the input.
+
+    ``forward`` applies each activation in place and caches, per layer, the
+    layer's input and its activated output (the next layer's input), so a
+    network holds one array per layer between a forward and its backward.
+    ``backward`` takes each activation's mask from its output: for ReLU and
+    for leaky ReLU with a positive leak, the output is > 0 exactly where the
+    pre-activation is, for every double (signed zeros, subnormals whose
+    leaked value underflows, NaN).
     """
 
     def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator) -> None:
@@ -67,15 +75,10 @@ class FeedForward:
             out.extend((w, b))
         return out
 
-    def _act(self, pre: np.ndarray) -> np.ndarray:
+    def _act_grad(self, activated: np.ndarray) -> np.ndarray:
         if self.activation == RELU:
-            return np.maximum(pre, 0.0)
-        return np.maximum(pre, LEAK * pre)
-
-    def _act_grad(self, pre: np.ndarray) -> np.ndarray:
-        if self.activation == RELU:
-            return pre > 0
-        return np.where(pre > 0, 1.0, LEAK)
+            return activated > 0
+        return np.where(activated > 0, 1.0, LEAK)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the stack, keeping the per-layer cache for one backward pass."""
@@ -83,10 +86,15 @@ class FeedForward:
         out = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = out @ w
-            pre += b
-            cache.append((out, pre))
-            out = pre if i == last else self._act(pre)
+            x_in = out
+            out = x_in @ w
+            out += b
+            if i != last:
+                if self.activation == RELU:
+                    np.maximum(out, 0.0, out=out)
+                else:
+                    np.maximum(out, LEAK * out, out=out)
+            cache.append((x_in, out))
         self._cache = cache
         return out
 
@@ -100,9 +108,9 @@ class FeedForward:
         grad = grad_out
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            x_in, pre = self._cache[i]
+            x_in, activated = self._cache[i]
             if i != last:
-                grad = grad * self._act_grad(pre)
+                grad = grad * self._act_grad(activated)
             if wrt == PARAMS:
                 np.matmul(x_in.T, grad, out=self._grad_weights[i])
                 grad.sum(axis=0, out=self._grad_biases[i])

@@ -12,13 +12,18 @@ copied to its ``.node`` with its mode before the record is written; a
 deleted file or link is renamed there after. An op touches the sandbox only
 once its record is complete.
 
-``roll_back`` undoes the records newest first and deletes each one as soon
-as its op is undone, so the journal always lists only what is still to
-undo and a roll-back cut short can be run again. The writer lock calls it
-on every acquisition, so a patch cut short by a crash is undone by the next
-writer. The guarantee covers a process crash, not power loss: nothing here
-calls ``fsync``, so after a power cut the journal or the sandbox may hold
-data the kernel never wrote.
+A patch whose ops all ran commits by renaming the marker to the committed
+marker, one atomic step; from then on the journal is only dropped, never
+undone. ``roll_back`` undoes the records newest first and deletes each one
+as soon as its op is undone, so the journal always lists only what is still
+to undo and a roll-back cut short can be run again. Either way the journal
+is dropped entry by entry with its marker last, so a drop cut short leaves a
+journal that still says what it is, or an empty directory. The writer lock
+calls ``roll_back`` on every acquisition, so the next writer undoes a patch
+cut short by a crash, or finishes dropping a committed one. The guarantee
+covers a process crash, not power loss: nothing here calls ``fsync``, so
+after a power cut the journal or the sandbox may hold data the kernel never
+wrote.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from twinforge.errors import MalformedJournal
 from twinforge.jsonfile import read_json, write_json
 
 MARKER = "twinforge-journal"
+COMMITTED = "twinforge-journal.committed"
 
 
 @dataclass(frozen=True)
@@ -110,13 +116,33 @@ def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
         _discard(root / rel, Path.rmdir)
 
 
+def commit(journal: Path) -> None:
+    """Commit the patch the journal undoes, then drop the journal."""
+    (journal / MARKER).rename(journal / COMMITTED)
+    _drop(journal, COMMITTED)
+
+
+def _drop(journal: Path, marker: str) -> None:
+    """Remove the journal: its records and saved nodes (files or links),
+    then its marker, then the empty directory."""
+    for entry in list(journal.iterdir()):
+        if entry.name != marker:
+            entry.unlink()
+    (journal / marker).unlink()
+    journal.rmdir()
+
+
 def roll_back(sandbox: str | Path) -> None:
-    """Undo the sandbox's journal newest first, then drop it. A sandbox with
-    no journal is left alone, and so is a directory that is not a journal."""
+    """Undo the sandbox's journal newest first, then drop it; a committed
+    journal is only dropped. A sandbox with no journal is left alone, and so
+    is a directory that is not a journal."""
     journal = journal_dir(sandbox)
+    if (journal / COMMITTED).is_file():
+        _drop(journal, COMMITTED)
+        return
     if not (journal / MARKER).is_file():
         try:
-            journal.rmdir()  # empty: a patch died between mkdir and marker
+            journal.rmdir()  # empty: cut between mkdir and marker, or marker and rmdir
         except OSError:
             pass  # absent, or not ours
         return
@@ -129,4 +155,4 @@ def roll_back(sandbox: str | Path) -> None:
             raise MalformedJournal(f"{path}: bad undo record: {exc}") from exc
         _undo(root, path.with_suffix(".node"), rec)
         path.unlink()
-    shutil.rmtree(journal)
+    _drop(journal, MARKER)

@@ -6,11 +6,12 @@ target's original node, or the fact that it was absent, and the directories
 the op will create) is complete in ``<sandbox>.journal/`` (see
 ``twin.journal``). If any op fails, the ops done so far are undone newest
 first and the sandbox is left as it was; if the process dies mid-patch, the
-next holder of the writer lock undoes them. Nothing is ``fsync``ed, so
-that guarantee covers a process crash, not power loss. Each op's target and
-its existing parents are resolved first, so an op never writes through a
-symbolic link to outside the sandbox. The JSON patch file is a list of op
-objects, e.g.::
+next holder of the writer lock undoes them. Once every op has run, the
+patch commits in one rename of the journal's marker and is never undone
+after it. Nothing is ``fsync``ed, so that guarantee covers a process crash,
+not power loss. Each op's target and its existing parents are resolved
+first, so an op never writes through a symbolic link to outside the
+sandbox. The JSON patch file is a list of op objects, e.g.::
 
     [{"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\\n"},
      {"op": "replace_file", "path": "docs/readme.txt", "content": "v2"},
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -39,7 +39,7 @@ from twinforge.errors import (
     ReplaceMissing,
 )
 from twinforge.jsonfile import read_json, read_text, text_fields
-from twinforge.twin.journal import begin, record_add, record_delete, record_rewrite, roll_back
+from twinforge.twin.journal import begin, commit, record_add, record_delete, record_rewrite, roll_back
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, writer_lock
 
@@ -186,7 +186,7 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
         except BaseException:
             roll_back(root)
             raise
-        shutil.rmtree(journal)
+        commit(journal)
     return PatchReport(applied=tuple(_describe(op) for op in delta.ops), manifest=manifest)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twinforge.errors import MalformedCsv
@@ -16,6 +19,7 @@ from twinforge.ingest import (
     read_dataset_csv,
     write_dataset_csv,
 )
+from twinforge.ingest.tabular import PID_COLUMN
 
 SCHEMA = Schema(
     (
@@ -106,6 +110,47 @@ def test_round_trip_random_datasets(tmp_path_factory, raw_rows):
     write_dataset_csv(dataset, path)
     assert read_dataset_csv(path) == dataset
 
+
+
+def _csv_module_bytes(dataset: TabularDataset) -> bytes:
+    """The file ``csv.writer`` makes of the dataset's ``.tolist()`` rows."""
+    header = list(dataset.schema.names)
+    columns = [c.tolist() for c in dataset.columns]
+    if dataset.pids is not None:
+        header.insert(0, PID_COLUMN)
+        columns.insert(0, dataset.pids)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue().encode("utf-8")
+
+
+_category = st.sampled_from(['"', '""x"', ",", "\r", "\n", "\r\n", "", "Grüße, 世界", " "]) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8
+)
+_number = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, 0.1]) | _finite_float
+
+
+@st.composite
+def _datasets(draw):
+    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, DISCRETE]), min_size=1, max_size=4))
+    schema = Schema(tuple(Column(f"c{i}", kind) for i, kind in enumerate(kinds)))
+    cell = {CONTINUOUS: _number, DISCRETE: _category}
+    rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=12))
+    pids = draw(st.none() | st.lists(st.integers(1, 2**63 - 1), min_size=len(rows), max_size=len(rows)))
+    return TabularDataset(schema, rows, pids)
+
+
+@given(_datasets())
+@example(TabularDataset(Schema((Column("only", DISCRETE),)), (("",), ('a "b"\r\n',))))
+@example(TabularDataset(Schema((Column("only", CONTINUOUS),)), ((-0.0,), (5e-324,), (1e16,))))
+@example(TabularDataset(SCHEMA, (), ()))
+@example(TabularDataset(SCHEMA, ()))
+def test_writer_bytes_equal_the_csv_module(tmp_path_factory, dataset):
+    path = tmp_path_factory.getbasetemp() / "writer.csv"
+    write_dataset_csv(dataset, path)
+    assert path.read_bytes() == _csv_module_bytes(dataset)
 
 
 @pytest.mark.parametrize("pid", ["inf", "-inf", "nan", "0", "-4", "1.5", "1e300"])

@@ -84,6 +84,41 @@ def test_backward_matches_the_full_pass_bit_for_bit(activation, wrt):
         assert reference.same_bits(net.backward(grad_out, wrt), grads if wrt == PARAMS else input_grad)
 
 
+# Pre-activations where the output could tell a different sign story from
+# the input: signed zeros, subnormals whose leaked value underflows to a
+# zero, and magnitudes near the top of the double range.
+EDGE_PRE = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e308, -1e308, 1.5e308, -1.5e308, 0.5, -0.5]
+
+
+@pytest.mark.parametrize("wrt", [PARAMS, INPUT])
+@pytest.mark.parametrize("activation", [RELU, LEAKY_RELU])
+def test_in_place_activations_backpropagate_like_a_cached_pre_activation(activation, wrt):
+    """The mask taken from an activated output has the bits of the one taken
+    from its pre-activation. Layer 0 has zero weights and a one-valued input,
+    so its pre-activations are its biases; layer 1 is the identity, so it
+    sees layer 0's outputs, leaked again."""
+    width = len(EDGE_PRE)
+    sizes = [1, width, width, 2]
+    nets = (
+        FeedForward(sizes, activation, np.random.default_rng(0)),
+        reference.FeedForward(sizes, activation, np.random.default_rng(0)),
+    )
+    for net in nets:
+        net.weights[0][...] = 0.0
+        net.biases[0][...] = EDGE_PRE
+        net.weights[1][...] = np.eye(width)
+        net.biases[1][...] = 0.0
+        net.weights[2][...] *= 0.1  # keeps every product below the double range
+    x = np.ones((3, 1))
+    grad_out = 0.1 * np.random.default_rng(1).standard_normal((3, 2))
+    outputs = [net.forward(x) for net in nets]
+    assert reference.same_bits(*outputs)
+    pre = nets[1]._cache[0][1][0]
+    assert set(pre.tolist()) == set(EDGE_PRE)  # the biases, as floats (0.0 == -0.0)
+    grads = nets[1].backward(grad_out)
+    assert reference.same_bits(nets[0].backward(grad_out, wrt), grads[0] if wrt == PARAMS else grads[1])
+
+
 @pytest.mark.parametrize("activation", [RELU, LEAKY_RELU])
 def test_backward_matches_central_differences(activation):
     rng = np.random.default_rng(4)

@@ -624,3 +624,82 @@ def test_refused_create_touches_nothing(twin_tree, tmp_path):
         instantiate_twin(capture_image(twin_tree), sandbox)
     assert sorted(p.name for p in sandbox.iterdir()) == ["keep.txt"]
     assert [p.name for p in sibling.iterdir()] == ["notes.json"]
+
+
+# The drop at the end of a patch (commit) or a roll-back (undo): a two-op
+# replace patch, and the same patch with a third op that fails.
+TWO_REPLACES = (ReplaceFile("bin/term", b"term v2\n"), ReplaceFile("docs/readme.txt", b"readme v2\n"))
+CUT_CASES = {"commit": TWO_REPLACES, "undo": TWO_REPLACES + (DeleteFile("not/there"),)}
+_CUT, _RAN_THROUGH = 7, 0
+
+
+def _run_cut_at(twin, ops, k: int) -> int:
+    """Run the patch in a forked child that ``os._exit``s at the ``k``-th
+    ``os.unlink`` or ``os.rmdir`` after its ops have all run or one has
+    failed: a kill, which no ``except`` clause sees. Returns the child's
+    exit code, ``_CUT`` or ``_RAN_THROUGH``."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        try:
+            armed, removals = False, 0
+            real_apply = patch._apply_op
+
+            def apply(root, journal, index, op):
+                nonlocal armed
+                try:
+                    real_apply(root, journal, index, op)
+                except BaseException:
+                    armed = True
+                    raise
+                armed = index == len(ops) - 1
+
+            def cut(real):
+                def removal(*args, **kwargs):
+                    nonlocal removals
+                    if armed:
+                        removals += 1
+                        if removals == k:
+                            os._exit(_CUT)
+                    return real(*args, **kwargs)
+
+                return removal
+
+            patch._apply_op = apply
+            os.unlink, os.rmdir = cut(os.unlink), cut(os.rmdir)
+            try:
+                apply_patch(twin, PatchDelta(ops))
+            except DeleteMissing:
+                pass
+            os._exit(_RAN_THROUGH)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+@pytest.mark.parametrize("case", sorted(CUT_CASES))
+def test_a_drop_cut_at_any_removal_leaves_the_pre_or_post_state(twin_tree, tmp_path, case):
+    """Each cut leaves a tree that the next writer turns into exactly the
+    state before the patch or after it, drops the journal and lets the next
+    patch apply."""
+    ops = CUT_CASES[case]
+    image = capture_image(twin_tree)
+    post = instantiate_twin(image, tmp_path / "post")
+    if case == "commit":
+        apply_patch(post, PatchDelta(ops))
+    states = {scan_tree(instantiate_twin(image, tmp_path / "pre").sandbox), scan_tree(post.sandbox)}
+    k = 0
+    while True:
+        k += 1
+        box = instantiate_twin(image, tmp_path / f"cut{k}")
+        code = _run_cut_at(box, ops, k)
+        assert code in (_CUT, _RAN_THROUGH)
+        with writer_lock(box.sandbox):
+            pass
+        assert scan_tree(box.sandbox) in states, f"cut at removal {k}"
+        assert not journal_dir(box.sandbox).exists()
+        apply_patch(box, PatchDelta((ReplaceFile("bin/term", b"next\n"),)))
+        assert (box.sandbox / "bin/term").read_bytes() == b"next\n"
+        if code == _RAN_THROUGH:
+            break
+    assert k > 4  # every record, saved node, the marker and the directory
