@@ -192,8 +192,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pair", nargs=2, action="append", default=[], metavar=("GEN", "REF"))
     p.add_argument("--sandbox", type=Path)
     p.add_argument("--out", type=Path)
-    p.add_argument("--run-id", default=None)
-    p.add_argument("--gate-attempts", type=int, default=None)
 
     p = commands.add_parser("report", help="load and display a report")
     p.add_argument("--in", dest="input", type=Path, required=True)
@@ -318,7 +316,7 @@ def _cmd_gen(args, config, say) -> int:
         write_dataset_csv(synth, out)
         meta = {"gate_attempts": attempts, "seed": seed, "n": args.n, "model": str(args.model)}
         write_json(meta, str(out) + ".meta.json")
-        print(f"accepted after {attempts} attempt(s) -> {out}")
+        say(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
     seed = stage_seed(config.seed, "gen.seq")
@@ -368,10 +366,10 @@ def _cmd_validate(args, config, say) -> int:
             )
         )
 
-    gate_attempts = args.gate_attempts
+    gate_attempts = None
     seeds = {"global": config.seed}
     meta_path = Path(str(args.synth) + ".meta.json")
-    if gate_attempts is None and meta_path.is_file():
+    if meta_path.is_file():
         meta = read_json(meta_path, MalformedCsv)
         if not isinstance(meta, dict):
             raise MalformedCsv(f"{meta_path}: expected a JSON object")
@@ -379,7 +377,7 @@ def _cmd_validate(args, config, say) -> int:
         if "seed" in meta:
             seeds["gen_tabular"] = meta["seed"]
 
-    run_id = args.run_id or sha256_hex(
+    run_id = sha256_hex(
         f"{config.seed}|{sha256_hex(args.real.read_bytes())}|"
         f"{sha256_hex(args.synth.read_bytes())}".encode("utf-8")
     )[:12]

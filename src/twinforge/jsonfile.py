@@ -1,5 +1,5 @@
-"""The one text form of every JSON artifact, its one reader, and the one
-reader of UTF-8 text inputs.
+"""The one text form of every JSON artifact, its one reader, the one
+reader of UTF-8 text inputs, and the one reader of tagged documents.
 
 Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from twinforge.errors import UndecodableInput
 
@@ -48,25 +48,35 @@ def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
-def text_fields(
-    doc: dict, cls: type, where: str, error: Callable[[str], Exception], extra: tuple[str, ...] = ()
-) -> dict[str, str]:
-    """The text of each of ``cls``'s fields in the JSON object ``doc``: a
-    string, or, for a field named ``value``, a string or a number. A missing
-    field, a value of another type (booleans included) or a key that is
-    neither a field nor in ``extra`` raises ``error`` naming ``where`` and
-    the key."""
-    names = [f.name for f in fields(cls)]
-    for key in doc:
-        if key not in names and key not in extra:
-            raise error(f"{where}: unknown key {key!r}")
-    texts = {}
-    for name in names:
-        if name not in doc:
-            raise error(f"{where}: missing field {name!r}")
-        value = doc[name]
-        kinds, what = ((str, int, float), "a string or a number") if name == "value" else (str, "a string")
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise error(f"{where}: {name!r} must be {what}, not {value!r}")
-        texts[name] = str(value)
-    return texts
+def read_tagged(
+    doc: object, tag: str, kinds: Mapping[str, type], error: Callable[[str], Exception], extra: Mapping = {}
+) -> list[tuple[type, dict, str]]:
+    """Each object of the JSON list ``doc`` as the dataclass its ``tag`` field
+    names in ``kinds``, its arguments (each field's text, from a string or,
+    for a ``value``, a string or a number; and, as given, any ``extra[cls]``
+    key it holds) and ``where`` ("<tag> <i>"), which opens every message. A
+    missing field, or any other shape, kind, key or type, raises ``error``."""
+    if not isinstance(doc, list):
+        raise error(f"the file must hold a JSON list of {tag}s")
+    records = []
+    for i, item in enumerate(doc):
+        where = f"{tag} {i}"
+        if not isinstance(item, dict) or tag not in item:
+            raise error(f"{where}: each {tag} is an object whose {tag!r} field names its kind")
+        cls = kinds.get(item[tag]) if isinstance(item[tag], str) else None
+        if cls is None:
+            raise error(f"{where}: unknown {tag} {item[tag]!r}")
+        names = [f.name for f in fields(cls)]
+        args = {key: item[key] for key in extra.get(cls, ()) if key in item}
+        for key in item:
+            if key != tag and key not in names and key not in args:
+                raise error(f"{where}: unknown key {key!r}")
+        for name in names:
+            if name not in item:
+                raise error(f"{where}: missing field {name!r}")
+            types, what = ((str, int, float), "a string or a number") if name == "value" else (str, "a string")
+            if isinstance(item[name], bool) or not isinstance(item[name], types):
+                raise error(f"{where}: {name!r} must be {what}, not {item[name]!r}")
+            args[name] = str(item[name])
+        records.append((cls, args, where))
+    return records

@@ -68,13 +68,6 @@ class FeedForward:
             w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
         self._cache: list[tuple[np.ndarray, np.ndarray]] | None = None
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
     def _act_grad(self, activated: np.ndarray) -> np.ndarray:
         if self.activation == RELU:
             return activated > 0

@@ -7,8 +7,9 @@ from pathlib import Path
 from typing import Union
 
 from twinforge.errors import MalformedChecks
-from twinforge.jsonfile import read_json, read_text, text_fields
+from twinforge.jsonfile import read_json, read_tagged, read_text
 from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, resolve_inside, walk_tree
+from twinforge.twin.patch import config_settings
 from twinforge.twin.sandbox import TwinState
 
 
@@ -82,17 +83,12 @@ def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
             lines = configs[assertion.file]
             if lines is None:
                 ok, detail = False, "no such config file"
+            elif not (settings := config_settings(lines, assertion.key)):
+                ok, detail = False, f"no key {assertion.key!r}"
             else:
-                found = None
-                for line in lines:
-                    head, sep, tail = line.partition("=")
-                    if sep and head.strip() == assertion.key:
-                        found = tail.strip()
-                if found is None:
-                    ok, detail = False, f"no key {assertion.key!r}"
-                else:
-                    ok = found == assertion.value
-                    detail = "value matches" if ok else f"expected {assertion.value!r}, got {found!r}"
+                found = settings[-1][1]
+                ok = found == assertion.value
+                detail = "value matches" if ok else f"expected {assertion.value!r}, got {found!r}"
         results.append(CheckResult(assertion, ok, detail))
     return tuple(results)
 
@@ -101,22 +97,14 @@ _CHECKS = {"file_exists": FileExists, "hash_equals": HashEquals, "config_equals"
 
 
 def checks_from_doc(doc: object) -> CheckSpec:
-    if not isinstance(doc, list) or not doc:
-        raise MalformedChecks("check file must hold a non-empty JSON list")
     assertions: list[Assertion] = []
-    for i, item in enumerate(doc):
-        where = f"check {i}"
-        if not isinstance(item, dict) or "check" not in item:
-            raise MalformedChecks(f"{where}: each check is an object with a 'check' field")
-        kind = item["check"]
-        cls = _CHECKS.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise MalformedChecks(f"{where}: unknown check {kind!r}")
-        args = text_fields(item, cls, where, MalformedChecks, ("check",))
+    for cls, args, where in read_tagged(doc, "check", _CHECKS, MalformedChecks):
         path = args.get("file", args.get("path"))
         if not is_safe_rel_path(path):
-            raise MalformedChecks(f"{where}: path {path!r} must be relative, without '..'")
+            raise MalformedChecks(f"{where}: path {path!r} must be relative and normalized")
         assertions.append(cls(**args))
+    if not assertions:
+        raise MalformedChecks("the file must hold a non-empty JSON list of checks")
     return CheckSpec(tuple(assertions))
 
 

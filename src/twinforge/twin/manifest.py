@@ -6,10 +6,10 @@ import fnmatch
 import hashlib
 import os
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Sequence
 
-from twinforge.errors import MalformedArchive, SymlinkOutsideRoot
+from twinforge.errors import MalformedArchive, SymlinkOutsideRoot, UndecodableInput
 from twinforge.jsonfile import read_json
 
 FILE = "file"
@@ -22,12 +22,18 @@ DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
 MANIFEST_FORMAT_VERSION = 1
 
 
-def is_safe_rel_path(path: str) -> bool:
-    """True for a non-empty relative path with no ``..`` part and no NUL
-    byte, which cannot name anything outside the directory it is joined to
-    and which the operating system accepts."""
-    pure = PurePosixPath(path)
-    return bool(path) and "\x00" not in path and not pure.is_absolute() and ".." not in pure.parts
+def is_safe_rel_path(path: object) -> bool:
+    """The one path rule of patch ops, checks and image entries: a string,
+    relative and normalized (no empty, ``.`` or ``..`` part), with no NUL,
+    that encodes as UTF-8. It names one node under the directory it is
+    joined to, in one spelling, that the OS and the archive accept."""
+    if not isinstance(path, str) or "\x00" in path or {"", ".", ".."}.intersection(path.split("/")):
+        return False
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,9 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
 
     Symlinks resolving inside the root count as what they point to
     (directory links are listed but not descended, which keeps cycles
-    finite); links escaping the root are refused. The writer lock, the
-    root's own ``LOCK_FILENAME``, is never listed; a file of that name
-    deeper in the tree is listed like any other.
+    finite); links escaping the root and names that are not UTF-8 are
+    refused. The writer lock, the root's own ``LOCK_FILENAME``, is never
+    listed; a file of that name deeper in the tree is listed like any other.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -92,6 +98,8 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         rel = path.relative_to(root).as_posix()
         if is_excluded(rel, exclusions):
             return
+        if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
+            raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
         if path.is_symlink():
             resolve_inside(root, rel)
         entries.append((rel, kind))
@@ -159,10 +167,6 @@ class TwinDiff:
     added: tuple[str, ...]
     removed: tuple[str, ...]
     modified: tuple[ModifiedEntry, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not (self.added or self.removed or self.modified)
 
 
 def diff_states(

@@ -19,8 +19,7 @@ sandbox. The JSON patch file is a list of op objects, e.g.::
      {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"}]
 
 File content is a UTF-8 string by default; ``"encoding": "base64"`` carries
-binary payloads. A key an op does not take is refused. Every field is a
-string, except that a ``value`` may also be a number.
+binary payloads. ``jsonfile.read_tagged`` reads the list and its field types.
 """
 
 from __future__ import annotations
@@ -38,42 +37,39 @@ from twinforge.errors import (
     MalformedPatch,
     ReplaceMissing,
 )
-from twinforge.jsonfile import read_json, read_text, text_fields
+from twinforge.jsonfile import read_json, read_tagged, read_text
 from twinforge.twin.journal import begin, commit, record_add, record_delete, record_rewrite, roll_back
 from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, writer_lock
 
 
-def _check_rel_path(path: str) -> str:
-    if not is_safe_rel_path(path) or path.endswith("/"):
+def _check_rel_path(path: str) -> None:
+    if not is_safe_rel_path(path):
         raise MalformedPatch(f"bad op path {path!r}: must be relative and normalized")
-    return path
+
+
+class _FileOp:
+    """An op on the file ``path``, which must pass the path rule."""
+
+    def __post_init__(self) -> None:
+        _check_rel_path(self.path)
 
 
 @dataclass(frozen=True)
-class AddFile:
+class AddFile(_FileOp):
     path: str
     content: bytes
 
-    def __post_init__(self) -> None:
-        _check_rel_path(self.path)
-
 
 @dataclass(frozen=True)
-class ReplaceFile:
+class ReplaceFile(_FileOp):
     path: str
     content: bytes
 
-    def __post_init__(self) -> None:
-        _check_rel_path(self.path)
-
 
 @dataclass(frozen=True)
-class DeleteFile:
+class DeleteFile(_FileOp):
     path: str
-
-    def __post_init__(self) -> None:
-        _check_rel_path(self.path)
 
 
 @dataclass(frozen=True)
@@ -123,17 +119,26 @@ def _target(root: Path, rel: str, follow: bool) -> Path:
     return node
 
 
+def config_settings(lines: list[str], key: str) -> list[tuple[int, str]]:
+    """The index and value of each line of a ``key=value`` file that sets
+    ``key``: the text before its first ``=`` is ``key`` and the text after
+    it the value, both less surrounding whitespace."""
+    settings = []
+    for i, line in enumerate(lines):
+        head, sep, tail = line.partition("=")
+        if sep and head.strip() == key:
+            settings.append((i, tail.strip()))
+    return settings
+
+
 def _set_config(node: Path, op: SetConfig) -> bytes:
     """The config file's new bytes, with every ``op.key`` line set."""
     lines = read_text(node).splitlines()
-    hits = 0
-    for i, line in enumerate(lines):
-        head, sep, _ = line.partition("=")
-        if sep and head.strip() == op.key:
-            lines[i] = f"{op.key}={op.value}"
-            hits += 1
-    if hits == 0:
+    settings = config_settings(lines, op.key)
+    if not settings:
         raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")
+    for i, _ in settings:
+        lines[i] = f"{op.key}={op.value}"
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -205,24 +210,14 @@ def _content_from_doc(content: str, encoding: object, where: str) -> bytes:
 
 
 _OPS = {"add_file": AddFile, "replace_file": ReplaceFile, "delete_file": DeleteFile, "set_config": SetConfig}
+_ENCODED = {AddFile: ("encoding",), ReplaceFile: ("encoding",)}
 
 
 def delta_from_doc(doc: object) -> PatchDelta:
-    if not isinstance(doc, list):
-        raise MalformedPatch("patch file must hold a JSON list of ops")
     ops: list[PatchOp] = []
-    for i, item in enumerate(doc):
-        where = f"op {i}"
-        if not isinstance(item, dict) or "op" not in item:
-            raise MalformedPatch(f"{where}: each op is an object with an 'op' field")
-        kind = item["op"]
-        cls = _OPS.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise MalformedPatch(f"{where}: unknown op {kind!r}")
-        extra = ("op", "encoding") if cls in (AddFile, ReplaceFile) else ("op",)
-        args: dict = text_fields(item, cls, where, MalformedPatch, extra)
+    for cls, args, where in read_tagged(doc, "op", _OPS, MalformedPatch, _ENCODED):
         if "content" in args:
-            args["content"] = _content_from_doc(args["content"], item.get("encoding", "utf-8"), where)
+            args["content"] = _content_from_doc(args["content"], args.pop("encoding", "utf-8"), where)
         ops.append(cls(**args))
     return PatchDelta(tuple(ops))
 

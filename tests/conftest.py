@@ -34,6 +34,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_DATASET_SEED = 11
 FIXTURE_DATASET_ROWS = 560
 
+# Relative paths the one path rule refuses although they stay inside the
+# directory they are joined to: each names its node only in another
+# spelling, or, the last, cannot be written as UTF-8.
+UNNORMALIZED_PATHS = ["bin//new", "./a", "a/./b", "a/", "bin/\udcff"]
+
 
 @pytest.fixture(scope="session")
 def top_capture_text() -> str:

@@ -40,6 +40,7 @@ from twinforge.twin import (
     instantiate_twin,
     scan_tree,
 )
+from twinforge.twin.manifest import TwinDiff
 from twinforge.validate import (
     bleu,
     cosine_similarity,
@@ -238,7 +239,7 @@ def test_criterion_7_patch_atomicity(tmp_path):
         assert scan_tree(twin.sandbox) == before
 
         report = apply_patch(twin, PatchDelta(()))
-        assert diff_states(before, report.manifest).empty
+        assert diff_states(before, report.manifest) == TwinDiff((), (), ())
 
 
 def _run_full_pipeline(tmp: Path, workspace: Path, config: Path, script_paths) -> dict[str, bytes]:

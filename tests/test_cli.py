@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -312,6 +313,45 @@ def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
     argv = ["--config", str(config), "twin", "patch", "--sandbox", str(tmp_path), "--delta", str(delta)]
     assert main(argv) == 2
     assert "bad op path" in capsys.readouterr().err
+
+
+def test_patch_op_path_that_is_not_utf8_is_a_data_error_that_writes_nothing(tmp_path, workspace, twin_tree, capsys):
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    sandbox = tmp_path / "sandbox"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    before = scan_tree(sandbox)
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps([{"op": "add_file", "path": "bin/\udcff", "content": "x"}]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(config), "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 2
+    assert "bad op path" in capsys.readouterr().err
+    assert scan_tree(sandbox) == before
+
+
+def test_capture_of_a_file_name_that_is_not_utf8_is_a_data_error(tmp_path, workspace, capsys):
+    config = _config(tmp_path, workspace)
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / os.fsdecode(b"\xff")).write_bytes(b"x")
+    image = tmp_path / "sys.twimg"
+    assert main(["--config", str(config), "capture", "--root", str(root), "--out", str(image)]) == 2
+    assert "file name b'\\xff' is not valid UTF-8" in capsys.readouterr().err
+    assert not image.exists()
+
+
+def test_quiet_gen_tabular_prints_nothing(tmp_path, workspace, pipeline_artifacts, capsys):
+    config = _config(tmp_path, workspace, seed=7)
+    synth_csv = tmp_path / "synth.csv"
+    argv = [
+        "--config", str(config), "--quiet", "gen", "tabular", "--model", str(pipeline_artifacts["model_path"]),
+        "--real", str(pipeline_artifacts["real_csv"]), "--n", "70", "--out", str(synth_csv),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert synth_csv.is_file()
 
 
 # Each command reads {bad}, a file of bytes that are neither UTF-8 nor JSON,

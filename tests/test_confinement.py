@@ -1,5 +1,6 @@
 """One sandbox rule: every walk, patch op and check resolves through
-``resolve_inside`` and refuses what lands outside the sandbox."""
+``resolve_inside`` and refuses what lands outside the sandbox. Each other
+twin-input rule has one home too."""
 
 from __future__ import annotations
 
@@ -87,4 +88,38 @@ def test_only_the_resolver_confines_paths():
                 offenders.append(f"{where} is_relative_to")
             if isinstance(node, ast.Raise) and _mentions(node.exc, "SymlinkOutsideRoot"):
                 offenders.append(f"{where} raise SymlinkOutsideRoot")
+    assert offenders == []
+
+
+def _string_args(node: ast.Call) -> list[object]:
+    return [a.value for a in node.args if isinstance(a, ast.Constant)]
+
+
+def test_each_twin_input_rule_has_one_home():
+    """Paths are judged only in ``is_safe_rel_path``, ``key=value`` lines
+    are split only in ``config_settings``, and tagged documents are read
+    only by ``read_tagged``: two copies of the path rule once disagreed
+    on ``bin//new``."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            if getattr(node, "id", None) == "text_fields" or getattr(node, "attr", None) == "text_fields":
+                offenders.append(f"{where} text_fields")
+            if isinstance(node, ast.FunctionDef) and node.name == "text_fields":
+                offenders.append(f"{where} def text_fields")
+            path_rule = module == "twin/manifest.py" and function == "is_safe_rel_path"
+            if not path_rule and isinstance(node, ast.Constant) and node.value in ("..", "\x00"):
+                offenders.append(f"{where} path check {node.value!r}")
+            if not path_rule and getattr(node, "attr", None) in ("is_absolute", "parts"):
+                offenders.append(f"{where} path check .{node.attr}")
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            method, args = node.func.attr, _string_args(node)
+            if not path_rule and method in ("endswith", "startswith", "split") and "/" in args:
+                offenders.append(f"{where} path check .{method}('/')")
+            config_rule = module == "twin/patch.py" and function == "config_settings"
+            if module.startswith("twin/") and not config_rule and method == "partition" and "=" in args:
+                offenders.append(f"{where} config line .partition('=')")
     assert offenders == []

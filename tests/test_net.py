@@ -162,14 +162,15 @@ def test_backward_matches_central_differences(activation):
 def test_adam_step_moves_the_layer_views():
     rng = np.random.default_rng(8)
     net = FeedForward([3, 4, 2], RELU, rng)
-    before = [p.copy() for p in net.params]
+    before = [w.copy() for w in net.weights]
     net.forward(rng.standard_normal((5, 3)))
     grads = net.backward(rng.standard_normal((5, 2)), PARAMS)
     Adam(net.param_vector, 1e-2, 0.5, 0.9).step(grads)
     for i, w in enumerate(net.weights):
         assert np.shares_memory(w, net.param_vector)
-        assert not np.array_equal(w, before[2 * i])
-    assert [p.shape for p in net.params] == [(3, 4), (4,), (4, 2), (2,)]
+        assert not np.array_equal(w, before[i])
+    assert [w.shape for w in net.weights] == [(3, 4), (4, 2)]
+    assert [b.shape for b in net.biases] == [(4,), (2,)]
 
 
 def test_backward_before_forward_is_refused():

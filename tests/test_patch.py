@@ -46,8 +46,10 @@ from twinforge.twin import journal, patch
 from twinforge.twin.checks import checks_from_doc
 from twinforge.twin.journal import UndoRecord, journal_dir, record
 from twinforge.twin.journal import begin as begin_journal
-from twinforge.twin.manifest import LOCK_FILENAME
+from twinforge.twin.manifest import LOCK_FILENAME, TwinDiff
 from twinforge.twin.patch import delta_from_doc
+
+from conftest import UNNORMALIZED_PATHS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -87,7 +89,7 @@ def test_empty_delta_is_identity(twin):
     before = scan_tree(twin.sandbox)
     report = apply_patch(twin, PatchDelta(()))
     assert report.applied == ()
-    assert diff_states(before, report.manifest).empty
+    assert diff_states(before, report.manifest) == TwinDiff((), (), ())
 
 
 @pytest.mark.parametrize(
@@ -132,6 +134,19 @@ def test_patch_path_validation():
         DeleteFile("a\x00b")
     with pytest.raises(MalformedPatch):
         SetConfig("etc/app.conf", "a=b", "v")
+
+
+@pytest.mark.parametrize("path", UNNORMALIZED_PATHS)
+def test_op_paths_must_be_normalized_utf8(path):
+    for make in (
+        lambda: AddFile(path, b"x"),
+        lambda: ReplaceFile(path, b"x"),
+        lambda: DeleteFile(path),
+        lambda: SetConfig(path, "k", "v"),
+        lambda: delta_from_doc([{"op": "add_file", "path": path, "content": "x"}]),
+    ):
+        with pytest.raises(MalformedPatch, match="bad op path"):
+            make()
 
 
 def test_delta_json_round_trip(twin, tmp_path):
@@ -296,7 +311,7 @@ def test_run_checks_match_a_full_scan(twin, tmp_path):
         run_checks(twin, CheckSpec((FileExists("bin/term"),)))
 
 
-@pytest.mark.parametrize("path", ["/etc/outside.conf", "../outside.conf", "etc/../../outside.conf"])
+@pytest.mark.parametrize("path", ["/etc/outside.conf", "../outside.conf", "etc/../../outside.conf", *UNNORMALIZED_PATHS])
 @pytest.mark.parametrize("kind", ["file_exists", "hash_equals", "config_equals"])
 def test_check_paths_must_stay_inside_the_sandbox(kind, path):
     item = {"check": kind, "path": path}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from twinforge.errors import HashMismatch, MalformedArchive, SandboxNotEmpty, SymlinkOutsideRoot
+from twinforge.errors import HashMismatch, MalformedArchive, SandboxNotEmpty, SymlinkOutsideRoot, UndecodableInput
 from twinforge.twin import (
     TwinImage,
     capture_image,
@@ -25,8 +25,9 @@ from twinforge.twin import (
     unpack_archive,
 )
 from twinforge.twin.image import MAGIC
+from twinforge.twin.manifest import TwinDiff
 
-from conftest import build_twin_tree
+from conftest import UNNORMALIZED_PATHS, build_twin_tree
 
 
 def test_capture_excludes_tmp(twin_tree):
@@ -126,11 +127,35 @@ def _dir_archive(path: str, mode: int) -> bytes:
 
 def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
     sandbox = tmp_path / "sandbox"
-    for path in ("", "../escaped", str(tmp_path / "abs" / "path"), "a\x00b"):
+    # the last unnormalized path is not UTF-8, so no archive can hold it
+    for path in ("", "../escaped", str(tmp_path / "abs" / "path"), "a\x00b", *UNNORMALIZED_PATHS[:-1]):
         crafted = TwinImage((), _dir_archive(path, 0o700), (), "")
         with pytest.raises(MalformedArchive):
             instantiate_twin(crafted, sandbox)
         assert [p.name for p in tmp_path.iterdir()] == ["sandbox"], path
+
+
+@pytest.mark.parametrize("path", UNNORMALIZED_PATHS)
+def test_sidecar_entry_paths_must_be_normalized_utf8(twin_tree, tmp_path, path):
+    image = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), image)
+    doc = json.loads(sidecar_path(image).read_text(encoding="utf-8"))
+    doc["entries"][0]["path"] = path
+    sidecar_path(image).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedArchive, match="relative and normalized"):
+        load_manifest(sidecar_path(image))
+
+
+def test_a_file_name_that_is_not_utf8_is_refused(tmp_path):
+    root = tmp_path / "root"
+    (root / "tmp").mkdir(parents=True)
+    (root / "tmp" / os.fsdecode(b"\xfe")).write_bytes(b"excluded, so never read\n")
+    (root / "ok.txt").write_bytes(b"x")
+    assert [e.path for e in capture_image(root).manifest] == ["ok.txt"]
+    (root / os.fsdecode(b"\xff")).write_bytes(b"x")
+    for read in (scan_tree, capture_image):
+        with pytest.raises(UndecodableInput, match=r"file name b'\\xff'"):
+            read(root, ("tmp/**",))
 
 
 def test_directory_modes_are_set_after_their_contents(tmp_path, monkeypatch):
@@ -238,7 +263,7 @@ def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
 
 def test_diff_empty_and_symmetry(twin_tree, tmp_path):
     pre = scan_tree(twin_tree)
-    assert diff_states(pre, pre).empty
+    assert diff_states(pre, pre) == TwinDiff((), (), ())
 
     other_root = build_twin_tree(tmp_path / "variant")
     (other_root / "bin" / "newtool").write_bytes(b"new")
