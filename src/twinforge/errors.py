@@ -37,6 +37,16 @@ class MalformedCsv(TwinforgeError):
     """A dataset CSV file violates the on-disk format."""
 
 
+class MalformedRow(TwinforgeError, ValueError):
+    """A dataset row breaks a cell or pid rule; ``row`` is its 0-based index,
+    which each reader turns into the line of its own input."""
+
+    def __init__(self, row: int, reason: str) -> None:
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 # -- ingest: macro scripts ---------------------------------------------------
 
 

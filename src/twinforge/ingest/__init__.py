@@ -22,7 +22,6 @@ from twinforge.ingest.top import (
     TOP_SCHEMA,
     parse_time_lapsed,
     parse_top_capture,
-    parse_top_samples,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "parse_macro_script",
     "parse_time_lapsed",
     "parse_top_capture",
-    "parse_top_samples",
     "read_dataset_csv",
     "tokenize_script",
     "write_dataset_csv",

@@ -36,7 +36,7 @@ def _check_text_arg(verb: str, arg: object) -> None:
         raise BadArg(f"{verb} takes a text argument")
     if arg != arg.strip() or not arg:
         raise BadArg(f"{verb} argument must be non-empty with no surrounding whitespace")
-    if "\n" in arg or "\r" in arg:
+    if arg.splitlines() != [arg]:  # the parser splits lines where str.splitlines does
         raise BadArg(f"{verb} argument must not contain line breaks")
 
 

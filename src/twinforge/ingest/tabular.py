@@ -13,6 +13,7 @@ recover every column kind, so ``write -> read`` is an identity.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -21,13 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from twinforge.errors import MalformedCsv
+from twinforge.errors import MalformedCsv, MalformedRow
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 _KINDS = (CONTINUOUS, DISCRETE)
 
 PID_COLUMN = "pid"
+# The largest pid. The CSV reader parses each bare cell as a double; below
+# 2**53 each integer has a double of its own, from there on two can share
+# one (2**53 + 1 reads back as 2**53). Linux caps pids at 2**22.
+PID_MAX = 2**53 - 1
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,69 @@ class Categorical:
         return np.asarray(self.categories, dtype=object)[self.codes].tolist()
 
 
+def _from_cells(column: Column, cells: Sequence[float | str]) -> np.ndarray | Categorical:
+    """One column of row cells: a continuous cell is an int or a float, never
+    a bool, and a discrete one a str. An int beyond the double range stands
+    as an infinity, which the finite rule then refuses."""
+    number = column.kind == CONTINUOUS
+    for r, cell in enumerate(cells):
+        if isinstance(cell, bool) or not isinstance(cell, (int, float) if number else str):
+            raise MalformedRow(r, f"column {column.name!r}: expected {'a number' if number else 'a string'}")
+    if not number:
+        return Categorical.from_values(cells)
+    return np.array([c if abs(c) <= sys.float_info.max else np.inf for c in cells], dtype=np.float64)
+
+
+def _checked_column(column: Column, values: np.ndarray | Categorical) -> np.ndarray | Categorical:
+    """A read-only copy of one column, checked whole: a continuous column is
+    a 1-d array of finite real numbers, a discrete one a Categorical of
+    distinct str categories whose codes index them."""
+    if column.kind == CONTINUOUS:
+        array = np.asarray(values)
+        if array.ndim != 1 or array.dtype.kind not in "iuf":
+            raise ValueError(f"column {column.name!r}: expected a 1-d array of numbers")
+        array = np.array(array, dtype=np.float64)
+        finite = np.isfinite(array)
+        if not finite.all():
+            raise MalformedRow(int(finite.argmin()), f"column {column.name!r}: non-finite value")
+        array.flags.writeable = False
+        return array
+    if not (isinstance(values, Categorical) and all(isinstance(c, str) for c in values.categories)):
+        raise ValueError(f"column {column.name!r}: expected a Categorical of strings")
+    if len(set(values.categories)) != len(values.categories):
+        raise ValueError(f"column {column.name!r}: categories repeat")
+    codes = np.asarray(values.codes)
+    if codes.ndim != 1 or codes.dtype.kind not in "iu" or not ((codes >= 0) & (codes < len(values.categories))).all():
+        raise ValueError(f"column {column.name!r}: codes must be integers indexing the categories")
+    codes = np.array(codes, dtype=np.intp)
+    codes.flags.writeable = False
+    return Categorical(values.categories, codes)
+
+
+def _checked_pids(pids: Sequence[int] | np.ndarray, n_rows: int) -> tuple[int, ...]:
+    """The pid rule: one int, never a bool, from 1 to ``PID_MAX`` per row."""
+    pids = tuple(pids.tolist() if isinstance(pids, np.ndarray) else pids)
+    if len(pids) != n_rows:
+        raise ValueError("pids must be parallel to rows")
+    if pids and (set(map(type, pids)) != {int} or min(pids) < 1 or max(pids) > PID_MAX):
+        row = next(r for r, p in enumerate(pids) if type(p) is not int or not 1 <= p <= PID_MAX)
+        raise MalformedRow(row, f"pid must be an integer from 1 to {PID_MAX}")
+    return pids
+
+
 class TabularDataset:
     """Schema plus columns, held column-major.
 
     ``columns[i]`` is a read-only float64 array of finite values for a
     continuous column and a :class:`Categorical` of str categories for a
-    discrete one. ``pids`` optionally carries one positive process id per
-    row; it is metadata, not a modeled column.
+    discrete one. ``pids`` optionally carries one process id per row; it is
+    metadata, not a modeled column.
 
-    ``TabularDataset(schema, rows, pids)`` builds from row tuples and checks
-    every cell: it is the entry point for untrusted rows.
-    :meth:`from_columns` builds from whole columns. Both end in
-    ``__post_init__``, which checks column by column.
+    ``TabularDataset(schema, rows, pids)`` builds from row tuples and
+    :meth:`from_columns` from whole columns; both end in ``__post_init__``.
+    Every reader of recorded data builds through them, so each cell and pid
+    rule lives here alone. A row that breaks one raises :class:`MalformedRow`
+    with its 0-based index, which each reader turns into its input's line.
     """
 
     def __init__(
@@ -119,21 +175,9 @@ class TabularDataset:
         width = len(schema.columns)
         for r, row in enumerate(rows):
             if len(row) != width:
-                raise ValueError(f"row {r}: expected {width} cells, got {len(row)}")
-            for cell, column in zip(row, schema.columns):
-                if column.kind == CONTINUOUS:
-                    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                        raise ValueError(f"row {r}, column {column.name!r}: expected a number")
-                elif not isinstance(cell, str):
-                    raise ValueError(f"row {r}, column {column.name!r}: expected a string")
-        if pids is not None and any(isinstance(p, bool) or not isinstance(p, int) for p in pids):
-            raise ValueError("pids must be positive integers")
-        cells = list(zip(*rows)) or [()] * width
+                raise MalformedRow(r, f"expected {width} cells, got {len(row)}")
         self.schema = schema
-        self.columns = tuple(
-            np.array(values, dtype=float) if column.kind == CONTINUOUS else Categorical.from_values(values)
-            for column, values in zip(schema.columns, cells)
-        )
+        self.columns = tuple(map(_from_cells, schema.columns, list(zip(*rows)) or [()] * width))
         self.pids = pids
         self.__post_init__()
 
@@ -156,44 +200,12 @@ class TabularDataset:
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.schema.columns):
             raise ValueError(f"expected {len(self.schema.columns)} columns, got {len(self.columns)}")
-        columns: list[np.ndarray | Categorical] = []
-        for column, values in zip(self.schema.columns, self.columns):
-            if column.kind == CONTINUOUS:
-                array = np.asarray(values)
-                if array.ndim != 1 or array.dtype.kind not in "iuf":
-                    raise ValueError(f"column {column.name!r}: expected a 1-d array of numbers")
-                array = np.array(array, dtype=np.float64)
-                finite = np.isfinite(array)
-                if not finite.all():
-                    row = int(finite.argmin())
-                    raise ValueError(f"row {row}, column {column.name!r}: non-finite value")
-            else:
-                if not (isinstance(values, Categorical) and all(isinstance(c, str) for c in values.categories)):
-                    raise ValueError(f"column {column.name!r}: expected a Categorical of strings")
-                if len(set(values.categories)) != len(values.categories):
-                    raise ValueError(f"column {column.name!r}: categories repeat")
-                codes = np.asarray(values.codes)
-                if (
-                    codes.ndim != 1
-                    or codes.dtype.kind not in "iu"
-                    or not ((codes >= 0) & (codes < len(values.categories))).all()
-                ):
-                    raise ValueError(f"column {column.name!r}: codes must be integers indexing the categories")
-                array = np.array(codes, dtype=np.intp)
-                values = Categorical(values.categories, array)
-            array.flags.writeable = False
-            columns.append(array if column.kind == CONTINUOUS else values)
-        n_rows = len(columns[0])
-        if any(len(c) != n_rows for c in columns):
-            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-        self.columns = tuple(columns)
+        self.columns = tuple(map(_checked_column, self.schema.columns, self.columns))
+        n_rows = len(self.columns[0])
+        if any(len(c) != n_rows for c in self.columns):
+            raise ValueError(f"columns differ in length: {[len(c) for c in self.columns]}")
         if self.pids is not None:
-            pids = np.asarray(self.pids)
-            if pids.shape != (n_rows,):
-                raise ValueError("pids must be parallel to rows")
-            if n_rows and (pids.dtype.kind not in "iu" or pids.min() < 1):
-                raise ValueError("pids must be positive integers")
-            self.pids = tuple(pids.tolist())
+            self.pids = _checked_pids(self.pids, n_rows)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -287,8 +299,6 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         raise fail(0, "header row must be quoted column names")
     has_pids = header[0] == PID_COLUMN
     names = header[1:] if has_pids else header
-    if not names:
-        raise fail(0, "no data columns")
 
     data = records[1:]
     width = len(header)
@@ -297,18 +307,9 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         raise fail(r, f"expected {width} fields, got {len(records[r])}")
 
     cells = list(zip(*data)) or [()] * width
-    pids = None
-    if has_pids:
-        pid_cells = cells.pop(0)
-        if set(map(type, pid_cells)) - {float}:
-            r = next(r for r, c in enumerate(pid_cells, start=1) if not isinstance(c, float))
-            raise fail(r, "pid must be an unquoted integer")
-        pids = np.array(pid_cells)
-        # every comparison is False for nan, so nan counts as bad
-        bad = ~((pids >= 1) & (pids < 2.0**63) & (pids == np.floor(pids)))
-        if bad.any():
-            raise fail(int(bad.argmax()) + 1, "pid must be an integer from 1 to 2**63 - 1")
-        pids = pids.astype(np.int64)
+    # A bare cell is a double; a whole one is read as the int it holds, and
+    # the dataset judges every pid and cell.
+    pids = [int(c) if type(c) is float and c.is_integer() else c for c in cells.pop(0)] if has_pids else None
     kinds: list[str] = []
     columns: list[np.ndarray | Categorical] = []
     for name, values in zip(names, cells):
@@ -316,18 +317,12 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         if len(types) > 1:
             r = next(r for r, c in enumerate(values, start=1) if type(c) is not type(values[0]))
             raise fail(r, f"column {name!r} mixes quoted and unquoted cells")
-        if types == {float}:
-            array = np.array(values)
-            finite = np.isfinite(array)
-            if not finite.all():
-                raise fail(int(finite.argmin()) + 1, f"column {name!r}: non-finite value")
-            kinds.append(CONTINUOUS)
-            columns.append(array)
-        else:
-            kinds.append(DISCRETE)
-            columns.append(Categorical.from_values(values))
+        kinds.append(CONTINUOUS if types == {float} else DISCRETE)
+        columns.append(np.array(values) if types == {float} else Categorical.from_values(values))
     try:
         schema = Schema(tuple(Column(n, k) for n, k in zip(names, kinds)))
-    except ValueError as exc:
+        return TabularDataset.from_columns(schema, columns, pids)
+    except MalformedRow as exc:
+        raise fail(exc.row + 1, exc.reason) from exc
+    except ValueError as exc:  # a schema fault: the header's
         raise fail(0, str(exc)) from exc
-    return TabularDataset.from_columns(schema, columns, pids)

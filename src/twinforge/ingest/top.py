@@ -1,11 +1,10 @@
-"""Parse ``top``-style process captures into typed samples and datasets."""
+"""Parse ``top``-style process captures into datasets."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from twinforge.errors import EmptyCapture, MalformedLine, MalformedTime
+from twinforge.errors import EmptyCapture, MalformedLine, MalformedRow, MalformedTime
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
 
 _TIME_RE = re.compile(r"^(\d+):(\d{2})\.(\d)$")
@@ -24,30 +23,6 @@ TOP_SCHEMA = Schema(
 )
 
 
-@dataclass(frozen=True)
-class ProcessSample:
-    """One parsed process line."""
-
-    pid: int
-    user: str
-    cpu_pct: float
-    mem_pct: float
-    elapsed_s: float
-    command: str
-
-    def __post_init__(self) -> None:
-        if self.pid < 1:
-            raise ValueError("pid must be a positive integer")
-        if self.cpu_pct < 0:
-            raise ValueError("cpu_pct must be >= 0")
-        if not 0 <= self.mem_pct <= 100:
-            raise ValueError("mem_pct must be within [0, 100]")
-        if self.elapsed_s < 0:
-            raise ValueError("elapsed_s must be >= 0")
-        if not self.command:
-            raise ValueError("command must be non-empty")
-
-
 def parse_time_lapsed(text: str) -> float:
     """Convert elapsed-time text ``MM:SS.t`` into seconds (60*MM + SS.t)."""
     match = _TIME_RE.match(text)
@@ -58,37 +33,40 @@ def parse_time_lapsed(text: str) -> float:
     return (600 * minutes + 10 * seconds + tenth) / 10
 
 
-def parse_top_samples(text: str) -> list[ProcessSample]:
-    """Parse capture text into samples; header lines starting with PID are skipped."""
-    samples: list[ProcessSample] = []
+def parse_top_capture(text: str) -> TabularDataset:
+    """Parse capture text into a dataset with pid metadata.
+
+    A data line is ``pid user cpu mem time command``, the command running to
+    the end of the line; blank lines and header lines starting with ``PID``
+    are skipped. CPU must be at least 0 and memory within [0, 100]; the
+    dataset judges the pid and every cell. Each fault raises
+    ``MalformedLine`` naming its line.
+    """
+    rows: list[tuple[str, float, float, float, str]] = []
+    pids: list[int] = []
+    line_nos: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("PID"):
+        if not line or line.startswith("PID"):
             continue
         parts = line.split(maxsplit=5)
         if len(parts) < 6:
             raise MalformedLine(line_no, "expected: pid user cpu mem time command")
-        pid_s, user, cpu_s, mem_s, time_s, command = parts
+        pid, user, cpu, mem, elapsed, command = parts
         try:
-            pid = int(pid_s)
-            cpu = float(cpu_s)
-            mem = float(mem_s)
-            elapsed = parse_time_lapsed(time_s)
-            sample = ProcessSample(pid, user, cpu, mem, elapsed, command.strip())
-        except MalformedTime as exc:
+            pid, cpu, mem, elapsed = int(pid), float(cpu), float(mem), parse_time_lapsed(elapsed)
+        except (MalformedTime, ValueError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-        samples.append(sample)
-    if not samples:
+        if cpu < 0:
+            raise MalformedLine(line_no, "cpu_pct must be >= 0")
+        if not 0 <= mem <= 100:
+            raise MalformedLine(line_no, "mem_pct must be within [0, 100]")
+        rows.append((user, cpu, mem, elapsed, command))
+        pids.append(pid)
+        line_nos.append(line_no)
+    if not rows:
         raise EmptyCapture("no data lines in capture")
-    return samples
-
-
-def parse_top_capture(text: str) -> TabularDataset:
-    """Parse capture text straight into a dataset with pid metadata."""
-    samples = parse_top_samples(text)
-    rows = tuple((s.user, s.cpu_pct, s.mem_pct, s.elapsed_s, s.command) for s in samples)
-    return TabularDataset(TOP_SCHEMA, rows, tuple(s.pid for s in samples))
+    try:
+        return TabularDataset(TOP_SCHEMA, rows, pids)
+    except MalformedRow as exc:
+        raise MalformedLine(line_nos[exc.row], exc.reason) from exc

@@ -46,6 +46,16 @@ class UndoRecord:
     saved: bool  # the original node is kept as the record's .node
     created: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not (
+            type(self.path) is str
+            and type(self.saved) is bool
+            and isinstance(self.created, (list, tuple))
+            and all(type(rel) is str for rel in self.created)
+        ):
+            raise ValueError("'path' must be a string, 'saved' a bool and 'created' a list of strings")
+        object.__setattr__(self, "created", tuple(self.created))
+
 
 def journal_dir(sandbox: str | Path) -> Path:
     root = Path(sandbox).resolve()
@@ -147,12 +157,13 @@ def roll_back(sandbox: str | Path) -> None:
             pass  # absent, or not ours
         return
     root = Path(sandbox).resolve()
-    for path in sorted(journal.glob("*.json"), reverse=True):
-        doc = read_json(path, MalformedJournal)
+    records = []
+    for path in sorted(journal.glob("*.json"), reverse=True):  # all read before any is undone
         try:
-            rec = UndoRecord(**doc)
-        except TypeError as exc:
+            records.append((path, UndoRecord(**read_json(path, MalformedJournal))))
+        except (TypeError, ValueError) as exc:
             raise MalformedJournal(f"{path}: bad undo record: {exc}") from exc
+    for path, rec in records:
         _undo(root, path.with_suffix(".node"), rec)
         path.unlink()
     _drop(journal, MARKER)

@@ -51,6 +51,10 @@ class ManifestEntry:
             raise ValueError(f"manifest paths must be relative and normalized: {self.path!r}")
         if (self.sha256 is None) != (self.kind == DIR):
             raise ValueError("files carry a hash, directories do not")
+        if type(self.size) is not int or self.size < 0:
+            raise ValueError(f"{self.path}: size must be an integer >= 0, got {self.size!r}")
+        if type(self.mode) is not int or not 0 <= self.mode <= 0o7777:
+            raise ValueError(f"{self.path}: mode must be an integer from 0 to 0o7777, got {self.mode!r}")
 
 
 def is_excluded(rel_path: str, patterns: Sequence[str]) -> bool:

@@ -17,6 +17,7 @@ from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest import read_dataset_csv, write_dataset_csv
 from twinforge.tabular import load_model
 from twinforge.twin import scan_tree
+from twinforge.twin.image import sidecar_path
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate import load_report
 
@@ -328,6 +329,34 @@ def test_patch_op_path_that_is_not_utf8_is_a_data_error_that_writes_nothing(tmp_
     assert main(["--config", str(config), "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 2
     assert "bad op path" in capsys.readouterr().err
     assert scan_tree(sandbox) == before
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mode", "rw"), ("mode", True), ("mode", 0o10000), ("mode", -1), ("size", -5), ("size", False), ("size", 1.0)],
+)
+def test_a_sidecar_entry_with_a_bad_size_or_mode_is_a_data_error_that_writes_nothing(
+    tmp_path, workspace, twin_tree, capsys, field, value
+):
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
+    sidecar = sidecar_path(image)
+    doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    entry = next(e for e in doc["entries"] if e["path"] == "etc/app.conf")
+    entry[field] = value
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+
+    sandbox = tmp_path / "sandbox"
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not sandbox.exists()
+    diff = tmp_path / "diff.json"
+    argv = ["--config", str(config), "twin", "diff", "--pre", str(sidecar), "--post", str(twin_tree), "--out", str(diff)]
+    assert main(argv) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not diff.exists()
 
 
 def test_capture_of_a_file_name_that_is_not_utf8_is_a_data_error(tmp_path, workspace, capsys):

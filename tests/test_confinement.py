@@ -123,3 +123,35 @@ def test_each_twin_input_rule_has_one_home():
             if module.startswith("twin/") and not config_rule and method == "partition" and "=" in args:
                 offenders.append(f"{where} config line .partition('=')")
     assert offenders == []
+
+
+def _big_number(node: ast.AST) -> bool:
+    """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return getattr(node.left, "value", None) == 2 and getattr(node.right, "value", 0) >= 53
+    value = getattr(node, "value", None)
+    return isinstance(node, ast.Constant) and type(value) in (int, float) and abs(value) >= 2**53 - 1
+
+
+def test_each_dataset_rule_has_one_home():
+    """The dataset alone judges cells and pids: ``isfinite`` appears in
+    ``ingest/`` only in its column check, the pid bound is written once and
+    read only by the pid check, and the process-sample type the capture
+    parser once checked pids with stays gone. The reader's own copies of
+    these rules once disagreed with the dataset's on pids past 2**53."""
+    offenders, bounds = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if module.startswith("ingest/") and name == "isfinite" and function != "_checked_column":
+                offenders.append(f"{where} isfinite")
+            if name == "PID_MAX" and isinstance(getattr(node, "ctx", None), ast.Load) and function != "_checked_pids":
+                offenders.append(f"{where} PID_MAX")
+            if name in ("ProcessSample", "parse_top_samples"):
+                offenders.append(f"{where} {name}")
+            if _big_number(node):
+                bounds.append(where)
+    assert offenders == []
+    assert len(bounds) == 1 and bounds[0].startswith("ingest/tabular.py:")

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from twinforge.errors import MalformedRow
 from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.ingest.tabular import Categorical
 from twinforge.tabular import GanConfig, generate_rows, train_gan
@@ -66,6 +67,7 @@ _BAD_CELLS = {
     "inf": (("a", 1.0), ("b", -math.inf)),
     "str in a continuous column": (("a", "1.0"),),
     "non-str discrete cell": ((1, 1.0),),
+    "int beyond the double range": (("a", 10**400),),
 }
 
 
@@ -87,12 +89,28 @@ def test_both_constructors_reject_a_ragged_row():
         TabularDataset.from_columns(SCHEMA, [Categorical.from_values(["a"])])
 
 
-@pytest.mark.parametrize("pids", [(0,), (-1,), (True,), (1.5,), (1, 2), ()])
+@pytest.mark.parametrize("pids", [(0,), (-1,), (True,), (1.5,), (1, 2), (), (1.0,)])
 def test_both_constructors_reject_bad_pids(pids):
     with pytest.raises(ValueError):
         TabularDataset(SCHEMA, (("a", 1.0),), pids)
     with pytest.raises(ValueError):
         _by_columns((("a", 1.0),), pids)
+
+
+@pytest.mark.parametrize(
+    "rows, pids, row, reason",
+    [
+        ((("a", 1.0), ("b", math.nan)), None, 1, "column 'x': non-finite value"),
+        ((("a", 1.0), ("b", 1.0), ("c", -(10**400))), None, 2, "column 'x': non-finite value"),
+        ((("a", 1.0), ("b", True)), None, 1, "column 'x': expected a number"),
+        ((("a", 1.0), (None, 1.0)), None, 1, "column 'u': expected a string"),
+        ((("a", 1.0), ("b", 1.0)), (7, 0), 1, "pid must be an integer"),
+    ],
+)
+def test_a_bad_row_is_named_by_its_index(rows, pids, row, reason):
+    with pytest.raises(MalformedRow, match=reason) as err:
+        TabularDataset(SCHEMA, rows, pids)
+    assert err.value.row == row
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from twinforge.ingest import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from twinforge.ingest.tabular import PID_COLUMN
+from twinforge.ingest.tabular import PID_COLUMN, PID_MAX
 
 SCHEMA = Schema(
     (
@@ -138,7 +138,7 @@ def _datasets(draw):
     schema = Schema(tuple(Column(f"c{i}", kind) for i, kind in enumerate(kinds)))
     cell = {CONTINUOUS: _number, DISCRETE: _category}
     rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=12))
-    pids = draw(st.none() | st.lists(st.integers(1, 2**63 - 1), min_size=len(rows), max_size=len(rows)))
+    pids = draw(st.none() | st.lists(st.integers(1, PID_MAX), min_size=len(rows), max_size=len(rows)))
     return TabularDataset(schema, rows, pids)
 
 
@@ -159,6 +159,39 @@ def test_bad_pid_cell_names_its_line(tmp_path, pid):
     path.write_text(f'"pid","a"\n1,1.0\n{pid},2.0\n', encoding="utf-8")
     with pytest.raises(MalformedCsv, match="line 3: pid"):
         read_dataset_csv(path)
+
+
+def test_the_largest_pid_round_trips_exactly(tmp_path):
+    path = tmp_path / "data.csv"
+    dataset = _dataset(pids=(1, 2**22, 2**53 - 2, 2**53 - 1, 2**53 - 1))
+    write_dataset_csv(dataset, path)
+    assert read_dataset_csv(path).pids == (1, 2**22, 2**53 - 2, 2**53 - 1, 2**53 - 1)
+
+
+@pytest.mark.parametrize("pid", [2**53, 2**53 + 1, 2**63 - 1, 2**63])
+def test_a_pid_past_the_exact_doubles_is_refused_at_every_entry(tmp_path, monkeypatch, capsys, pid):
+    """2**53 + 1 reads back from a CSV as 2**53, and 2**63 - 1 as 2**63: a
+    pid the reader cannot tell from another is refused wherever it enters."""
+    from twinforge.cli import main
+
+    rows = (("root", 3.3, "gedit"), ("root", 2.0, "top"))
+    with pytest.raises(ValueError, match="row 1: pid"):
+        TabularDataset(SCHEMA, rows, (1, pid))
+    with pytest.raises(ValueError, match="row 1: pid"):
+        TabularDataset.from_columns(SCHEMA, TabularDataset(SCHEMA, rows).columns, (1, pid))
+
+    path = tmp_path / "bad.csv"
+    path.write_text(f'"pid","a"\n1,1.0\n{pid},2.0\n', encoding="utf-8")
+    with pytest.raises(MalformedCsv, match="line 3: pid"):
+        read_dataset_csv(path)
+
+    monkeypatch.chdir(tmp_path)
+    capture = tmp_path / "top.txt"
+    capture.write_text(f"PID USER %CPU %MEM TIME+ COMMAND\n1 root 1.0 0.5 00:02.0 sh\n{pid} root 1.0 0.5 00:02.0 sh\n")
+    out = tmp_path / "top.csv"
+    assert main(["ingest", "top", "--in", str(capture), "--out", str(out)]) == 2
+    assert "line 3: pid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_pid_cell_is_a_data_error_in_the_cli(tmp_path, monkeypatch, capsys):
@@ -182,6 +215,7 @@ def test_bad_pid_cell_is_a_data_error_in_the_cli(tmp_path, monkeypatch, capsys):
         ('"a"\n1.5\nabc\n', 3, "could not convert"),
         ('"a","a"\n1.0,2.0\n', 1, "duplicate column names"),
         ('"a","pid"\n1.0,2.0\n', 1, "reserved"),
+        ('"pid"\n1\n', 1, "at least one column"),
         # a quoted cell over two lines: the ragged record after it starts on line 4
         ('"a","b"\n"x\ny",1.0\n"z"\n', 4, "expected 2 fields"),
     ],

@@ -5,7 +5,7 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from twinforge.errors import BadArg, BadArity, EmptyScript, UnknownVerb
@@ -105,5 +105,33 @@ _command = st.one_of(
 
 @given(st.lists(_command, min_size=1, max_size=12))
 def test_round_trip_for_random_scripts(commands):
+    script = MacroScript("generated", tuple(commands))
+    assert parse_macro_script(emit_macro_script(script), name="generated") == script
+
+
+# every line boundary of str.splitlines, which the parser splits on
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS)
+def test_a_text_argument_may_not_hold_a_line_break(char):
+    with pytest.raises(BadArg, match="line breaks"):
+        MacroCommand("Send", (f"a{char}b",))
+
+
+_any_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from(_LINE_BREAKS), min_size=1, max_size=12
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["Run", "Send", "WinActivate", "WinWaitActive"]), _any_text), max_size=6))
+def test_every_constructible_script_round_trips(pairs):
+    commands = []
+    for verb, text in pairs:
+        try:
+            commands.append(MacroCommand(verb, (text,)))
+        except BadArg:
+            pass
+    assume(commands)
     script = MacroScript("generated", tuple(commands))
     assert parse_macro_script(emit_macro_script(script), name="generated") == script

@@ -579,6 +579,33 @@ def test_undo_of_an_add_under_a_file_completes(twin):
     assert _state(twin) == before
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"path": "bin/x", "saved": False, "created": "tm"},
+        {"path": "bin/x", "saved": False, "created": ["tm", 5]},
+        {"path": "bin/x", "saved": "no", "created": []},
+        {"path": 5, "saved": False, "created": []},
+        ["bin/x", False, []],
+    ],
+)
+def test_a_malformed_undo_record_undoes_nothing(twin, doc):
+    """A record whose ``created`` is the string "tm" once made the roll-back
+    remove the sandbox's ``t/`` and ``m/``. Every record is read before
+    anything is undone, so the valid newer record is not undone either."""
+    for name in ("t", "m", "new"):
+        (twin.sandbox / name).mkdir()
+    with writer_lock(twin.sandbox):
+        jdir = begin_journal(twin.sandbox)
+        (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
+        record(jdir, 1, UndoRecord("new/x", False, ("new",)))
+    before = _state(twin)
+    with pytest.raises(MalformedJournal, match="000000.json: bad undo record"):
+        journal.roll_back(twin.sandbox)
+    assert _state(twin) == before
+    assert all((twin.sandbox / name).is_dir() for name in ("t", "m", "new"))
+
+
 class _Killed(BaseException):
     pass
 

@@ -9,7 +9,6 @@ from twinforge.ingest import (
     TOP_SCHEMA,
     parse_time_lapsed,
     parse_top_capture,
-    parse_top_samples,
 )
 
 EXPECTED_TABLE = [
@@ -57,8 +56,8 @@ def test_parse_top_single_line():
 
 
 def test_command_keeps_embedded_spaces():
-    samples = parse_top_samples("7 root 1.0 0.5 00:02.0 cool app v2")
-    assert samples[0].command == "cool app v2"
+    dataset = parse_top_capture("7 root 1.0 0.5 00:02.0 cool app v2")
+    assert dataset.column_values("command") == ("cool app v2",)
 
 
 def test_empty_capture():
@@ -76,6 +75,8 @@ def test_empty_capture():
         "392 root 3.3 0.2 1.1 gedit",  # bad time shape
         "392 root -1 0.2 00:01.1 gedit",  # negative cpu
         "392 root 3.3 101 00:01.1 gedit",  # mem out of range
+        "392 root inf 0.2 00:01.1 gedit",  # non-finite cpu
+        "392 root nan 0.2 00:01.1 gedit",  # non-finite cpu
     ],
 )
 def test_malformed_lines_carry_line_number(line):
@@ -84,3 +85,16 @@ def test_malformed_lines_carry_line_number(line):
         parse_top_capture(text)
     assert err.value.line_no == 2
 
+
+
+@pytest.mark.parametrize("cpu", ["inf", "nan", "-nan", "1e400"])
+def test_non_finite_cpu_is_a_data_error_naming_its_line(tmp_path, monkeypatch, capsys, cpu):
+    from twinforge.cli import main
+
+    monkeypatch.chdir(tmp_path)  # the default workspace is the working directory
+    capture = tmp_path / "top.txt"
+    capture.write_text("PID USER %CPU %MEM TIME+ COMMAND\n392 root 3.3 0.2 00:01.1 gedit\n" f"7 root {cpu} 0.5 00:02.0 sh\n")
+    out = tmp_path / "top.csv"
+    assert main(["ingest", "top", "--in", str(capture), "--out", str(out)]) == 2
+    assert "line 3: column 'cpu_pct': non-finite value" in capsys.readouterr().err
+    assert not out.exists()
