@@ -12,13 +12,13 @@ import argparse
 import hashlib
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from twinforge.clock import now_iso
-from twinforge.config import PipelineConfig, config_from_doc, default_workspace, load_config
+from twinforge.config import PipelineConfig, default_workspace, load_config
 from twinforge.errors import (
     GateExhausted,
     MacroSyntaxError,
@@ -35,7 +35,7 @@ from twinforge.ingest import (
     tokenize_script,
     write_dataset_csv,
 )
-from twinforge.jsonfile import dumps, read_json, read_text, write_json
+from twinforge.jsonfile import dumps, from_doc, read_json, read_text, write_json
 from twinforge.sequence import (
     GenRequest,
     generate_sequence,
@@ -86,6 +86,16 @@ EXIT_DATA = 2
 EXIT_VALIDATION = 3
 
 WORKSPACE_LOCK = "workspace.lock"
+
+
+@dataclass(frozen=True)
+class SynthMeta:
+    """The ``.meta.json`` beside a generated CSV: how the batch was made."""
+
+    gate_attempts: int
+    seed: int
+    n: int
+    model: str
 
 
 class _UsageError(Exception):
@@ -203,7 +213,7 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config is not None:
         config = load_config(args.config)
     else:
-        config = config_from_doc({"workspace": str(default_workspace())})
+        config = PipelineConfig(default_workspace())
     if args.seed is not None:
         if args.seed < 0:
             raise _UsageError("--seed must be non-negative")
@@ -314,8 +324,7 @@ def _cmd_gen(args, config, say) -> int:
         synth, attempts = generate_gated(model, real, args.n, config.gate, rng)
         out = args.out or _workspace_path(config, "datasets", "synthetic.csv")
         write_dataset_csv(synth, out)
-        meta = {"gate_attempts": attempts, "seed": seed, "n": args.n, "model": str(args.model)}
-        write_json(meta, str(out) + ".meta.json")
+        write_json(SynthMeta(attempts, seed, args.n, str(args.model)), str(out) + ".meta.json")
         say(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
@@ -370,12 +379,9 @@ def _cmd_validate(args, config, say) -> int:
     seeds = {"global": config.seed}
     meta_path = Path(str(args.synth) + ".meta.json")
     if meta_path.is_file():
-        meta = read_json(meta_path, MalformedCsv)
-        if not isinstance(meta, dict):
-            raise MalformedCsv(f"{meta_path}: expected a JSON object")
-        gate_attempts = meta.get("gate_attempts")
-        if "seed" in meta:
-            seeds["gen_tabular"] = meta["seed"]
+        meta = from_doc(SynthMeta, read_json(meta_path, MalformedCsv), MalformedCsv, str(meta_path))
+        gate_attempts = meta.gate_attempts
+        seeds["gen_tabular"] = meta.seed
 
     run_id = sha256_hex(
         f"{config.seed}|{sha256_hex(args.real.read_bytes())}|"

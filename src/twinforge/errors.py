@@ -237,18 +237,9 @@ class MalformedJournal(TwinforgeError):
 class ConfigParse(TwinforgeError):
     """A config value is missing, has the wrong type, or is out of range."""
 
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"config field {field!r}: {reason}")
-        self.field = field
-        self.reason = reason
-
 
 class UnknownKey(TwinforgeError):
     """A config file contains a key outside the documented set."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"unknown config key {name!r}")
-        self.name = name
 
 
 class WorkspaceLocked(TwinforgeError):

@@ -1,20 +1,26 @@
 """The one text form of every JSON artifact, its one reader, the one
-reader of UTF-8 text inputs, and the one reader of tagged documents.
+record reader, the one reader of UTF-8 text inputs, and the one reader of
+tagged documents.
 
 Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
 dataclass inside a document is written as ``{field name: value}``, which
-makes its field names the on-disk keys.
+makes its field names the on-disk keys; ``from_doc`` reads it back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+import reprlib
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Callable, Mapping
+from types import UnionType
+from typing import Callable, Mapping, TypeVar, get_args, get_origin, get_type_hints
 
 from twinforge.errors import UndecodableInput
+
+T = TypeVar("T")
 
 
 def _fields(obj: object) -> dict:
@@ -46,6 +52,103 @@ def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+
+
+# The JSON types a scalar field takes, by annotation, and their name: a
+# bool is never a number, and a path is a string.
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+    Path: ((str,), "a string"),
+}
+
+
+class _Fault(Exception):
+    """A record value that does not fit its field."""
+
+
+class _UnknownKey(_Fault):
+    """A key that is not a field of its record."""
+
+
+@cache
+def _shape(hint: object) -> tuple:
+    """How a value is read as ``hint``, worked out once per annotation: its
+    origin and arguments, whether it is a fixed-length tuple, the JSON types
+    it takes and their name, and a dataclass's fields (annotation, required)."""
+    origin, args = get_origin(hint), get_args(hint)
+    fixed = origin is tuple and args[-1] is not Ellipsis
+    if hint in _SCALARS:
+        types, what = _SCALARS[hint]
+    elif hint is list or origin is tuple:
+        types, what = (list,), f"a list of {len(args)}" if fixed else "a list"
+    else:
+        types, what = (dict,), "an object"
+    schema = None
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        schema = {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(hint)}
+    return origin, args, fixed, types, what, schema
+
+
+def _read(hint: object, value: object, field: str) -> object:
+    """``value`` as the annotation ``hint``; ``field`` is its dotted name."""
+    origin, args, fixed, types, what, schema = _shape(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, field)
+    if type(value) not in types or fixed and len(value) != len(args):
+        raise _Fault(f"{field or 'the document'} must be {what}, not {reprlib.repr(value)}")
+    if origin is tuple:
+        return tuple(_read(args[i] if fixed else args[0], v, f"{field}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        return {key: _read(args[1], v, f"{field}[{key!r}]") for key, v in value.items()}
+    if schema is None:
+        return value  # a scalar, or a bare dict or list
+    prefix = f"{field}." if field else ""
+    for key in value:
+        if key not in schema:
+            raise _UnknownKey(f"unknown key {prefix + key!r}")
+    kwargs = {}
+    for name, (annotation, required) in schema.items():  # in field order: the first field's fault is reported
+        if name in value:
+            kwargs[name] = _read(annotation, value[name], prefix + name)
+        elif required:
+            raise _Fault(f"missing field {prefix + name!r}")
+    try:
+        return hint(**kwargs)
+    except ValueError as exc:
+        raise _Fault(f"{field}: {exc}" if field else str(exc)) from exc
+
+
+def from_doc(
+    cls: type[T], doc: object, error: Callable[[str], Exception], where: str,
+    unknown: Callable[[str], Exception] | None = None,
+) -> T:
+    """The JSON value ``doc`` as the dataclass ``cls``: its keys are the
+    fields, each value read by its annotation (a scalar of ``_SCALARS``,
+    ``X | None``, a tuple, ``dict[str, X]``, a bare ``dict`` or ``list``, or
+    a dataclass). An unknown key raises ``unknown`` (by default ``error``),
+    any other fault ``error``, naming ``where`` and the dotted field."""
+    try:
+        return _read(cls, doc, "")
+    except _Fault as fault:
+        typed = unknown if unknown and isinstance(fault, _UnknownKey) else error
+        raise typed(f"{where}: {fault}") from fault.__cause__
+
+
+def read_record(path: str | Path, classes: Mapping[int, type[T]], error: Callable[[str], Exception]) -> T:
+    """The versioned artifact in ``path``: a JSON object whose
+    ``format_version`` is a key of ``classes``, its other keys read by
+    ``from_doc`` as that version's dataclass."""
+    doc = read_json(path, error)
+    if type(doc) is not dict:
+        raise error(f"{path}: must be a JSON object")
+    version = doc.pop("format_version", None)
+    if type(version) is not int or version not in classes:
+        raise error(f"{path}: unsupported format_version {version!r}")
+    return from_doc(classes[version], doc, error, str(path))
 
 
 def read_tagged(

@@ -9,6 +9,7 @@ strictly positive distribution summing to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
-from twinforge.jsonfile import dumps, read_json
+from twinforge.jsonfile import dumps, read_record
 
 MODEL_FORMAT_VERSION = 1
 _CTX_JOIN = "\n"  # tokens are single lines, so newline never collides
@@ -56,10 +57,19 @@ class SeqModel:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if BOS not in self.vocab or EOS not in self.vocab:
             raise ValueError("vocabulary must include the BOS/EOS sentinels")
+        # what generation relies on: a table per context length, the empty context's
+        # included, and counts of vocabulary tokens only, each at least 1
+        if set(self.counts) != set(range(self.order)) or () not in self.counts[0]:
+            raise ValueError("counts must hold a table for each context length below order")
+        vocab = set(self.vocab)
+        for tables in self.counts.values():
+            for table in tables.values():
+                if not vocab.issuperset(table) or min(table.values(), default=1) < 1:
+                    raise ValueError("each count must be >= 1 and count a vocabulary token")
         self.totals = {
             m: {ctx: sum(table.values()) for ctx, table in tables.items()}
             for m, tables in self.counts.items()
@@ -154,20 +164,25 @@ def sequence_to_script(tokens: Sequence[str], name: str = "generated") -> MacroS
 # -- persistence ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _SeqModelFile:
+    """A sequence model file's fields after its ``format_version``; counts
+    are keyed by context length and by context tokens joined by newlines."""
+
+    kind: str
+    order: int
+    delta: float
+    seed: int
+    vocab: tuple[str, ...]
+    counts: dict[str, dict[str, dict[str, int]]]
+
+
 def seq_model_to_json(model: SeqModel) -> str:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "sequence-ngram",
-        "order": model.order,
-        "delta": model.delta,
-        "seed": model.seed,
-        "vocab": model.vocab,
-        "counts": {
-            str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()}
-            for m, tables in model.counts.items()
-        },
+    counts = {
+        str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()} for m, tables in model.counts.items()
     }
-    return dumps(doc)
+    doc = _SeqModelFile("sequence-ngram", model.order, model.delta, model.seed, model.vocab, counts)
+    return dumps({"format_version": MODEL_FORMAT_VERSION, **vars(doc)})
 
 
 def save_seq_model(model: SeqModel, path: str | Path) -> None:
@@ -175,23 +190,12 @@ def save_seq_model(model: SeqModel, path: str | Path) -> None:
 
 
 def load_seq_model(path: str | Path) -> SeqModel:
-    doc = read_json(path, MalformedModel)
+    doc = read_record(path, {MODEL_FORMAT_VERSION: _SeqModelFile}, MalformedModel)
     try:
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
-            raise MalformedModel(f"{path}: unsupported format_version {doc['format_version']!r}")
         counts = {
-            int(m): {
-                tuple(ctx.split(_CTX_JOIN)) if ctx else (): dict(table)
-                for ctx, table in tables.items()
-            }
-            for m, tables in doc["counts"].items()
+            int(m): {tuple(ctx.split(_CTX_JOIN)) if ctx else (): table for ctx, table in tables.items()}
+            for m, tables in doc.counts.items()
         }
-        return SeqModel(
-            order=doc["order"],
-            delta=doc["delta"],
-            seed=doc["seed"],
-            vocab=tuple(doc["vocab"]),
-            counts=counts,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return SeqModel(doc.order, doc.delta, doc.seed, doc.vocab, counts)
+    except ValueError as exc:
         raise MalformedModel(f"{path}: {exc}") from exc

@@ -150,8 +150,8 @@ class TableCodec:
         widest = max((s.width for s in self.cond_spans), default=0)
         self._cdfs = {w: np.full((widest, len(self.cond_spans)), np.inf) for w in (True, False)}
         for c, span in enumerate(self.cond_spans):
-            table = self.frequencies[span.name]
-            counts = np.array([table[k] for k in self.categories[span.name]], dtype=float)
+            table = self.frequencies.get(span.name, {})  # a category it lacks counts as NaN
+            counts = np.array([table.get(k, np.nan) for k in self.categories[span.name]], dtype=float)
             if not (counts >= 0).all() or not 0 < counts.sum() < np.inf:
                 raise ValueError(f"frequencies of {span.name!r} must be finite, >= 0 and not all 0")
             for log_weighted, weights in ((True, np.log1p(counts)), (False, counts)):

@@ -32,7 +32,7 @@ import numpy as np
 
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import Column, Schema, TabularDataset
-from twinforge.jsonfile import dumps, read_json
+from twinforge.jsonfile import dumps, read_record
 from twinforge.tabular.encoding import PAIRWISE_FROM, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
@@ -299,24 +299,32 @@ def generate_rows(model: GanModel, n: int, rng: np.random.Generator) -> TabularD
 # -- persistence ---------------------------------------------------------------
 
 
-def _net_to_lists(net: FeedForward) -> dict:
-    return {
-        "activation": net.activation,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
+@dataclass(frozen=True)
+class _NetLists:
+    """A network as the model file holds it: nested lists for each layer."""
+
+    activation: str
+    weights: tuple[list, ...]
+    biases: tuple[list, ...]
 
 
-def _net_from_lists(data: dict, sizes: list[int]) -> FeedForward:
+def _net_to_lists(net: FeedForward) -> _NetLists:
+    return _NetLists(net.activation, tuple(w.tolist() for w in net.weights), tuple(b.tolist() for b in net.biases))
+
+
+def _net_from_lists(data: _NetLists, sizes: list[int]) -> FeedForward:
     """A network of the given layer sizes holding the stored parameters;
-    raises ``ValueError`` unless every array has its layer's shape and is finite."""
-    net = FeedForward(sizes, data["activation"], np.random.default_rng(0))
+    raises ``ValueError`` unless every array is made of numbers, has its
+    layer's shape and is finite."""
+    net = FeedForward(sizes, data.activation, np.random.default_rng(0))
     for kind, targets in (("weights", net.weights), ("biases", net.biases)):
-        sources = data[kind]
+        sources = getattr(data, kind)
         if len(sources) != len(targets):
             raise ValueError(f"generator has {len(sources)} {kind} arrays, expected {len(targets)}")
         for i, (target, source) in enumerate(zip(targets, sources)):
-            arr = np.asarray(source, dtype=float)
+            arr = np.array(source)  # a ragged list raises ValueError
+            if arr.dtype.kind not in "if":
+                raise ValueError(f"generator {kind}[{i}] holds a value that is not a number")
             if arr.shape != target.shape:
                 raise ValueError(f"generator {kind}[{i}] has shape {arr.shape}, expected {target.shape}")
             if not np.isfinite(arr).all():
@@ -325,21 +333,37 @@ def _net_from_lists(data: dict, sizes: list[int]) -> FeedForward:
     return net
 
 
+@dataclass(frozen=True)
+class _ModelFile:
+    """A tabular model file's fields after its ``format_version``."""
+
+    kind: str
+    seed: int
+    config: GanConfig
+    schema: tuple[tuple[str, str], ...]
+    normalizers: dict[str, ModeNormalizer]
+    categories: dict[str, tuple[str, ...]]
+    frequencies: dict[str, dict[str, int]]
+    generator: _NetLists
+    gen_losses: tuple[float, ...]
+    disc_losses: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _ModelFileV1(_ModelFile):
+    """Version 1 files also hold the discriminator; loading ignores it."""
+
+    discriminator: dict
+
+
 def model_to_json(model: GanModel) -> str:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "tabular-gan",
-        "seed": model.seed,
-        "config": model.config,
-        "schema": [[c.name, c.kind] for c in model.schema.columns],
-        "normalizers": model.codec.normalizers,
-        "categories": model.codec.categories,
-        "frequencies": model.codec.frequencies,
-        "generator": _net_to_lists(model.generator),
-        "gen_losses": model.gen_losses,
-        "disc_losses": model.disc_losses,
-    }
-    return dumps(doc)
+    codec = model.codec
+    doc = _ModelFile(
+        "tabular-gan", model.seed, model.config, tuple((c.name, c.kind) for c in model.schema.columns),
+        codec.normalizers, codec.categories, codec.frequencies, _net_to_lists(model.generator),
+        model.gen_losses, model.disc_losses,
+    )
+    return dumps({"format_version": MODEL_FORMAT_VERSION, **vars(doc)})
 
 
 def save_model(model: GanModel, path: str | Path) -> None:
@@ -347,31 +371,12 @@ def save_model(model: GanModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GanModel:
-    doc = read_json(path, MalformedModel)
+    doc = read_record(path, {1: _ModelFileV1, MODEL_FORMAT_VERSION: _ModelFile}, MalformedModel)
     try:
-        # Version 1 files also hold the discriminator; loading ignores that block.
-        if doc["format_version"] not in (1, MODEL_FORMAT_VERSION):
-            raise MalformedModel(f"{path}: unsupported format_version {doc['format_version']!r}")
-        schema = Schema(tuple(Column(n, k) for n, k in doc["schema"]))
-        # JSON arrays read back as lists; a normalizer holds tuples.
-        normalizers = {
-            name: ModeNormalizer(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-            for name, d in doc["normalizers"].items()
-        }
         codec = TableCodec(
-            schema,
-            normalizers,
-            {k: tuple(v) for k, v in doc["categories"].items()},
-            doc["frequencies"],
+            Schema(tuple(Column(n, k) for n, k in doc.schema)), doc.normalizers, doc.categories, doc.frequencies
         )
-        config = GanConfig(**doc["config"])
-        return GanModel(
-            codec=codec,
-            config=config,
-            seed=doc["seed"],
-            generator=_net_from_lists(doc["generator"], _generator_sizes(config, codec)),
-            gen_losses=tuple(doc["gen_losses"]),
-            disc_losses=tuple(doc["disc_losses"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        generator = _net_from_lists(doc.generator, _generator_sizes(doc.config, codec))
+    except ValueError as exc:
         raise MalformedModel(f"{path}: {exc}") from exc
+    return GanModel(codec, doc.config, doc.seed, generator, doc.gen_losses, doc.disc_losses)

@@ -16,16 +16,16 @@ from typing import Iterator, Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import MalformedArchive
-from twinforge.jsonfile import read_json, write_json
+from twinforge.jsonfile import read_record, write_json
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
     FILE,
     MANIFEST_FORMAT_VERSION,
     ManifestEntry,
+    Sidecar,
     is_safe_rel_path,
     manifest_entry,
-    manifest_from_doc,
     walk_tree,
 )
 
@@ -103,25 +103,15 @@ def sidecar_path(image_path: str | Path) -> Path:
 def save_image(image: TwinImage, path: str | Path) -> None:
     path = Path(path)
     path.write_bytes(image.archive)
-    doc = {
-        "format_version": MANIFEST_FORMAT_VERSION,
-        "created_at": image.created_at,
-        "exclusions": image.exclusions,
-        "entries": image.manifest,
-    }
-    write_json(doc, sidecar_path(path))
+    sidecar = Sidecar(image.created_at, image.exclusions, image.manifest)
+    write_json({"format_version": MANIFEST_FORMAT_VERSION, **vars(sidecar)}, sidecar_path(path))
 
 
 def load_image(path: str | Path) -> TwinImage:
     path = Path(path)
     archive = path.read_bytes()
-    doc = read_json(sidecar_path(path), MalformedArchive)
-    manifest = manifest_from_doc(doc, sidecar_path(path))
-    try:
-        image = TwinImage(manifest, archive, tuple(doc["exclusions"]), doc["created_at"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedArchive(f"{sidecar_path(path)}: {exc}") from exc
+    sidecar = read_record(sidecar_path(path), {MANIFEST_FORMAT_VERSION: Sidecar}, MalformedArchive)
     archive_paths = [p for p, _, _, _ in unpack_archive(archive)]
-    if archive_paths != [e.path for e in manifest]:
+    if archive_paths != [e.path for e in sidecar.entries]:
         raise MalformedArchive(f"{path}: archive entries disagree with sidecar manifest")
-    return image
+    return TwinImage(sidecar.entries, archive, sidecar.exclusions, sidecar.created_at)

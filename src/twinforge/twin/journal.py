@@ -14,16 +14,18 @@ once its record is complete.
 
 A patch whose ops all ran commits by renaming the marker to the committed
 marker, one atomic step; from then on the journal is only dropped, never
-undone. ``roll_back`` undoes the records newest first and deletes each one
-as soon as its op is undone, so the journal always lists only what is still
-to undo and a roll-back cut short can be run again. Either way the journal
-is dropped entry by entry with its marker last, so a drop cut short leaves a
-journal that still says what it is, or an empty directory. The writer lock
-calls ``roll_back`` on every acquisition, so the next writer undoes a patch
-cut short by a crash, or finishes dropping a committed one. The guarantee
-covers a process crash, not power loss: nothing here calls ``fsync``, so
-after a power cut the journal or the sandbox may hold data the kernel never
-wrote.
+undone. ``roll_back`` reads every record, and resolves its paths inside the
+sandbox, before it undoes any, so a record of another shape or whose path
+leads out undoes nothing. It undoes the records newest first and deletes
+each one as soon as its op is undone, so the journal always lists only what
+is still to undo and a roll-back cut short can be run again. Either way the
+journal is dropped entry by entry with its marker last, so a drop cut short
+leaves a journal that still says what it is, or an empty directory. The
+writer lock calls ``roll_back`` on every acquisition, so the next writer
+undoes a patch cut short by a crash, or finishes dropping a committed one.
+The guarantee covers a process crash, not power loss: nothing here calls
+``fsync``, so after a power cut the journal or the sandbox may hold data the
+kernel never wrote.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from twinforge.errors import MalformedJournal
-from twinforge.jsonfile import read_json, write_json
+from twinforge.errors import MalformedJournal, SymlinkOutsideRoot
+from twinforge.jsonfile import from_doc, read_json, write_json
+from twinforge.twin.manifest import is_safe_rel_path, resolve_inside
 
 MARKER = "twinforge-journal"
 COMMITTED = "twinforge-journal.committed"
@@ -47,14 +50,8 @@ class UndoRecord:
     created: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not (
-            type(self.path) is str
-            and type(self.saved) is bool
-            and isinstance(self.created, (list, tuple))
-            and all(type(rel) is str for rel in self.created)
-        ):
-            raise ValueError("'path' must be a string, 'saved' a bool and 'created' a list of strings")
-        object.__setattr__(self, "created", tuple(self.created))
+        if not all(map(is_safe_rel_path, (self.path, *self.created))):
+            raise ValueError("paths must be relative and normalized")
 
 
 def journal_dir(sandbox: str | Path) -> Path:
@@ -112,8 +109,14 @@ def _discard(path: Path, remove) -> None:
         pass  # never created, or already undone
 
 
+def _nodes(root: Path, rec: UndoRecord) -> list[Path]:
+    """The record's node and then the directories it created, resolved
+    inside ``root`` without following the nodes themselves."""
+    return [resolve_inside(root, rel, follow=False) for rel in (rec.path, *rec.created)]
+
+
 def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
-    node = root / rec.path
+    node, *created = _nodes(root, rec)
     if not rec.saved:
         _discard(node, Path.unlink)
     elif os.path.lexists(saved):  # absent: undone already, or a delete that never ran
@@ -122,8 +125,8 @@ def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
             saved.unlink()
         else:
             os.replace(saved, node)
-    for rel in rec.created:
-        _discard(root / rel, Path.rmdir)
+    for path in created:
+        _discard(path, Path.rmdir)
 
 
 def commit(journal: Path) -> None:
@@ -158,11 +161,13 @@ def roll_back(sandbox: str | Path) -> None:
         return
     root = Path(sandbox).resolve()
     records = []
-    for path in sorted(journal.glob("*.json"), reverse=True):  # all read before any is undone
+    for path in sorted(journal.glob("*.json"), reverse=True):  # all read and resolved before any is undone
+        rec = from_doc(UndoRecord, read_json(path, MalformedJournal), MalformedJournal, f"{path}: bad undo record")
         try:
-            records.append((path, UndoRecord(**read_json(path, MalformedJournal))))
-        except (TypeError, ValueError) as exc:
-            raise MalformedJournal(f"{path}: bad undo record: {exc}") from exc
+            _nodes(root, rec)
+        except SymlinkOutsideRoot as exc:
+            raise MalformedJournal(f"{path}: undo record leads out of the sandbox: {exc}") from exc
+        records.append((path, rec))
     for path, rec in records:
         _undo(root, path.with_suffix(".node"), rec)
         path.unlink()

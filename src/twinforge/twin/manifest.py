@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 from twinforge.errors import MalformedArchive, SymlinkOutsideRoot, UndecodableInput
-from twinforge.jsonfile import read_json
+from twinforge.jsonfile import read_record
 
 FILE = "file"
 DIR = "dir"
@@ -51,9 +51,9 @@ class ManifestEntry:
             raise ValueError(f"manifest paths must be relative and normalized: {self.path!r}")
         if (self.sha256 is None) != (self.kind == DIR):
             raise ValueError("files carry a hash, directories do not")
-        if type(self.size) is not int or self.size < 0:
+        if self.size < 0:
             raise ValueError(f"{self.path}: size must be an integer >= 0, got {self.size!r}")
-        if type(self.mode) is not int or not 0 <= self.mode <= 0o7777:
+        if not 0 <= self.mode <= 0o7777:
             raise ValueError(f"{self.path}: mode must be an integer from 0 to 0o7777, got {self.mode!r}")
 
 
@@ -142,18 +142,18 @@ def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[Manifes
 # -- persistence -----------------------------------------------------------
 
 
-def manifest_from_doc(doc: dict, source: str | Path) -> tuple[ManifestEntry, ...]:
-    """The entries of a manifest document: an image sidecar or a bare manifest."""
-    try:
-        if doc["format_version"] != MANIFEST_FORMAT_VERSION:
-            raise MalformedArchive(f"{source}: unsupported format_version {doc['format_version']!r}")
-        return tuple(ManifestEntry(**d) for d in doc["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedArchive(f"{source}: bad manifest document: {exc}") from exc
+@dataclass(frozen=True)
+class Sidecar:
+    """An image's ``.manifest.json`` after its ``format_version``: the
+    manifest, and when and with which exclusions the tree was captured."""
+
+    created_at: str
+    exclusions: tuple[str, ...]
+    entries: tuple[ManifestEntry, ...]
 
 
 def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
-    return manifest_from_doc(read_json(path, MalformedArchive), path)
+    return read_record(path, {MANIFEST_FORMAT_VERSION: Sidecar}, MalformedArchive).entries
 
 
 # -- diffing -----------------------------------------------------------------

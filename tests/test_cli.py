@@ -265,7 +265,7 @@ def test_non_finite_config_value_is_a_data_error(tmp_path, workspace, script_pat
     model_path = tmp_path / "seq.json"
     args = ["--config", str(config), "train", "seq", "--corpus", *map(str, script_paths), "--out", str(model_path)]
     assert main(args) == 2
-    assert f"config field {section!r}" in capsys.readouterr().err
+    assert f"{config}: {section}: " in capsys.readouterr().err
     assert not model_path.exists()
 
 

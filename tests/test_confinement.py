@@ -155,3 +155,28 @@ def test_each_dataset_rule_has_one_home():
                 bounds.append(where)
     assert offenders == []
     assert len(bounds) == 1 and bounds[0].startswith("ingest/tabular.py:")
+
+
+# The functions that make ops and checks from the text fields ``read_tagged`` returns.
+TAGGED_LOADERS = {("twin/patch.py", "delta_from_doc"), ("twin/checks.py", "checks_from_doc")}
+
+
+def test_each_json_record_rule_has_one_home():
+    """Only ``jsonfile.py`` looks up annotations or field defaults, and no
+    module but the reader and the tagged-document loaders splats a
+    document into a class (``Cls(**d)``). The hand-written copies of the
+    record rule once let a report with ``"seeds": "ab"`` or a model with
+    ``"normalizers": []`` crash the CLI instead of being refused."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if module != "jsonfile.py" and name in ("get_type_hints", "MISSING"):
+                offenders.append(f"{where} {name}")
+            reader = module == "jsonfile.py" and function == "_read"
+            splat = isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords)
+            if splat and not reader and (module, function) not in TAGGED_LOADERS:
+                offenders.append(f"{where} {ast.unparse(node.func)}(**...)")
+    assert offenders == []

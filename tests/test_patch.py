@@ -606,6 +606,39 @@ def test_a_malformed_undo_record_undoes_nothing(twin, doc):
     assert all((twin.sandbox / name).is_dir() for name in ("t", "m", "new"))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"path": "../outside/victim", "saved": False, "created": []},
+        {"path": "new/x", "saved": False, "created": ["new", "../outside/empty"]},
+        {"path": "hop/victim", "saved": False, "created": []},
+        {"path": "new/x", "saved": False, "created": ["hop/empty"]},
+    ],
+    ids=["dotdot-path", "dotdot-created", "link-path", "link-created"],
+)
+def test_an_undo_record_leading_out_of_the_sandbox_undoes_nothing(twin, doc):
+    """A record once made the next writer delete the file ``../outside/victim``
+    (or remove a directory there), joined to the sandbox as written or
+    reached through an inside link that leads out. Each record is now
+    checked by the path rule and resolved before any is undone."""
+    outside = twin.sandbox.parent / "outside"
+    (outside / "empty").mkdir(parents=True)
+    (outside / "victim").write_bytes(b"keep\n")
+    (twin.sandbox / "hop").symlink_to(outside)
+    (twin.sandbox / "new").mkdir()
+    with writer_lock(twin.sandbox):
+        jdir = begin_journal(twin.sandbox)
+        (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
+        record(jdir, 1, UndoRecord("new/y", False, ("new",)))
+    before = scan_tree(twin.sandbox, ("hop",))
+    with pytest.raises(MalformedJournal, match="000000.json: "):
+        journal.roll_back(twin.sandbox)
+    assert scan_tree(twin.sandbox, ("hop",)) == before
+    assert sorted(p.name for p in jdir.iterdir()) == ["000000.json", "000001.json", journal.MARKER]
+    assert (outside / "victim").read_bytes() == b"keep\n"
+    assert (outside / "empty").is_dir()
+
+
 class _Killed(BaseException):
     pass
 

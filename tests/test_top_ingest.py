@@ -77,6 +77,14 @@ def test_empty_capture():
         "392 root 3.3 101 00:01.1 gedit",  # mem out of range
         "392 root inf 0.2 00:01.1 gedit",  # non-finite cpu
         "392 root nan 0.2 00:01.1 gedit",  # non-finite cpu
+        "1_0 root 3.3 0.2 00:01.1 gedit",  # pid with a digit separator
+        "+7 root 3.3 0.2 00:01.1 gedit",  # signed pid
+        "\u0663 root 3.3 0.2 00:01.1 gedit",  # non-ASCII digit pid
+        "392 root 1_0 0.2 00:01.1 gedit",  # cpu with a digit separator
+        "392 root \u0663 0.2 00:01.1 gedit",  # non-ASCII digit cpu
+        "392 root 3.3 0_2 00:01.1 gedit",  # mem with a digit separator
+        "392 root 3.3 \u0663 00:01.1 gedit",  # non-ASCII digit mem
+        "392 root 3.3 0.2 \u0660\u0660:01.1 gedit",  # non-ASCII digit time
     ],
 )
 def test_malformed_lines_carry_line_number(line):
