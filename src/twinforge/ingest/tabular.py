@@ -33,6 +33,8 @@ PID_COLUMN = "pid"
 # 2**53 each integer has a double of its own, from there on two can share
 # one (2**53 + 1 reads back as 2**53). Linux caps pids at 2**22.
 PID_MAX = 2**53 - 1
+# Rows the CSV writer turns into text at once.
+_WRITE_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,15 @@ def _checked_column(column: Column, values: np.ndarray | Categorical) -> np.ndar
 
 def _checked_pids(pids: Sequence[int] | np.ndarray, n_rows: int) -> tuple[int, ...]:
     """The pid rule: one int, never a bool, from 1 to ``PID_MAX`` per row."""
+    # a 1-d integer array within the range needs no look at each pid
+    in_range = (
+        isinstance(pids, np.ndarray) and pids.ndim == 1 and pids.dtype.kind in "iu"
+        and (not pids.size or (pids.min() >= 1 and pids.max() <= PID_MAX))
+    )
     pids = tuple(pids.tolist() if isinstance(pids, np.ndarray) else pids)
     if len(pids) != n_rows:
         raise ValueError("pids must be parallel to rows")
-    if pids and (set(map(type, pids)) != {int} or min(pids) < 1 or max(pids) > PID_MAX):
+    if pids and not in_range and (set(map(type, pids)) != {int} or min(pids) < 1 or max(pids) > PID_MAX):
         row = next(r for r, p in enumerate(pids) if type(p) is not int or not 1 <= p <= PID_MAX)
         raise MalformedRow(row, f"pid must be an integer from 1 to {PID_MAX}")
     return pids
@@ -241,24 +248,30 @@ def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:
     The bytes are those of ``csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)``
     over the rows: every discrete cell quoted, with ``"`` doubled; every
     number bare, a float as its ``repr`` and a pid as its ``str``; CRLF line
-    ends. Each column's text is built once, with no per-cell dispatch.
+    ends. Each category's text is built once. The text is built and written
+    ``_WRITE_BLOCK_ROWS`` rows at a time, a column at a time within a block,
+    with no per-cell dispatch.
     """
-    cells: list[list[str]] = []
-    for column in dataset.columns:
-        if isinstance(column, Categorical):
-            quoted = np.array(['"' + c.replace('"', '""') + '"' for c in column.categories], dtype=object)
-            cells.append(quoted[column.codes].tolist())
-        else:
-            # .tolist() yields Python floats, whose repr is the number; a
-            # numpy scalar's repr is "np.float64(...)".
-            cells.append(list(map(repr, column.tolist())))
+    quoted = [
+        np.array(['"' + c.replace('"', '""') + '"' for c in column.categories], dtype=object)
+        if isinstance(column, Categorical) else None
+        for column in dataset.columns
+    ]
     header = list(dataset.schema.names)
     if dataset.pids is not None:
         header = [PID_COLUMN] + header
-        cells.insert(0, list(map(str, dataset.pids)))
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerow(header)
-        if len(dataset):
+        for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            # .tolist() yields Python floats, whose repr is the number; a
+            # numpy scalar's repr is "np.float64(...)".
+            cells = [
+                list(map(repr, column[rows].tolist())) if texts is None else texts[column.codes[rows]].tolist()
+                for column, texts in zip(dataset.columns, quoted)
+            ]
+            if dataset.pids is not None:
+                cells.insert(0, list(map(str, dataset.pids[rows])))
             fh.write("\r\n".join(map(",".join, zip(*cells))))
             fh.write("\r\n")
 

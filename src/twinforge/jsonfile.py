@@ -77,7 +77,8 @@ class _UnknownKey(_Fault):
 def _shape(hint: object) -> tuple:
     """How a value is read as ``hint``, worked out once per annotation: its
     origin and arguments, whether it is a fixed-length tuple, the JSON types
-    it takes and their name, and a dataclass's fields (annotation, required)."""
+    it takes and their name, and a dataclass's fields (annotation, required,
+    and the JSON types a scalar field takes as they are, else none)."""
     origin, args = get_origin(hint), get_args(hint)
     fixed = origin is tuple and args[-1] is not Ellipsis
     if hint in _SCALARS:
@@ -89,7 +90,11 @@ def _shape(hint: object) -> tuple:
     schema = None
     if is_dataclass(hint):
         hints = get_type_hints(hint)
-        schema = {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(hint)}
+        schema = {}
+        for f in fields(hint):
+            annotation = hints[f.name]
+            required = f.default is MISSING and f.default_factory is MISSING
+            schema[f.name] = (annotation, required, _SCALARS.get(annotation, ((),))[0])
     return origin, args, fixed, types, what, schema
 
 
@@ -111,9 +116,11 @@ def _read(hint: object, value: object, field: str) -> object:
         if key not in schema:
             raise _UnknownKey(f"unknown key {prefix + key!r}")
     kwargs = {}
-    for name, (annotation, required) in schema.items():  # in field order: the first field's fault is reported
+    for name, (annotation, required, scalar) in schema.items():  # in field order: the first field's fault is reported
         if name in value:
-            kwargs[name] = _read(annotation, value[name], prefix + name)
+            v = value[name]
+            # a scalar of its field's JSON type is read as it is
+            kwargs[name] = v if type(v) in scalar else _read(annotation, v, prefix + name)
         elif required:
             raise _Fault(f"missing field {prefix + name!r}")
     try:

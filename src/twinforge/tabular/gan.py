@@ -38,6 +38,9 @@ from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
 
 MODEL_FORMAT_VERSION = 2
+# Rows the generator runs at once in synthesis: a block's hidden layers
+# (hidden_dim doubles per row each) stay within a few MiB of cache.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -285,15 +288,33 @@ def train_gan(dataset: TabularDataset, config: GanConfig = GanConfig(), seed: in
 
 
 def generate_rows(model: GanModel, n: int, rng: np.random.Generator) -> TabularDataset:
-    """Sample n synthetic rows; flags decode by hard argmax, pids run 1..n."""
+    """Sample n synthetic rows; flags decode by hard argmax, pids run 1..n.
+
+    The conditions for all n rows come first, then each row block's noise in
+    row order: the stream of one (n, noise_dim) draw. The generator runs one
+    block at a time, so its activations take memory for a block, not for n
+    rows. n <= ``_BLOCK_ROWS`` is one block; more rows split into the fewest
+    near-equal blocks of at most that many, each then at least half of it:
+    a single-row block would take a matrix-vector product, whose outputs
+    differ in the last bits from the same row's in a larger block."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return TabularDataset(model.schema, (), ())
-    conds = model.codec.sample_conditions_empirical(rng, n)
-    noise = rng.standard_normal((n, model.config.noise_dim))
-    activated = _apply_heads(model.generator.forward(np.hstack([noise, conds])), model.codec)
-    return TabularDataset.from_columns(model.schema, model.codec.decode_rows(activated), np.arange(1, n + 1))
+    codec, noise_dim = model.codec, model.config.noise_dim
+    conds = codec.sample_conditions_empirical(rng, n)
+    count = -(-n // _BLOCK_ROWS)
+    bounds = [n * i // count for i in range(count + 1)]
+    # one input for all blocks, filled in place: a fresh np.hstack per block
+    # made 20000 rows about a fifth slower
+    g_input = np.empty((-(-n // count), noise_dim + codec.cond_width))
+    activated = np.empty((n, codec.row_width))
+    for start, stop in zip(bounds, bounds[1:]):
+        block = g_input[: stop - start]
+        block[:, :noise_dim] = rng.standard_normal((stop - start, noise_dim))
+        block[:, noise_dim:] = conds[start:stop]
+        activated[start:stop] = _apply_heads(model.generator.forward(block, cache=False), codec)
+    return TabularDataset.from_columns(model.schema, codec.decode_rows(activated), np.arange(1, n + 1))
 
 
 # -- persistence ---------------------------------------------------------------
@@ -314,8 +335,8 @@ def _net_to_lists(net: FeedForward) -> _NetLists:
 
 def _net_from_lists(data: _NetLists, sizes: list[int]) -> FeedForward:
     """A network of the given layer sizes holding the stored parameters;
-    raises ``ValueError`` unless every array is made of numbers, has its
-    layer's shape and is finite."""
+    raises ``ValueError`` unless every array is made of numbers (never a
+    bool), has its layer's shape and is finite."""
     net = FeedForward(sizes, data.activation, np.random.default_rng(0))
     for kind, targets in (("weights", net.weights), ("biases", net.biases)):
         sources = getattr(data, kind)
@@ -327,6 +348,11 @@ def _net_from_lists(data: _NetLists, sizes: list[int]) -> FeedForward:
                 raise ValueError(f"generator {kind}[{i}] holds a value that is not a number")
             if arr.shape != target.shape:
                 raise ValueError(f"generator {kind}[{i}] has shape {arr.shape}, expected {target.shape}")
+            # numpy reads a JSON true or false among numbers as 1 or 0, so a
+            # bool can only sit where the array holds one of those
+            for at in np.argwhere((arr == 0) | (arr == 1)).tolist():
+                if type(reduce(operator.getitem, at, source)) is bool:
+                    raise ValueError(f"generator {kind}[{i}] holds a boolean, not a number")
             if not np.isfinite(arr).all():
                 raise ValueError(f"generator {kind}[{i}] holds a non-finite value")
             target[...] = arr

@@ -73,9 +73,10 @@ class FeedForward:
             return activated > 0
         return np.where(activated > 0, 1.0, LEAK)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the stack, keeping the per-layer cache for one backward pass."""
-        cache: list[tuple[np.ndarray, np.ndarray]] = []
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Run the stack, keeping the per-layer cache for one backward pass;
+        ``cache=False`` keeps nothing, for a forward no backward follows."""
+        layers: list[tuple[np.ndarray, np.ndarray]] = []
         out = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -87,8 +88,9 @@ class FeedForward:
                     np.maximum(out, 0.0, out=out)
                 else:
                     np.maximum(out, LEAK * out, out=out)
-            cache.append((x_in, out))
-        self._cache = cache
+            if cache:
+                layers.append((x_in, out))
+        self._cache = layers if cache else None
         return out
 
     def backward(self, grad_out: np.ndarray, wrt: str) -> np.ndarray:

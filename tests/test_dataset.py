@@ -11,7 +11,7 @@ import pytest
 
 from twinforge.errors import MalformedRow
 from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
-from twinforge.ingest.tabular import Categorical
+from twinforge.ingest.tabular import PID_MAX, Categorical
 from twinforge.tabular import GanConfig, generate_rows, train_gan
 from twinforge.validate import summary_stats
 
@@ -95,6 +95,36 @@ def test_both_constructors_reject_bad_pids(pids):
         TabularDataset(SCHEMA, (("a", 1.0),), pids)
     with pytest.raises(ValueError):
         _by_columns((("a", 1.0),), pids)
+
+
+# An integer pid array in range skips the per-pid look; any other array
+# takes it, and is refused at the same row for the same reason.
+@pytest.mark.parametrize(
+    "pids, row",
+    [
+        (np.array([True, True]), 0),
+        (np.array([7, 0]), 1),
+        (np.array([1, PID_MAX + 1], dtype=np.uint64), 1),
+        (np.array([2**64 - 1, 1], dtype=np.uint64), 0),
+        (np.array([1.0, 2.0]), 0),
+        (np.array([[1], [2]]), 0),
+    ],
+)
+def test_a_bad_pid_array_is_named_by_its_row(pids, row):
+    with pytest.raises(MalformedRow, match="pid must be an integer") as err:
+        _by_columns(ROWS[:2], pids)
+    assert err.value.row == row
+    with pytest.raises(MalformedRow, match="pid must be an integer") as err:
+        TabularDataset(SCHEMA, ROWS[:2], pids)
+    assert err.value.row == row
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+def test_an_integer_pid_array_in_range_gives_python_ints(dtype):
+    pids = _by_columns(ROWS, np.array([1, 2, 3], dtype=dtype)).pids
+    assert pids == (1, 2, 3) and {type(p) for p in pids} == {int}
+    assert _by_columns(ROWS[:1], np.array([PID_MAX], dtype=np.uint64)).pids == (PID_MAX,)
+    assert _by_columns((), np.array([], dtype=dtype)).pids == ()
 
 
 @pytest.mark.parametrize(

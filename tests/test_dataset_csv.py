@@ -19,7 +19,7 @@ from twinforge.ingest import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from twinforge.ingest.tabular import PID_COLUMN, PID_MAX
+from twinforge.ingest.tabular import _WRITE_BLOCK_ROWS, PID_COLUMN, PID_MAX
 
 SCHEMA = Schema(
     (
@@ -142,7 +142,20 @@ def _datasets(draw):
     return TabularDataset(schema, rows, pids)
 
 
+def _writer_blocks_dataset() -> TabularDataset:
+    """Three writer blocks and a partial fourth, with quotes, CRLF and -0.0
+    in the rows on each side of every block edge."""
+    n = 3 * _WRITE_BLOCK_ROWS + 5
+    rows = [(f"u{r % 7}", r * 0.5, f"c{r % 5}") for r in range(n)]
+    for edge in range(_WRITE_BLOCK_ROWS, n, _WRITE_BLOCK_ROWS):
+        rows[edge - 1] = ('say "hi"', -0.0, "a\r\nb")
+        rows[edge] = ("\r\n", -0.0, '"')
+    rows[-1] = ('""', -0.0, "\r\n,")
+    return TabularDataset(SCHEMA, rows, range(1, n + 1))
+
+
 @given(_datasets())
+@example(_writer_blocks_dataset())
 @example(TabularDataset(Schema((Column("only", DISCRETE),)), (("",), ('a "b"\r\n',))))
 @example(TabularDataset(Schema((Column("only", CONTINUOUS),)), ((-0.0,), (5e-324,), (1e16,))))
 @example(TabularDataset(SCHEMA, (), ()))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from twinforge.tabular import (
     train_gan,
 )
 from twinforge.tabular.encoding import TableCodec
-from twinforge.tabular.gan import _apply_heads, _cond_cross_entropy, _ConditionedSampler, _heads_backward
+from twinforge.tabular.gan import (
+    _BLOCK_ROWS,
+    _apply_heads,
+    _cond_cross_entropy,
+    _ConditionedSampler,
+    _heads_backward,
+)
 
 import reference_loops as reference
 from conftest import make_codec_with_widths, make_fixture_dataset
@@ -137,6 +144,31 @@ def test_model_file_is_generator_only_and_reads_version_1(tmp_path, small_model)
 
     path.write_text(json.dumps(dict(doc, format_version=99)), encoding="utf-8")
     with pytest.raises(MalformedModel):
+        load_model(path)
+
+
+def _set(array: list, at: tuple[int, ...], value: object) -> None:
+    for i in at[:-1]:
+        array = array[i]
+    array[at[-1]] = value
+
+
+# numpy reads a JSON true or false among numbers as 1 or 0: unchecked, such a
+# model loaded and generated with a weight of 1.0 or a bias of 0.0.
+@pytest.mark.parametrize(
+    "kind, at, value",
+    [("weights", (1, 0, 0), True), ("weights", (0, 3, 2), False), ("biases", (2, 0), True), ("biases", (0, 5), False)],
+)
+def test_a_boolean_in_a_generator_array_is_refused(tmp_path, small_model, kind, at, value):
+    doc = json.loads(model_to_json(small_model))
+    path = tmp_path / "model.json"
+    for number in (float(value), int(value)):  # the same place holding a number loads
+        _set(doc["generator"][kind], at, number)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load_model(path)
+    _set(doc["generator"][kind], at, value)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedModel, match=rf"generator {kind}\[{at[0]}\] holds a boolean"):
         load_model(path)
 
 
@@ -266,3 +298,38 @@ def test_cond_cross_entropy_matches_the_per_span_loop(n):
     expected_loss, expected_grad = reference.cond_cross_entropy(activated, conds, codec)
     assert loss == expected_loss
     assert reference.same_bits(grad, expected_grad)
+
+
+def _same_dataset_bits(actual: TabularDataset, expected: TabularDataset) -> bool:
+    return actual.schema == expected.schema and actual.pids == expected.pids and all(
+        reference.same_bits(a, b) if isinstance(a, np.ndarray) else a.categories == b.categories
+        and reference.same_bits(a.codes, b.codes)
+        for a, b in zip(actual.columns, expected.columns)
+    )
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B - 1])
+def test_generation_in_row_blocks_matches_one_pass_bit_for_bit(small_model, n):
+    synth = generate_rows(small_model, n, np.random.default_rng(n))
+    activated = reference.generate_activated(small_model, n, np.random.default_rng(n))
+    expected = TabularDataset.from_columns(
+        small_model.schema, small_model.codec.decode_rows(activated), np.arange(1, n + 1)
+    )
+    assert _same_dataset_bits(synth, expected)
+
+
+def test_generation_memory_grows_by_far_less_than_a_hidden_layer_per_row(small_model):
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            generate_rows(small_model, n, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_row = (peak(6 * B) - peak(2 * B)) / (4 * B)
+    # one pass over all rows held each hidden layer whole: about 3 KB a row
+    assert per_row < small_model.config.hidden_dim * 8 / 2
