@@ -18,7 +18,7 @@ from twinforge.jsonfile import from_doc, read_json
 from twinforge.sequence.service import ServiceEndpoint
 from twinforge.tabular.gan import GanConfig
 from twinforge.tabular.gate import GateConfig
-from twinforge.twin.manifest import DEFAULT_EXCLUSIONS
+from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, is_os_path
 from twinforge.twin.sandbox import Screen
 
 WORKSPACE_ENV = "TWINFORGE_WORKSPACE"
@@ -48,8 +48,8 @@ class PipelineConfig:
     screen: Screen = field(default_factory=Screen)
 
     def __post_init__(self) -> None:
-        if not str(self.workspace):
-            raise ValueError("workspace must be a non-empty path")
+        if not is_os_path(str(self.workspace)) or not str(self.workspace):
+            raise ValueError("workspace must be a non-empty path with no NUL that encodes as UTF-8")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not all(self.exclusions):

@@ -182,7 +182,7 @@ class SandboxNotEmpty(TwinforgeError):
 
 
 class HashMismatch(TwinforgeError):
-    """Restored content does not match the manifest hash."""
+    """An image's file content does not match its manifest hash."""
 
     def __init__(self, path: str, expected: str, actual: str) -> None:
         super().__init__(f"{path}: expected sha256 {expected}, got {actual}")

@@ -403,6 +403,6 @@ def load_model(path: str | Path) -> GanModel:
             Schema(tuple(Column(n, k) for n, k in doc.schema)), doc.normalizers, doc.categories, doc.frequencies
         )
         generator = _net_from_lists(doc.generator, _generator_sizes(doc.config, codec))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count past the double range
         raise MalformedModel(f"{path}: {exc}") from exc
     return GanModel(codec, doc.config, doc.seed, generator, doc.gen_losses, doc.disc_losses)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from twinforge.clock import now_iso
-from twinforge.errors import MalformedArchive
+from twinforge.errors import HashMismatch, MalformedArchive
 from twinforge.jsonfile import read_record, write_json
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
@@ -26,6 +27,7 @@ from twinforge.twin.manifest import (
     Sidecar,
     is_safe_rel_path,
     manifest_entry,
+    sha256_hex,
     walk_tree,
 )
 
@@ -34,10 +36,35 @@ MAGIC = b"TWIMG1\x00"
 
 @dataclass(frozen=True)
 class TwinImage:
+    """A captured tree: its manifest and the archive that packs it.
+
+    ``archive`` must be ``bytes`` (a ``bytearray`` is refused), so the
+    archive cannot change under ``checked_entries``, the one-time check
+    that every restore of this object reuses."""
+
     manifest: tuple[ManifestEntry, ...]
     archive: bytes
     exclusions: tuple[str, ...]
     created_at: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.archive, bytes):
+            raise TypeError(f"archive must be bytes, not {type(self.archive).__name__}")
+
+    @cached_property
+    def checked_entries(self) -> tuple[tuple[ManifestEntry, memoryview], ...]:
+        """Each manifest entry with its content, a view into ``archive``,
+        once the archive is found to hold exactly the manifest
+        (``_match_manifest``) and each file its SHA-256 (else
+        ``HashMismatch``). Computed once per image object; a failed check
+        is not kept, so it raises again on the next access."""
+        pairs = _match_manifest(self.manifest, self.archive)
+        for entry, content in pairs:
+            if entry.kind == FILE:
+                actual = sha256_hex(content)
+                if actual != entry.sha256:
+                    raise HashMismatch(entry.path, entry.sha256, actual)
+        return pairs
 
 
 def capture_image(
@@ -62,9 +89,11 @@ def capture_image(
     return TwinImage(tuple(manifest), out.getvalue(), tuple(exclusions), now_iso())
 
 
-def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:
-    """Yield (path, kind, mode, content) tuples; raises MalformedArchive on
-    structural damage or an unsafe entry path, before yielding that entry."""
+def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, memoryview]]:
+    """Yield (path, kind, mode, content) tuples, each content a
+    ``memoryview`` slice of ``archive`` rather than a copy; raises
+    MalformedArchive on structural damage or an unsafe entry path, before
+    yielding that entry."""
     view = memoryview(archive)
     if bytes(view[: len(MAGIC)]) != MAGIC:
         raise MalformedArchive("bad magic; not a twin image")
@@ -75,13 +104,13 @@ def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:
         for _ in range(count):
             kind_code, mode, path_len = struct.unpack_from(">BIH", view, offset)
             offset += 7
-            path = bytes(view[offset : offset + path_len]).decode("utf-8")
+            path = str(view[offset : offset + path_len], "utf-8")
             if not is_safe_rel_path(path):
                 raise MalformedArchive(f"entry path {path!r} is not a safe relative path")
             offset += path_len
             (content_len,) = struct.unpack_from(">Q", view, offset)
             offset += 8
-            content = bytes(view[offset : offset + content_len])
+            content = view[offset : offset + content_len]
             if len(content) != content_len:
                 raise MalformedArchive(f"{path}: truncated content")
             offset += content_len
@@ -90,6 +119,32 @@ def unpack_archive(archive: bytes) -> Iterator[tuple[str, str, int, bytes]]:
         raise MalformedArchive(f"corrupt archive structure: {exc}") from exc
     if offset != len(archive):
         raise MalformedArchive("trailing bytes after final entry")
+
+
+def _match_manifest(
+    manifest: Sequence[ManifestEntry], archive: bytes
+) -> tuple[tuple[ManifestEntry, memoryview], ...]:
+    """Pair each manifest entry with its archive content. Raises
+    MalformedArchive, naming the path, unless the archive holds the
+    manifest's paths in its order, each with the entry's kind, mode and
+    size. Hashes nothing."""
+    expected = iter(manifest)
+    pairs = []
+    for path, kind, mode, content in unpack_archive(archive):
+        entry = next(expected, None)
+        if entry is None or entry.path != path:
+            where = f"where the manifest has {entry.path}" if entry else "past the manifest's end"
+            raise MalformedArchive(f"{path}: archive entry {where}")
+        if (entry.kind, entry.mode, entry.size) != (kind, mode, len(content)):
+            raise MalformedArchive(
+                f"{path}: manifest has {entry.kind} mode {entry.mode:#o} size {entry.size}, "
+                f"archive has {kind} mode {mode:#o} size {len(content)}"
+            )
+        pairs.append((entry, content))
+    missing = next(expected, None)
+    if missing is not None:
+        raise MalformedArchive(f"{missing.path}: manifest entry missing from the archive")
+    return tuple(pairs)
 
 
 # -- on-disk form: <name>.twimg plus <name>.manifest.json --------------------
@@ -111,7 +166,8 @@ def load_image(path: str | Path) -> TwinImage:
     path = Path(path)
     archive = path.read_bytes()
     sidecar = read_record(sidecar_path(path), {MANIFEST_FORMAT_VERSION: Sidecar}, MalformedArchive)
-    archive_paths = [p for p, _, _, _ in unpack_archive(archive)]
-    if archive_paths != [e.path for e in sidecar.entries]:
-        raise MalformedArchive(f"{path}: archive entries disagree with sidecar manifest")
+    try:
+        _match_manifest(sidecar.entries, archive)
+    except MalformedArchive as exc:
+        raise MalformedArchive(f"{path}: {exc}") from exc
     return TwinImage(sidecar.entries, archive, sidecar.exclusions, sidecar.created_at)

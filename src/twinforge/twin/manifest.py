@@ -22,18 +22,25 @@ DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
 MANIFEST_FORMAT_VERSION = 1
 
 
-def is_safe_rel_path(path: object) -> bool:
-    """The one path rule of patch ops, checks and image entries: a string,
-    relative and normalized (no empty, ``.`` or ``..`` part), with no NUL,
-    that encodes as UTF-8. It names one node under the directory it is
-    joined to, in one spelling, that the OS and the archive accept."""
-    if not isinstance(path, str) or "\x00" in path or {"", ".", ".."}.intersection(path.split("/")):
+def is_os_path(path: object) -> bool:
+    """A path the OS and the archive accept: a string with no NUL that
+    encodes as UTF-8. The rule of the workspace, and part of
+    ``is_safe_rel_path``."""
+    if not isinstance(path, str) or "\x00" in path:
         return False
     try:
         path.encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
+
+
+def is_safe_rel_path(path: object) -> bool:
+    """The one path rule of patch ops, checks and image entries: an
+    ``is_os_path`` that is relative and normalized (no empty, ``.`` or
+    ``..`` part). It names one node under the directory it is joined to,
+    in one spelling, that the OS and the archive accept."""
+    return is_os_path(path) and not {"", ".", ".."}.intersection(path.split("/"))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from twinforge.errors import HashMismatch, SandboxNotEmpty, TwinforgeError, TwinLocked
-from twinforge.twin.image import TwinImage, unpack_archive
+from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
+from twinforge.twin.image import TwinImage
 from twinforge.twin.journal import roll_back
-from twinforge.twin.manifest import DIR, LOCK_FILENAME, sha256_hex
+from twinforge.twin.manifest import DIR, LOCK_FILENAME
 
 
 @dataclass(frozen=True)
@@ -74,37 +74,37 @@ def _refuse_contents(sandbox: Path) -> None:
 def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     """Restore an image into an empty sandbox and add a fresh ``tmp/``.
 
-    Every file is verified against the manifest hash while restoring; one
-    flipped content byte surfaces as HashMismatch. Directory modes are set
-    once every entry is written, deepest first, so a read-only directory
-    can still be restored with its contents. The lock file a failed restore
-    leaves behind does not count as contents. A sandbox with contents is
-    refused before anything is written; emptiness is checked again under
-    the writer lock, after it has rolled back a crashed patch's journal, so
-    a restore never mixes with what that journal puts back.
+    The image is checked whole (``TwinImage.checked_entries``) before
+    anything is created: a flipped content byte raises HashMismatch, an
+    entry that disagrees with the manifest MalformedArchive, and no
+    sandbox is made. The image keeps the result, so restoring it again
+    hashes and copies nothing; it writes the archive's bytes. Directory
+    modes are set once every entry is written, deepest first, so a
+    read-only directory can still be restored with its contents. The lock
+    file a failed restore leaves behind does not count as contents. A
+    sandbox with contents is refused before anything is written;
+    emptiness is checked again under the writer lock, after it has rolled
+    back a crashed patch's journal, so a restore never mixes with what
+    that journal puts back.
     """
+    entries = image.checked_entries
     sandbox = Path(sandbox_dir)
     if sandbox.exists():
         _refuse_contents(sandbox)
     sandbox.mkdir(parents=True, exist_ok=True)
 
-    expected = {e.path: e for e in image.manifest}
     dir_modes: list[tuple[str, int]] = []
     with writer_lock(sandbox):
         _refuse_contents(sandbox)
-        for path, kind, mode, content in unpack_archive(image.archive):
-            target = sandbox / path
-            if kind == DIR:
+        for entry, content in entries:
+            target = sandbox / entry.path
+            if entry.kind == DIR:
                 target.mkdir(parents=True, exist_ok=True)
-                dir_modes.append((path, mode))
+                dir_modes.append((entry.path, entry.mode))
                 continue
-            entry = expected.get(path)
-            actual = sha256_hex(content)
-            if entry is None or entry.sha256 != actual:
-                raise HashMismatch(path, entry.sha256 if entry else "<absent>", actual)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
-            target.chmod(mode)
+            target.chmod(entry.mode)
         for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
             (sandbox / path).chmod(mode)
         tmp = sandbox / "tmp"

@@ -331,6 +331,37 @@ def test_patch_op_path_that_is_not_utf8_is_a_data_error_that_writes_nothing(tmp_
     assert scan_tree(sandbox) == before
 
 
+def test_twin_create_checks_the_whole_image_before_it_writes(tmp_path, workspace, twin_tree, capsys):
+    (twin_tree / "etc" / "app.conf").chmod(0o644)
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
+    sandbox = tmp_path / "sandbox"
+    create = ["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]
+    archive = image.read_bytes()
+    image.write_bytes(archive[:-1] + bytes([archive[-1] ^ 0xFF]))  # the last file's last byte
+    capsys.readouterr()
+    assert main(create) == 2
+    assert "expected sha256" in capsys.readouterr().err
+    assert not sandbox.exists()
+
+    image.write_bytes(archive)
+    sidecar = sidecar_path(image)
+    doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    next(e for e in doc["entries"] if e["path"] == "etc/app.conf")["mode"] = 0o600
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(create) == 2
+    assert "etc/app.conf: manifest has file mode 0o600" in capsys.readouterr().err
+    assert not sandbox.exists()
+
+
+def test_a_workspace_with_a_nul_is_a_data_error(tmp_path, capsys):
+    config = _config(tmp_path, "\x00")
+    script = Path(__file__).parent / "fixtures" / "scripts" / "01_chrome_search.ahk"
+    assert main(["--config", str(config), "ingest", "macro", "--in", str(script)]) == 2
+    assert "workspace" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("mode", "rw"), ("mode", True), ("mode", 0o10000), ("mode", -1), ("size", -5), ("size", False), ("size", 1.0)],

@@ -87,6 +87,13 @@ def test_missing_workspace_rejected(tmp_path):
         load_config(_write(tmp_path, {"seed": 3}))
 
 
+# A NUL once reached the workspace lock's mkdir as a bare ValueError (exit 1).
+@pytest.mark.parametrize("workspace", ["\x00", "ws/a\x00b", "ws/\ud800"])
+def test_a_workspace_the_os_cannot_take_is_rejected(tmp_path, workspace):
+    with pytest.raises(ConfigParse, match="workspace"):
+        load_config(_write(tmp_path, {"workspace": workspace}))
+
+
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")

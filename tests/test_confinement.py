@@ -96,7 +96,8 @@ def _string_args(node: ast.Call) -> list[object]:
 
 
 def test_each_twin_input_rule_has_one_home():
-    """Paths are judged only in ``is_safe_rel_path``, ``key=value`` lines
+    """Paths are judged only in ``is_safe_rel_path`` and its ``is_os_path``
+    part (the workspace's rule), ``key=value`` lines
     are split only in ``config_settings``, and tagged documents are read
     only by ``read_tagged``: two copies of the path rule once disagreed
     on ``bin//new``."""
@@ -109,7 +110,7 @@ def test_each_twin_input_rule_has_one_home():
                 offenders.append(f"{where} text_fields")
             if isinstance(node, ast.FunctionDef) and node.name == "text_fields":
                 offenders.append(f"{where} def text_fields")
-            path_rule = module == "twin/manifest.py" and function == "is_safe_rel_path"
+            path_rule = module == "twin/manifest.py" and function in ("is_os_path", "is_safe_rel_path")
             if not path_rule and isinstance(node, ast.Constant) and node.value in ("..", "\x00"):
                 offenders.append(f"{where} path check {node.value!r}")
             if not path_rule and getattr(node, "attr", None) in ("is_absolute", "parts"):

@@ -147,6 +147,22 @@ def test_model_file_is_generator_only_and_reads_version_1(tmp_path, small_model)
         load_model(path)
 
 
+# A count past the double range once let OverflowError escape load_model, and
+# the CLI print a traceback with exit 1.
+@pytest.mark.parametrize("place", ["frequencies", "generator"])
+def test_a_number_past_the_double_range_is_malformed(tmp_path, small_model, place):
+    doc = json.loads(model_to_json(small_model))
+    if place == "frequencies":
+        table = next(iter(doc["frequencies"].values()))
+        table[next(iter(table))] = 10**400
+    else:
+        _set(doc["generator"]["weights"], (0, 0, 0), 10**400)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedModel, match=str(path)):
+        load_model(path)
+
+
 def _set(array: list, at: tuple[int, ...], value: object) -> None:
     for i in at[:-1]:
         array = array[i]

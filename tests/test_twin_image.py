@@ -132,7 +132,7 @@ def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
         crafted = TwinImage((), _dir_archive(path, 0o700), (), "")
         with pytest.raises(MalformedArchive):
             instantiate_twin(crafted, sandbox)
-        assert [p.name for p in tmp_path.iterdir()] == ["sandbox"], path
+        assert list(tmp_path.iterdir()) == [], path
 
 
 @pytest.mark.parametrize("path", UNNORMALIZED_PATHS)
@@ -206,6 +206,56 @@ def test_corrupt_archive_byte_raises_hash_mismatch(twin_tree, tmp_path):
         instantiate_twin(broken, tmp_path / "sandbox")
 
 
+def test_a_corrupt_image_creates_nothing(twin_tree, tmp_path):
+    # Flipping the first file's first byte once left the entries restored
+    # before it in a sandbox that the next ``twin create`` refused as non-empty.
+    image = capture_image(twin_tree)
+    offset = len(MAGIC) + 4  # the entry count
+    for first, kind, _, content in unpack_archive(image.archive):
+        offset += 7 + len(first.encode("utf-8")) + 8  # header, path, content length
+        if kind == "file" and len(content):
+            break
+        offset += len(content)
+    corrupted = bytearray(image.archive)
+    corrupted[offset] ^= 0xFF
+    broken = TwinImage(image.manifest, bytes(corrupted), image.exclusions, image.created_at)
+    target = tmp_path / "restore"
+    target.mkdir()
+    for sandbox in (target / "sandbox", target):
+        with pytest.raises(HashMismatch, match=first):
+            instantiate_twin(broken, sandbox)
+        assert list(target.iterdir()) == []
+    twin = instantiate_twin(image, target)
+    assert [e for e in scan_tree(twin.sandbox) if e.path != "tmp"] == list(image.manifest)
+
+
+def test_a_second_restore_of_one_image_hashes_nothing(twin_tree, tmp_path, monkeypatch):
+    image = capture_image(twin_tree)
+    hashed = Counter()
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.update([len(data)]) or sha256(data))
+    first = instantiate_twin(image, tmp_path / "first")
+    files = [e for e in image.manifest if e.kind == "file"]
+    assert hashed.total() == len(files)  # one pass over the image, then only writes
+    hashed.clear()
+    second = instantiate_twin(image, tmp_path / "second")
+    assert hashed.total() == 0
+    monkeypatch.undo()
+    assert scan_tree(second.sandbox) == scan_tree(first.sandbox)
+
+
+def test_an_archive_must_be_bytes(twin_tree):
+    image = capture_image(twin_tree)
+    with pytest.raises(TypeError, match="bytearray"):
+        TwinImage(image.manifest, bytearray(image.archive), image.exclusions, image.created_at)
+
+
+def test_unpack_archive_yields_views_of_the_archive(twin_tree):
+    image = capture_image(twin_tree)
+    for path, kind, _, content in unpack_archive(image.archive):
+        assert isinstance(content, memoryview) and content.obj is image.archive, path
+
+
 def test_truncated_archive_is_malformed(twin_tree):
     image = capture_image(twin_tree)
     with pytest.raises(MalformedArchive):
@@ -259,6 +309,33 @@ def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
         load_image(path)
     with pytest.raises(MalformedArchive):
         load_manifest(sidecar_path(path))
+
+
+# A sidecar entry with an edited mode or size once loaded, and ``twin create``
+# restored the archive's mode while the sidecar claimed another.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc, e: e.update(mode=0o600), r"etc/app\.conf: manifest has file mode 0o600 size \d+, archive has file"),
+        (lambda doc, e: e.update(size=1), r"etc/app\.conf: manifest has file mode 0o644 size 1, archive has file"),
+        (lambda doc, e: doc["entries"].append(dict(e, path="zz/absent")), "zz/absent: manifest entry missing"),
+    ],
+    ids=["mode", "size", "absent-entry"],
+)
+def test_a_sidecar_must_agree_with_its_archive(twin_tree, tmp_path, edit, message):
+    (twin_tree / "etc" / "app.conf").chmod(0o644)
+    path = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), path)
+    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+    edit(doc, next(e for e in doc["entries"] if e["path"] == "etc/app.conf"))
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedArchive, match=message):
+        load_image(path)
+    # built in memory, without load_image, the image is refused on restore
+    image = TwinImage(load_manifest(sidecar_path(path)), path.read_bytes(), (), "")
+    with pytest.raises(MalformedArchive, match=message):
+        instantiate_twin(image, tmp_path / "sandbox")
+    assert not (tmp_path / "sandbox").exists()
 
 
 def test_diff_empty_and_symmetry(twin_tree, tmp_path):
