@@ -15,70 +15,21 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from twinforge.clock import now_iso
 from twinforge.config import PipelineConfig, default_workspace, load_config
 from twinforge.errors import (
+    EmptyScript,
     GateExhausted,
     MacroSyntaxError,
     MalformedCsv,
-    EmptyScript,
     TwinforgeError,
     WorkspaceLocked,
 )
-from twinforge.ingest import (
-    emit_macro_script,
-    parse_macro_script,
-    parse_top_capture,
-    read_dataset_csv,
-    tokenize_script,
-    write_dataset_csv,
-)
 from twinforge.jsonfile import dumps, from_doc, read_json, read_text, write_json
-from twinforge.sequence import (
-    GenRequest,
-    generate_sequence,
-    generate_via_service,
-    load_seq_model,
-    save_seq_model,
-    sequence_to_script,
-    train_ngram,
-)
-from twinforge.tabular import (
-    column_distances,
-    generate_gated,
-    load_model,
-    save_model,
-    train_gan,
-)
-from twinforge.twin import (
-    apply_patch,
-    capture_image,
-    diff_states,
-    instantiate_twin,
-    load_checks,
-    load_delta,
-    load_image,
-    load_manifest,
-    run_checks,
-    save_image,
-    scan_tree,
-    TwinState,
-)
-from twinforge.twin.manifest import sha256_hex, walk_tree
-from twinforge.twin.sandbox import exclusive_lock
-from twinforge.validate import (
-    ScriptMetrics,
-    bleu,
-    build_report,
-    compare_stats,
-    cosine_similarity,
-    load_report,
-    replay_validate,
-    save_report,
-    summary_stats,
-)
+from twinforge.twin.checks import load_checks, run_checks
+from twinforge.twin.image import capture_image, load_image, save_image
+from twinforge.twin.manifest import diff_states, load_manifest, scan_tree, sha256_hex, walk_tree
+from twinforge.twin.patch import apply_patch, load_delta
+from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -275,7 +226,15 @@ def _cmd_twin(args, config, say) -> int:
     return EXIT_OK
 
 
+# The handlers below import their leg when they run, so the capture and twin
+# commands above load neither numpy nor the service client.
+
+
 def _cmd_ingest(args, config, say) -> int:
+    from twinforge.ingest.macro import emit_macro_script, parse_macro_script
+    from twinforge.ingest.tabular import write_dataset_csv
+    from twinforge.ingest.top import parse_top_capture
+
     if args.ingest_command == "top":
         dataset = parse_top_capture(read_text(args.input))
         out = args.out or _workspace_path(config, "datasets", args.input.stem + ".csv")
@@ -291,6 +250,11 @@ def _cmd_ingest(args, config, say) -> int:
 
 
 def _cmd_train(args, config, say) -> int:
+    from twinforge.ingest.macro import parse_macro_script, tokenize_script
+    from twinforge.ingest.tabular import read_dataset_csv
+    from twinforge.sequence.ngram import save_seq_model, train_ngram
+    from twinforge.tabular.gan import save_model, train_gan
+
     if args.train_command == "tabular":
         dataset = read_dataset_csv(args.data)
         gan_config = config.gan if args.epochs is None else replace(config.gan, epochs=args.epochs)
@@ -316,6 +280,15 @@ def _cmd_train(args, config, say) -> int:
 
 
 def _cmd_gen(args, config, say) -> int:
+    import numpy as np
+
+    from twinforge.ingest.macro import emit_macro_script
+    from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
+    from twinforge.sequence.ngram import GenRequest, generate_sequence, load_seq_model, sequence_to_script
+    from twinforge.sequence.service import generate_via_service
+    from twinforge.tabular.gan import load_model
+    from twinforge.tabular.gate import generate_gated
+
     if args.gen_command == "tabular":
         model = load_model(args.model)
         real = read_dataset_csv(args.real)
@@ -351,6 +324,15 @@ def _cmd_gen(args, config, say) -> int:
 
 
 def _cmd_validate(args, config, say) -> int:
+    from twinforge.clock import now_iso
+    from twinforge.ingest.macro import parse_macro_script
+    from twinforge.ingest.tabular import read_dataset_csv
+    from twinforge.tabular.gate import column_distances
+    from twinforge.validate.metrics import bleu, cosine_similarity
+    from twinforge.validate.replay import replay_validate
+    from twinforge.validate.report import ScriptMetrics, build_report, save_report
+    from twinforge.validate.stats import compare_stats, summary_stats
+
     real = read_dataset_csv(args.real)
     synth = read_dataset_csv(args.synth)
     comparison = compare_stats(real, synth)
@@ -410,6 +392,8 @@ def _cmd_validate(args, config, say) -> int:
 
 
 def _cmd_report(args, config, say) -> int:
+    from twinforge.validate.report import load_report
+
     report = load_report(args.input)
     say(f"run {report.run_id} at {report.created_at}")
     say(f"rows: real {report.real_stats.row_count}, synthetic {report.synth_stats.row_count}")

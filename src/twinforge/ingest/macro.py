@@ -111,13 +111,15 @@ def parse_macro_line(line: str, line_no: int | None = None) -> MacroCommand:
             parts = [p.strip() for p in rest.split(",")]
             if len(parts) != arity or any(not p for p in parts):
                 raise BadArity(f"{verb} takes exactly {arity} argument(s)")
-            values = []
+            # int() also takes "_" separators, a sign and non-ASCII digits,
+            # and refuses more digits than sys.get_int_max_str_digits()
             for part in parts:
-                try:
-                    values.append(int(part))
-                except ValueError:
-                    raise BadArg(f"{verb} argument {part!r} is not an integer") from None
-            return MacroCommand(verb, tuple(values))
+                if not (part.isascii() and part.isdigit()):
+                    raise BadArg(f"{verb} argument must be ASCII digits, got {part!r}")
+            try:
+                return MacroCommand(verb, tuple(map(int, parts)))
+            except ValueError as exc:
+                raise BadArg(f"{verb} argument is not an integer: {exc}") from None
         raise UnknownVerb(f"unknown verb {verb_raw!r}")
     except MacroSyntaxError as exc:
         if line_no is not None and exc.line_no is None:

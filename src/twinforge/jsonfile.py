@@ -1,6 +1,6 @@
 """The one text form of every JSON artifact, its one reader, the one
-record reader, the one reader of UTF-8 text inputs, and the one reader of
-tagged documents.
+record writer and reader, the one reader of UTF-8 text inputs, and the
+one reader of tagged documents.
 
 Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
@@ -35,6 +35,12 @@ def dumps(doc: object) -> str:
 
 def write_json(doc: object, path: str | Path) -> None:
     Path(path).write_text(dumps(doc), encoding="utf-8")
+
+
+def record_text(version: int, doc: object) -> str:
+    """The text of a versioned artifact: the dataclass ``doc``'s fields and
+    its ``format_version``, as ``read_record`` reads them back."""
+    return dumps({"format_version": version, **vars(doc)})
 
 
 def read_text(path: str | Path) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
-from twinforge.jsonfile import dumps, read_record
+from twinforge.jsonfile import read_record, record_text
 
 MODEL_FORMAT_VERSION = 1
 _CTX_JOIN = "\n"  # tokens are single lines, so newline never collides
@@ -182,7 +182,7 @@ def seq_model_to_json(model: SeqModel) -> str:
         str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()} for m, tables in model.counts.items()
     }
     doc = _SeqModelFile("sequence-ngram", model.order, model.delta, model.seed, model.vocab, counts)
-    return dumps({"format_version": MODEL_FORMAT_VERSION, **vars(doc)})
+    return record_text(MODEL_FORMAT_VERSION, doc)
 
 
 def save_seq_model(model: SeqModel, path: str | Path) -> None:

@@ -14,27 +14,12 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 
+from twinforge.config import ServiceEndpoint
 from twinforge.errors import ServiceBadResponse, ServiceTimeout, ServiceUnreachable
 from twinforge.sequence.ngram import GenRequest
-
-
-@dataclass(frozen=True)
-class ServiceEndpoint:
-    url: str
-    auth_token: str | None = None
-    timeout_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.url:
-            raise ValueError("endpoint url must be non-empty")
-        # a longer timeout overflows the socket layer's clock
-        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
-            raise ValueError(f"timeout_s must be positive and at most {threading.TIMEOUT_MAX:.0f}")
 
 
 def generate_via_service(endpoint: ServiceEndpoint, request: GenRequest) -> tuple[str, ...]:

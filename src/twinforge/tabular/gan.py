@@ -30,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from twinforge.config import GanConfig
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import Column, Schema, TabularDataset
-from twinforge.jsonfile import dumps, read_record
+from twinforge.jsonfile import read_record, record_text
 from twinforge.tabular.encoding import PAIRWISE_FROM, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
@@ -41,38 +42,6 @@ MODEL_FORMAT_VERSION = 2
 # Rows the generator runs at once in synthesis: a block's hidden layers
 # (hidden_dim doubles per row each) stay within a few MiB of cache.
 _BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class GanConfig:
-    epochs: int = 300
-    batch_size: int = 32
-    learning_rate: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.9
-    noise_dim: int = 32
-    hidden_dim: int = 128
-    max_modes: int = 5
-    cond_loss_weight: float = 1.0
-    pac: int = 8
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if not (0 < self.learning_rate and math.isfinite(self.learning_rate)):
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        if self.noise_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("noise_dim and hidden_dim must be >= 1")
-        if not 1 <= self.max_modes:
-            raise ValueError("max_modes must be >= 1")
-        if not 0 <= self.cond_loss_weight < math.inf:
-            raise ValueError("cond_loss_weight must be >= 0 and finite")
-        if self.pac < 1 or self.batch_size % self.pac != 0:
-            raise ValueError("pac must be >= 1 and divide batch_size")
 
 
 @dataclass
@@ -389,7 +358,7 @@ def model_to_json(model: GanModel) -> str:
         codec.normalizers, codec.categories, codec.frequencies, _net_to_lists(model.generator),
         model.gen_losses, model.disc_losses,
     )
-    return dumps({"format_version": MODEL_FORMAT_VERSION, **vars(doc)})
+    return record_text(MODEL_FORMAT_VERSION, doc)
 
 
 def save_model(model: GanModel, path: str | Path) -> None:

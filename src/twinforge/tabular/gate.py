@@ -8,32 +8,15 @@ scale-free) and total variation on discrete columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from twinforge.config import GateConfig
 from twinforge.errors import GateExhausted
 from twinforge.ingest.tabular import CONTINUOUS, TabularDataset
 from twinforge.tabular.distance import emd_1d, tv_distance
 from twinforge.tabular.gan import GanModel, generate_rows
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    tau_continuous: float = 0.1
-    tau_discrete: float = 0.1
-    max_attempts: int = 20
-
-    def __post_init__(self) -> None:
-        # tau == 0 is allowed (it makes the gate reject everything, which the
-        # pipeline reports as exhaustion); negative or NaN thresholds are not.
-        for name in ("tau_continuous", "tau_discrete"):
-            value = getattr(self, name)
-            if math.isnan(value) or value < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass(frozen=True)

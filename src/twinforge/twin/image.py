@@ -9,6 +9,7 @@ refuses any entry path that could land outside the restore directory.
 from __future__ import annotations
 
 import io
+import posixpath
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,11 +18,12 @@ from typing import Iterator, Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import HashMismatch, MalformedArchive
-from twinforge.jsonfile import read_record, write_json
+from twinforge.jsonfile import read_record, record_text
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
     FILE,
+    LOCK_FILENAME,
     MANIFEST_FORMAT_VERSION,
     ManifestEntry,
     Sidecar,
@@ -55,10 +57,15 @@ class TwinImage:
     def checked_entries(self) -> tuple[tuple[ManifestEntry, memoryview], ...]:
         """Each manifest entry with its content, a view into ``archive``,
         once the archive is found to hold exactly the manifest
-        (``_match_manifest``) and each file its SHA-256 (else
-        ``HashMismatch``). Computed once per image object; a failed check
-        is not kept, so it raises again on the next access."""
+        (``_match_manifest``), no root entry a restore makes itself (a file
+        ``tmp`` or any ``LOCK_FILENAME``, else ``MalformedArchive``) and
+        each file its SHA-256 (else ``HashMismatch``). Computed once per
+        image object; a failed check is not kept, so it raises again on
+        the next access."""
         pairs = _match_manifest(self.manifest, self.archive)
+        for entry, _ in pairs:
+            if entry.path == LOCK_FILENAME or (entry.path, entry.kind) == ("tmp", FILE):
+                raise MalformedArchive(f"{entry.path}: the image holds a {entry.kind} where a restore makes its own")
         for entry, content in pairs:
             if entry.kind == FILE:
                 actual = sha256_hex(content)
@@ -127,9 +134,12 @@ def _match_manifest(
     """Pair each manifest entry with its archive content. Raises
     MalformedArchive, naming the path, unless the archive holds the
     manifest's paths in its order, each with the entry's kind, mode and
-    size. Hashes nothing."""
+    size, and that order is strictly increasing (as ``walk_tree`` sorts)
+    with no entry under a file, so a restore can write every entry. Hashes
+    nothing."""
     expected = iter(manifest)
     pairs = []
+    files: set[str] = set()
     for path, kind, mode, content in unpack_archive(archive):
         entry = next(expected, None)
         if entry is None or entry.path != path:
@@ -140,6 +150,15 @@ def _match_manifest(
                 f"{path}: manifest has {entry.kind} mode {entry.mode:#o} size {entry.size}, "
                 f"archive has {kind} mode {mode:#o} size {len(content)}"
             )
+        if pairs and path <= pairs[-1][0].path:
+            raise MalformedArchive(f"{path}: archive entry out of order after {pairs[-1][0].path}")
+        parent = posixpath.dirname(path)
+        while parent and parent not in files:
+            parent = posixpath.dirname(parent)
+        if parent:
+            raise MalformedArchive(f"{path}: archive entry under the file {parent}")
+        if kind == FILE:
+            files.add(path)
         pairs.append((entry, content))
     missing = next(expected, None)
     if missing is not None:
@@ -159,7 +178,7 @@ def save_image(image: TwinImage, path: str | Path) -> None:
     path = Path(path)
     path.write_bytes(image.archive)
     sidecar = Sidecar(image.created_at, image.exclusions, image.manifest)
-    write_json({"format_version": MANIFEST_FORMAT_VERSION, **vars(sidecar)}, sidecar_path(path))
+    sidecar_path(path).write_text(record_text(MANIFEST_FORMAT_VERSION, sidecar), encoding="utf-8")
 
 
 def load_image(path: str | Path) -> TwinImage:

@@ -75,10 +75,11 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     """Restore an image into an empty sandbox and add a fresh ``tmp/``.
 
     The image is checked whole (``TwinImage.checked_entries``) before
-    anything is created: a flipped content byte raises HashMismatch, an
-    entry that disagrees with the manifest MalformedArchive, and no
-    sandbox is made. The image keeps the result, so restoring it again
-    hashes and copies nothing; it writes the archive's bytes. Directory
+    anything is created: a flipped content byte raises HashMismatch; an
+    entry that disagrees with the manifest, or that a restore cannot
+    write, raises MalformedArchive; and no sandbox is made. The image
+    keeps the result, so restoring it again hashes and copies nothing; it
+    writes the archive's bytes. Directory
     modes are set once every entry is written, deepest first, so a
     read-only directory can still be restored with its contents. The lock
     file a failed restore leaves behind does not count as contents. A

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from twinforge.errors import MalformedReport
-from twinforge.jsonfile import dumps, read_record
+from twinforge.jsonfile import read_record, record_text
 from twinforge.tabular.gate import ColumnDistance
 from twinforge.validate.stats import StatsComparison, SummaryStats
 
@@ -67,7 +67,7 @@ def build_report(
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    return dumps({"format_version": REPORT_FORMAT_VERSION, **vars(report)})
+    return record_text(REPORT_FORMAT_VERSION, report)
 
 
 def save_report(report: ComparisonReport, path: str | Path) -> None:

@@ -11,16 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from twinforge.ingest import (
-    CONTINUOUS,
-    DISCRETE,
-    Column,
-    MacroScript,
-    Schema,
-    TabularDataset,
-    parse_macro_script,
-    write_dataset_csv,
-)
+from twinforge.ingest.macro import MacroScript, parse_macro_script
+from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 
@@ -167,7 +159,7 @@ def pipeline_artifacts(tmp_path_factory):
 def trained_model(pipeline_artifacts):
     """The default-config model the pipeline run trained (seed
     ``stage_seed(7, "train.tabular")``), shared by slow tests."""
-    from twinforge.tabular import load_model
+    from twinforge.tabular.gan import load_model
 
     return load_model(pipeline_artifacts["model_path"])
 

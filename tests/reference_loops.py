@@ -14,10 +14,11 @@ from functools import reduce
 
 import numpy as np
 
+from twinforge.config import GanConfig
 from twinforge.errors import NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import CONTINUOUS, Categorical
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
-from twinforge.tabular.gan import GanConfig, GanModel, _ConditionedSampler, _generator_sizes
+from twinforge.tabular.gan import GanModel, _ConditionedSampler, _generator_sizes
 from twinforge.tabular.net import LEAK, LEAKY_RELU, RELU, Adam
 
 

@@ -20,33 +20,18 @@ from scipy.stats import wasserstein_distance
 
 from twinforge.cli import main
 from twinforge.errors import HashMismatch
-from twinforge.ingest import (
-    parse_macro_script,
-    read_dataset_csv,
-    tokenize_script,
-    write_dataset_csv,
-)
-from twinforge.sequence import GenRequest, generate_sequence, sequence_to_script, train_ngram
-from twinforge.tabular import emd_1d, fit_mode_normalizer
-from twinforge.twin import (
-    AddFile,
-    DeleteFile,
-    PatchDelta,
-    ReplaceFile,
-    TwinImage,
-    apply_patch,
-    capture_image,
-    diff_states,
-    instantiate_twin,
-    scan_tree,
-)
-from twinforge.twin.manifest import TwinDiff
-from twinforge.validate import (
-    bleu,
-    cosine_similarity,
-    load_report,
-    replay_validate,
-)
+from twinforge.ingest.macro import parse_macro_script, tokenize_script
+from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
+from twinforge.sequence.ngram import GenRequest, generate_sequence, sequence_to_script, train_ngram
+from twinforge.tabular.distance import emd_1d
+from twinforge.tabular.mixture import fit_mode_normalizer
+from twinforge.twin.image import TwinImage, capture_image
+from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree
+from twinforge.twin.patch import AddFile, DeleteFile, PatchDelta, ReplaceFile, apply_patch
+from twinforge.twin.sandbox import instantiate_twin
+from twinforge.validate.metrics import bleu, cosine_similarity
+from twinforge.validate.replay import replay_validate
+from twinforge.validate.report import load_report
 
 from conftest import build_twin_tree, make_fixture_dataset
 

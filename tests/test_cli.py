@@ -14,12 +14,12 @@ import pytest
 
 from twinforge.cli import main
 from twinforge.errors import MalformedModel, WorkspaceLocked
-from twinforge.ingest import read_dataset_csv, write_dataset_csv
-from twinforge.tabular import load_model
-from twinforge.twin import scan_tree
+from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
+from twinforge.tabular.gan import load_model
 from twinforge.twin.image import sidecar_path
+from twinforge.twin.manifest import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
-from twinforge.validate import load_report
+from twinforge.validate.report import load_report
 
 from conftest import make_fixture_dataset
 
@@ -355,6 +355,25 @@ def test_twin_create_checks_the_whole_image_before_it_writes(tmp_path, workspace
     assert not sandbox.exists()
 
 
+def test_twin_create_of_a_tree_with_a_tmp_file_is_a_data_error_that_creates_nothing(tmp_path, workspace, capsys):
+    # Captured without the default ``tmp/**`` exclusion, a root file ``tmp``
+    # is in the image; restoring it once failed as an I/O error half-way,
+    # leaving ``.twin.lock``, ``bin`` and ``tmp`` in the sandbox.
+    config = _config(tmp_path, workspace)
+    root = tmp_path / "root"
+    (root / "bin").mkdir(parents=True)
+    (root / "bin" / "tool").write_bytes(b"#!/bin/sh\n")
+    (root / "tmp").write_bytes(b"a file, not a directory\n")
+    image = tmp_path / "sys.twimg"
+    capture = ["--config", str(config), "capture", "--root", str(root), "--out", str(image), "--exclude", "proc/**"]
+    assert main(capture) == 0
+    capsys.readouterr()
+    sandbox = tmp_path / "sandbox"
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 2
+    assert "tmp: the image holds a file where a restore makes its own" in capsys.readouterr().err
+    assert not sandbox.exists()
+
+
 def test_a_workspace_with_a_nul_is_a_data_error(tmp_path, capsys):
     config = _config(tmp_path, "\x00")
     script = Path(__file__).parent / "fixtures" / "scripts" / "01_chrome_search.ahk"
@@ -585,3 +604,36 @@ def test_python_dash_m_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "twinforge" in result.stdout
+
+
+def test_twin_commands_load_no_numpy_and_no_http_client(tmp_path, workspace, twin_tree):
+    # Each command imports only the leg it runs, so the twin commands, the
+    # most repeated ones, start without the tabular and service legs.
+    config = _config(tmp_path, workspace)
+    image, sandbox = tmp_path / "sys.twimg", tmp_path / "sandbox"
+    delta, checks = tmp_path / "delta.json", tmp_path / "checks.json"
+    delta.write_text(json.dumps([{"op": "add_file", "path": "bin/newtool", "content": "x\n"}]), encoding="utf-8")
+    checks.write_text(json.dumps([{"check": "file_exists", "path": "bin/newtool"}]), encoding="utf-8")
+    commands = [
+        ["capture", "--root", str(twin_tree), "--out", str(image)],
+        ["twin", "create", "--image", str(image), "--sandbox", str(sandbox)],
+        ["twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)],
+        ["twin", "diff", "--pre", str(image), "--post", str(sandbox), "--out", str(tmp_path / "diff.json")],
+        ["twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)],
+    ]
+    code = (
+        "import json, sys\n"
+        "from twinforge.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(json.dumps([main(argv), sorted({'numpy', 'urllib.request'} & set(sys.modules))]))\n"
+    )
+    argvs = [["--quiet", "--config", str(config), *command] for command in commands]
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(Path(__file__).parent.parent / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, []]] * len(commands)

@@ -11,11 +11,9 @@ from typing import get_type_hints
 
 import pytest
 
-from twinforge.config import NgramConfig, load_config
+from twinforge.config import GanConfig, GateConfig, NgramConfig, ServiceEndpoint, load_config
 from twinforge.errors import ConfigParse, UnknownKey
 from twinforge.jsonfile import dumps
-from twinforge.sequence.service import ServiceEndpoint
-from twinforge.tabular import GanConfig, GateConfig
 from twinforge.twin.sandbox import Screen
 
 SECTIONS = {"gan": GanConfig, "gate": GateConfig, "ngram": NgramConfig, "service": ServiceEndpoint, "screen": Screen}

@@ -11,21 +11,12 @@ import pytest
 
 import twinforge
 from twinforge.errors import SymlinkOutsideRoot
-from twinforge.twin import (
-    AddFile,
-    CheckSpec,
-    ConfigEquals,
-    DeleteFile,
-    PatchDelta,
-    ReplaceFile,
-    SetConfig,
-    apply_patch,
-    capture_image,
-    instantiate_twin,
-    run_checks,
-    scan_tree,
-)
+from twinforge.twin.checks import CheckSpec, ConfigEquals, run_checks
+from twinforge.twin.image import capture_image
 from twinforge.twin.journal import journal_dir
+from twinforge.twin.manifest import scan_tree
+from twinforge.twin.patch import AddFile, DeleteFile, PatchDelta, ReplaceFile, SetConfig, apply_patch
+from twinforge.twin.sandbox import instantiate_twin
 
 SRC = Path(twinforge.__file__).parent
 
@@ -163,11 +154,12 @@ TAGGED_LOADERS = {("twin/patch.py", "delta_from_doc"), ("twin/checks.py", "check
 
 
 def test_each_json_record_rule_has_one_home():
-    """Only ``jsonfile.py`` looks up annotations or field defaults, and no
-    module but the reader and the tagged-document loaders splats a
-    document into a class (``Cls(**d)``). The hand-written copies of the
-    record rule once let a report with ``"seeds": "ab"`` or a model with
-    ``"normalizers": []`` crash the CLI instead of being refused."""
+    """Only ``jsonfile.py`` looks up annotations or field defaults or names
+    the ``format_version`` key, and no module but the reader and the
+    tagged-document loaders splats a document into a class (``Cls(**d)``).
+    The hand-written copies of the record rule once let a report with
+    ``"seeds": "ab"`` or a model with ``"normalizers": []`` crash the CLI
+    instead of being refused."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
@@ -180,4 +172,40 @@ def test_each_json_record_rule_has_one_home():
             splat = isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords)
             if splat and not reader and (module, function) not in TAGGED_LOADERS:
                 offenders.append(f"{where} {ast.unparse(node.func)}(**...)")
+            if module != "jsonfile.py" and isinstance(node, ast.Constant) and node.value == "format_version":
+                offenders.append(f"{where} 'format_version'")
+    assert offenders == []
+
+
+# The names ``perfbench/`` reads from a package (``inputs.py`` from ``ingest``
+# and ``twin``, ``make_model.py`` from ``tabular``); no package binds any other.
+PACKAGE_NAMES = {
+    "ingest": {"CONTINUOUS", "DISCRETE", "Column", "Schema", "TabularDataset"},
+    "sequence": set(),
+    "tabular": {"GanConfig", "model_to_json", "train_gan"},
+    "twin": {"AddFile", "DeleteFile", "PatchDelta", "ReplaceFile", "SetConfig"},
+    "validate": set(),
+}
+
+
+def test_each_name_has_one_import_path():
+    """A package ``__init__`` holds its docstring and the imports of the
+    names above, and no module imports a name from a package: the
+    re-exports that once stood there made every command load every leg."""
+    assert sorted(path.parent.name for path in SRC.glob("*/__init__.py")) == sorted(PACKAGE_NAMES)
+    for package, names in PACKAGE_NAMES.items():
+        body = ast.parse((SRC / package / "__init__.py").read_text(encoding="utf-8")).body
+        docstring, imports = body[0], body[1:]
+        assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant), package
+        assert all(isinstance(node, ast.ImportFrom) for node in imports), package
+        assert {a.asname or a.name for node in imports for a in node.names} == names, package
+    packages = {"twinforge", *(f"twinforge.{package}" for package in PACKAGE_NAMES)}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in packages:
+                package_dir = SRC.parent.joinpath(*node.module.split("."))
+                for alias in node.names:
+                    if not (package_dir / f"{alias.name}.py").is_file() and not (package_dir / alias.name).is_dir():
+                        offenders.append(f"{path.relative_to(SRC)}:{node.lineno} {node.module}.{alias.name}")
     assert offenders == []

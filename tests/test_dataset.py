@@ -9,11 +9,20 @@ import math
 import numpy as np
 import pytest
 
+from twinforge.config import GanConfig
 from twinforge.errors import MalformedRow
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
-from twinforge.ingest.tabular import PID_MAX, Categorical
-from twinforge.tabular import GanConfig, generate_rows, train_gan
-from twinforge.validate import summary_stats
+from twinforge.ingest.tabular import (
+    CONTINUOUS,
+    DISCRETE,
+    PID_MAX,
+    Categorical,
+    Column,
+    Schema,
+    TabularDataset,
+    write_dataset_csv,
+)
+from twinforge.tabular.gan import generate_rows, train_gan
+from twinforge.validate.stats import summary_stats
 
 from conftest import make_fixture_dataset
 

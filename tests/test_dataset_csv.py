@@ -10,16 +10,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twinforge.errors import MalformedCsv
-from twinforge.ingest import (
+from twinforge.ingest.tabular import (
+    _WRITE_BLOCK_ROWS,
     CONTINUOUS,
     DISCRETE,
+    PID_COLUMN,
+    PID_MAX,
     Column,
     Schema,
     TabularDataset,
     read_dataset_csv,
     write_dataset_csv,
 )
-from twinforge.ingest.tabular import _WRITE_BLOCK_ROWS, PID_COLUMN, PID_MAX
 
 SCHEMA = Schema(
     (

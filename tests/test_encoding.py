@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 from twinforge.errors import UnknownCategory
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
+from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
 from twinforge.ingest.top import parse_top_capture
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer

@@ -10,24 +10,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twinforge.config import GanConfig
 from twinforge.errors import MalformedModel, TooFewRows
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
-from twinforge.tabular import (
-    ALPHA_SCALE,
-    GanConfig,
-    generate_rows,
-    load_model,
-    model_to_json,
-    save_model,
-    train_gan,
-)
-from twinforge.tabular.encoding import TableCodec
+from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
+from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.gan import (
     _BLOCK_ROWS,
     _apply_heads,
     _cond_cross_entropy,
     _ConditionedSampler,
     _heads_backward,
+    generate_rows,
+    load_model,
+    model_to_json,
+    save_model,
+    train_gan,
 )
 
 import reference_loops as reference

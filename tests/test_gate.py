@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinforge.config import GanConfig, GateConfig
 from twinforge.errors import GateExhausted
-from twinforge.ingest import CONTINUOUS
-from twinforge.tabular import GanConfig, GateConfig, column_distances, generate_gated, train_gan
+from twinforge.ingest.tabular import CONTINUOUS
 from twinforge.tabular.encoding import ALPHA_SCALE
-from twinforge.tabular.gate import ColumnDistance
+from twinforge.tabular.gan import train_gan
+from twinforge.tabular.gate import ColumnDistance, column_distances, generate_gated
 
 TINY = GanConfig(epochs=1, batch_size=32, noise_dim=4, hidden_dim=8)
 
@@ -70,7 +71,7 @@ def test_gate_rejects_nonpositive_n(trained_model, fixture_dataset):
 
 
 def test_zero_range_columns_are_checked_in_their_own_units():
-    from twinforge.ingest import DISCRETE, Column, Schema, TabularDataset
+    from twinforge.ingest.tabular import DISCRETE, Column, Schema, TabularDataset
 
     schema = Schema((Column("flat", CONTINUOUS), Column("u", DISCRETE)))
     real = TabularDataset(schema, ((5.0, "a"),) * 2)

@@ -21,14 +21,14 @@ import hashlib
 
 import numpy as np
 
-from twinforge.ingest import write_dataset_csv
+from twinforge.ingest.tabular import write_dataset_csv
 from twinforge.jsonfile import dumps
-from twinforge.tabular import generate_rows
 from twinforge.tabular.encoding import TableCodec
-from twinforge.tabular.net import Adam
+from twinforge.tabular.gan import generate_rows
 from twinforge.tabular.gate import column_distances
-from twinforge.validate import build_report, compare_stats, summary_stats
-from twinforge.validate.report import report_to_json
+from twinforge.tabular.net import Adam
+from twinforge.validate.report import build_report, report_to_json
+from twinforge.validate.stats import compare_stats, summary_stats
 
 from conftest import make_fixture_dataset
 

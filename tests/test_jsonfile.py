@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from twinforge.cli import main
-from twinforge.config import load_config
+from twinforge.config import GanConfig, load_config
 from twinforge.errors import (
     ConfigParse,
     MalformedArchive,
@@ -20,18 +20,20 @@ from twinforge.errors import (
     MalformedPatch,
     MalformedReport,
 )
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.ingest.macro import BOS, EOS
+from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.jsonfile import dumps
-from twinforge.sequence import load_seq_model, seq_model_to_json, train_ngram
-from twinforge.tabular import GanConfig, column_distances, load_model, model_to_json
+from twinforge.sequence.ngram import load_seq_model, seq_model_to_json, train_ngram
 from twinforge.tabular.encoding import TableCodec
-from twinforge.tabular.gan import GanModel
+from twinforge.tabular.gan import GanModel, load_model, model_to_json
+from twinforge.tabular.gate import column_distances
 from twinforge.tabular.net import RELU, FeedForward
-from twinforge.twin import load_checks, load_delta, load_image, load_manifest, sidecar_path
-from twinforge.twin.image import MAGIC
-from twinforge.validate import build_report, compare_stats, load_report, summary_stats
-from twinforge.validate.report import report_to_json
+from twinforge.twin.checks import load_checks
+from twinforge.twin.image import MAGIC, load_image, sidecar_path
+from twinforge.twin.manifest import load_manifest
+from twinforge.twin.patch import load_delta
+from twinforge.validate.report import build_report, load_report, report_to_json
+from twinforge.validate.stats import compare_stats, summary_stats
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from twinforge.errors import BadArg, BadArity, EmptyScript, UnknownVerb
-from twinforge.ingest import (
+from twinforge.ingest.macro import (
     BOS,
     EOS,
     MacroCommand,
@@ -52,6 +52,11 @@ def test_send_text_may_contain_commas():
         ("Click, -1, 4", BadArg),
         ("Run,", BadArity),
         ("Run", BadArity),
+        ("Sleep, 1_000", BadArg),
+        ("Sleep, \uff15", BadArg),
+        ("Sleep, \u0665", BadArg),
+        ("Click, +5, 3", BadArg),
+        pytest.param("Sleep, " + "9" * 5000, BadArg, id="Sleep-5000-digits"),
     ],
 )
 def test_rejections(line, err):

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twinforge.errors import EmptyCandidate, NoReferences
-from twinforge.ingest import MacroScript, parse_macro_script
-from twinforge.validate import bleu, cosine_similarity
+from twinforge.ingest.macro import MacroScript, parse_macro_script
+from twinforge.validate.metrics import bleu, cosine_similarity
 
 # Hand-worked oracle for candidate "a b c" vs reference "a b d":
 #   p1 = 2/3 (unsmoothed)

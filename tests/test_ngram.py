@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twinforge.errors import EmptyCorpus, EmptyScript, UnknownVerb
-from twinforge.ingest import BOS, EOS, tokenize_script
-from twinforge.sequence import (
+from twinforge.ingest.macro import BOS, EOS, tokenize_script
+from twinforge.sequence.ngram import (
     GenRequest,
     generate_sequence,
     load_seq_model,

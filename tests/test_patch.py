@@ -23,31 +23,22 @@ from twinforge.errors import (
     SymlinkOutsideRoot,
     TwinLocked,
 )
-from twinforge.twin import (
+from twinforge.twin import journal, patch
+from twinforge.twin.checks import CheckSpec, ConfigEquals, FileExists, HashEquals, checks_from_doc, run_checks
+from twinforge.twin.image import capture_image
+from twinforge.twin.journal import UndoRecord, begin as begin_journal, journal_dir, record
+from twinforge.twin.manifest import LOCK_FILENAME, TwinDiff, diff_states, scan_tree
+from twinforge.twin.patch import (
     AddFile,
-    CheckSpec,
-    ConfigEquals,
     DeleteFile,
-    FileExists,
-    HashEquals,
     PatchDelta,
     ReplaceFile,
     SetConfig,
     apply_patch,
-    capture_image,
-    diff_states,
-    instantiate_twin,
+    delta_from_doc,
     load_delta,
-    run_checks,
-    scan_tree,
-    writer_lock,
 )
-from twinforge.twin import journal, patch
-from twinforge.twin.checks import checks_from_doc
-from twinforge.twin.journal import UndoRecord, journal_dir, record
-from twinforge.twin.journal import begin as begin_journal
-from twinforge.twin.manifest import LOCK_FILENAME, TwinDiff
-from twinforge.twin.patch import delta_from_doc
+from twinforge.twin.sandbox import instantiate_twin, writer_lock
 
 from conftest import UNNORMALIZED_PATHS
 

@@ -5,16 +5,18 @@ from __future__ import annotations
 import pytest
 
 from twinforge.errors import SymlinkOutsideRoot
-from twinforge.ingest import parse_macro_script
-from twinforge.twin import capture_image, instantiate_twin, scan_tree
-from twinforge.validate import (
+from twinforge.ingest.macro import parse_macro_script
+from twinforge.twin.image import capture_image
+from twinforge.twin.manifest import scan_tree
+from twinforge.twin.sandbox import instantiate_twin
+from twinforge.validate.replay import (
+    EXECUTABLE_PREFIXES,
     MISSING_TARGET,
     MISSING_WINDOW,
     NO_ACTIVE_WINDOW,
     OUT_OF_BOUNDS,
     replay_validate,
 )
-from twinforge.validate.replay import EXECUTABLE_PREFIXES
 
 
 @pytest.fixture()

@@ -8,15 +8,8 @@ import pytest
 
 from twinforge.errors import MalformedReport
 from twinforge.tabular.gate import ColumnDistance
-from twinforge.validate import (
-    ScriptMetrics,
-    build_report,
-    compare_stats,
-    load_report,
-    save_report,
-    summary_stats,
-)
-from twinforge.validate.report import report_to_json
+from twinforge.validate.report import ScriptMetrics, build_report, load_report, report_to_json, save_report
+from twinforge.validate.stats import compare_stats, summary_stats
 
 from test_stats import RECORDED
 

@@ -10,8 +10,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from twinforge.config import ServiceEndpoint
 from twinforge.errors import ServiceBadResponse, ServiceTimeout, ServiceUnreachable
-from twinforge.sequence import GenRequest, ServiceEndpoint, generate_via_service, sequence_to_script
+from twinforge.sequence.ngram import GenRequest, sequence_to_script
+from twinforge.sequence.service import generate_via_service
 
 SCRIPT_TOKENS = ["Run, chrome.exe", "WinWaitActive, chrome", "Send, hello{Enter}", "Sleep, 500"]
 

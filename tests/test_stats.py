@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from twinforge.errors import EmptyDataset, SchemaMismatch
-from twinforge.ingest import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, parse_top_capture
-from twinforge.validate import compare_stats, summary_stats
+from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
+from twinforge.ingest.top import parse_top_capture
+from twinforge.validate.stats import compare_stats, summary_stats
 
 SCHEMA = Schema(
     (

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from twinforge.errors import EmptyCapture, MalformedLine, MalformedTime
-from twinforge.ingest import (
-    TOP_SCHEMA,
-    parse_time_lapsed,
-    parse_top_capture,
-)
+from twinforge.ingest.top import TOP_SCHEMA, parse_time_lapsed, parse_top_capture
 
 EXPECTED_TABLE = [
     (392, "root", 3.3, 0.2, 1.1, "gedit"),

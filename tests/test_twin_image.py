@@ -12,20 +12,17 @@ from pathlib import Path
 import pytest
 
 from twinforge.errors import HashMismatch, MalformedArchive, SandboxNotEmpty, SymlinkOutsideRoot, UndecodableInput
-from twinforge.twin import (
+from twinforge.twin.image import (
+    MAGIC,
     TwinImage,
     capture_image,
-    diff_states,
-    instantiate_twin,
     load_image,
-    load_manifest,
     save_image,
-    scan_tree,
     sidecar_path,
     unpack_archive,
 )
-from twinforge.twin.image import MAGIC
-from twinforge.twin.manifest import TwinDiff
+from twinforge.twin.manifest import ManifestEntry, TwinDiff, diff_states, load_manifest, scan_tree
+from twinforge.twin.sandbox import instantiate_twin
 
 from conftest import UNNORMALIZED_PATHS, build_twin_tree
 
@@ -133,6 +130,45 @@ def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
         with pytest.raises(MalformedArchive):
             instantiate_twin(crafted, sandbox)
         assert list(tmp_path.iterdir()) == [], path
+
+
+def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
+    """A hand-built image of ``nodes`` in the given order: (path, content),
+    a directory where the content is None."""
+    manifest, archive = [], [MAGIC, struct.pack(">I", len(nodes))]
+    for path, content in nodes:
+        raw, data = path.encode("utf-8"), content or b""
+        archive += [struct.pack(">BIH", content is not None, 0o755, len(raw)), raw, struct.pack(">Q", len(data)), data]
+        sha = None if content is None else hashlib.sha256(data).hexdigest()
+        manifest.append(ManifestEntry(path, "dir" if content is None else "file", len(data), 0o755, sha))
+    return TwinImage(tuple(manifest), b"".join(archive), (), "")
+
+
+# Each of these once raised an OSError half-way through a restore and left
+# ``.twin.lock`` and the entries before it in the sandbox.
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ((("a", b"x"), ("a/b", b"y")), "a/b: archive entry under the file a"),
+        ((("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")), "a/b/c: archive entry under the file a"),
+        ((("b", b"x"), ("a", b"y")), "a: archive entry out of order after b"),
+        ((("a", b"x"), ("a", b"x")), "a: archive entry out of order after a"),
+        ((("bin", None), ("tmp", b"x")), "tmp: the image holds a file where a restore makes its own"),
+        (((".twin.lock", None),), r"\.twin\.lock: the image holds a dir where a restore makes its own"),
+    ],
+    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "tmp-file", "lock-dir"],
+)
+def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, message):
+    with pytest.raises(MalformedArchive, match=message):
+        instantiate_twin(_image(*nodes), tmp_path / "sandbox")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_image_file_whose_entries_nest_under_a_file_does_not_load(tmp_path):
+    path = tmp_path / "crafted.twimg"
+    save_image(_image(("a", b"x"), ("a/b", b"y")), path)
+    with pytest.raises(MalformedArchive, match="a/b: archive entry under the file a"):
+        load_image(path)
 
 
 @pytest.mark.parametrize("path", UNNORMALIZED_PATHS)
