@@ -8,8 +8,6 @@ scale-free) and total variation on discrete columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from twinforge.config import GateConfig
@@ -17,13 +15,7 @@ from twinforge.errors import GateExhausted
 from twinforge.ingest.tabular import CONTINUOUS, TabularDataset
 from twinforge.tabular.distance import emd_1d, tv_distance
 from twinforge.tabular.gan import GanModel, generate_rows
-
-
-@dataclass(frozen=True)
-class ColumnDistance:
-    column: str
-    kind: str
-    distance: float
+from twinforge.validate.comparison import ColumnDistance
 
 
 def column_distances(real: TabularDataset, synth: TabularDataset) -> tuple[ColumnDistance, ...]:

@@ -60,8 +60,9 @@ def _config_lines(root: Path, rel: str) -> list[str] | None:
 
 def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
     """Pure evaluation against the live tree: one walk for the file list,
-    a hash of only the files a ``HashEquals`` names, and one read of each
-    config file named."""
+    a read of only the files a ``HashEquals`` names (hashed unless their
+    bytes equal the twin's ``image_files``), and one read of each config
+    file named."""
     root = twin.sandbox.resolve()
     kinds = dict(walk_tree(twin.sandbox))
     configs: dict[str, list[str] | None] = {}
@@ -74,7 +75,7 @@ def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
             if kinds.get(assertion.path) != FILE:
                 ok, detail = False, "no such file"
             else:
-                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE)[0].sha256
+                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE, twin.image_files)[0].sha256
                 ok = sha256 == assertion.sha256
                 detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
         else:

@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from twinforge.clock import now_iso
@@ -25,6 +26,7 @@ from twinforge.twin.manifest import (
     FILE,
     LOCK_FILENAME,
     MANIFEST_FORMAT_VERSION,
+    KnownFiles,
     ManifestEntry,
     Sidecar,
     is_safe_rel_path,
@@ -72,6 +74,15 @@ class TwinImage:
                 if actual != entry.sha256:
                     raise HashMismatch(entry.path, entry.sha256, actual)
         return pairs
+
+    @cached_property
+    def verified_files(self) -> KnownFiles:
+        """Each file's path mapped to its hash and content from
+        ``checked_entries``: built once per image object, read-only, and
+        kept by every twin restored from it."""
+        return MappingProxyType(
+            {entry.path: (entry.sha256, content) for entry, content in self.checked_entries if entry.kind == FILE}
+        )
 
 
 def capture_image(

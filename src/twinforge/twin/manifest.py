@@ -7,7 +7,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from twinforge.errors import MalformedArchive, SymlinkOutsideRoot, UndecodableInput
 from twinforge.jsonfile import read_record
@@ -20,6 +20,10 @@ LOCK_FILENAME = ".twin.lock"
 DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
 
 MANIFEST_FORMAT_VERSION = 1
+
+# Path -> (sha256, content) of files whose hash is already verified: the
+# files of the image a twin was restored from (``TwinImage.verified_files``).
+KnownFiles = Mapping[str, tuple[str, memoryview]]
 
 
 def is_os_path(path: object) -> bool:
@@ -128,22 +132,35 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
     return tuple(entries)
 
 
-def manifest_entry(root: str | Path, path: str, kind: str) -> tuple[ManifestEntry, bytes]:
+def manifest_entry(
+    root: str | Path, path: str, kind: str, known: KnownFiles | None = None
+) -> tuple[ManifestEntry, bytes]:
     """The manifest entry of one walked path, its mode and, for a file, its
-    size and hash, with the content it hashed (empty for a directory). A
-    file is read once."""
+    size and hash, with the content it read (empty for a directory). A
+    file is read once. This is the one place a twin file is hashed, unless
+    its bytes equal ``known``'s content at its path: it then takes
+    ``known``'s hash, which equal bytes make the same."""
     full = Path(root) / path
     mode = full.stat().st_mode & 0o7777
     if kind == DIR:
         return ManifestEntry(path, DIR, 0, mode, None), b""
     content = full.read_bytes()
-    return ManifestEntry(path, FILE, len(content), mode, sha256_hex(content)), content
+    hit = known.get(path) if known else None
+    # Same length, then one memcmp (``content == view`` compares item by item).
+    if hit and len(content) == len(hit[1]) and content.startswith(hit[1]):
+        sha256 = hit[0]
+    else:
+        sha256 = sha256_hex(content)
+    return ManifestEntry(path, FILE, len(content), mode, sha256), content
 
 
-def scan_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[ManifestEntry, ...]:
+def scan_tree(
+    root: str | Path, exclusions: Sequence[str] = (), known: KnownFiles | None = None
+) -> tuple[ManifestEntry, ...]:
     """Deterministic manifest of a tree, sorted by path: every entry of
-    ``walk_tree`` with its mode, and each file read and hashed."""
-    return tuple(manifest_entry(root, path, kind)[0] for path, kind in walk_tree(root, exclusions))
+    ``walk_tree`` with its mode, and each file read and hashed unless its
+    bytes equal ``known``'s (``manifest_entry``)."""
+    return tuple(manifest_entry(root, path, kind, known)[0] for path, kind in walk_tree(root, exclusions))
 
 
 # -- persistence -----------------------------------------------------------

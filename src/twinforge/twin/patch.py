@@ -180,6 +180,8 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
 
     The report's manifest is scanned before the journal is dropped, so a
     tree that cannot be scanned (an escaping link) undoes the patch too.
+    The scan hashes only the files whose bytes differ from the twin's
+    ``image_files``.
     """
     root = Path(twin.sandbox).resolve()
     with writer_lock(twin.sandbox):
@@ -187,7 +189,7 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
         try:
             for index, op in enumerate(delta.ops):
                 _apply_op(root, journal, index, op)
-            manifest = scan_tree(twin.sandbox)
+            manifest = scan_tree(twin.sandbox, known=twin.image_files)
         except BaseException:
             roll_back(root)
             raise

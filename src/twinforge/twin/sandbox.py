@@ -11,7 +11,7 @@ from pathlib import Path
 from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage
 from twinforge.twin.journal import roll_back
-from twinforge.twin.manifest import DIR, LOCK_FILENAME
+from twinforge.twin.manifest import DIR, LOCK_FILENAME, KnownFiles
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,20 @@ class Screen:
 
 @dataclass
 class TwinState:
-    """Handle on an instantiated sandbox. It caches nothing: readers scan
-    or walk the live tree themselves. Writers hold ``writer_lock``."""
+    """Handle on an instantiated sandbox. It caches nothing about the tree:
+    readers read or walk the live tree themselves. Writers hold
+    ``writer_lock``.
+
+    A twin restored in this process keeps its image's verified files
+    (``image_files``, path to hash and content). The scans of
+    ``apply_patch`` and the hashes of ``run_checks`` still read every
+    file they need, but a file whose bytes equal the image's at its path
+    takes the image's hash instead of being hashed again. A twin built
+    from a path keeps none, so every file it reads is hashed."""
 
     sandbox: Path
     screen: Screen = field(default_factory=Screen)
+    image_files: KnownFiles = field(default_factory=dict, repr=False, compare=False)
 
 
 @contextmanager
@@ -79,7 +88,8 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     entry that disagrees with the manifest, or that a restore cannot
     write, raises MalformedArchive; and no sandbox is made. The image
     keeps the result, so restoring it again hashes and copies nothing; it
-    writes the archive's bytes. Directory
+    writes the archive's bytes. The twin keeps the image's
+    ``verified_files``. Directory
     modes are set once every entry is written, deepest first, so a
     read-only directory can still be restored with its contents. The lock
     file a failed restore leaves behind does not count as contents. A
@@ -111,4 +121,4 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
         tmp = sandbox / "tmp"
         tmp.mkdir(exist_ok=True)
         tmp.chmod(0o755)
-    return TwinState(sandbox)
+    return TwinState(sandbox, image_files=image.verified_files)

@@ -8,8 +8,7 @@ from typing import Mapping, Sequence
 
 from twinforge.errors import MalformedReport
 from twinforge.jsonfile import read_record, record_text
-from twinforge.tabular.gate import ColumnDistance
-from twinforge.validate.stats import StatsComparison, SummaryStats
+from twinforge.validate.comparison import ColumnDistance, StatsComparison, SummaryStats
 
 REPORT_FORMAT_VERSION = 1
 

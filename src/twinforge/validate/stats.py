@@ -2,46 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from twinforge.errors import EmptyDataset, SchemaMismatch
 from twinforge.ingest.tabular import CONTINUOUS, TabularDataset
+from twinforge.validate.comparison import FieldDelta, ModalDelta, StatsComparison, SummaryStats
 
 REL_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Per-column digest: means for continuous, modal category for discrete."""
-
-    row_count: int
-    means: dict[str, float]
-    modes: dict[str, tuple[str, float]]  # name -> (modal category, frequency fraction)
-
-
-@dataclass(frozen=True)
-class FieldDelta:
-    real: float
-    synth: float
-    abs_delta: float
-    rel_delta: float
-
-
-@dataclass(frozen=True)
-class ModalDelta:
-    real: str
-    synth: str
-    match: bool
-    freq_abs_delta: float
-
-
-@dataclass(frozen=True)
-class StatsComparison:
-    row_counts: tuple[int, int]
-    continuous: dict[str, FieldDelta]
-    discrete: dict[str, ModalDelta]
 
 
 def summary_stats(dataset: TabularDataset) -> SummaryStats:

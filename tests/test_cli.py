@@ -608,8 +608,13 @@ def test_python_dash_m_entry_point(tmp_path):
 
 def test_twin_commands_load_no_numpy_and_no_http_client(tmp_path, workspace, twin_tree):
     # Each command imports only the leg it runs, so the twin commands, the
-    # most repeated ones, start without the tabular and service legs.
+    # most repeated ones, start without the tabular and service legs, and
+    # ``report`` reads its JSON file without numpy or the GAN.
     config = _config(tmp_path, workspace)
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
+    report = tmp_path / "report.json"
+    argv = ["--config", str(config), "validate", "--real", str(tmp_path / "real.csv")]
+    assert main(argv + ["--synth", str(tmp_path / "real.csv"), "--out", str(report)]) == 0
     image, sandbox = tmp_path / "sys.twimg", tmp_path / "sandbox"
     delta, checks = tmp_path / "delta.json", tmp_path / "checks.json"
     delta.write_text(json.dumps([{"op": "add_file", "path": "bin/newtool", "content": "x\n"}]), encoding="utf-8")
@@ -620,12 +625,13 @@ def test_twin_commands_load_no_numpy_and_no_http_client(tmp_path, workspace, twi
         ["twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)],
         ["twin", "diff", "--pre", str(image), "--post", str(sandbox), "--out", str(tmp_path / "diff.json")],
         ["twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)],
+        ["report", "--in", str(report)],
     ]
     code = (
         "import json, sys\n"
         "from twinforge.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    print(json.dumps([main(argv), sorted({'numpy', 'urllib.request'} & set(sys.modules))]))\n"
+        "    print(json.dumps([main(argv), sorted({'numpy', 'urllib.request', 'twinforge.tabular.gan'} & set(sys.modules))]))\n"
     )
     argvs = [["--quiet", "--config", str(config), *command] for command in commands]
     result = subprocess.run(

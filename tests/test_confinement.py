@@ -117,6 +117,35 @@ def test_each_twin_input_rule_has_one_home():
     assert offenders == []
 
 
+# (module, function) where twin file content may be hashed: the scan's one
+# reader and the image's one check, plus the helper both call.
+HASHERS = {("twin/manifest.py", "manifest_entry"), ("twin/image.py", "checked_entries")}
+
+
+def test_twin_files_are_hashed_in_one_place():
+    """Under ``twin/``, ``hashlib`` is imported only by ``twin/manifest.py``
+    and used only in ``sha256_hex``, and ``sha256_hex`` is called only by
+    ``manifest_entry`` and ``TwinImage.checked_entries``. ``manifest_entry``
+    holds the rule that lets a restored twin skip the hash of bytes equal
+    to its image's; a second reader that hashed on its own would get
+    round it, or copy it wrong."""
+    offenders = []
+    for path in sorted((SRC / "twin").glob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                offenders.append(f"{where} from hashlib import")
+            if isinstance(node, ast.alias) and node.name == "hashlib" and module != "twin/manifest.py":
+                offenders.append(f"{where} import hashlib")
+            if name == "hashlib" and (module, function) != ("twin/manifest.py", "sha256_hex"):
+                offenders.append(f"{where} hashlib")
+            if name == "sha256_hex" and (module, function) not in HASHERS:
+                offenders.append(f"{where} sha256_hex")
+    assert offenders == []
+
+
 def _big_number(node: ast.AST) -> bool:
     """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

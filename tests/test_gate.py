@@ -16,7 +16,8 @@ from twinforge.errors import GateExhausted
 from twinforge.ingest.tabular import CONTINUOUS
 from twinforge.tabular.encoding import ALPHA_SCALE
 from twinforge.tabular.gan import train_gan
-from twinforge.tabular.gate import ColumnDistance, column_distances, generate_gated
+from twinforge.tabular.gate import column_distances, generate_gated
+from twinforge.validate.comparison import ColumnDistance
 
 TINY = GanConfig(epochs=1, batch_size=32, noise_dim=4, hidden_dim=8)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from twinforge.errors import MalformedReport
-from twinforge.tabular.gate import ColumnDistance
+from twinforge.validate.comparison import ColumnDistance
 from twinforge.validate.report import ScriptMetrics, build_report, load_report, report_to_json, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
 
