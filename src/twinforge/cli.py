@@ -36,8 +36,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VALIDATION = 3
 
-WORKSPACE_LOCK = "workspace.lock"
-
 
 @dataclass(frozen=True)
 class SynthMeta:
@@ -64,15 +62,13 @@ def stage_seed(base: int, label: str) -> int:
 
 
 def _workspace_lock(args: argparse.Namespace, workspace: Path):
-    """The workspace lock, for every command but the read-only ``report`` and
-    ``twin diff``, which touch nothing in the workspace."""
-    if args.command == "report" or getattr(args, "twin_command", None) == "diff":
+    """The lock on the workspace directory, for the commands that may write
+    into it. ``report`` and the ``twin`` commands write nothing there, so
+    they neither take the lock nor create the workspace."""
+    if args.command in ("report", "twin"):
         return nullcontext()
     workspace.mkdir(parents=True, exist_ok=True)
-    return exclusive_lock(
-        workspace / WORKSPACE_LOCK,
-        WorkspaceLocked(f"{workspace}: another invocation holds {WORKSPACE_LOCK}"),
-    )
+    return exclusive_lock(workspace, WorkspaceLocked(f"{workspace}: another invocation holds the workspace"))
 
 
 def _workspace_path(config: PipelineConfig, subdir: str, name: str) -> Path:

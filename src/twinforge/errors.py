@@ -195,6 +195,10 @@ class SymlinkOutsideRoot(TwinforgeError):
     """A symlink escapes the capture root."""
 
 
+class DanglingSymlink(TwinforgeError):
+    """A symlink in a twin tree leads to no file or directory."""
+
+
 class MalformedArchive(TwinforgeError):
     """An image archive or its sidecar manifest is structurally invalid."""
 

@@ -177,16 +177,12 @@ class _SeqModelFile:
     counts: dict[str, dict[str, dict[str, int]]]
 
 
-def seq_model_to_json(model: SeqModel) -> str:
+def save_seq_model(model: SeqModel, path: str | Path) -> None:
     counts = {
         str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()} for m, tables in model.counts.items()
     }
     doc = _SeqModelFile("sequence-ngram", model.order, model.delta, model.seed, model.vocab, counts)
-    return record_text(MODEL_FORMAT_VERSION, doc)
-
-
-def save_seq_model(model: SeqModel, path: str | Path) -> None:
-    Path(path).write_text(seq_model_to_json(model), encoding="utf-8")
+    Path(path).write_text(record_text(MODEL_FORMAT_VERSION, doc), encoding="utf-8")
 
 
 def load_seq_model(path: str | Path) -> SeqModel:

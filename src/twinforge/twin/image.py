@@ -24,7 +24,6 @@ from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
     FILE,
-    LOCK_FILENAME,
     MANIFEST_FORMAT_VERSION,
     KnownFiles,
     ManifestEntry,
@@ -59,14 +58,14 @@ class TwinImage:
     def checked_entries(self) -> tuple[tuple[ManifestEntry, memoryview], ...]:
         """Each manifest entry with its content, a view into ``archive``,
         once the archive is found to hold exactly the manifest
-        (``_match_manifest``), no root entry a restore makes itself (a file
-        ``tmp`` or any ``LOCK_FILENAME``, else ``MalformedArchive``) and
+        (``_match_manifest``), no root file ``tmp``, which a restore makes
+        itself as a directory (else ``MalformedArchive``), and
         each file its SHA-256 (else ``HashMismatch``). Computed once per
         image object; a failed check is not kept, so it raises again on
         the next access."""
         pairs = _match_manifest(self.manifest, self.archive)
         for entry, _ in pairs:
-            if entry.path == LOCK_FILENAME or (entry.path, entry.kind) == ("tmp", FILE):
+            if (entry.path, entry.kind) == ("tmp", FILE):
                 raise MalformedArchive(f"{entry.path}: the image holds a {entry.kind} where a restore makes its own")
         for entry, content in pairs:
             if entry.kind == FILE:

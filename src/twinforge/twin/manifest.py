@@ -9,12 +9,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from twinforge.errors import MalformedArchive, SymlinkOutsideRoot, UndecodableInput
+from twinforge.errors import DanglingSymlink, MalformedArchive, SymlinkOutsideRoot, UndecodableInput
 from twinforge.jsonfile import read_record
 
 FILE = "file"
 DIR = "dir"
 
+# No library code reads this name: the writer lock is on the sandbox
+# directory itself and makes no file. It is kept because
+# ``perfbench/workloads.py``'s ``hash_tree`` reads it.
 LOCK_FILENAME = ".twin.lock"
 
 DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
@@ -100,9 +103,8 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
 
     Symlinks resolving inside the root count as what they point to
     (directory links are listed but not descended, which keeps cycles
-    finite); links escaping the root and names that are not UTF-8 are
-    refused. The writer lock, the root's own ``LOCK_FILENAME``, is never
-    listed; a file of that name deeper in the tree is listed like any other.
+    finite); links that lead to nothing, links escaping the root and names
+    that are not UTF-8 are refused.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -116,6 +118,8 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
             raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
         if path.is_symlink():
+            if not path.exists():
+                raise DanglingSymlink(f"{rel} -> {os.readlink(path)}: the link leads to nothing")
             resolve_inside(root, rel)
         entries.append((rel, kind))
 
@@ -126,8 +130,7 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         for name in dirnames:
             visit(here / name, DIR)
         for name in filenames:
-            if name != LOCK_FILENAME or here != root:
-                visit(here / name, FILE)
+            visit(here / name, FILE)
     entries.sort()
     return tuple(entries)
 

@@ -39,7 +39,7 @@ from twinforge.errors import (
 )
 from twinforge.jsonfile import read_json, read_tagged, read_text
 from twinforge.twin.journal import begin, commit, record_add, record_delete, record_rewrite, roll_back
-from twinforge.twin.manifest import LOCK_FILENAME, ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
+from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, writer_lock
 
 
@@ -110,15 +110,6 @@ def _describe(op: PatchOp) -> str:
     return f"set_config {op.file} {op.key}={op.value}"
 
 
-def _target(root: Path, rel: str, follow: bool) -> Path:
-    """The path an op on ``rel`` writes (``resolve_inside``), which may not
-    be the writer lock, the root's ``LOCK_FILENAME``."""
-    node = resolve_inside(root, rel, follow)
-    if node == root / LOCK_FILENAME:
-        raise MalformedPatch(f"{rel}: the writer lock {LOCK_FILENAME} is not patchable")
-    return node
-
-
 def config_settings(lines: list[str], key: str) -> list[tuple[int, str]]:
     """The index and value of each line of a ``key=value`` file that sets
     ``key``: the text before its first ``=`` is ``key`` and the text after
@@ -145,7 +136,7 @@ def _set_config(node: Path, op: SetConfig) -> bytes:
 def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
     """Check ``op``, journal what it will change, then apply it in place."""
     if isinstance(op, AddFile):
-        node = _target(root, op.path, follow=True)
+        node = resolve_inside(root, op.path, follow=True)
         if node.exists():
             raise AddExisting(op.path)
         created = []
@@ -160,12 +151,12 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         node.write_bytes(op.content)
         return
     if isinstance(op, DeleteFile):
-        node = _target(root, op.path, follow=False)
+        node = resolve_inside(root, op.path, follow=False)
         if not node.is_file():
             raise DeleteMissing(op.path)
         record_delete(journal, index, node.relative_to(root).as_posix(), node)
         return
-    node = _target(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
+    node = resolve_inside(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
     if not node.is_file():
         if isinstance(op, ReplaceFile):
             raise ReplaceMissing(op.path)

@@ -11,7 +11,7 @@ from pathlib import Path
 from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage
 from twinforge.twin.journal import roll_back
-from twinforge.twin.manifest import DIR, LOCK_FILENAME, KnownFiles
+from twinforge.twin.manifest import DIR, KnownFiles
 
 
 @dataclass(frozen=True)
@@ -45,38 +45,39 @@ class TwinState:
 
 
 @contextmanager
-def exclusive_lock(lock: Path, locked: TwinforgeError):
-    """Hold an exclusive ``flock`` on ``lock`` for the block; raise ``locked``
-    if another holder has it. The file is created once and never removed:
-    the kernel drops the lock when its descriptor closes, so a holder that
-    dies, even by SIGKILL, leaves nothing that blocks the next one. A lock
-    path that is a symbolic link is refused (``OSError``), so the lock
-    never creates or opens a file the link points to."""
-    with open(lock, "a", opener=lambda path, flags: os.open(path, flags | os.O_NOFOLLOW, 0o666)) as fh:
+def exclusive_lock(directory: Path, locked: TwinforgeError):
+    """Hold an exclusive ``flock`` on ``directory`` itself for the block;
+    raise ``locked`` if another holder has it. No file is made: the lock
+    is on the directory's inode, so every spelling of it (a symbolic link
+    to it, say) is the same lock, and the kernel drops it when the
+    descriptor closes, so a holder that dies, even by SIGKILL, leaves
+    nothing that blocks the next one."""
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
         try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise locked from None
         yield
+    finally:
+        os.close(fd)
 
 
 @contextmanager
 def writer_lock(sandbox: Path):
-    """Advisory exclusive lock for mutating operations (create, patch).
+    """Advisory exclusive lock on the sandbox directory for mutating
+    operations (create, patch).
 
     On acquisition it rolls back any undo journal a crashed patch left
     behind, so every writer starts from a tree no patch is half-way
     through."""
-    with exclusive_lock(
-        Path(sandbox) / LOCK_FILENAME,
-        TwinLocked(f"{sandbox}: another writer holds {LOCK_FILENAME}"),
-    ):
+    with exclusive_lock(sandbox, TwinLocked(f"{sandbox}: another writer holds the sandbox")):
         roll_back(sandbox)
         yield
 
 
 def _refuse_contents(sandbox: Path) -> None:
-    if any(p.name != LOCK_FILENAME for p in sandbox.iterdir()):
+    if any(sandbox.iterdir()):
         raise SandboxNotEmpty(f"{sandbox} already has contents")
 
 
@@ -91,8 +92,7 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     writes the archive's bytes. The twin keeps the image's
     ``verified_files``. Directory
     modes are set once every entry is written, deepest first, so a
-    read-only directory can still be restored with its contents. The lock
-    file a failed restore leaves behind does not count as contents. A
+    read-only directory can still be restored with its contents. A
     sandbox with contents is refused before anything is written;
     emptiness is checked again under the writer lock, after it has rolled
     back a crashed patch's journal, so a restore never mixes with what

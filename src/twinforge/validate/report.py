@@ -65,12 +65,8 @@ def build_report(
     )
 
 
-def report_to_json(report: ComparisonReport) -> str:
-    return record_text(REPORT_FORMAT_VERSION, report)
-
-
 def save_report(report: ComparisonReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")
+    Path(path).write_text(record_text(REPORT_FORMAT_VERSION, report), encoding="utf-8")
 
 
 def load_report(path: str | Path) -> ComparisonReport:

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from twinforge.cli import main
+from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
-from twinforge.twin.image import sidecar_path
+from twinforge.twin.image import capture_image, save_image, sidecar_path
 from twinforge.twin.manifest import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate.report import load_report
@@ -97,6 +98,37 @@ def test_capture_twin_patch_diff_check_flow(tmp_path, workspace, twin_tree, caps
     failing = tmp_path / "failing.json"
     failing.write_text(json.dumps([{"check": "file_exists", "path": "bin/ghost"}]), encoding="utf-8")
     assert main(["--config", str(config), "twin", "check", "--sandbox", str(sandbox), "--checks", str(failing)]) == 3
+    assert list(workspace.iterdir()) == []  # capture made it, and no lock file is in it
+    assert not any(p.name in (".twin.lock", "workspace.lock") for p in tmp_path.rglob("*"))
+
+
+def test_a_twin_command_leaves_nothing_in_a_workspace_that_is_its_sandbox(
+    tmp_path, workspace, twin_tree, monkeypatch
+):
+    image, sandbox = tmp_path / "sys.twimg", tmp_path / "sandbox"
+    save_image(capture_image(twin_tree), image)
+    config = _config(tmp_path, workspace)
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps([{"op": "replace_file", "path": "bin/term", "content": "v2\n"}]), encoding="utf-8")
+    checks = tmp_path / "checks.json"
+    checks.write_text(json.dumps([{"check": "file_exists", "path": "bin/term"}]), encoding="utf-8")
+    monkeypatch.setenv(WORKSPACE_ENV, str(sandbox))
+    assert main(["twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 0
+    assert main(["twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)]) == 0
+    out = tmp_path / "diff.json"
+    assert main(["twin", "diff", "--pre", str(image), "--post", str(sandbox), "--out", str(out)]) == 0
+    diff = json.loads(out.read_text(encoding="utf-8"))
+    assert (diff["added"], diff["removed"]) == (["tmp"], [])
+    assert [m["path"] for m in diff["modified"]] == ["bin/term"]
+
+
+def test_twin_create_creates_no_workspace(tmp_path, workspace, twin_tree):
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    save_image(capture_image(twin_tree), image)
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(tmp_path / "box")]) == 0
+    assert not workspace.exists()
 
 
 def test_twin_create_on_nonempty_sandbox_is_data_error(tmp_path, workspace, twin_tree):
@@ -420,6 +452,16 @@ def test_capture_of_a_file_name_that_is_not_utf8_is_a_data_error(tmp_path, works
     assert not image.exists()
 
 
+def test_capture_of_a_dangling_link_is_a_data_error_that_names_it(tmp_path, workspace, twin_tree, capsys):
+    # It once exited as a bare ``io error`` from the stat of the missing target.
+    config = _config(tmp_path, workspace)
+    (twin_tree / "etc" / "dangling").symlink_to("missing")
+    image = tmp_path / "sys.twimg"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 2
+    assert capsys.readouterr().err == "error: etc/dangling -> missing: the link leads to nothing\n"
+    assert not image.exists()
+
+
 def test_quiet_gen_tabular_prints_nothing(tmp_path, workspace, pipeline_artifacts, capsys):
     config = _config(tmp_path, workspace, seed=7)
     synth_csv = tmp_path / "synth.csv"
@@ -519,21 +561,15 @@ def _ingest_top(config) -> list[str]:
 def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)
-    with exclusive_lock(workspace / "workspace.lock", WorkspaceLocked()):
+    with exclusive_lock(workspace, WorkspaceLocked()):
         assert main(_ingest_top(config)) == 2
-    # the file stays behind, but a lock nobody holds does not block
-    assert (workspace / "workspace.lock").exists()
+        assert list(workspace.iterdir()) == []  # the lock is on the directory, not a file in it
+    assert list(workspace.iterdir()) == []
+    alias = tmp_path / "alias"
+    alias.symlink_to(workspace)
+    with exclusive_lock(alias, WorkspaceLocked()):
+        assert main(_ingest_top(config)) == 2
     assert main(_ingest_top(config)) == 0
-
-
-def test_linked_workspace_lock_is_a_data_error_that_creates_nothing(tmp_path, workspace):
-    config = _config(tmp_path, workspace)
-    workspace.mkdir(parents=True)
-    planted = tmp_path / "elsewhere" / "planted.lock"
-    planted.parent.mkdir()
-    (workspace / "workspace.lock").symlink_to(planted)
-    assert main(_ingest_top(config)) == 2
-    assert list(planted.parent.iterdir()) == []
 
 
 def test_workspace_lock_is_released_when_its_holder_is_killed(tmp_path, workspace):
@@ -544,7 +580,7 @@ def test_workspace_lock_is_released_when_its_holder_is_killed(tmp_path, workspac
             sys.executable, "-c",
             "import sys, time; from pathlib import Path;"
             "from twinforge.twin.sandbox import exclusive_lock;"
-            f"lock = exclusive_lock(Path({str(workspace / 'workspace.lock')!r}), RuntimeError());"
+            f"lock = exclusive_lock(Path({str(workspace)!r}), RuntimeError());"
             "lock.__enter__(); print('held', flush=True); time.sleep(60)",
         ],
         stdout=subprocess.PIPE,
@@ -570,8 +606,8 @@ def test_read_only_commands_ignore_the_lock_and_leave_the_workspace_alone(tmp_pa
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     before = sorted(p.name for p in workspace.iterdir())
-    assert before == ["workspace.lock"]
-    with exclusive_lock(workspace / "workspace.lock", WorkspaceLocked()):
+    assert before == []
+    with exclusive_lock(workspace, WorkspaceLocked()):
         assert main(["--config", str(config), "report", "--in", str(report)]) == 0
         diff = ["--config", str(config), "twin", "diff", "--pre", str(tmp_path / "a")]
         assert main(diff + ["--post", str(tmp_path / "b"), "--out", str(tmp_path / "d.json")]) == 0
@@ -582,7 +618,7 @@ def test_failing_command_creates_no_workspace_layout(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     argv = ["--config", str(config), "train", "seq", "--corpus", str(tmp_path / "missing.ahk")]
     assert main(argv) == 2
-    assert sorted(p.name for p in workspace.iterdir()) == ["workspace.lock"]
+    assert list(workspace.iterdir()) == []
 
 
 def test_seed_flag_overrides_config(tmp_path, workspace, script_paths):

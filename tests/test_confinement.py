@@ -146,6 +146,34 @@ def test_twin_files_are_hashed_in_one_place():
     assert offenders == []
 
 
+def test_locks_are_taken_in_one_place_and_name_no_file():
+    """Only ``twin/sandbox.py`` uses ``fcntl``, and no module reads
+    ``LOCK_FILENAME`` or names a lock file: each lock is on a directory
+    itself. The lock files that once stood in the trees they guarded needed
+    a special case in the walk, the patch, the image check and the restore,
+    and the workspace's lock file leaked into a twin that was its workspace.
+    ``twin/manifest.py`` still defines ``LOCK_FILENAME``, for the benchmark."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        definition = None
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("fcntl", "flock") and module != "twin/sandbox.py":
+                offenders.append(f"{where} {name}")
+            if isinstance(node, ast.Assign) and _mentions(node.targets[0], "LOCK_FILENAME"):
+                definition = node.value
+            elif name == "LOCK_FILENAME" and not isinstance(getattr(node, "ctx", None), ast.Store):
+                offenders.append(f"{where} LOCK_FILENAME")
+            if isinstance(node, ast.Constant) and node is not definition and isinstance(node.value, str):
+                if ".twin.lock" in node.value or "workspace.lock" in node.value:
+                    offenders.append(f"{where} {node.value!r}")
+            if node is definition and module != "twin/manifest.py":
+                offenders.append(f"{where} defines LOCK_FILENAME")
+    assert offenders == []
+
+
 def _big_number(node: ast.AST) -> bool:
     """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

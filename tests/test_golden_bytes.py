@@ -27,7 +27,7 @@ from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.gan import generate_rows
 from twinforge.tabular.gate import column_distances
 from twinforge.tabular.net import Adam
-from twinforge.validate.report import build_report, report_to_json
+from twinforge.validate.report import build_report, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
 
 from conftest import make_fixture_dataset
@@ -62,7 +62,7 @@ def test_bulk_synthesis_csv_bytes(trained_model, tmp_path):
     assert _sha256(path.read_bytes()) == BULK_CSV_SHA256
 
 
-def test_report_bytes():
+def test_report_bytes(tmp_path):
     real = make_fixture_dataset()
     synth = make_fixture_dataset(n_rows=70, seed=1)
     report = build_report(
@@ -76,7 +76,9 @@ def test_report_bytes():
         distances=column_distances(real, synth),
         gate_attempts=1,
     )
-    assert _sha256(report_to_json(report).encode("utf-8")) == REPORT_SHA256
+    path = tmp_path / "report.json"
+    save_report(report, path)
+    assert _sha256(path.read_bytes()) == REPORT_SHA256
 
 
 def test_mode_normalizer_bytes():

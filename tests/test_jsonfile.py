@@ -5,7 +5,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from twinforge.errors import (
 from twinforge.ingest.macro import BOS, EOS
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.jsonfile import dumps
-from twinforge.sequence.ngram import load_seq_model, seq_model_to_json, train_ngram
+from twinforge.sequence.ngram import load_seq_model, save_seq_model, train_ngram
 from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.gan import GanModel, load_model, model_to_json
 from twinforge.tabular.gate import column_distances
@@ -32,7 +34,7 @@ from twinforge.twin.checks import load_checks
 from twinforge.twin.image import MAGIC, load_image, sidecar_path
 from twinforge.twin.manifest import load_manifest
 from twinforge.twin.patch import load_delta
-from twinforge.validate.report import build_report, load_report, report_to_json
+from twinforge.validate.report import build_report, load_report, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
 
 
@@ -64,16 +66,23 @@ def _versioned(version):
     return [b"[]", json.dumps({"format_version": version}).encode(), b'{"format_version": 99}']
 
 
+def _saved(save, artifact):
+    """The JSON document ``save`` writes for ``artifact``."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "artifact.json"
+        save(artifact, path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
 # A small valid document of each versioned artifact, as its writer makes it.
 TABLE = TabularDataset(Schema((Column("x", CONTINUOUS), Column("u", DISCRETE))), [(1.0, "a"), (2.0, "b")])
-REPORT = json.loads(
-    report_to_json(
-        build_report(
-            run_id="r", created_at="t", seeds={"global": 0}, config={},
-            real_stats=summary_stats(TABLE), synth_stats=summary_stats(TABLE),
-            comparison=compare_stats(TABLE, TABLE), distances=column_distances(TABLE, TABLE),
-        )
-    )
+REPORT = _saved(
+    save_report,
+    build_report(
+        run_id="r", created_at="t", seeds={"global": 0}, config={},
+        real_stats=summary_stats(TABLE), synth_stats=summary_stats(TABLE),
+        comparison=compare_stats(TABLE, TABLE), distances=column_distances(TABLE, TABLE),
+    ),
 )
 MODEL = json.loads(
     model_to_json(
@@ -84,7 +93,7 @@ MODEL = json.loads(
         )
     )
 )
-SEQ_MODEL = json.loads(seq_model_to_json(train_ngram([(BOS, "Sleep, 1", EOS)])))
+SEQ_MODEL = _saved(save_seq_model, train_ngram([(BOS, "Sleep, 1", EOS)]))
 SIDECAR = {"format_version": 1, "created_at": "t", "exclusions": [], "entries": []}
 
 

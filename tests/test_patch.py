@@ -14,6 +14,7 @@ import pytest
 from twinforge.errors import (
     AddExisting,
     ConfigKeyMissing,
+    DanglingSymlink,
     DeleteMissing,
     MalformedChecks,
     MalformedJournal,
@@ -27,7 +28,7 @@ from twinforge.twin import journal, patch
 from twinforge.twin.checks import CheckSpec, ConfigEquals, FileExists, HashEquals, checks_from_doc, run_checks
 from twinforge.twin.image import capture_image
 from twinforge.twin.journal import UndoRecord, begin as begin_journal, journal_dir, record
-from twinforge.twin.manifest import LOCK_FILENAME, TwinDiff, diff_states, scan_tree
+from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree
 from twinforge.twin.patch import (
     AddFile,
     DeleteFile,
@@ -38,7 +39,7 @@ from twinforge.twin.patch import (
     delta_from_doc,
     load_delta,
 )
-from twinforge.twin.sandbox import instantiate_twin, writer_lock
+from twinforge.twin.sandbox import TwinState, instantiate_twin, writer_lock
 
 from conftest import UNNORMALIZED_PATHS
 
@@ -274,7 +275,7 @@ def test_run_checks_match_a_full_scan(twin, tmp_path):
     (twin.sandbox / "docs" / "nested" / "deep").mkdir(parents=True)
     (twin.sandbox / "docs" / "nested" / "deep" / "notes.txt").write_bytes(b"deep\n")
     manifest = {e.path: e for e in scan_tree(twin.sandbox)}
-    paths = sorted(manifest) + ["missing", "bin/missing", LOCK_FILENAME]
+    paths = sorted(manifest) + ["missing", "bin/missing"]
     assertions = []
     for path in paths:
         sha = manifest[path].sha256 if path in manifest else None
@@ -317,14 +318,12 @@ def test_check_paths_must_stay_inside_the_sandbox(kind, path):
 def test_config_check_never_reads_outside_the_sandbox(twin, tmp_path):
     outside = tmp_path / "outside.conf"
     outside.write_text("secret=hunter2\n", encoding="utf-8")
-    # the walk never lists the writer lock, so only the read itself can see
-    # that this one escapes
-    lock = twin.sandbox / LOCK_FILENAME
-    lock.unlink()
-    lock.symlink_to(outside)
-    for rel in (str(outside), "../outside.conf", LOCK_FILENAME):
+    for rel in (str(outside), "../outside.conf"):
         with pytest.raises(SymlinkOutsideRoot):
             run_checks(twin, CheckSpec((ConfigEquals(rel, "secret", "x"),)))
+    (twin.sandbox / "etc" / "leak.conf").symlink_to(outside)
+    with pytest.raises(SymlinkOutsideRoot):
+        run_checks(twin, CheckSpec((ConfigEquals("etc/leak.conf", "secret", "x"),)))
 
 
 def test_config_checks_read_each_file_once(twin, monkeypatch):
@@ -402,39 +401,42 @@ def test_ops_through_an_inside_link_are_undone_exactly(twin):
     assert link.is_symlink() and readme.read_bytes() == b"v2\n"
 
 
-def test_patch_naming_the_writer_lock_is_refused(twin):
-    with pytest.raises(MalformedPatch):
-        apply_patch(twin, PatchDelta((DeleteFile(LOCK_FILENAME),)))
-    assert (twin.sandbox / LOCK_FILENAME).exists()
+def test_a_held_lock_adds_nothing_to_the_sandbox_and_covers_every_spelling(twin, tmp_path):
+    listing = sorted(os.listdir(twin.sandbox))
+    alias = tmp_path / "alias"
+    alias.symlink_to(twin.sandbox)
+    with writer_lock(twin.sandbox):
+        assert sorted(os.listdir(twin.sandbox)) == listing
+        with pytest.raises(TwinLocked):
+            apply_patch(TwinState(alias), PatchDelta((AddFile("bin/x", b"x"),)))
+    assert sorted(os.listdir(twin.sandbox)) == listing
+    apply_patch(TwinState(alias), PatchDelta((AddFile("bin/x", b"x"),)))
+    assert (twin.sandbox / "bin" / "x").read_bytes() == b"x"
 
 
-def test_only_the_root_lock_is_the_writer_lock(twin):
-    nested = twin.sandbox / "etc" / LOCK_FILENAME
-    apply_patch(twin, PatchDelta((AddFile(f"etc/{LOCK_FILENAME}", b"data\n"),)))
-    assert nested.read_bytes() == b"data\n"
-    apply_patch(twin, PatchDelta((DeleteFile(f"etc/{LOCK_FILENAME}"),)))
-    assert not nested.exists()
-
-
-def test_linked_writer_lock_is_refused(twin, tmp_path):
-    outside = tmp_path / "outside" / "planted"
-    outside.parent.mkdir()
-    lock = twin.sandbox / LOCK_FILENAME
-    lock.unlink()
-    lock.symlink_to(outside)
+def test_a_dangling_link_is_a_typed_error_that_names_it(twin_tree, tmp_path):
+    """The walk refuses a link that leads to nothing, so capture, checks and
+    the final scan of a patch, which rolls the patch back, all say which."""
+    link = twin_tree / "etc" / "dangling"
+    link.symlink_to("missing")
+    with pytest.raises(DanglingSymlink, match="etc/dangling -> missing"):
+        capture_image(twin_tree)
+    link.unlink()
+    twin = instantiate_twin(capture_image(twin_tree), tmp_path / "sandbox")
     before = scan_tree(twin.sandbox)
-    with pytest.raises(OSError):
-        apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
-    assert not outside.exists()
-    assert list(outside.parent.iterdir()) == []
+    (twin.sandbox / "etc" / "dangling").symlink_to("missing")
+    with pytest.raises(DanglingSymlink, match="etc/dangling -> missing"):
+        run_checks(twin, CheckSpec((FileExists("etc/dangling"),)))
+    with pytest.raises(DanglingSymlink, match="etc/dangling -> missing"):
+        apply_patch(twin, PatchDelta((ReplaceFile("docs/readme.txt", b"v2\n"),)))
+    assert (twin.sandbox / "docs" / "readme.txt").read_bytes() == b"local system under test\n"
+    assert not journal_dir(twin.sandbox).exists()
+    (twin.sandbox / "etc" / "dangling").unlink()
     assert scan_tree(twin.sandbox) == before
-
-
-def test_patch_keeps_the_writer_lock_file(twin):
-    lock = twin.sandbox / LOCK_FILENAME
-    inode = lock.stat().st_ino
-    apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"), DeleteFile("apps/files"))))
-    assert lock.stat().st_ino == inode
+    # a link that leads round to itself leads to nothing too
+    (twin.sandbox / "loop").symlink_to("loop")
+    with pytest.raises(DanglingSymlink, match="loop -> loop"):
+        scan_tree(twin.sandbox)
 
 
 def _spawn(code: str) -> subprocess.Popen:
@@ -489,9 +491,8 @@ def mode_twin(twin_tree, tmp_path):
 
 def _state(twin):
     """Everything a rolled-back patch must restore: the manifest (bytes,
-    modes, directories), the lock file's inode and the absent journal."""
-    lock = (twin.sandbox / LOCK_FILENAME).stat().st_ino
-    return scan_tree(twin.sandbox), lock, journal_dir(twin.sandbox).exists()
+    modes, directories) and the absent journal."""
+    return scan_tree(twin.sandbox), journal_dir(twin.sandbox).exists()
 
 
 @pytest.mark.parametrize("stage", ["recorded", "applied"])

@@ -8,10 +8,17 @@ import pytest
 
 from twinforge.errors import MalformedReport
 from twinforge.validate.comparison import ColumnDistance
-from twinforge.validate.report import ScriptMetrics, build_report, load_report, report_to_json, save_report
+from twinforge.validate.report import ScriptMetrics, build_report, load_report, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
 
 from test_stats import RECORDED
+
+
+def _saved_doc(tmp_path, report):
+    """The JSON document ``save_report`` writes for ``report``."""
+    path = tmp_path / "saved.json"
+    save_report(report, path)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _report(scripts=(), gate_attempts=4):
@@ -73,7 +80,7 @@ def test_malformed_report(tmp_path):
 
 @pytest.mark.parametrize("section", ["distances", "scripts"])
 def test_unknown_key_in_a_row_is_malformed(tmp_path, section):
-    doc = json.loads(report_to_json(_report(scripts=(ScriptMetrics("gen_chrome", 0.82, 0.7071, True),))))
+    doc = _saved_doc(tmp_path, _report(scripts=(ScriptMetrics("gen_chrome", 0.82, 0.7071, True),)))
     doc[section][0]["extra"] = 1
     path = tmp_path / "r.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -81,9 +88,9 @@ def test_unknown_key_in_a_row_is_malformed(tmp_path, section):
         load_report(path)
 
 
-def test_report_file_keys_are_pinned():
+def test_report_file_keys_are_pinned(tmp_path):
     # Field names become on-disk keys, so renaming a field must fail here.
-    doc = json.loads(report_to_json(_report(scripts=(ScriptMetrics("gen_chrome", 0.82, 0.7071, True),))))
+    doc = _saved_doc(tmp_path, _report(scripts=(ScriptMetrics("gen_chrome", 0.82, 0.7071, True),)))
     stats = {"means": {"cpu_pct": 0.2, "mem_pct": 0.99}, "modes": {"user": ["root", 0.75]}, "row_count": 4}
     assert doc == {
         "format_version": 1,

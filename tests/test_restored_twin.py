@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinforge.errors import DanglingSymlink
 from twinforge.twin.checks import CheckSpec, HashEquals, run_checks
 from twinforge.twin.image import capture_image
 from twinforge.twin.manifest import sha256_hex, scan_tree
@@ -94,11 +95,11 @@ _mutations = st.lists(
 
 
 def _outcome(read):
-    """What ``read()`` returns, or the type of what it raises (a link left
-    pointing at a deleted file cannot be read)."""
+    """What ``read()`` returns, or the type of what it raises (the walk
+    refuses a link left pointing at a deleted file)."""
     try:
         return read()
-    except OSError as exc:
+    except (OSError, DanglingSymlink) as exc:
         return type(exc)
 
 

@@ -21,7 +21,17 @@ from twinforge.twin.image import (
     sidecar_path,
     unpack_archive,
 )
-from twinforge.twin.manifest import ManifestEntry, TwinDiff, diff_states, load_manifest, scan_tree
+from twinforge.twin.checks import CheckSpec, FileExists, HashEquals, run_checks
+from twinforge.twin.manifest import (
+    ManifestEntry,
+    ModifiedEntry,
+    TwinDiff,
+    diff_states,
+    load_manifest,
+    scan_tree,
+    sha256_hex,
+)
+from twinforge.twin.patch import DeleteFile, PatchDelta, ReplaceFile, apply_patch
 from twinforge.twin.sandbox import instantiate_twin
 
 from conftest import UNNORMALIZED_PATHS, build_twin_tree
@@ -77,15 +87,22 @@ def test_symlink_escaping_root_is_refused(tmp_path):
 
 
 def test_nested_lock_named_file_is_an_ordinary_file(twin_tree, tmp_path):
+    """No name is reserved: a ``.twin.lock`` at the root or deeper is
+    captured, restored, patched and checked like any other file."""
     (twin_tree / "etc" / ".twin.lock").write_bytes(b"not a lock\n")
     (twin_tree / ".twin.lock").write_bytes(b"")
-    paths = [e.path for e in scan_tree(twin_tree)]
-    assert "etc/.twin.lock" in paths and ".twin.lock" not in paths
     image = capture_image(twin_tree)
-    assert "etc/.twin.lock" in [e.path for e in image.manifest]
+    assert {".twin.lock", "etc/.twin.lock"} <= {e.path for e in image.manifest}
     twin = instantiate_twin(image, tmp_path / "sandbox")
     assert (twin.sandbox / "etc" / ".twin.lock").read_bytes() == b"not a lock\n"
-    assert "etc/.twin.lock" in [e.path for e in scan_tree(twin.sandbox)]
+    assert (twin.sandbox / ".twin.lock").read_bytes() == b""
+    delta = PatchDelta((ReplaceFile(".twin.lock", b"root\n"), DeleteFile("etc/.twin.lock")))
+    report = apply_patch(twin, delta)
+    root_hash = sha256_hex(b"root\n")
+    modified = ModifiedEntry(".twin.lock", sha256_hex(b""), root_hash)
+    assert diff_states(image.manifest, report.manifest) == TwinDiff(("tmp",), ("etc/.twin.lock",), (modified,))
+    spec = CheckSpec((FileExists(".twin.lock"), HashEquals(".twin.lock", root_hash), FileExists("etc/.twin.lock")))
+    assert [r.passed for r in run_checks(twin, spec)] == [True, True, False]
 
 
 def test_escaping_link_named_like_the_lock_is_refused(twin_tree, tmp_path):
@@ -145,7 +162,7 @@ def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
 
 
 # Each of these once raised an OSError half-way through a restore and left
-# ``.twin.lock`` and the entries before it in the sandbox.
+# the entries before it in the sandbox.
 @pytest.mark.parametrize(
     "nodes, message",
     [
@@ -154,9 +171,8 @@ def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
         ((("b", b"x"), ("a", b"y")), "a: archive entry out of order after b"),
         ((("a", b"x"), ("a", b"x")), "a: archive entry out of order after a"),
         ((("bin", None), ("tmp", b"x")), "tmp: the image holds a file where a restore makes its own"),
-        (((".twin.lock", None),), r"\.twin\.lock: the image holds a dir where a restore makes its own"),
     ],
-    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "tmp-file", "lock-dir"],
+    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "tmp-file"],
 )
 def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, message):
     with pytest.raises(MalformedArchive, match=message):
