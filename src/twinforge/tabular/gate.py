@@ -42,16 +42,14 @@ def generate_gated(
     model: GanModel,
     real: TabularDataset,
     n: int,
-    gate: GateConfig = GateConfig(),
-    rng: np.random.Generator | None = None,
+    gate: GateConfig,
+    rng: np.random.Generator,
 ) -> tuple[TabularDataset, int]:
     """Sample until a batch passes every threshold; returns (batch, attempts)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if real.schema != model.schema:
         raise ValueError("real dataset schema does not match the model")
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
 
     worst: tuple[str, float, float] | None = None
     for attempt in range(1, gate.max_attempts + 1):

@@ -65,8 +65,8 @@ class ManifestEntry:
             raise ValueError(f"manifest paths must be relative and normalized: {self.path!r}")
         if (self.sha256 is None) != (self.kind == DIR):
             raise ValueError("files carry a hash, directories do not")
-        if self.size < 0:
-            raise ValueError(f"{self.path}: size must be an integer >= 0, got {self.size!r}")
+        if self.size < 0 or (self.kind == DIR and self.size):
+            raise ValueError(f"{self.path}: size must be an integer >= 0, and 0 for a directory, got {self.size!r}")
         if not 0 <= self.mode <= 0o7777:
             raise ValueError(f"{self.path}: mode must be an integer from 0 to 0o7777, got {self.mode!r}")
 
@@ -88,10 +88,15 @@ def sha256_hex(content: bytes) -> str:
 def resolve_inside(root: Path, rel: str, follow: bool = True) -> Path:
     """The node ``rel`` names under the resolved directory ``root``: its
     parent's links resolved and, when ``follow``, its own. A node that
-    lands outside ``root`` raises ``SymlinkOutsideRoot``. This is the one
+    lands outside ``root`` raises ``SymlinkOutsideRoot``, and a link on the
+    way that leads round to itself ``DanglingSymlink``. This is the one
     rule that keeps every walk, patch op and check inside the sandbox."""
     path = root / rel
-    node = path.resolve() if follow else path.parent.resolve() / path.name
+    try:
+        node = path.resolve() if follow else path.parent.resolve() / path.name
+    except RuntimeError:  # "Symlink loop from ...": name the first link on the way that loops
+        link = next((p for p in reversed((path, *path.parents)) if p.is_symlink() and not p.exists()), path)
+        raise DanglingSymlink(f"{rel}: the link {link.relative_to(root)} loops, so it leads to nothing") from None
     if not node.is_relative_to(root):
         raise SymlinkOutsideRoot(f"{rel} -> {node}")
     return node
@@ -99,38 +104,36 @@ def resolve_inside(root: Path, rel: str, follow: bool = True) -> Path:
 
 def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[str, str], ...]:
     """``(path, kind)`` of every manifest entry of a tree, sorted by path,
-    without reading a file.
+    without reading a file: one ``os.scandir`` per directory, whose errors
+    (an unreadable directory, say) are raised, not skipped.
 
     Symlinks resolving inside the root count as what they point to
     (directory links are listed but not descended, which keeps cycles
     finite); links that lead to nothing, links escaping the root and names
-    that are not UTF-8 are refused.
+    that are not UTF-8 are refused. A directory an ``x/**`` pattern
+    excludes whole is not listed.
     """
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory")
+    wholly = [pattern[:-3] for pattern in exclusions if pattern.endswith("/**")]
     entries: list[tuple[str, str]] = []
-
-    def visit(path: Path, kind: str) -> None:
-        rel = path.relative_to(root).as_posix()
-        if is_excluded(rel, exclusions):
-            return
-        if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
-            raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
-        if path.is_symlink():
-            if not path.exists():
-                raise DanglingSymlink(f"{rel} -> {os.readlink(path)}: the link leads to nothing")
-            resolve_inside(root, rel)
-        entries.append((rel, kind))
-
-    for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
-        dirnames.sort()
-        filenames.sort()
-        here = Path(dirpath)
-        for name in dirnames:
-            visit(here / name, DIR)
-        for name in filenames:
-            visit(here / name, FILE)
+    unlisted = [(str(root), "")]  # (directory, its path relative to root plus "/")
+    while unlisted:
+        directory, prefix = unlisted.pop()
+        with os.scandir(directory) as listing:
+            for item in listing:
+                rel = prefix + item.name
+                if not is_excluded(rel, exclusions):
+                    if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
+                        raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
+                    if item.is_symlink():
+                        if not Path(item.path).exists():
+                            raise DanglingSymlink(f"{rel} -> {os.readlink(item.path)}: the link leads to nothing")
+                        resolve_inside(root, rel)
+                    entries.append((rel, DIR if item.is_dir() else FILE))
+                if item.is_dir(follow_symlinks=False) and not any(fnmatch.fnmatchcase(rel, p) for p in wholly):
+                    unlisted.append((item.path, rel + "/"))
     entries.sort()
     return tuple(entries)
 

@@ -1,25 +1,30 @@
-"""The GAN training step written one block, one column and one span at a time.
+"""The GAN training step written one block, one column and one span at a time,
+and the twin tree walk written over ``os.walk`` and ``Path`` objects.
 
 These are the per-block loops the whole-batch code in ``tabular/encoding.py``,
 ``tabular/gan.py`` and ``tabular/net.py`` replaced. The tests keep them as the
 reference that code must match byte for byte: the same bits, signed zeros
-included, and the same random stream.
+included, and the same random stream. The walk is the one the ``os.scandir``
+walk of ``twin/manifest.py`` replaced, which must list the same entries.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
 from twinforge.config import GanConfig
-from twinforge.errors import NonFiniteLoss, TooFewRows
+from twinforge.errors import DanglingSymlink, NonFiniteLoss, TooFewRows, UndecodableInput
 from twinforge.ingest.tabular import CONTINUOUS, Categorical
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.gan import GanModel, _ConditionedSampler, _generator_sizes
 from twinforge.tabular.net import LEAK, LEAKY_RELU, RELU, Adam
+from twinforge.twin.manifest import DIR, FILE, is_excluded, is_safe_rel_path, resolve_inside
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -295,3 +300,38 @@ def generate_activated(model: GanModel, n: int, rng: np.random.Generator) -> np.
     conds = sample_conditions(model.codec, rng, n, log_weighted=False)
     noise = rng.standard_normal((n, model.config.noise_dim))
     return apply_heads(model.generator.forward(np.hstack([noise, conds])), model.codec)
+
+
+# -- twin tree walk ----------------------------------------------------------------
+
+
+def walk_tree(root, exclusions=()) -> tuple[tuple[str, str], ...]:
+    """``(path, kind)`` of every entry, from ``os.walk``, which skips a
+    directory it cannot list, and descends into excluded ones too."""
+    root = Path(root).resolve()
+    if not root.is_dir():
+        raise NotADirectoryError(f"{root} is not a directory")
+    entries: list[tuple[str, str]] = []
+
+    def visit(path: Path, kind: str) -> None:
+        rel = path.relative_to(root).as_posix()
+        if is_excluded(rel, exclusions):
+            return
+        if not is_safe_rel_path(rel):
+            raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
+        if path.is_symlink():
+            if not path.exists():
+                raise DanglingSymlink(f"{rel} -> {os.readlink(path)}: the link leads to nothing")
+            resolve_inside(root, rel)
+        entries.append((rel, kind))
+
+    for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
+        dirnames.sort()
+        filenames.sort()
+        here = Path(dirpath)
+        for name in dirnames:
+            visit(here / name, DIR)
+        for name in filenames:
+            visit(here / name, FILE)
+    entries.sort()
+    return tuple(entries)

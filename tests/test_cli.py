@@ -17,7 +17,7 @@ from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
-from twinforge.twin.image import capture_image, save_image, sidecar_path
+from twinforge.twin.image import MAGIC, capture_image, save_image, sidecar_path
 from twinforge.twin.manifest import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate.report import load_report
@@ -377,14 +377,45 @@ def test_twin_create_checks_the_whole_image_before_it_writes(tmp_path, workspace
     assert "expected sha256" in capsys.readouterr().err
     assert not sandbox.exists()
 
+    for broken, message in [
+        (archive[:-1], "the manifest's sizes add up to"),
+        (archive + b"\x00", "the manifest's sizes add up to"),
+        (b"TWIMG1\x00" + archive[len(MAGIC) :], "capture the tree again"),  # the magic of the old layout
+    ]:
+        image.write_bytes(broken)
+        assert main(create) == 2
+        assert message in capsys.readouterr().err
+        assert not sandbox.exists()
+
     image.write_bytes(archive)
     sidecar = sidecar_path(image)
     doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    next(e for e in doc["entries"] if e["path"] == "etc/app.conf")["mode"] = 0o600
+    next(e for e in doc["entries"] if e["path"] == "etc/app.conf")["size"] += 1
     sidecar.write_text(json.dumps(doc), encoding="utf-8")
     assert main(create) == 2
-    assert "etc/app.conf: manifest has file mode 0o600" in capsys.readouterr().err
+    assert "the manifest's sizes add up to" in capsys.readouterr().err
     assert not sandbox.exists()
+
+
+def test_a_patch_through_a_looping_link_is_a_data_error_that_changes_nothing(tmp_path, workspace, twin_tree, capsys):
+    # ``Path.resolve`` raises ``RuntimeError`` on a link loop; it once
+    # escaped ``twin patch`` as a traceback with exit 1.
+    config = _config(tmp_path, workspace)
+    image, sandbox = tmp_path / "sys.twimg", tmp_path / "sandbox"
+    save_image(capture_image(twin_tree), image)
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    (sandbox / "loop").symlink_to("loop")
+    listing = sorted(os.listdir(sandbox))
+    before = {p: (sandbox / p).read_bytes() for p in ("bin/term", "etc/app.conf")}
+    for op in ({"op": "replace_file", "path": "loop", "content": "x\n"}, {"op": "add_file", "path": "loop/x", "content": "x\n"}):
+        delta = tmp_path / "delta.json"
+        ops = [{"op": "replace_file", "path": "bin/term", "content": "v2\n"}, op]
+        delta.write_text(json.dumps(ops), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 2
+        assert f"{op['path']}: the link loop loops" in capsys.readouterr().err
+        assert sorted(os.listdir(sandbox)) == listing and os.readlink(sandbox / "loop") == "loop"
+        assert {p: (sandbox / p).read_bytes() for p in before} == before
 
 
 def test_twin_create_of_a_tree_with_a_tmp_file_is_a_data_error_that_creates_nothing(tmp_path, workspace, capsys):

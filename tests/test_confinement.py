@@ -174,6 +174,23 @@ def test_locks_are_taken_in_one_place_and_name_no_file():
     assert offenders == []
 
 
+def test_directories_are_listed_in_one_place():
+    """``os.walk`` appears nowhere, and ``os.scandir`` is called only by
+    ``walk_tree``: ``os.walk`` skipped a directory it could not list in
+    silence, so a capture missed its files and exited 0."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "walk" and _mentions(node, "os") or isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders.append(f"{where} {ast.unparse(node)}")
+            if name == "scandir" and (module, function) != ("twin/manifest.py", "walk_tree"):
+                offenders.append(f"{where} scandir")
+    assert offenders == []
+
+
 def _big_number(node: ast.AST) -> bool:
     """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

@@ -68,7 +68,7 @@ def test_accepted_batch_respects_thresholds_by_construction(trained_model, fixtu
 
 def test_gate_rejects_nonpositive_n(trained_model, fixture_dataset):
     with pytest.raises(ValueError):
-        generate_gated(trained_model, fixture_dataset, 0, GateConfig())
+        generate_gated(trained_model, fixture_dataset, 0, GateConfig(), np.random.default_rng(0))
 
 
 def test_zero_range_columns_are_checked_in_their_own_units():

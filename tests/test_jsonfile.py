@@ -56,7 +56,7 @@ def test_dumps_writes_dataclasses_as_sorted_field_objects():
 
 def _load_image(sidecar):
     image = sidecar.with_suffix(".twimg")
-    image.write_bytes(MAGIC + bytes(4))  # an archive of no entries
+    image.write_bytes(MAGIC)  # the archive of a tree with no file
     sidecar.replace(sidecar_path(image))
     return load_image(image)
 

@@ -19,7 +19,6 @@ from twinforge.twin.image import (
     load_image,
     save_image,
     sidecar_path,
-    unpack_archive,
 )
 from twinforge.twin.checks import CheckSpec, FileExists, HashEquals, run_checks
 from twinforge.twin.manifest import (
@@ -64,9 +63,14 @@ def test_capture_reads_each_file_once(twin_tree, monkeypatch):
     image = capture_image(twin_tree)
     files = [e.path for e in image.manifest if e.kind == "file"]
     assert files and opened == Counter(files)
-    for path, kind, _, content in unpack_archive(image.archive):
-        if kind == "file":
-            assert content == (twin_tree / path).read_bytes()
+
+
+def test_the_archive_is_the_magic_then_each_files_bytes_in_manifest_order(twin_tree):
+    image = capture_image(twin_tree)
+    files = [e.path for e in image.manifest if e.kind == "file"]
+    assert image.archive == MAGIC + b"".join((twin_tree / path).read_bytes() for path in files)
+    for entry, content in image.checked_entries:
+        assert content == ((twin_tree / entry.path).read_bytes() if entry.kind == "file" else b""), entry.path
 
 
 def test_empty_directory_yields_empty_valid_image(tmp_path):
@@ -74,7 +78,8 @@ def test_empty_directory_yields_empty_valid_image(tmp_path):
     empty.mkdir()
     image = capture_image(empty)
     assert image.manifest == ()
-    assert list(unpack_archive(image.archive)) == []
+    assert image.archive == MAGIC
+    assert image.checked_entries == ()
 
 
 def test_symlink_escaping_root_is_refused(tmp_path):
@@ -133,29 +138,29 @@ def test_restore_round_trip(twin_tree, tmp_path):
     assert not any((tmp_path / "sandbox" / "tmp").iterdir())
 
 
-def _dir_archive(path: str, mode: int) -> bytes:
-    """A one-entry archive holding directory ``path``, laid out as the reader expects."""
-    raw = path.encode("utf-8")
-    return MAGIC + struct.pack(">I", 1) + struct.pack(">BIH", 0, mode, len(raw)) + raw + struct.pack(">Q", 0)
-
-
-def test_restore_refuses_entry_paths_outside_the_sandbox(tmp_path):
-    sandbox = tmp_path / "sandbox"
-    # the last unnormalized path is not UTF-8, so no archive can hold it
-    for path in ("", "../escaped", str(tmp_path / "abs" / "path"), "a\x00b", *UNNORMALIZED_PATHS[:-1]):
-        crafted = TwinImage((), _dir_archive(path, 0o700), (), "")
-        with pytest.raises(MalformedArchive):
-            instantiate_twin(crafted, sandbox)
-        assert list(tmp_path.iterdir()) == [], path
+def test_restore_refuses_entry_paths_outside_the_sandbox(twin_tree, tmp_path):
+    """An entry's path is written only in the sidecar, and loading refuses
+    one that leads out of the sandbox; no image holding it can be built."""
+    image = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), image)
+    doc = json.loads(sidecar_path(image).read_text(encoding="utf-8"))
+    entry = next(e for e in doc["entries"] if e["kind"] == "dir")
+    for path in ("", "../escaped", "bin/../../escaped", str(tmp_path / "abs" / "path"), "a\x00b"):
+        entry["path"] = path
+        sidecar_path(image).write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedArchive, match="relative and normalized"):
+            load_image(image)
+        with pytest.raises(ValueError, match="relative and normalized"):
+            ManifestEntry(path, "dir", 0, 0o700, None)
 
 
 def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
     """A hand-built image of ``nodes`` in the given order: (path, content),
     a directory where the content is None."""
-    manifest, archive = [], [MAGIC, struct.pack(">I", len(nodes))]
+    manifest, archive = [], [MAGIC]
     for path, content in nodes:
-        raw, data = path.encode("utf-8"), content or b""
-        archive += [struct.pack(">BIH", content is not None, 0o755, len(raw)), raw, struct.pack(">Q", len(data)), data]
+        data = content or b""
+        archive.append(data)
         sha = None if content is None else hashlib.sha256(data).hexdigest()
         manifest.append(ManifestEntry(path, "dir" if content is None else "file", len(data), 0o755, sha))
     return TwinImage(tuple(manifest), b"".join(archive), (), "")
@@ -166,10 +171,10 @@ def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
 @pytest.mark.parametrize(
     "nodes, message",
     [
-        ((("a", b"x"), ("a/b", b"y")), "a/b: archive entry under the file a"),
-        ((("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")), "a/b/c: archive entry under the file a"),
-        ((("b", b"x"), ("a", b"y")), "a: archive entry out of order after b"),
-        ((("a", b"x"), ("a", b"x")), "a: archive entry out of order after a"),
+        ((("a", b"x"), ("a/b", b"y")), "a/b: manifest entry under the file a"),
+        ((("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")), "a/b/c: manifest entry under the file a"),
+        ((("b", b"x"), ("a", b"y")), "a: manifest entry out of order after b"),
+        ((("a", b"x"), ("a", b"x")), "a: manifest entry out of order after a"),
         ((("bin", None), ("tmp", b"x")), "tmp: the image holds a file where a restore makes its own"),
     ],
     ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "tmp-file"],
@@ -183,7 +188,7 @@ def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, messag
 def test_an_image_file_whose_entries_nest_under_a_file_does_not_load(tmp_path):
     path = tmp_path / "crafted.twimg"
     save_image(_image(("a", b"x"), ("a/b", b"y")), path)
-    with pytest.raises(MalformedArchive, match="a/b: archive entry under the file a"):
+    with pytest.raises(MalformedArchive, match="a/b: manifest entry under the file a"):
         load_image(path)
 
 
@@ -262,14 +267,9 @@ def test_a_corrupt_image_creates_nothing(twin_tree, tmp_path):
     # Flipping the first file's first byte once left the entries restored
     # before it in a sandbox that the next ``twin create`` refused as non-empty.
     image = capture_image(twin_tree)
-    offset = len(MAGIC) + 4  # the entry count
-    for first, kind, _, content in unpack_archive(image.archive):
-        offset += 7 + len(first.encode("utf-8")) + 8  # header, path, content length
-        if kind == "file" and len(content):
-            break
-        offset += len(content)
+    first = next(e.path for e in image.manifest if e.size)  # its bytes come first
     corrupted = bytearray(image.archive)
-    corrupted[offset] ^= 0xFF
+    corrupted[len(MAGIC)] ^= 0xFF
     broken = TwinImage(image.manifest, bytes(corrupted), image.exclusions, image.created_at)
     target = tmp_path / "restore"
     target.mkdir()
@@ -302,18 +302,42 @@ def test_an_archive_must_be_bytes(twin_tree):
         TwinImage(image.manifest, bytearray(image.archive), image.exclusions, image.created_at)
 
 
-def test_unpack_archive_yields_views_of_the_archive(twin_tree):
+def test_content_slices_are_views_of_the_archive(twin_tree):
     image = capture_image(twin_tree)
-    for path, kind, _, content in unpack_archive(image.archive):
-        assert isinstance(content, memoryview) and content.obj is image.archive, path
+    for entry, content in image.checked_entries:
+        assert isinstance(content, memoryview) and content.obj is image.archive, entry.path
+        assert len(content) == entry.size, entry.path
 
 
-def test_truncated_archive_is_malformed(twin_tree):
+def _twimg1(image: TwinImage) -> bytes:
+    """``image``'s archive in the layout before ``TWIMG2``: an entry count,
+    then each entry's kind, mode, path and size ahead of its bytes."""
+    out = [b"TWIMG1\x00", struct.pack(">I", len(image.manifest))]
+    for entry, content in image.checked_entries:
+        raw = entry.path.encode("utf-8")
+        out += [struct.pack(">BIH", entry.kind == "file", entry.mode, len(raw)), raw, struct.pack(">Q", len(content)), content]
+    return b"".join(out)
+
+
+def test_truncated_archive_is_malformed(twin_tree, tmp_path):
+    """A truncated or extended archive, or one in the old layout, is
+    refused at load and at restore, and a restore creates nothing."""
     image = capture_image(twin_tree)
-    with pytest.raises(MalformedArchive):
-        list(unpack_archive(image.archive[: len(image.archive) // 2]))
-    with pytest.raises(MalformedArchive):
-        list(unpack_archive(b"NOTMAGIC" + image.archive))
+    path = tmp_path / "system.twimg"
+    save_image(image, path)
+    for archive, message in [
+        (image.archive[:-1], r"holds \d+ content bytes, the manifest's sizes add up to \d+"),
+        (image.archive + b"\x00", r"holds \d+ content bytes, the manifest's sizes add up to \d+"),
+        (_twimg1(image), "not a twin image of this format; capture the tree again"),
+        (b"NOTMAGIC" + image.archive, "not a twin image of this format"),
+    ]:
+        broken = TwinImage(image.manifest, archive, image.exclusions, image.created_at)
+        with pytest.raises(MalformedArchive, match=message):
+            instantiate_twin(broken, tmp_path / "sandbox")
+        assert not (tmp_path / "sandbox").exists()
+        path.write_bytes(archive)
+        with pytest.raises(MalformedArchive, match=message):
+            load_image(path)
 
 
 def test_image_file_round_trip(twin_tree, tmp_path):
@@ -363,16 +387,18 @@ def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
         load_manifest(sidecar_path(path))
 
 
-# A sidecar entry with an edited mode or size once loaded, and ``twin create``
-# restored the archive's mode while the sidecar claimed another.
+# The sidecar's sizes say where each file's bytes lie in the archive, so a
+# size or a file entry that the archive does not hold is refused.
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc, e: e.update(mode=0o600), r"etc/app\.conf: manifest has file mode 0o600 size \d+, archive has file"),
-        (lambda doc, e: e.update(size=1), r"etc/app\.conf: manifest has file mode 0o644 size 1, archive has file"),
-        (lambda doc, e: doc["entries"].append(dict(e, path="zz/absent")), "zz/absent: manifest entry missing"),
+        (lambda doc, e: e.update(size=1), r"the archive holds \d+ content bytes, the manifest's sizes add up to \d+"),
+        (
+            lambda doc, e: doc["entries"].append(dict(e, path="zz/absent")),
+            r"the archive holds \d+ content bytes, the manifest's sizes add up to \d+",
+        ),
     ],
-    ids=["mode", "size", "absent-entry"],
+    ids=["size", "absent-entry"],
 )
 def test_a_sidecar_must_agree_with_its_archive(twin_tree, tmp_path, edit, message):
     (twin_tree / "etc" / "app.conf").chmod(0o644)
@@ -388,6 +414,16 @@ def test_a_sidecar_must_agree_with_its_archive(twin_tree, tmp_path, edit, messag
     with pytest.raises(MalformedArchive, match=message):
         instantiate_twin(image, tmp_path / "sandbox")
     assert not (tmp_path / "sandbox").exists()
+
+
+def test_a_sidecar_directory_claims_no_archive_bytes(twin_tree, tmp_path):
+    path = tmp_path / "system.twimg"
+    save_image(capture_image(twin_tree), path)
+    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+    next(e for e in doc["entries"] if e["kind"] == "dir")["size"] = 3
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedArchive, match="0 for a directory"):
+        load_image(path)
 
 
 def test_diff_empty_and_symmetry(twin_tree, tmp_path):
