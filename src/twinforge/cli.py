@@ -27,7 +27,7 @@ from twinforge.errors import (
 from twinforge.jsonfile import dumps, from_doc, read_json, read_text, write_json
 from twinforge.twin.checks import load_checks, run_checks
 from twinforge.twin.image import capture_image, load_image, save_image
-from twinforge.twin.manifest import diff_states, load_manifest, scan_tree, sha256_hex, walk_tree
+from twinforge.twin.manifest import diff_states, is_safe_rel_path, load_manifest, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import apply_patch, load_delta
 from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin
 
@@ -88,7 +88,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--root", type=Path, required=True)
     p.add_argument("--out", type=Path)
     p.add_argument("--name", default=None)
-    p.add_argument("--exclude", action="append", default=None, metavar="GLOB")
+    p.add_argument("--exclude", action="append", metavar="GLOB", help="glob over paths relative to --root, replacing "
+                   "the config's exclusions (repeatable); an excluded directory is dropped with everything under it")
 
     twin = commands.add_parser("twin", help="twin sandbox operations")
     twin_sub = twin.add_subparsers(dest="twin_command", required=True, parser_class=_Parser)
@@ -178,6 +179,8 @@ def _manifest_source(path: Path):
 
 def _cmd_capture(args, config, say) -> int:
     exclusions = tuple(args.exclude) if args.exclude else config.exclusions
+    if bad := [pattern for pattern in exclusions if not is_safe_rel_path(pattern)]:
+        raise _UsageError(f"capture: --exclude {bad[0]!r} is not a glob over relative, normalized paths")
     image = capture_image(args.root, exclusions)
     name = args.name or args.root.name or "image"
     out = args.out or _workspace_path(config, "images", f"{name}.twimg")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from twinforge.errors import ConfigParse, UnknownKey
 from twinforge.jsonfile import from_doc, read_json
-from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, is_os_path
+from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, is_os_path, is_safe_rel_path
 from twinforge.twin.sandbox import Screen
 
 WORKSPACE_ENV = "TWINFORGE_WORKSPACE"
@@ -113,8 +113,8 @@ class PipelineConfig:
             raise ValueError("workspace must be a non-empty path with no NUL that encodes as UTF-8")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if not all(self.exclusions):
-            raise ValueError("exclusions must be non-empty glob strings")
+        if not all(map(is_safe_rel_path, self.exclusions)):
+            raise ValueError("exclusions must be globs over relative, normalized paths (no leading or trailing /)")
         object.__setattr__(self, "workspace", Path(self.workspace))
 
     def snapshot(self) -> dict:

@@ -101,8 +101,7 @@ def _match_manifest(
     ``archive``, the entry's ``size`` bytes from where the entry before it
     ends. Raises MalformedArchive unless the archive is ``MAGIC`` followed
     by exactly the manifest's sizes, and, naming the path, unless the paths
-    strictly increase (as ``walk_tree`` sorts) with no entry under a file
-    and no root file ``tmp``, which a restore makes itself as a directory,
+    strictly increase (as ``walk_tree`` sorts) with no entry under a file,
     so a restore can write every entry. Hashes nothing."""
     if not archive.startswith(MAGIC):
         raise MalformedArchive("not a twin image of this format; capture the tree again")
@@ -123,8 +122,6 @@ def _match_manifest(
         if parent:
             raise MalformedArchive(f"{path}: manifest entry under the file {parent}")
         if entry.kind == FILE:
-            if path == "tmp":
-                raise MalformedArchive("tmp: the image holds a file where a restore makes its own")
             files.add(path)
         pairs.append((entry, view[offset : offset + entry.size]))
         offset += entry.size

@@ -5,7 +5,9 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import os
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,14 +73,15 @@ class ManifestEntry:
             raise ValueError(f"{self.path}: mode must be an integer from 0 to 0o7777, got {self.mode!r}")
 
 
+@lru_cache(maxsize=64)  # one regex per exclusion set: one match per path
+def _exclusion_match(patterns: tuple[str, ...]):
+    globs = (*patterns, *(pattern[:-3] for pattern in patterns if pattern.endswith("/**")))
+    return re.compile("|".join(map(fnmatch.translate, globs)) or "(?!)").match
+
+
 def is_excluded(rel_path: str, patterns: Sequence[str]) -> bool:
-    """Glob match against the path; ``x/**`` also covers the bare directory x."""
-    for pattern in patterns:
-        if fnmatch.fnmatchcase(rel_path, pattern):
-            return True
-        if pattern.endswith("/**") and rel_path == pattern[:-3]:
-            return True
-    return False
+    """The one exclusion rule: a glob pattern, or the ``x`` of an ``x/**`` one, matches the path."""
+    return _exclusion_match(tuple(patterns))(rel_path) is not None
 
 
 def sha256_hex(content: bytes) -> str:
@@ -110,13 +113,10 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
     Symlinks resolving inside the root count as what they point to
     (directory links are listed but not descended, which keeps cycles
     finite); links that lead to nothing, links escaping the root and names
-    that are not UTF-8 are refused. A directory an ``x/**`` pattern
-    excludes whole is not listed.
-    """
+    that are not UTF-8 are refused. An excluded directory is not listed."""
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory")
-    wholly = [pattern[:-3] for pattern in exclusions if pattern.endswith("/**")]
     entries: list[tuple[str, str]] = []
     unlisted = [(str(root), "")]  # (directory, its path relative to root plus "/")
     while unlisted:
@@ -124,15 +124,16 @@ def walk_tree(root: str | Path, exclusions: Sequence[str] = ()) -> tuple[tuple[s
         with os.scandir(directory) as listing:
             for item in listing:
                 rel = prefix + item.name
-                if not is_excluded(rel, exclusions):
-                    if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
-                        raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
-                    if item.is_symlink():
-                        if not Path(item.path).exists():
-                            raise DanglingSymlink(f"{rel} -> {os.readlink(item.path)}: the link leads to nothing")
-                        resolve_inside(root, rel)
-                    entries.append((rel, DIR if item.is_dir() else FILE))
-                if item.is_dir(follow_symlinks=False) and not any(fnmatch.fnmatchcase(rel, p) for p in wholly):
+                if is_excluded(rel, exclusions):
+                    continue
+                if not is_safe_rel_path(rel):  # a walked name fails it only when not UTF-8
+                    raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
+                if item.is_symlink():
+                    if not Path(item.path).exists():
+                        raise DanglingSymlink(f"{rel} -> {os.readlink(item.path)}: the link leads to nothing")
+                    resolve_inside(root, rel)
+                entries.append((rel, DIR if item.is_dir() else FILE))
+                if item.is_dir(follow_symlinks=False):
                     unlisted.append((item.path, rel + "/"))
     entries.sort()
     return tuple(entries)

@@ -82,7 +82,7 @@ def _refuse_contents(sandbox: Path) -> None:
 
 
 def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
-    """Restore an image into an empty sandbox and add a fresh ``tmp/``.
+    """Restore exactly an image's entries, plus an empty ``tmp/`` if it has none, into an empty sandbox.
 
     The image is checked whole (``TwinImage.checked_entries``) before
     anything is created: a flipped content byte raises HashMismatch; an
@@ -90,13 +90,12 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     write, raises MalformedArchive; and no sandbox is made. The image
     keeps the result, so restoring it again hashes and copies nothing; it
     writes the archive's bytes. The twin keeps the image's
-    ``verified_files``. Directory
-    modes are set once every entry is written, deepest first, so a
-    read-only directory can still be restored with its contents. A
-    sandbox with contents is refused before anything is written;
-    emptiness is checked again under the writer lock, after it has rolled
-    back a crashed patch's journal, so a restore never mixes with what
-    that journal puts back.
+    ``verified_files``. Directory modes are set once every entry is
+    written, deepest first, so a read-only directory can still be restored
+    with its contents. A sandbox with contents is refused before anything
+    is written; emptiness is checked again under the writer lock, after it
+    has rolled back a crashed patch's journal, so a restore never mixes
+    with what that journal puts back.
     """
     entries = image.checked_entries
     sandbox = Path(sandbox_dir)
@@ -118,7 +117,7 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
             target.chmod(entry.mode)
         for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
             (sandbox / path).chmod(mode)
-        tmp = sandbox / "tmp"
-        tmp.mkdir(exist_ok=True)
-        tmp.chmod(0o755)
+        if not any(entry.path == "tmp" for entry, _ in entries):
+            (sandbox / "tmp").mkdir(exist_ok=True)  # a crafted image may list tmp/x but not tmp
+            (sandbox / "tmp").chmod(0o755)
     return TwinState(sandbox, image_files=image.verified_files)

@@ -5,7 +5,9 @@ These are the per-block loops the whole-batch code in ``tabular/encoding.py``,
 ``tabular/gan.py`` and ``tabular/net.py`` replaced. The tests keep them as the
 reference that code must match byte for byte: the same bits, signed zeros
 included, and the same random stream. The walk is the one the ``os.scandir``
-walk of ``twin/manifest.py`` replaced, which must list the same entries.
+walk of ``twin/manifest.py`` replaced, which must list the same entries; its
+exclusion rule is a loop of ``fnmatchcase`` calls, one per pattern, that the
+library's one compiled regex must agree with.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from fnmatch import fnmatchcase
 from functools import reduce
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from twinforge.ingest.tabular import CONTINUOUS, Categorical
 from twinforge.tabular.encoding import ALPHA_SCALE, TableCodec
 from twinforge.tabular.gan import GanModel, _ConditionedSampler, _generator_sizes
 from twinforge.tabular.net import LEAK, LEAKY_RELU, RELU, Adam
-from twinforge.twin.manifest import DIR, FILE, is_excluded, is_safe_rel_path, resolve_inside
+from twinforge.twin.manifest import DIR, FILE, is_safe_rel_path, resolve_inside
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -305,18 +308,27 @@ def generate_activated(model: GanModel, n: int, rng: np.random.Generator) -> np.
 # -- twin tree walk ----------------------------------------------------------------
 
 
+def is_excluded(rel: str, patterns) -> bool:
+    """The exclusion rule one pattern at a time: ``fnmatchcase`` on the
+    path, and on the ``x`` of an ``x/**`` pattern."""
+    return any(
+        fnmatchcase(rel, pattern) or pattern.endswith("/**") and fnmatchcase(rel, pattern[:-3])
+        for pattern in patterns
+    )
+
+
 def walk_tree(root, exclusions=()) -> tuple[tuple[str, str], ...]:
     """``(path, kind)`` of every entry, from ``os.walk``, which skips a
-    directory it cannot list, and descends into excluded ones too."""
+    directory it cannot list; excluded directories are pruned unlisted."""
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory")
     entries: list[tuple[str, str]] = []
 
-    def visit(path: Path, kind: str) -> None:
+    def visit(path: Path, kind: str) -> bool:
         rel = path.relative_to(root).as_posix()
         if is_excluded(rel, exclusions):
-            return
+            return False
         if not is_safe_rel_path(rel):
             raise UndecodableInput(f"{root}: file name {os.fsencode(rel)!r} is not valid UTF-8")
         if path.is_symlink():
@@ -324,13 +336,13 @@ def walk_tree(root, exclusions=()) -> tuple[tuple[str, str], ...]:
                 raise DanglingSymlink(f"{rel} -> {os.readlink(path)}: the link leads to nothing")
             resolve_inside(root, rel)
         entries.append((rel, kind))
+        return True
 
     for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
         dirnames.sort()
         filenames.sort()
         here = Path(dirpath)
-        for name in dirnames:
-            visit(here / name, DIR)
+        dirnames[:] = [name for name in dirnames if visit(here / name, DIR)]
         for name in filenames:
             visit(here / name, FILE)
     entries.sort()

@@ -17,7 +17,7 @@ from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
-from twinforge.twin.image import MAGIC, capture_image, save_image, sidecar_path
+from twinforge.twin.image import MAGIC, capture_image, load_image, save_image, sidecar_path
 from twinforge.twin.manifest import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate.report import load_report
@@ -418,10 +418,9 @@ def test_a_patch_through_a_looping_link_is_a_data_error_that_changes_nothing(tmp
         assert {p: (sandbox / p).read_bytes() for p in before} == before
 
 
-def test_twin_create_of_a_tree_with_a_tmp_file_is_a_data_error_that_creates_nothing(tmp_path, workspace, capsys):
+def test_twin_create_restores_a_root_file_tmp_and_adds_no_tmp_dir(tmp_path, workspace, capsys):
     # Captured without the default ``tmp/**`` exclusion, a root file ``tmp``
-    # is in the image; restoring it once failed as an I/O error half-way,
-    # leaving ``.twin.lock``, ``bin`` and ``tmp`` in the sandbox.
+    # is in the image; a restore once refused it, as it made ``tmp/`` itself.
     config = _config(tmp_path, workspace)
     root = tmp_path / "root"
     (root / "bin").mkdir(parents=True)
@@ -430,11 +429,26 @@ def test_twin_create_of_a_tree_with_a_tmp_file_is_a_data_error_that_creates_noth
     image = tmp_path / "sys.twimg"
     capture = ["--config", str(config), "capture", "--root", str(root), "--out", str(image), "--exclude", "proc/**"]
     assert main(capture) == 0
-    capsys.readouterr()
     sandbox = tmp_path / "sandbox"
-    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 2
-    assert "tmp: the image holds a file where a restore makes its own" in capsys.readouterr().err
-    assert not sandbox.exists()
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    assert (sandbox / "tmp").read_bytes() == b"a file, not a directory\n"
+    assert list(scan_tree(sandbox)) == list(load_image(image).manifest)
+
+
+# Neither can match a walked path, so each once captured ``proc/1/status``.
+@pytest.mark.parametrize("pattern", ["/proc/**", "proc/"])
+def test_an_exclusion_that_breaks_the_path_rule_is_refused(tmp_path, workspace, capsys, pattern):
+    root = tmp_path / "root"
+    (root / "proc" / "1").mkdir(parents=True)
+    (root / "proc" / "1" / "status").write_bytes(b"State: R\n")
+    image = tmp_path / "sys.twimg"
+    config = _config(tmp_path, workspace)
+    capture = ["--config", str(config), "capture", "--root", str(root), "--out", str(image)]
+    assert main([*capture, "--exclude", pattern]) == 1
+    assert repr(pattern) in capsys.readouterr().err
+    assert main(["--config", str(_config(tmp_path, workspace, exclusions=[pattern])), *capture[2:]]) == 2
+    assert "exclusions" in capsys.readouterr().err
+    assert not image.exists()
 
 
 def test_a_workspace_with_a_nul_is_a_data_error(tmp_path, capsys):

@@ -92,6 +92,13 @@ def test_a_workspace_the_os_cannot_take_is_rejected(tmp_path, workspace):
         load_config(_write(tmp_path, {"workspace": workspace}))
 
 
+# Each breaks the one path rule, so it can never match a walked path.
+@pytest.mark.parametrize("pattern", ["/proc/**", "proc/", "", "a//b", "../x"])
+def test_an_exclusion_that_breaks_the_path_rule_is_rejected(tmp_path, pattern):
+    with pytest.raises(ConfigParse, match="exclusions"):
+        load_config(_write(tmp_path, {"workspace": "ws", "exclusions": ["tmp/**", pattern]}))
+
+
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")

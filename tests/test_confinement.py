@@ -191,6 +191,28 @@ def test_directories_are_listed_in_one_place():
     assert offenders == []
 
 
+def test_paths_are_excluded_in_one_place():
+    """``fnmatch`` is imported only by ``twin/manifest.py`` and used only in
+    ``_exclusion_match``, the compiled form of ``is_excluded``: the walk's
+    own second exclusion test once read ``*/cache/**`` one way and
+    ``is_excluded`` another, so a capture kept ``a/cache`` and dropped
+    everything under it."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, ast.ImportFrom) and node.module == "fnmatch":
+                offenders.append(f"{where} from fnmatch import")
+            elif isinstance(node, ast.alias):
+                if name == "fnmatch" and module != "twin/manifest.py":
+                    offenders.append(f"{where} import fnmatch")
+            elif name in ("fnmatch", "fnmatchcase") and (module, function) != ("twin/manifest.py", "_exclusion_match"):
+                offenders.append(f"{where} {name}")
+    assert offenders == []
+
+
 def _big_number(node: ast.AST) -> bool:
     """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

@@ -6,10 +6,13 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinforge.errors import HashMismatch, MalformedArchive, SandboxNotEmpty, SymlinkOutsideRoot, UndecodableInput
 from twinforge.twin.image import (
@@ -26,6 +29,7 @@ from twinforge.twin.manifest import (
     ModifiedEntry,
     TwinDiff,
     diff_states,
+    is_excluded,
     load_manifest,
     scan_tree,
     sha256_hex,
@@ -138,6 +142,65 @@ def test_restore_round_trip(twin_tree, tmp_path):
     assert not any((tmp_path / "sandbox" / "tmp").iterdir())
 
 
+_TREE_NAMES = ("a", "b", "cache", "conf.d")
+_DIR_MODES = (0o755, 0o700, 0o1777)
+_FILE_MODES = (0o644, 0o600, 0o755)
+_TREE_EXCLUSIONS = ("tmp/**", "*.d", "b", "*/cache/**", "cache/**", "a/*")
+
+
+@st.composite
+def _mode_trees(draw):
+    """File paths of one to three names, the directory modes the tree's
+    directories cycle through, a root ``tmp`` (None, ``"file"`` or a
+    directory's mode) and an exclusion set."""
+    files = draw(st.lists(st.lists(st.sampled_from(_TREE_NAMES), min_size=1, max_size=3).map("/".join), max_size=6))
+    modes = draw(st.lists(st.sampled_from(_DIR_MODES), min_size=1, max_size=4))
+    tmp = draw(st.sampled_from((None, "file", *_DIR_MODES)))
+    exclusions = draw(st.lists(st.sampled_from(_TREE_EXCLUSIONS), unique=True, max_size=3))
+    return tuple(files), tuple(modes), tmp, tuple(exclusions)
+
+
+def _build_mode_tree(root: Path, files, modes, tmp) -> None:
+    root.mkdir()
+    for path in files:
+        node = root / path
+        try:
+            node.parent.mkdir(parents=True, exist_ok=True)
+            node.write_bytes(path.encode())
+        except (FileExistsError, NotADirectoryError, IsADirectoryError):
+            pass  # a name already taken by a node of the other kind
+    if tmp == "file":
+        (root / "tmp").write_bytes(b"a file, not a directory\n")
+    elif tmp is not None:
+        (root / "tmp").mkdir()
+        (root / "tmp" / "scratch.txt").write_bytes(b"ephemeral\n")
+    for i, node in enumerate(sorted(root.rglob("*"))):
+        node.chmod(modes[i % len(modes)] if node.is_dir() else _FILE_MODES[i % len(_FILE_MODES)])
+    if tmp not in (None, "file"):
+        (root / "tmp").chmod(tmp)
+
+
+@settings(derandomize=True)
+@example(tree=(("conf.d/f",), (0o755,), None, ("*.d",)))  # an excluded directory with a child
+@example(tree=((), (0o755,), 0o1777, ()))  # an imaged tmp/ keeps its mode
+@example(tree=(("a/f",), (0o700,), "file", ()))  # a root file tmp is restored as a file
+@given(tree=_mode_trees())
+def test_a_restored_twin_holds_exactly_its_image_plus_a_fresh_tmp(tmp_path_factory, tree):
+    files, modes, tmp, exclusions = tree
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        root = Path(work) / "root"
+        _build_mode_tree(root, files, modes, tmp)
+        image = capture_image(root, exclusions)
+        for entry in image.manifest:
+            parts = entry.path.split("/")
+            assert not any(is_excluded("/".join(parts[:k]), exclusions) for k in range(1, len(parts) + 1))
+        expected = list(image.manifest)
+        if all(entry.path != "tmp" for entry in expected):
+            expected = sorted([*expected, ManifestEntry("tmp", "dir", 0, 0o755, None)], key=lambda e: e.path)
+        twin = instantiate_twin(image, Path(work) / "sandbox")
+        assert list(scan_tree(twin.sandbox)) == expected
+
+
 def test_restore_refuses_entry_paths_outside_the_sandbox(twin_tree, tmp_path):
     """An entry's path is written only in the sidecar, and loading refuses
     one that leads out of the sandbox; no image holding it can be built."""
@@ -175,9 +238,8 @@ def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
         ((("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")), "a/b/c: manifest entry under the file a"),
         ((("b", b"x"), ("a", b"y")), "a: manifest entry out of order after b"),
         ((("a", b"x"), ("a", b"x")), "a: manifest entry out of order after a"),
-        ((("bin", None), ("tmp", b"x")), "tmp: the image holds a file where a restore makes its own"),
     ],
-    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "tmp-file"],
+    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate"],
 )
 def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, message):
     with pytest.raises(MalformedArchive, match=message):

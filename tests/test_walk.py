@@ -1,8 +1,10 @@
 """The tree walk: one ``os.scandir`` per directory, the same entries as the
-``os.walk`` reference, and no directory skipped in silence."""
+``os.walk`` reference, no directory skipped in silence, and one exclusion
+rule that drops an excluded directory with everything under it."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from twinforge.cli import main
 from twinforge.errors import TwinforgeError
 from twinforge.twin.image import capture_image
-from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, scan_tree, walk_tree
+from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, is_excluded, scan_tree, walk_tree
 from twinforge.twin.sandbox import instantiate_twin
 
 import reference_loops as ref
@@ -137,6 +139,31 @@ def test_a_directory_excluded_whole_is_not_listed(tmp_path, monkeypatch):
         (root / directory).mkdir(parents=True)
     (root / "etc" / "app.conf").write_bytes(b"mode=safe\n")
     listed = _refusing_scandir(monkeypatch, "locked")
-    image = capture_image(root)
-    assert [e.path for e in image.manifest] == ["etc", "etc/app.conf"]
-    assert sorted(os.path.relpath(path, root) for path in listed) == [".", "etc"]
+    cases = [  # x/**, a bare name, */x/**
+        (DEFAULT_EXCLUSIONS, ["etc", "etc/app.conf"], [".", "etc"]),
+        (("proc", "sys", "tmp"), ["etc", "etc/app.conf"], [".", "etc"]),
+        (("*/1/**", "sys/**", "tmp/**"), ["etc", "etc/app.conf", "proc"], [".", "etc", "proc"]),
+    ]
+    for exclusions, manifest, directories in cases:
+        listed.clear()
+        image = capture_image(root, exclusions)
+        assert [e.path for e in image.manifest] == manifest, exclusions
+        assert sorted(os.path.relpath(path, root) for path in listed) == directories, exclusions
+
+
+_RULE_PATHS = (
+    "tmp", "tmp/x", "a", "a/b", "a/cache", "a/cache/f", "a/x.log", "b", "b/c",
+    "cache", "cache/g", "conf.d", "conf.d/f", "proc", "proc/1/status", "x.log",
+)
+_RULE_PATTERNS = ("tmp/**", "*.d", "b", "*/cache/**", "cache/**", "a/*", "*/**", "*.log", "proc/**", "[ab]/**")
+
+
+def test_the_exclusion_rule_matches_the_per_pattern_reference():
+    sets = [()] + [(p,) for p in _RULE_PATTERNS] + list(itertools.combinations(_RULE_PATTERNS, 2))
+    for patterns in sets:
+        for path in _RULE_PATHS:
+            assert is_excluded(path, patterns) == ref.is_excluded(path, patterns), (path, patterns)
+    # the directory of a wildcard ``x/**`` goes with its subtree, and ``*/**`` takes every path
+    assert is_excluded("a/cache", ("*/cache/**",)) and is_excluded("cache", ("cache/**",))
+    assert all(is_excluded(path, ("*/**",)) for path in _RULE_PATHS)
+    assert not is_excluded("a/cache", ()) and not is_excluded("acache", ("*/cache/**",))
