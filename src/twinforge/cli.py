@@ -24,7 +24,7 @@ from twinforge.errors import (
     TwinforgeError,
     WorkspaceLocked,
 )
-from twinforge.jsonfile import dumps, from_doc, read_json, read_text, write_json
+from twinforge.jsonfile import dumps, from_doc, publish, read_json, read_text, write_json
 from twinforge.twin.checks import load_checks, run_checks
 from twinforge.twin.image import capture_image, load_image, save_image
 from twinforge.twin.manifest import diff_states, is_safe_rel_path, load_manifest, scan_tree, sha256_hex, walk_tree
@@ -203,12 +203,12 @@ def _cmd_twin(args, config, say) -> int:
         say(f"manifest now {len(report.manifest)} entries")
         return EXIT_OK
     if args.twin_command == "diff":
-        text = dumps(diff_states(_manifest_source(args.pre), _manifest_source(args.post)))
+        diff = diff_states(_manifest_source(args.pre), _manifest_source(args.post))
         if args.out:
-            args.out.write_text(text, encoding="utf-8")
+            write_json(diff, args.out)
             say(f"diff -> {args.out}")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(dumps(diff))
         return EXIT_OK
     # check
     twin = TwinState(args.sandbox, config.screen)
@@ -243,7 +243,8 @@ def _cmd_ingest(args, config, say) -> int:
     name = args.name or args.input.stem
     script = parse_macro_script(read_text(args.input), name=name)
     out = args.out or _workspace_path(config, "scripts", f"{name}.ahk")
-    out.write_text(emit_macro_script(script), encoding="utf-8")
+    with publish(out) as fh:
+        fh.write(emit_macro_script(script))
     say(f"{len(script.commands)} commands -> {out}")
     return EXIT_OK
 
@@ -317,7 +318,8 @@ def _cmd_gen(args, config, say) -> int:
         print(f"generated sequence failed validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = args.out or _workspace_path(config, "scripts", f"{args.name}.ahk")
-    out.write_text(emit_macro_script(script), encoding="utf-8")
+    with publish(out) as fh:
+        fh.write(emit_macro_script(script))
     say(f"{len(script.commands)} commands -> {out}")
     return EXIT_OK
 
@@ -334,6 +336,15 @@ def _cmd_validate(args, config, say) -> int:
 
     real = read_dataset_csv(args.real)
     synth = read_dataset_csv(args.synth)
+    gate_attempts = None
+    seeds = {"global": config.seed}
+    meta_path = Path(str(args.synth) + ".meta.json")
+    if meta_path.is_file():
+        meta = from_doc(SynthMeta, read_json(meta_path, MalformedCsv), MalformedCsv, str(meta_path))
+        if meta.n != len(synth):
+            raise MalformedCsv(f"{args.synth} holds {len(synth)} rows, but {meta_path} says n = {meta.n}")
+        gate_attempts = meta.gate_attempts
+        seeds["gen_tabular"] = meta.seed
     comparison = compare_stats(real, synth)
 
     if args.pair and args.sandbox is None:
@@ -355,14 +366,6 @@ def _cmd_validate(args, config, say) -> int:
                 replay_ok=replay.ok,
             )
         )
-
-    gate_attempts = None
-    seeds = {"global": config.seed}
-    meta_path = Path(str(args.synth) + ".meta.json")
-    if meta_path.is_file():
-        meta = from_doc(SynthMeta, read_json(meta_path, MalformedCsv), MalformedCsv, str(meta_path))
-        gate_attempts = meta.gate_attempts
-        seeds["gen_tabular"] = meta.seed
 
     run_id = sha256_hex(
         f"{config.seed}|{sha256_hex(args.real.read_bytes())}|"

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from twinforge.errors import MalformedCsv, MalformedRow
+from twinforge.jsonfile import publish
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -260,7 +261,7 @@ def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:
     header = list(dataset.schema.names)
     if dataset.pids is not None:
         header = [PID_COLUMN] + header
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+    with publish(path) as fh:
         csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerow(header)
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
             rows = slice(start, start + _WRITE_BLOCK_ROWS)

@@ -1,8 +1,8 @@
-"""The one text form of every JSON artifact, its one reader, the one
-record writer and reader, the one reader of UTF-8 text inputs, and the
-one reader of tagged documents.
+"""The one writer of every artifact (``publish``), the one text form of
+every JSON artifact and its one reader, the one record writer and reader,
+the one reader of UTF-8 text inputs, and the one reader of tagged documents.
 
-Artifacts are UTF-8 JSON with sorted keys, two-space indentation and a
+JSON artifacts are UTF-8 with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
 dataclass inside a document is written as ``{field name: value}``, which
 makes its field names the on-disk keys; ``from_doc`` reads it back.
@@ -11,12 +11,16 @@ makes its field names the on-disk keys; ``from_doc`` reads it back.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
+import secrets
+import stat
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Mapping, TypeVar, get_args, get_origin, get_type_hints
+from typing import IO, Callable, Iterator, Mapping, TypeVar, get_args, get_origin, get_type_hints
 
 from twinforge.errors import UndecodableInput
 
@@ -33,14 +37,44 @@ def dumps(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n"
 
 
+@contextmanager
+def publish(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write the file at ``path`` whole: the block writes the yielded file
+    (UTF-8 text with no newline translation, or bytes), a new ``.<name>.*``
+    temporary beside the target that replaces it when the block ends and is
+    removed if the block raises. Nothing is ``fsync``ed: this holds against
+    a process crash (which may leave the temporary), not power loss. Like a
+    plain write, it follows a link at ``path`` and keeps the target's
+    permission bits, or gives a new file the umask's default."""
+    target = Path(os.path.realpath(path) if os.path.islink(path) else path)
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            if target.exists():
+                os.fchmod(fh.fileno(), stat.S_IMODE(target.stat().st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(doc: object, path: str | Path) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    with publish(path) as fh:
+        fh.write(dumps(doc))
 
 
 def record_text(version: int, doc: object) -> str:
     """The text of a versioned artifact: the dataclass ``doc``'s fields and
     its ``format_version``, as ``read_record`` reads them back."""
     return dumps({"format_version": version, **vars(doc)})
+
+
+def write_record(path: str | Path, version: int, doc: object) -> None:
+    """Publish the versioned artifact ``record_text(version, doc)`` at ``path``."""
+    with publish(path) as fh:
+        fh.write(record_text(version, doc))
 
 
 def read_text(path: str | Path) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
-from twinforge.jsonfile import read_record, record_text
+from twinforge.jsonfile import read_record, write_record
 
 MODEL_FORMAT_VERSION = 1
 _CTX_JOIN = "\n"  # tokens are single lines, so newline never collides
@@ -182,7 +182,7 @@ def save_seq_model(model: SeqModel, path: str | Path) -> None:
         str(m): {_CTX_JOIN.join(ctx): table for ctx, table in tables.items()} for m, tables in model.counts.items()
     }
     doc = _SeqModelFile("sequence-ngram", model.order, model.delta, model.seed, model.vocab, counts)
-    Path(path).write_text(record_text(MODEL_FORMAT_VERSION, doc), encoding="utf-8")
+    write_record(path, MODEL_FORMAT_VERSION, doc)
 
 
 def load_seq_model(path: str | Path) -> SeqModel:

@@ -33,7 +33,7 @@ import numpy as np
 from twinforge.config import GanConfig
 from twinforge.errors import MalformedModel, NonFiniteLoss, TooFewRows
 from twinforge.ingest.tabular import Column, Schema, TabularDataset
-from twinforge.jsonfile import read_record, record_text
+from twinforge.jsonfile import read_record, record_text, write_record
 from twinforge.tabular.encoding import PAIRWISE_FROM, TableCodec
 from twinforge.tabular.mixture import ModeNormalizer
 from twinforge.tabular.net import INPUT, LEAKY_RELU, PARAMS, RELU, Adam, FeedForward
@@ -351,18 +351,21 @@ class _ModelFileV1(_ModelFile):
     discriminator: dict
 
 
-def model_to_json(model: GanModel) -> str:
+def _model_file(model: GanModel) -> _ModelFile:
     codec = model.codec
-    doc = _ModelFile(
+    return _ModelFile(
         "tabular-gan", model.seed, model.config, tuple((c.name, c.kind) for c in model.schema.columns),
         codec.normalizers, codec.categories, codec.frequencies, _net_to_lists(model.generator),
         model.gen_losses, model.disc_losses,
     )
-    return record_text(MODEL_FORMAT_VERSION, doc)
+
+
+def model_to_json(model: GanModel) -> str:
+    return record_text(MODEL_FORMAT_VERSION, _model_file(model))
 
 
 def save_model(model: GanModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
+    write_record(path, MODEL_FORMAT_VERSION, _model_file(model))
 
 
 def load_model(path: str | Path) -> GanModel:

@@ -19,9 +19,10 @@ from typing import Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import HashMismatch, MalformedArchive
-from twinforge.jsonfile import read_record, record_text
+from twinforge.jsonfile import publish, read_record, write_record
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
+    DIR,
     FILE,
     MANIFEST_FORMAT_VERSION,
     KnownFiles,
@@ -101,8 +102,9 @@ def _match_manifest(
     ``archive``, the entry's ``size`` bytes from where the entry before it
     ends. Raises MalformedArchive unless the archive is ``MAGIC`` followed
     by exactly the manifest's sizes, and, naming the path, unless the paths
-    strictly increase (as ``walk_tree`` sorts) with no entry under a file,
-    so a restore can write every entry. Hashes nothing."""
+    strictly increase (as ``walk_tree`` sorts) and each entry's parent is a
+    directory listed before it, so a restore can write every entry in order
+    and makes nothing the manifest does not list. Hashes nothing."""
     if not archive.startswith(MAGIC):
         raise MalformedArchive("not a twin image of this format; capture the tree again")
     held, listed = len(archive) - len(MAGIC), sum(entry.size for entry in manifest)
@@ -111,18 +113,16 @@ def _match_manifest(
     view = memoryview(archive)
     offset = len(MAGIC)
     pairs = []
-    files: set[str] = set()
+    dirs = {""}  # the sandbox itself
     for entry in manifest:
         path = entry.path
         if pairs and path <= pairs[-1][0].path:
             raise MalformedArchive(f"{path}: manifest entry out of order after {pairs[-1][0].path}")
         parent = posixpath.dirname(path)
-        while parent and parent not in files:
-            parent = posixpath.dirname(parent)
-        if parent:
-            raise MalformedArchive(f"{path}: manifest entry under the file {parent}")
-        if entry.kind == FILE:
-            files.add(path)
+        if parent not in dirs:
+            raise MalformedArchive(f"{path}: manifest entry whose parent {parent} is not a directory listed before it")
+        if entry.kind == DIR:
+            dirs.add(path)
         pairs.append((entry, view[offset : offset + entry.size]))
         offset += entry.size
     return tuple(pairs)
@@ -137,10 +137,10 @@ def sidecar_path(image_path: str | Path) -> Path:
 
 
 def save_image(image: TwinImage, path: str | Path) -> None:
-    path = Path(path)
-    path.write_bytes(image.archive)
+    with publish(path, binary=True) as fh:
+        fh.write(image.archive)
     sidecar = Sidecar(image.created_at, image.exclusions, image.manifest)
-    sidecar_path(path).write_text(record_text(MANIFEST_FORMAT_VERSION, sidecar), encoding="utf-8")
+    write_record(sidecar_path(path), MANIFEST_FORMAT_VERSION, sidecar)
 
 
 def load_image(path: str | Path) -> TwinImage:

@@ -4,13 +4,13 @@ A patch writes the sandbox in place and keeps what it needs to undo each op
 in ``<sandbox>.journal/``, a sibling of the sandbox (so renames between the
 two stay on one filesystem). ``begin`` creates the journal with a marker
 file; a directory without the marker is not a journal and is never read or
-removed. Op ``i`` has one record, ``{i:06d}.json``, written under a
-temporary name and renamed into place: the node it changes (relative to the
-resolved sandbox), whether the original node is saved as ``{i:06d}.node``,
-and the directories the op creates, deepest first. A replaced file is
-copied to its ``.node`` with its mode before the record is written; a
-deleted file or link is renamed there after. An op touches the sandbox only
-once its record is complete.
+removed. Op ``i`` has one record, ``{i:06d}.json``, published whole by
+``jsonfile.write_json``: the node it changes (relative to the resolved
+sandbox), whether the original node is saved as ``{i:06d}.node``, and the
+directories the op creates, deepest first. A replaced or deleted file (or a
+deleted link) is renamed to its ``.node`` once the record is written, so
+undoing any op is one rename back or one removal. An op touches the sandbox
+only once its record is complete.
 
 A patch whose ops all ran commits by renaming the marker to the committed
 marker, one atomic step; from then on the journal is only dropped, never
@@ -31,7 +31,6 @@ kernel never wrote.
 from __future__ import annotations
 
 import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,15 +70,9 @@ def begin(sandbox: str | Path) -> Path:
     return journal
 
 
-def _saved(journal: Path, index: int) -> Path:
-    return journal / f"{index:06d}.node"
-
-
 def record(journal: Path, index: int, rec: UndoRecord) -> None:
     """Make op ``index``'s undo record complete in the journal."""
-    tmp = journal / f"{index:06d}.tmp"
-    write_json(rec, tmp)
-    tmp.rename(journal / f"{index:06d}.json")
+    write_json(rec, journal / f"{index:06d}.json")
 
 
 def record_add(journal: Path, index: int, rel: str, created: tuple[str, ...]) -> None:
@@ -88,18 +81,12 @@ def record_add(journal: Path, index: int, rel: str, created: tuple[str, ...]) ->
     record(journal, index, UndoRecord(rel, False, created))
 
 
-def record_rewrite(journal: Path, index: int, rel: str, node: Path) -> None:
-    """Op ``index`` will rewrite the file ``node`` in place: keep a copy of
-    it, with its mode, first."""
-    shutil.copy2(node, _saved(journal, index))
+def record_move(journal: Path, index: int, rel: str, node: Path) -> Path:
+    """Take ``node`` out of the sandbox for op ``index``, which deletes or
+    replaces it, by moving it, a file or a link itself, into the journal
+    once the record says so; returns where it is kept."""
     record(journal, index, UndoRecord(rel, True, ()))
-
-
-def record_delete(journal: Path, index: int, rel: str, node: Path) -> None:
-    """Delete ``node`` for op ``index`` by moving it, a file or a link
-    itself, into the journal once the record says so."""
-    record(journal, index, UndoRecord(rel, True, ()))
-    node.rename(_saved(journal, index))
+    return node.rename(journal / f"{index:06d}.node")
 
 
 def _discard(path: Path, remove) -> None:
@@ -119,12 +106,8 @@ def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
     node, *created = _nodes(root, rec)
     if not rec.saved:
         _discard(node, Path.unlink)
-    elif os.path.lexists(saved):  # absent: undone already, or a delete that never ran
-        if node.is_file():  # replaced in place: restore in place, as the op wrote
-            shutil.copy2(saved, node)
-            saved.unlink()
-        else:
-            os.replace(saved, node)
+    elif os.path.lexists(saved):  # absent: undone already, or a move that never ran
+        os.replace(saved, node)
     for path in created:
         _discard(path, Path.rmdir)
 

@@ -4,14 +4,16 @@
 directly in the sandbox. Before an op writes anything, its undo record (the
 target's original node, or the fact that it was absent, and the directories
 the op will create) is complete in ``<sandbox>.journal/`` (see
-``twin.journal``). If any op fails, the ops done so far are undone newest
-first and the sandbox is left as it was; if the process dies mid-patch, the
-next holder of the writer lock undoes them. Once every op has run, the
-patch commits in one rename of the journal's marker and is never undone
-after it. Nothing is ``fsync``ed, so that guarantee covers a process crash,
-not power loss. Each op's target and its existing parents are resolved
-first, so an op never writes through a symbolic link to outside the
-sandbox. The JSON patch file is a list of op objects, e.g.::
+``twin.journal``). A replace or ``set_config`` moves the original file
+there and writes a new one with its mode, so a hard link keeps the old
+bytes. If any op fails, the ops done so far are undone newest first and the
+sandbox is left as it was; if the process dies mid-patch, the next holder
+of the writer lock undoes them. Once every op has run, the patch commits in
+one rename of the journal's marker and is never undone after it. Nothing is
+``fsync``ed, so that guarantee covers a process crash, not power loss. Each
+op's target and its existing parents are resolved first, so an op never
+writes through a symbolic link to outside the sandbox. The JSON patch file
+is a list of op objects, e.g.::
 
     [{"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\\n"},
      {"op": "replace_file", "path": "docs/readme.txt", "content": "v2"},
@@ -38,7 +40,7 @@ from twinforge.errors import (
     ReplaceMissing,
 )
 from twinforge.jsonfile import read_json, read_tagged, read_text
-from twinforge.twin.journal import begin, commit, record_add, record_delete, record_rewrite, roll_back
+from twinforge.twin.journal import begin, commit, record_add, record_move, roll_back
 from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, writer_lock
 
@@ -154,7 +156,7 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         node = resolve_inside(root, op.path, follow=False)
         if not node.is_file():
             raise DeleteMissing(op.path)
-        record_delete(journal, index, node.relative_to(root).as_posix(), node)
+        record_move(journal, index, node.relative_to(root).as_posix(), node)
         return
     node = resolve_inside(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
     if not node.is_file():
@@ -162,8 +164,9 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
             raise ReplaceMissing(op.path)
         raise ConfigKeyMissing(f"{op.file}: config file not present")
     content = op.content if isinstance(op, ReplaceFile) else _set_config(node, op)
-    record_rewrite(journal, index, node.relative_to(root).as_posix(), node)
+    saved = record_move(journal, index, node.relative_to(root).as_posix(), node)
     node.write_bytes(content)
+    node.chmod(saved.stat().st_mode & 0o7777)  # the original's permission bits
 
 
 def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:

@@ -106,18 +106,17 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     dir_modes: list[tuple[str, int]] = []
     with writer_lock(sandbox):
         _refuse_contents(sandbox)
-        for entry, content in entries:
+        for entry, content in entries:  # each parent is listed, so made, before its entries
             target = sandbox / entry.path
             if entry.kind == DIR:
-                target.mkdir(parents=True, exist_ok=True)
+                target.mkdir()
                 dir_modes.append((entry.path, entry.mode))
                 continue
-            target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
             target.chmod(entry.mode)
         for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
             (sandbox / path).chmod(mode)
         if not any(entry.path == "tmp" for entry, _ in entries):
-            (sandbox / "tmp").mkdir(exist_ok=True)  # a crafted image may list tmp/x but not tmp
+            (sandbox / "tmp").mkdir()
             (sandbox / "tmp").chmod(0o755)
     return TwinState(sandbox, image_files=image.verified_files)

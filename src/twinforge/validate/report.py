@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from twinforge.errors import MalformedReport
-from twinforge.jsonfile import read_record, record_text
+from twinforge.jsonfile import read_record, write_record
 from twinforge.validate.comparison import ColumnDistance, StatsComparison, SummaryStats
 
 REPORT_FORMAT_VERSION = 1
@@ -66,7 +66,7 @@ def build_report(
 
 
 def save_report(report: ComparisonReport, path: str | Path) -> None:
-    Path(path).write_text(record_text(REPORT_FORMAT_VERSION, report), encoding="utf-8")
+    write_record(path, REPORT_FORMAT_VERSION, report)
 
 
 def load_report(path: str | Path) -> ComparisonReport:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -185,6 +189,85 @@ def build_twin_tree(root: Path) -> Path:
 @pytest.fixture()
 def twin_tree(tmp_path: Path) -> Path:
     return build_twin_tree(tmp_path / "source")
+
+
+# The exit codes of a child run by ``run_cut_at``.
+CUT, RAN_THROUGH = 7, 0
+
+# The ``os`` calls that change the tree: each one is a cut point.
+_MUTATIONS = ("mkdir", "rmdir", "unlink", "rename", "replace", "chmod", "fchmod")
+
+
+def run_cut_at(k: int, action: Callable[[], object]) -> int:
+    """Run ``action`` in a forked child that ``os._exit``s just before its
+    ``k``-th filesystem mutation: a kill, which no ``except`` or ``finally``
+    clause sees. A mutation is an ``os`` call of ``_MUTATIONS``, an
+    ``os.open`` that may create or write, an ``open`` for writing, or a
+    write to a file so opened; the writes before a cut are flushed, so they
+    are on disk as a kill leaves them. Returns the child's exit code:
+    ``CUT``, or ``RAN_THROUGH`` when ``action`` returned after fewer than
+    ``k`` mutations."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        try:
+            count = 0
+
+            def step():
+                nonlocal count
+                count += 1
+                if count == k:
+                    os._exit(CUT)
+
+            def counted(real):
+                def mutation(*args, **kwargs):
+                    step()
+                    return real(*args, **kwargs)
+
+                return mutation
+
+            class Written:
+                """A file opened for writing, each write a cut point."""
+
+                def __init__(self, fh):
+                    self._fh = fh
+
+                def write(self, data):
+                    self._fh.flush()
+                    step()
+                    return self._fh.write(data)
+
+                def __enter__(self):
+                    self._fh.__enter__()
+                    return self
+
+                def __exit__(self, *exc):
+                    return self._fh.__exit__(*exc)
+
+                def __getattr__(self, name):
+                    return getattr(self._fh, name)
+
+            real_open, real_os_open = io.open, os.open
+
+            def open_(file, mode="r", *args, **kwargs):
+                if not set(mode) & set("wax+"):
+                    return real_open(file, mode, *args, **kwargs)
+                step()
+                return Written(real_open(file, mode, *args, **kwargs))
+
+            def os_open(path, flags, *args, **kwargs):
+                if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+                    step()
+                return real_os_open(path, flags, *args, **kwargs)
+
+            for name in _MUTATIONS:
+                setattr(os, name, counted(getattr(os, name)))
+            os.open, io.open, builtins.open = os_open, open_, open_
+            action()
+            os._exit(RAN_THROUGH)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -213,6 +213,62 @@ def test_paths_are_excluded_in_one_place():
     assert offenders == []
 
 
+# (module, function) where a file may be written, replaced or renamed: the
+# one artifact writer, the patch's journaled op writes, the journal's renames
+# and the restore into an empty sandbox.
+WRITERS = {
+    ("jsonfile.py", "publish"),
+    ("twin/patch.py", "_apply_op"),
+    ("twin/journal.py", "record_move"),
+    ("twin/journal.py", "_undo"),
+    ("twin/journal.py", "commit"),
+    ("twin/sandbox.py", "instantiate_twin"),
+}
+
+_WRITE_MODE = set("wax+")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _write(node: ast.AST) -> str | None:
+    """What ``node`` writes to the filesystem with, if it is a call of
+    ``write_text``, ``write_bytes``, ``os.replace`` or ``.rename``, or an
+    ``open`` for writing."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name in ("write_text", "write_bytes", "rename") or (owner, name) == ("os", "replace"):
+        return ast.unparse(func)
+    if name == "open":
+        modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+        flags = {getattr(n, "attr", None) for n in ast.walk(node)} & _WRITE_FLAGS
+        if flags or any(isinstance(getattr(m, "value", None), str) and set(m.value) & _WRITE_MODE for m in modes):
+            return ast.unparse(node)
+    return None
+
+
+def test_files_are_written_in_one_place():
+    """Every artifact is written by ``jsonfile.publish``, which replaces the
+    target whole; only the twin's journaled or restore writes, and the
+    journal's renames, touch files themselves, and nothing uses ``shutil``
+    (a patch once copied each file it replaced). Ten writers that each
+    wrote in place once let a ``gen tabular`` killed between two CSV blocks
+    leave a shorter CSV that ``validate`` passed."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            what = _write(node)
+            if what and (module, function) not in WRITERS:
+                offenders.append(f"{module}:{node.lineno} {what}")
+            if getattr(node, "id", None) == "shutil" or getattr(node, "name", None) == "shutil" or (
+                isinstance(node, ast.ImportFrom) and node.module == "shutil"
+            ):
+                offenders.append(f"{module}:{getattr(node, 'lineno', 0)} shutil")
+    assert offenders == []
+
+
 def _big_number(node: ast.AST) -> bool:
     """``2**k`` with ``k >= 53``, or a number literal from ``2**53 - 1`` up."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):

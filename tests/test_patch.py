@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -41,7 +42,7 @@ from twinforge.twin.patch import (
 )
 from twinforge.twin.sandbox import TwinState, instantiate_twin, writer_lock
 
-from conftest import UNNORMALIZED_PATHS
+from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, run_cut_at
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -770,3 +771,64 @@ def test_a_drop_cut_at_any_removal_leaves_the_pre_or_post_state(twin_tree, tmp_p
         if code == _RAN_THROUGH:
             break
     assert k > 4  # every record, saved node, the marker and the directory
+
+
+def test_a_rewrite_changes_only_the_path_it_names_and_its_undo_puts_back_the_original(twin):
+    """A replace or set_config moves the original file into the journal and
+    writes a new one, with the original's mode, in its place: a hard link to
+    the original keeps its bytes (a write in place once changed both names),
+    and a failed patch puts back the original file itself."""
+    readme, conf = twin.sandbox / "docs" / "readme.txt", twin.sandbox / "etc" / "app.conf"
+    conf.chmod(0o640)
+    os.link(readme, twin.sandbox / "docs" / "hard")
+    os.link(conf, twin.sandbox / "etc" / "hard.conf")
+    originals = {path: os.stat(path) for path in (readme, conf)}
+    rewrites = (ReplaceFile("docs/readme.txt", b"v2\n"), SetConfig("etc/app.conf", "mode", "fast"))
+    with pytest.raises(DeleteMissing):
+        apply_patch(twin, PatchDelta(rewrites + (DeleteFile("not/there"),)))
+    for path, was in originals.items():
+        now = os.stat(path)
+        assert (now.st_ino, now.st_mode, now.st_nlink) == (was.st_ino, was.st_mode, 2)
+
+    apply_patch(twin, PatchDelta(rewrites))
+    assert readme.read_bytes() == b"v2\n"
+    assert conf.read_bytes() == b"mode=fast\nretries=3\nlog_level=info\n"
+    assert (twin.sandbox / "docs" / "hard").read_bytes() == b"local system under test\n"
+    assert (twin.sandbox / "etc" / "hard.conf").read_bytes() == b"mode=safe\nretries=3\nlog_level=info\n"
+    for path, was in originals.items():
+        now = os.stat(path)
+        assert now.st_ino != was.st_ino and stat.S_IMODE(now.st_mode) == stat.S_IMODE(was.st_mode)
+        assert now.st_nlink == 1
+
+
+REWRITES = (ReplaceFile("bin/term", b"term v2\n"), SetConfig("etc/app.conf", "mode", "fast"))
+
+
+def test_a_rewrite_cut_at_any_mutation_leaves_the_pre_or_post_state(twin_tree, tmp_path):
+    """A patch of a replace and a set_config, killed before each filesystem
+    mutation it makes (the journal's marker, each record's create, write
+    and rename, each move into the journal, each new file's create, write
+    and chmod, and each step of the commit), is turned by the next writer
+    into exactly the state before the patch or after it, with no journal
+    left and the next patch applying."""
+    (twin_tree / "bin" / "term").chmod(0o755)
+    (twin_tree / "etc" / "app.conf").chmod(0o640)
+    image = capture_image(twin_tree)
+    post = instantiate_twin(image, tmp_path / "post")
+    apply_patch(post, PatchDelta(REWRITES))
+    states = {scan_tree(instantiate_twin(image, tmp_path / "pre").sandbox), scan_tree(post.sandbox)}
+    k = 0
+    while True:
+        k += 1
+        box = instantiate_twin(image, tmp_path / f"cut{k}")
+        code = run_cut_at(k, lambda: apply_patch(box, PatchDelta(REWRITES)))
+        assert code in (CUT, RAN_THROUGH)
+        with writer_lock(box.sandbox):
+            pass
+        assert scan_tree(box.sandbox) in states, f"cut at mutation {k}"
+        assert not journal_dir(box.sandbox).exists()
+        apply_patch(box, PatchDelta((ReplaceFile("bin/term", b"next\n"),)))
+        assert (box.sandbox / "bin/term").read_bytes() == b"next\n"
+        if code == RAN_THROUGH:
+            break
+    assert k > 20  # 24: the journal's three, seven for each op and seven for the commit

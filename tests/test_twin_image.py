@@ -229,17 +229,24 @@ def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
     return TwinImage(tuple(manifest), b"".join(archive), (), "")
 
 
-# Each of these once raised an OSError half-way through a restore and left
-# the entries before it in the sandbox.
+# Each of the first four once raised an OSError half-way through a restore
+# and left the entries before it in the sandbox; the unlisted parent was once
+# made with the umask's mode, so the twin held a directory its image did not.
 @pytest.mark.parametrize(
     "nodes, message",
     [
-        ((("a", b"x"), ("a/b", b"y")), "a/b: manifest entry under the file a"),
-        ((("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")), "a/b/c: manifest entry under the file a"),
+        ((("a", b"x"), ("a/b", b"y")), "a/b: manifest entry whose parent a is not a directory listed before it"),
+        (
+            (("a", b"x"), ("a-x", b"x"), ("a/b/c", b"y")),
+            "a/b/c: manifest entry whose parent a/b is not a directory listed before it",
+        ),
         ((("b", b"x"), ("a", b"y")), "a: manifest entry out of order after b"),
         ((("a", b"x"), ("a", b"x")), "a: manifest entry out of order after a"),
+        ((("a/b", b"y"),), "a/b: manifest entry whose parent a is not a directory listed before it"),
+        ((("a", None), ("a/b/c", b"y")), "a/b/c: manifest entry whose parent a/b is not a directory listed before it"),
     ],
-    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate"],
+    ids=["file-then-child", "file-then-grandchild", "out-of-order", "duplicate", "unlisted-parent",
+         "unlisted-grandparent"],
 )
 def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, message):
     with pytest.raises(MalformedArchive, match=message):
@@ -250,7 +257,7 @@ def test_an_image_a_restore_cannot_write_creates_nothing(tmp_path, nodes, messag
 def test_an_image_file_whose_entries_nest_under_a_file_does_not_load(tmp_path):
     path = tmp_path / "crafted.twimg"
     save_image(_image(("a", b"x"), ("a/b", b"y")), path)
-    with pytest.raises(MalformedArchive, match="a/b: manifest entry under the file a"):
+    with pytest.raises(MalformedArchive, match="a/b: manifest entry whose parent a is not a directory listed"):
         load_image(path)
 
 
