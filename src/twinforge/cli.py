@@ -26,8 +26,8 @@ from twinforge.errors import (
 )
 from twinforge.jsonfile import dumps, from_doc, publish, read_json, read_text, write_json
 from twinforge.twin.checks import load_checks, run_checks
-from twinforge.twin.image import capture_image, load_image, save_image
-from twinforge.twin.manifest import diff_states, is_safe_rel_path, load_manifest, scan_tree, sha256_hex, walk_tree
+from twinforge.twin.image import capture_image, load_image, load_manifest, save_image
+from twinforge.twin.manifest import diff_states, is_safe_rel_path, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import apply_patch, load_delta
 from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin
 
@@ -43,7 +43,7 @@ class SynthMeta:
 
     gate_attempts: int
     seed: int
-    n: int
+    csv_sha256: str
     model: str
 
 
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sandbox", type=Path, required=True)
     p.add_argument("--delta", type=Path, required=True)
     p = twin_sub.add_parser("diff")
-    p.add_argument("--pre", type=Path, required=True, help="sandbox dir, .twimg image, or manifest JSON")
+    p.add_argument("--pre", type=Path, required=True, help="sandbox dir, or .twimg image (only its header is read)")
     p.add_argument("--post", type=Path, required=True)
     p.add_argument("--out", type=Path)
     p = twin_sub.add_parser("check")
@@ -170,11 +170,7 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _manifest_source(path: Path):
-    if path.is_dir():
-        return scan_tree(path)
-    if path.suffix == ".twimg":
-        return load_image(path).manifest
-    return load_manifest(path)
+    return scan_tree(path) if path.is_dir() else load_manifest(path)
 
 
 def _cmd_capture(args, config, say) -> int:
@@ -297,7 +293,7 @@ def _cmd_gen(args, config, say) -> int:
         synth, attempts = generate_gated(model, real, args.n, config.gate, rng)
         out = args.out or _workspace_path(config, "datasets", "synthetic.csv")
         write_dataset_csv(synth, out)
-        write_json(SynthMeta(attempts, seed, args.n, str(args.model)), str(out) + ".meta.json")
+        write_json(SynthMeta(attempts, seed, sha256_hex(out.read_bytes()), str(args.model)), str(out) + ".meta.json")
         say(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
@@ -336,13 +332,14 @@ def _cmd_validate(args, config, say) -> int:
 
     real = read_dataset_csv(args.real)
     synth = read_dataset_csv(args.synth)
+    synth_sha256 = sha256_hex(args.synth.read_bytes())
     gate_attempts = None
     seeds = {"global": config.seed}
     meta_path = Path(str(args.synth) + ".meta.json")
     if meta_path.is_file():
         meta = from_doc(SynthMeta, read_json(meta_path, MalformedCsv), MalformedCsv, str(meta_path))
-        if meta.n != len(synth):
-            raise MalformedCsv(f"{args.synth} holds {len(synth)} rows, but {meta_path} says n = {meta.n}")
+        if meta.csv_sha256 != synth_sha256:
+            raise MalformedCsv(f"{meta_path} describes another CSV: its csv_sha256 is not the SHA-256 of {args.synth}")
         gate_attempts = meta.gate_attempts
         seeds["gen_tabular"] = meta.seed
     comparison = compare_stats(real, synth)
@@ -367,10 +364,7 @@ def _cmd_validate(args, config, say) -> int:
             )
         )
 
-    run_id = sha256_hex(
-        f"{config.seed}|{sha256_hex(args.real.read_bytes())}|"
-        f"{sha256_hex(args.synth.read_bytes())}".encode("utf-8")
-    )[:12]
+    run_id = sha256_hex(f"{config.seed}|{sha256_hex(args.real.read_bytes())}|{synth_sha256}".encode("utf-8"))[:12]
     report = build_report(
         run_id=run_id,
         created_at=now_iso(),

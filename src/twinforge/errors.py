@@ -200,7 +200,7 @@ class DanglingSymlink(TwinforgeError):
 
 
 class MalformedArchive(TwinforgeError):
-    """An image archive or its sidecar manifest is structurally invalid."""
+    """A twin image, its header or its archive, is structurally invalid."""
 
 
 class DeleteMissing(TwinforgeError):

@@ -1,15 +1,17 @@
-"""Twin images: deterministic capture archive plus sidecar manifest.
+"""Twin images: a deterministic capture, one file per image.
 
-The sidecar manifest alone describes the tree: each entry's path, kind,
-mode, size and SHA-256, sorted by path. The archive is ``MAGIC`` followed by
-each file's bytes in the manifest's order (a directory adds none), so
-identical trees produce identical bytes on any platform, and no timestamp
-is stored.
+The manifest alone describes the tree: each entry's path, kind, mode, size
+and SHA-256, sorted by path. The archive is each file's bytes in its order
+(a directory adds none), so identical trees give identical archives on any
+platform. An image file is ``MAGIC``, its header's length as 8 big-endian
+bytes, the header (an ``ImageHeader``'s JSON text), then the archive.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import os
 import posixpath
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,21 +21,20 @@ from typing import Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import HashMismatch, MalformedArchive
-from twinforge.jsonfile import publish, read_record, write_record
+from twinforge.jsonfile import dumps, from_doc, publish
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
     FILE,
-    MANIFEST_FORMAT_VERSION,
     KnownFiles,
     ManifestEntry,
-    Sidecar,
     manifest_entry,
     sha256_hex,
     walk_tree,
 )
 
-MAGIC = b"TWIMG2\x00"
+MAGIC = b"TWIMG3\x00"
+_PREFIX = len(MAGIC) + 8  # the magic, then the header's length
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ def capture_image(
     entry hashed."""
     manifest = []
     out = io.BytesIO()
-    out.write(MAGIC)
     for path, kind in walk_tree(root, exclusions):
         entry, content = manifest_entry(root, path, kind)
         manifest.append(entry)
@@ -95,23 +95,25 @@ def capture_image(
     return TwinImage(tuple(manifest), out.getvalue(), tuple(exclusions), now_iso())
 
 
+def _check_sizes(held: int, manifest: Sequence[ManifestEntry], at: str = "") -> None:
+    listed = sum(entry.size for entry in manifest)
+    if held != listed:
+        raise MalformedArchive(f"{at}the archive holds {held} content bytes, the manifest's sizes add up to {listed}")
+
+
 def _match_manifest(
     manifest: Sequence[ManifestEntry], archive: bytes
 ) -> tuple[tuple[ManifestEntry, memoryview], ...]:
     """Pair each manifest entry with its content: a ``memoryview`` slice of
     ``archive``, the entry's ``size`` bytes from where the entry before it
-    ends. Raises MalformedArchive unless the archive is ``MAGIC`` followed
-    by exactly the manifest's sizes, and, naming the path, unless the paths
-    strictly increase (as ``walk_tree`` sorts) and each entry's parent is a
-    directory listed before it, so a restore can write every entry in order
-    and makes nothing the manifest does not list. Hashes nothing."""
-    if not archive.startswith(MAGIC):
-        raise MalformedArchive("not a twin image of this format; capture the tree again")
-    held, listed = len(archive) - len(MAGIC), sum(entry.size for entry in manifest)
-    if held != listed:
-        raise MalformedArchive(f"the archive holds {held} content bytes, the manifest's sizes add up to {listed}")
+    ends. Raises MalformedArchive unless the archive holds exactly the
+    manifest's sizes, and, naming the path, unless the paths strictly
+    increase (as ``walk_tree`` sorts) and each entry's parent is a directory
+    listed before it, so a restore can write every entry in order and makes
+    nothing the manifest does not list. Hashes nothing."""
+    _check_sizes(len(archive), manifest)
     view = memoryview(archive)
-    offset = len(MAGIC)
+    offset = 0
     pairs = []
     dirs = {""}  # the sandbox itself
     for entry in manifest:
@@ -128,27 +130,56 @@ def _match_manifest(
     return tuple(pairs)
 
 
-# -- on-disk form: <name>.twimg plus <name>.manifest.json --------------------
+# -- on-disk form: one <name>.twimg ------------------------------------------
 
 
-def sidecar_path(image_path: str | Path) -> Path:
-    image_path = Path(image_path)
-    return image_path.with_name(image_path.stem + ".manifest.json")
+@dataclass(frozen=True)
+class ImageHeader:
+    """An image file's header: the manifest, and when and with which exclusions the tree was captured."""
+
+    created_at: str
+    exclusions: tuple[str, ...]
+    entries: tuple[ManifestEntry, ...]
 
 
 def save_image(image: TwinImage, path: str | Path) -> None:
+    header = dumps(ImageHeader(image.created_at, image.exclusions, image.manifest)).encode("utf-8")
     with publish(path, binary=True) as fh:
+        fh.write(MAGIC + len(header).to_bytes(8, "big") + header)
         fh.write(image.archive)
-    sidecar = Sidecar(image.created_at, image.exclusions, image.manifest)
-    write_record(sidecar_path(path), MANIFEST_FORMAT_VERSION, sidecar)
+
+
+def _read_header(fh, path: str | Path) -> ImageHeader:
+    """The header of the image file open unbuffered in ``fh``, left at the archive's first byte, once
+    the file's length (one ``fstat``) is found to fit the header and its manifest's sizes."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(_PREFIX)
+    if not prefix.startswith(MAGIC):
+        raise MalformedArchive(f"{path}: not a twin image of this format; capture the tree again")
+    length = int.from_bytes(prefix[len(MAGIC) :], "big")
+    if length > size - _PREFIX:
+        raise MalformedArchive(f"{path}: the header runs past the end of the file")
+    try:
+        doc = json.loads(fh.read(length).decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedArchive(f"{path}: the header is not valid UTF-8 JSON: {exc}") from exc
+    header = from_doc(ImageHeader, doc, MalformedArchive, str(path))
+    _check_sizes(size - _PREFIX - length, header.entries, f"{path}: ")
+    return header
+
+
+def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
+    """The manifest of the image file at ``path``, read from its header alone."""
+    with open(path, "rb", buffering=0) as fh:
+        return _read_header(fh, path).entries
 
 
 def load_image(path: str | Path) -> TwinImage:
-    path = Path(path)
-    archive = path.read_bytes()
-    sidecar = read_record(sidecar_path(path), {MANIFEST_FORMAT_VERSION: Sidecar}, MalformedArchive)
+    with open(path, "rb", buffering=0) as fh:
+        header = _read_header(fh, path)
+        archive = fh.read()  # read into the one ``bytes`` the image keeps
     try:
-        _match_manifest(sidecar.entries, archive)
+        _match_manifest(header.entries, archive)
     except MalformedArchive as exc:
         raise MalformedArchive(f"{path}: {exc}") from exc
-    return TwinImage(sidecar.entries, archive, sidecar.exclusions, sidecar.created_at)
+    return TwinImage(header.entries, archive, header.exclusions, header.created_at)

@@ -11,8 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from twinforge.errors import DanglingSymlink, MalformedArchive, SymlinkOutsideRoot, UndecodableInput
-from twinforge.jsonfile import read_record
+from twinforge.errors import DanglingSymlink, SymlinkOutsideRoot, UndecodableInput
 
 FILE = "file"
 DIR = "dir"
@@ -23,8 +22,6 @@ DIR = "dir"
 LOCK_FILENAME = ".twin.lock"
 
 DEFAULT_EXCLUSIONS = ("tmp/**", "proc/**", "sys/**", "dev/**")
-
-MANIFEST_FORMAT_VERSION = 1
 
 # Path -> (sha256, content) of files whose hash is already verified: the
 # files of the image a twin was restored from (``TwinImage.verified_files``).
@@ -168,23 +165,6 @@ def scan_tree(
     ``walk_tree`` with its mode, and each file read and hashed unless its
     bytes equal ``known``'s (``manifest_entry``)."""
     return tuple(manifest_entry(root, path, kind, known)[0] for path, kind in walk_tree(root, exclusions))
-
-
-# -- persistence -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sidecar:
-    """An image's ``.manifest.json`` after its ``format_version``: the
-    manifest, and when and with which exclusions the tree was captured."""
-
-    created_at: str
-    exclusions: tuple[str, ...]
-    entries: tuple[ManifestEntry, ...]
-
-
-def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
-    return read_record(path, {MANIFEST_FORMAT_VERSION: Sidecar}, MalformedArchive).entries
 
 
 # -- diffing -----------------------------------------------------------------

@@ -191,6 +191,23 @@ def twin_tree(tmp_path: Path) -> Path:
     return build_twin_tree(tmp_path / "source")
 
 
+def edit_image_manifest(path: Path, edit: Callable[[dict], bytes | None]) -> None:
+    """Rewrite the header of the twin image at ``path`` in place: ``edit``
+    changes the header's JSON document, or returns the bytes of a new
+    header, and the file is framed again (magic, header length, header)
+    ahead of the same archive bytes."""
+    from twinforge.twin.image import MAGIC
+
+    data = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC) : start], "big")
+    doc = json.loads(data[start:end].decode("utf-8"))
+    header = edit(doc)
+    if header is None:
+        header = json.dumps(doc).encode("utf-8")
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "big") + header + data[end:])
+
+
 # The exit codes of a child run by ``run_cut_at``.
 CUT, RAN_THROUGH = 7, 0
 

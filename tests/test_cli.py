@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -17,12 +18,12 @@ from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import MalformedModel, WorkspaceLocked
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
-from twinforge.twin.image import MAGIC, capture_image, load_image, save_image, sidecar_path
+from twinforge.twin.image import MAGIC, capture_image, load_image, save_image
 from twinforge.twin.manifest import scan_tree
 from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate.report import load_report
 
-from conftest import make_fixture_dataset
+from conftest import edit_image_manifest, make_fixture_dataset
 
 
 @pytest.fixture()
@@ -187,6 +188,7 @@ def test_tabular_train_gen_validate_report(tmp_path, workspace, twin_tree, capsy
     assert synth.pids == tuple(range(1, 41))
     meta = json.loads((tmp_path / "synth.csv.meta.json").read_text(encoding="utf-8"))
     assert meta["gate_attempts"] >= 1
+    assert meta["csv_sha256"] == hashlib.sha256(synth_csv.read_bytes()).hexdigest()
 
     report_path = tmp_path / "report.json"
     assert main(
@@ -388,13 +390,40 @@ def test_twin_create_checks_the_whole_image_before_it_writes(tmp_path, workspace
         assert not sandbox.exists()
 
     image.write_bytes(archive)
-    sidecar = sidecar_path(image)
-    doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    next(e for e in doc["entries"] if e["path"] == "etc/app.conf")["size"] += 1
-    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+
+    def grow(doc):
+        next(e for e in doc["entries"] if e["path"] == "etc/app.conf")["size"] += 1
+
+    edit_image_manifest(image, grow)
     assert main(create) == 2
     assert "the manifest's sizes add up to" in capsys.readouterr().err
     assert not sandbox.exists()
+
+
+def test_twin_diff_reads_an_images_header_alone_and_refuses_a_cut_or_older_image(
+    tmp_path, workspace, twin_tree, capsys, monkeypatch
+):
+    config = _config(tmp_path, workspace)
+    image, out = tmp_path / "sys.twimg", tmp_path / "diff.json"
+    assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
+    diff = ["--config", str(config), "twin", "diff", "--pre", str(image), "--post", str(twin_tree), "--out", str(out)]
+    with monkeypatch.context() as patched:
+        patched.setattr("twinforge.cli.load_image", lambda path: pytest.fail("twin diff read the archive"))
+        assert main(diff) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["added"] == ["tmp", "tmp/scratch.txt"]
+    out.unlink()
+    saved, archive = image.read_bytes(), load_image(image).archive
+    # an older image: the TWIMG2 magic with the files' bytes, its manifest in a sidecar
+    (tmp_path / "sys.manifest.json").write_text('{"format_version": 1}', encoding="utf-8")
+    for content, message in [
+        (saved[:-1], "the manifest's sizes add up to"),
+        (b"TWIMG2\x00" + archive, "capture the tree again"),
+    ]:
+        image.write_bytes(content)
+        capsys.readouterr()
+        assert main(diff) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_a_patch_through_a_looping_link_is_a_data_error_that_changes_nothing(tmp_path, workspace, twin_tree, capsys):
@@ -468,11 +497,11 @@ def test_a_sidecar_entry_with_a_bad_size_or_mode_is_a_data_error_that_writes_not
     config = _config(tmp_path, workspace)
     image = tmp_path / "sys.twimg"
     assert main(["--config", str(config), "capture", "--root", str(twin_tree), "--out", str(image)]) == 0
-    sidecar = sidecar_path(image)
-    doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    entry = next(e for e in doc["entries"] if e["path"] == "etc/app.conf")
-    entry[field] = value
-    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+
+    def set_field(doc):
+        next(e for e in doc["entries"] if e["path"] == "etc/app.conf")[field] = value
+
+    edit_image_manifest(image, set_field)
     capsys.readouterr()
 
     sandbox = tmp_path / "sandbox"
@@ -480,7 +509,7 @@ def test_a_sidecar_entry_with_a_bad_size_or_mode_is_a_data_error_that_writes_not
     assert f"{field} must be an integer" in capsys.readouterr().err
     assert not sandbox.exists()
     diff = tmp_path / "diff.json"
-    argv = ["--config", str(config), "twin", "diff", "--pre", str(sidecar), "--post", str(twin_tree), "--out", str(diff)]
+    argv = ["--config", str(config), "twin", "diff", "--pre", str(image), "--post", str(twin_tree), "--out", str(diff)]
     assert main(argv) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
     assert not diff.exists()

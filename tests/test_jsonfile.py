@@ -31,11 +31,12 @@ from twinforge.tabular.gan import GanModel, load_model, model_to_json
 from twinforge.tabular.gate import column_distances
 from twinforge.tabular.net import RELU, FeedForward
 from twinforge.twin.checks import load_checks
-from twinforge.twin.image import MAGIC, load_image, sidecar_path
-from twinforge.twin.manifest import load_manifest
+from twinforge.twin.image import TwinImage, load_image, load_manifest, save_image
 from twinforge.twin.patch import load_delta
 from twinforge.validate.report import build_report, load_report, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
+
+from conftest import edit_image_manifest
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,20 @@ def test_dumps_writes_dataclasses_as_sorted_field_objects():
         dumps(_Point)
 
 
-def _load_image(sidecar):
-    image = sidecar.with_suffix(".twimg")
-    image.write_bytes(MAGIC)  # the archive of a tree with no file
-    sidecar.replace(sidecar_path(image))
-    return load_image(image)
+def _image_headed_by(path):
+    """An image of a tree with no file, whose header is the bytes at ``path``."""
+    image = path.with_suffix(".twimg")
+    save_image(TwinImage((), b"", (), "t"), image)
+    edit_image_manifest(image, lambda doc: path.read_bytes())
+    return image
+
+
+def _load_image(path):
+    return load_image(_image_headed_by(path))
+
+
+def _load_manifest(path):
+    return load_manifest(_image_headed_by(path))
 
 
 def _versioned(version):
@@ -94,7 +104,7 @@ MODEL = json.loads(
     )
 )
 SEQ_MODEL = _saved(save_seq_model, train_ngram([(BOS, "Sleep, 1", EOS)]))
-SIDECAR = {"format_version": 1, "created_at": "t", "exclusions": [], "entries": []}
+IMAGE_HEADER = {"created_at": "t", "exclusions": [], "entries": []}
 
 
 def _with(doc, value, *keys):
@@ -120,15 +130,17 @@ WRONG_TYPED = {
     "report": [_with(REPORT, "ab", "seeds"), _with(REPORT, "x", "distances", 0, "distance"),
                _with(REPORT, "x", "real_stats", "means", "x"), _with(REPORT, "x", "comparison", "continuous", "x", "real"),
                _with(REPORT, "x", "gate_attempts")],
-    "sidecar": [_with(SIDECAR, "abc", "exclusions"), _with(SIDECAR, 5, "created_at")],
+    # an image header, and an older sidecar's format_version, which no header holds
+    "header": [_with(IMAGE_HEADER, "abc", "exclusions"), _with(IMAGE_HEADER, 5, "created_at"),
+               _with(IMAGE_HEADER, 1, "format_version")],
 }
 
 LOADERS = [
     ("model", load_model, MalformedModel, _versioned(2) + WRONG_TYPED["model"]),
     ("seq-model", load_seq_model, MalformedModel, _versioned(1) + WRONG_TYPED["seq-model"]),
     ("report", load_report, MalformedReport, _versioned(1) + WRONG_TYPED["report"]),
-    ("manifest", load_manifest, MalformedArchive, _versioned(1) + WRONG_TYPED["sidecar"]),
-    ("image-sidecar", _load_image, MalformedArchive, _versioned(1) + WRONG_TYPED["sidecar"]),
+    ("manifest", _load_manifest, MalformedArchive, [b"[]", b"{}"] + WRONG_TYPED["header"]),
+    ("image-sidecar", _load_image, MalformedArchive, [b"[]", b"{}"] + WRONG_TYPED["header"]),
     ("delta", load_delta, MalformedPatch, [b"{}", b'[{"op": "delete_file"}]']),
     ("checks", load_checks, MalformedChecks, [b"{}", b'[{"check": "file_exists"}]']),
     ("config", load_config, ConfigParse, [b"[]", b"{}"]),
@@ -145,7 +157,7 @@ def test_every_loader_raises_its_typed_error(tmp_path, load, error, docs):
 
 
 @pytest.mark.parametrize(
-    "load, doc", [(load_model, MODEL), (load_seq_model, SEQ_MODEL), (load_report, REPORT), (_load_image, SIDECAR)]
+    "load, doc", [(load_model, MODEL), (load_seq_model, SEQ_MODEL), (load_report, REPORT), (_load_image, IMAGE_HEADER)]
 )
 def test_the_unedited_documents_load(tmp_path, load, doc):
     path = tmp_path / "artifact.json"
@@ -163,7 +175,7 @@ CLI_PROBES = {
     ),
     "validate-meta": (
         ["validate", "--real", "{csv}", "--synth", "{csv}"],
-        _with({"gate_attempts": 1, "seed": 1, "n": 2, "model": "m.json"}, "x", "gate_attempts"),
+        _with({"gate_attempts": 1, "seed": 1, "csv_sha256": "0" * 64, "model": "m.json"}, "x", "gate_attempts"),
         "gate_attempts",
     ),
 }

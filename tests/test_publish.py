@@ -89,8 +89,30 @@ def test_validate_refuses_a_csv_shorter_than_its_meta_says(pipeline_artifacts, t
     capsys.readouterr()
     assert _validate(config, real, synth, tmp_path / "report.json") == 2
     err = capsys.readouterr().err
-    assert f"{synth} holds 2048 rows, but {synth}.meta.json says n = 5000" in err
+    assert f"{synth}.meta.json describes another CSV: its csv_sha256 is not the SHA-256 of {synth}" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_validate_refuses_the_meta_of_an_earlier_batch_of_the_same_n(pipeline_artifacts, tmp_path, capsys):
+    """A ``gen tabular`` killed between its CSV's rename and its meta's leaves
+    the new CSV beside the previous run's meta; when both asked for the same
+    ``--n``, ``validate`` once passed the pair and reported the earlier seed."""
+    config, real = pipeline_artifacts["config"], pipeline_artifacts["real_csv"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    for seed, box in (("1", first), ("2", second)):
+        box.mkdir()
+        assert main(["--config", str(config), "--seed", seed, "--quiet", "gen", "tabular", "--model",
+                     str(pipeline_artifacts["model_path"]), "--real", str(real), "--n", "70",
+                     "--out", str(box / "synth.csv")]) == 0
+    synth = second / "synth.csv"
+    assert synth.read_bytes() != (first / "synth.csv").read_bytes()
+    assert _validate(config, real, synth, tmp_path / "report.json") == 0
+    os.replace(first / "synth.csv.meta.json", f"{synth}.meta.json")
+    capsys.readouterr()
+    assert _validate(config, real, synth, tmp_path / "stale.json") == 2
+    err = capsys.readouterr().err
+    assert f"{synth}.meta.json describes another CSV: its csv_sha256 is not the SHA-256 of {synth}" in err
+    assert not (tmp_path / "stale.json").exists()
 
 
 def _bytes(*paths) -> tuple[bytes | None, ...]:
@@ -143,13 +165,13 @@ def test_gen_tabular_cut_at_any_write_leaves_the_previous_or_the_new_batch(pipel
 
 def test_capture_cut_at_any_write_leaves_the_previous_or_the_new_image(tmp_path, monkeypatch):
     """A ``capture`` over an existing image, killed before each of its
-    writes, leaves the archive and the sidecar each whole, and ``twin
-    create`` restores only a pair that belongs together."""
+    writes, leaves the previous image or the new one, whole, and nothing
+    else beside it, and ``twin create`` restores it."""
     monkeypatch.setenv("TWINFORGE_TIMESTAMP", "2024-06-01T00:00:00Z")
     tree = build_twin_tree(tmp_path / "tree")
     config = tmp_path / "config.json"
     config.write_text('{"workspace": "%s"}' % (tmp_path / "ws"), encoding="utf-8")
-    names = ("system.twimg", "system.manifest.json")
+    names = ("system.twimg",)
     prev, new = tmp_path / "prev", tmp_path / "new"
 
     def capture(out):
@@ -160,6 +182,7 @@ def test_capture_cut_at_any_write_leaves_the_previous_or_the_new_image(tmp_path,
     (tree / "docs" / "readme.txt").write_bytes(b"a longer readme, in the image captured over the first\n")
     (tree / "bin" / "added").write_bytes(b"\x7fELF\n")
     assert capture(new / "system.twimg") == 0
+    assert os.listdir(prev) == os.listdir(new) == ["system.twimg"]  # one file per image, no sidecar
     before, after = _bytes(*(prev / n for n in names)), _bytes(*(new / n for n in names))
     k = 0
     while True:
@@ -169,12 +192,12 @@ def test_capture_cut_at_any_write_leaves_the_previous_or_the_new_image(tmp_path,
         code = run_cut_at(k, lambda: capture(box / "system.twimg"))
         assert code in (CUT, RAN_THROUGH)
         state = _bytes(*(box / n for n in names))
-        assert all(now in (was, will) for now, was, will in zip(state, before, after)), f"cut at write {k}"
+        assert state in (before, after), f"cut at write {k}"
         assert _beside(box, names) == []
         result = main(["--quiet", "twin", "create", "--image", str(box / "system.twimg"),
                        "--sandbox", str(tmp_path / f"twin{k}")])
-        assert result == (0 if state in (before, after) else 2), f"cut at write {k}"
+        assert result == 0, f"cut at write {k}"
         if code == RAN_THROUGH:
             break
-    assert state == after
-    assert k > 6  # each file's create, chmod, write and replace
+    assert state == after and os.listdir(box) == ["system.twimg"]
+    assert k > 6  # the workspace's mkdir, then the file's create, chmod, two writes and replace

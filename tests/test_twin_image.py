@@ -8,20 +8,23 @@ import os
 import struct
 import tempfile
 from collections import Counter
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinforge.cli import main
 from twinforge.errors import HashMismatch, MalformedArchive, SandboxNotEmpty, SymlinkOutsideRoot, UndecodableInput
 from twinforge.twin.image import (
     MAGIC,
     TwinImage,
     capture_image,
     load_image,
+    load_manifest,
     save_image,
-    sidecar_path,
 )
 from twinforge.twin.checks import CheckSpec, FileExists, HashEquals, run_checks
 from twinforge.twin.manifest import (
@@ -30,14 +33,13 @@ from twinforge.twin.manifest import (
     TwinDiff,
     diff_states,
     is_excluded,
-    load_manifest,
     scan_tree,
     sha256_hex,
 )
 from twinforge.twin.patch import DeleteFile, PatchDelta, ReplaceFile, apply_patch
 from twinforge.twin.sandbox import instantiate_twin
 
-from conftest import UNNORMALIZED_PATHS, build_twin_tree
+from conftest import UNNORMALIZED_PATHS, build_twin_tree, edit_image_manifest
 
 
 def test_capture_excludes_tmp(twin_tree):
@@ -69,10 +71,21 @@ def test_capture_reads_each_file_once(twin_tree, monkeypatch):
     assert files and opened == Counter(files)
 
 
-def test_the_archive_is_the_magic_then_each_files_bytes_in_manifest_order(twin_tree):
+def test_the_archive_is_the_magic_then_each_files_bytes_in_manifest_order(twin_tree, tmp_path):
+    """An image file is the magic, the header's length as 8 big-endian
+    bytes, the header's JSON text, then the archive: each file's bytes in
+    manifest order, with offsets from 0."""
     image = capture_image(twin_tree)
     files = [e.path for e in image.manifest if e.kind == "file"]
-    assert image.archive == MAGIC + b"".join((twin_tree / path).read_bytes() for path in files)
+    assert image.archive == b"".join((twin_tree / path).read_bytes() for path in files)
+    path = tmp_path / "system.twimg"
+    save_image(image, path)
+    data = path.read_bytes()
+    assert data.startswith(b"TWIMG3\x00") and MAGIC == b"TWIMG3\x00"
+    length = int.from_bytes(data[7:15], "big")
+    header = json.loads(data[15 : 15 + length].decode("utf-8"))
+    assert [e["path"] for e in header["entries"]] == [e.path for e in image.manifest]
+    assert data[15 + length :] == image.archive
     for entry, content in image.checked_entries:
         assert content == ((twin_tree / entry.path).read_bytes() if entry.kind == "file" else b""), entry.path
 
@@ -82,7 +95,7 @@ def test_empty_directory_yields_empty_valid_image(tmp_path):
     empty.mkdir()
     image = capture_image(empty)
     assert image.manifest == ()
-    assert image.archive == MAGIC
+    assert image.archive == b""
     assert image.checked_entries == ()
 
 
@@ -202,15 +215,12 @@ def test_a_restored_twin_holds_exactly_its_image_plus_a_fresh_tmp(tmp_path_facto
 
 
 def test_restore_refuses_entry_paths_outside_the_sandbox(twin_tree, tmp_path):
-    """An entry's path is written only in the sidecar, and loading refuses
-    one that leads out of the sandbox; no image holding it can be built."""
+    """An entry's path is written only in the image's header, and loading
+    refuses one that leads out of the sandbox; no image holding it can be built."""
     image = tmp_path / "system.twimg"
     save_image(capture_image(twin_tree), image)
-    doc = json.loads(sidecar_path(image).read_text(encoding="utf-8"))
-    entry = next(e for e in doc["entries"] if e["kind"] == "dir")
     for path in ("", "../escaped", "bin/../../escaped", str(tmp_path / "abs" / "path"), "a\x00b"):
-        entry["path"] = path
-        sidecar_path(image).write_text(json.dumps(doc), encoding="utf-8")
+        edit_image_manifest(image, lambda doc: next(e for e in doc["entries"] if e["kind"] == "dir").update(path=path))
         with pytest.raises(MalformedArchive, match="relative and normalized"):
             load_image(image)
         with pytest.raises(ValueError, match="relative and normalized"):
@@ -220,7 +230,7 @@ def test_restore_refuses_entry_paths_outside_the_sandbox(twin_tree, tmp_path):
 def _image(*nodes: tuple[str, bytes | None]) -> TwinImage:
     """A hand-built image of ``nodes`` in the given order: (path, content),
     a directory where the content is None."""
-    manifest, archive = [], [MAGIC]
+    manifest, archive = [], []
     for path, content in nodes:
         data = content or b""
         archive.append(data)
@@ -265,11 +275,9 @@ def test_an_image_file_whose_entries_nest_under_a_file_does_not_load(tmp_path):
 def test_sidecar_entry_paths_must_be_normalized_utf8(twin_tree, tmp_path, path):
     image = tmp_path / "system.twimg"
     save_image(capture_image(twin_tree), image)
-    doc = json.loads(sidecar_path(image).read_text(encoding="utf-8"))
-    doc["entries"][0]["path"] = path
-    sidecar_path(image).write_text(json.dumps(doc), encoding="utf-8")
+    edit_image_manifest(image, lambda doc: doc["entries"][0].update(path=path))
     with pytest.raises(MalformedArchive, match="relative and normalized"):
-        load_manifest(sidecar_path(image))
+        load_manifest(image)
 
 
 def test_a_file_name_that_is_not_utf8_is_refused(tmp_path):
@@ -338,7 +346,7 @@ def test_a_corrupt_image_creates_nothing(twin_tree, tmp_path):
     image = capture_image(twin_tree)
     first = next(e.path for e in image.manifest if e.size)  # its bytes come first
     corrupted = bytearray(image.archive)
-    corrupted[len(MAGIC)] ^= 0xFF
+    corrupted[0] ^= 0xFF
     broken = TwinImage(image.manifest, bytes(corrupted), image.exclusions, image.created_at)
     target = tmp_path / "restore"
     target.mkdir()
@@ -389,41 +397,101 @@ def _twimg1(image: TwinImage) -> bytes:
 
 
 def test_truncated_archive_is_malformed(twin_tree, tmp_path):
-    """A truncated or extended archive, or one in the old layout, is
-    refused at load and at restore, and a restore creates nothing."""
+    """A truncated or extended archive is refused at restore, which creates
+    nothing; a truncated or extended image file, or one in an older layout,
+    is refused by each of its readers."""
     image = capture_image(twin_tree)
     path = tmp_path / "system.twimg"
     save_image(image, path)
-    for archive, message in [
-        (image.archive[:-1], r"holds \d+ content bytes, the manifest's sizes add up to \d+"),
-        (image.archive + b"\x00", r"holds \d+ content bytes, the manifest's sizes add up to \d+"),
-        (_twimg1(image), "not a twin image of this format; capture the tree again"),
-        (b"NOTMAGIC" + image.archive, "not a twin image of this format"),
-    ]:
+    saved = path.read_bytes()
+    sizes = r"holds \d+ content bytes, the manifest's sizes add up to \d+"
+    for archive in (image.archive[:-1], image.archive + b"\x00"):
         broken = TwinImage(image.manifest, archive, image.exclusions, image.created_at)
-        with pytest.raises(MalformedArchive, match=message):
+        with pytest.raises(MalformedArchive, match=sizes):
             instantiate_twin(broken, tmp_path / "sandbox")
         assert not (tmp_path / "sandbox").exists()
-        path.write_bytes(archive)
-        with pytest.raises(MalformedArchive, match=message):
-            load_image(path)
+    for content, message in [
+        (saved[:-1], sizes),
+        (saved + b"\x00", sizes),
+        (saved[: len(MAGIC) + 4], "the header runs past the end of the file"),
+        (saved[: len(saved) - len(image.archive) - 1], "the header runs past the end of the file"),
+        (_twimg1(image), "not a twin image of this format; capture the tree again"),
+        (b"TWIMG2\x00" + image.archive, "not a twin image of this format; capture the tree again"),
+        (b"NOTMAGIC" + saved, "not a twin image of this format"),
+    ]:
+        path.write_bytes(content)
+        for load in (load_image, load_manifest):
+            with pytest.raises(MalformedArchive, match=message):
+                load(path)
+
+
+@cache
+def _small_image_file(basetemp: Path) -> bytes:
+    """The bytes of an image file of the twin tree, captured at a fixed time."""
+    image = capture_image(build_twin_tree(basetemp / "mutated-image-source"))
+    path = basetemp / "mutated-image-source.twimg"
+    save_image(replace(image, created_at="2024-06-01T00:00:00Z"), path)
+    return path.read_bytes()
+
+
+_HEAD = len(MAGIC) + 8  # the magic and the header's length
+
+
+# (part, offset, xor): cut the file at the offset, or flip the byte at the
+# offset, modulo the part's length, of the magic, the length or the header.
+@settings(derandomize=True)
+@example(mutation=("truncate", 0, 0))  # an empty file
+@example(mutation=("truncate", -1, 0))  # the last byte of the archive
+@example(mutation=("magic", 6, 1))  # b"TWIMG3\x01"
+@example(mutation=("length", 7, 1))  # one header byte more or less
+@example(mutation=("header", 20, 1))  # a digit of created_at: the image still restores
+@given(mutation=st.tuples(st.sampled_from(("truncate", "magic", "length", "header")), st.integers(0, 1 << 16),
+                          st.integers(1, 255)))
+def test_a_mutated_image_file_is_refused_or_restored_as_its_header_lists(tmp_path_factory, mutation):
+    """``twin create`` of an image file cut short, or with one byte of its
+    magic, length or header flipped, exits 0 or 2 and raises nothing: 2
+    leaves no sandbox, 0 a sandbox holding exactly the entries the mutated
+    header lists (plus a fresh ``tmp/`` if it lists none)."""
+    saved = _small_image_file(tmp_path_factory.getbasetemp())
+    end = _HEAD + int.from_bytes(saved[len(MAGIC) : _HEAD], "big")
+    part, offset, xor = mutation
+    mutated = bytearray(saved)
+    if part == "truncate":
+        del mutated[offset % len(saved) :]
+    else:
+        start, stop = {"magic": (0, len(MAGIC)), "length": (len(MAGIC), _HEAD), "header": (_HEAD, end)}[part]
+        mutated[start + offset % (stop - start)] ^= xor
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        path, sandbox = Path(work) / "mutated.twimg", Path(work) / "sandbox"
+        path.write_bytes(mutated)
+        code = main(["--quiet", "twin", "create", "--image", str(path), "--sandbox", str(sandbox)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not sandbox.exists()
+            return
+        length = int.from_bytes(mutated[len(MAGIC) : _HEAD], "big")
+        listed = [ManifestEntry(**e) for e in json.loads(mutated[_HEAD : _HEAD + length])["entries"]]
+        live = scan_tree(sandbox)
+        if all(entry.path != "tmp" for entry in listed):
+            live = tuple(entry for entry in live if entry != ManifestEntry("tmp", "dir", 0, 0o755, None))
+        assert list(live) == listed
 
 
 def test_image_file_round_trip(twin_tree, tmp_path):
     image = capture_image(twin_tree)
     path = tmp_path / "system.twimg"
     save_image(image, path)
-    assert sidecar_path(path).name == "system.manifest.json"
+    assert sorted(os.listdir(tmp_path)) == ["source", "system.twimg"]  # one file, no sidecar
     loaded = load_image(path)
     assert loaded == image
 
 
 def test_manifest_file_round_trip(twin_tree, tmp_path):
-    # The sidecar is the manifest file ``twin diff --pre x.manifest.json`` reads.
+    # ``twin diff --pre x.twimg`` reads the manifest from the image's header alone.
     image = capture_image(twin_tree)
     path = tmp_path / "system.twimg"
     save_image(image, path)
-    assert load_manifest(sidecar_path(path)) == image.manifest
+    assert load_manifest(path) == image.manifest
 
 
 def test_sidecar_keys_are_pinned(twin_tree, tmp_path):
@@ -431,8 +499,10 @@ def test_sidecar_keys_are_pinned(twin_tree, tmp_path):
     (twin_tree / "etc" / "app.conf").chmod(0o640)
     path = tmp_path / "system.twimg"
     save_image(capture_image(twin_tree), path)
-    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    assert set(doc) == {"format_version", "created_at", "exclusions", "entries"}
+    docs = []
+    edit_image_manifest(path, docs.append)
+    (doc,) = docs
+    assert set(doc) == {"created_at", "exclusions", "entries"}
     entry = next(e for e in doc["entries"] if e["path"] == "etc/app.conf")
     content = (twin_tree / "etc" / "app.conf").read_bytes()
     assert entry == {
@@ -447,16 +517,14 @@ def test_sidecar_keys_are_pinned(twin_tree, tmp_path):
 def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
     path = tmp_path / "system.twimg"
     save_image(capture_image(twin_tree), path)
-    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    doc["entries"][0]["owner"] = "root"
-    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    edit_image_manifest(path, lambda doc: doc["entries"][0].update(owner="root"))
     with pytest.raises(MalformedArchive):
         load_image(path)
     with pytest.raises(MalformedArchive):
-        load_manifest(sidecar_path(path))
+        load_manifest(path)
 
 
-# The sidecar's sizes say where each file's bytes lie in the archive, so a
+# The header's sizes say where each file's bytes lie in the archive, so a
 # size or a file entry that the archive does not hold is refused.
 @pytest.mark.parametrize(
     "edit, message",
@@ -472,14 +540,20 @@ def test_sidecar_entry_with_unknown_key_is_malformed(twin_tree, tmp_path):
 def test_a_sidecar_must_agree_with_its_archive(twin_tree, tmp_path, edit, message):
     (twin_tree / "etc" / "app.conf").chmod(0o644)
     path = tmp_path / "system.twimg"
-    save_image(capture_image(twin_tree), path)
-    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    edit(doc, next(e for e in doc["entries"] if e["path"] == "etc/app.conf"))
-    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(MalformedArchive, match=message):
-        load_image(path)
+    captured = capture_image(twin_tree)
+    save_image(captured, path)
+    entries = []
+
+    def edited(doc):
+        edit(doc, next(e for e in doc["entries"] if e["path"] == "etc/app.conf"))
+        entries.extend(ManifestEntry(**e) for e in doc["entries"])
+
+    edit_image_manifest(path, edited)
+    for load in (load_image, load_manifest):
+        with pytest.raises(MalformedArchive, match=message):
+            load(path)
     # built in memory, without load_image, the image is refused on restore
-    image = TwinImage(load_manifest(sidecar_path(path)), path.read_bytes(), (), "")
+    image = TwinImage(tuple(entries), captured.archive, (), "")
     with pytest.raises(MalformedArchive, match=message):
         instantiate_twin(image, tmp_path / "sandbox")
     assert not (tmp_path / "sandbox").exists()
@@ -488,9 +562,7 @@ def test_a_sidecar_must_agree_with_its_archive(twin_tree, tmp_path, edit, messag
 def test_a_sidecar_directory_claims_no_archive_bytes(twin_tree, tmp_path):
     path = tmp_path / "system.twimg"
     save_image(capture_image(twin_tree), path)
-    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    next(e for e in doc["entries"] if e["kind"] == "dir")["size"] = 3
-    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    edit_image_manifest(path, lambda doc: next(e for e in doc["entries"] if e["kind"] == "dir").update(size=3))
     with pytest.raises(MalformedArchive, match="0 for a directory"):
         load_image(path)
 
