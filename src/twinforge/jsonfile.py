@@ -86,12 +86,18 @@ def read_text(path: str | Path) -> str:
         raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
-    """Parse a UTF-8 JSON file; undecodable bytes or bad JSON raise ``error``."""
+def parse_json(data: bytes, error: Callable[[str], Exception], where: str) -> object:
+    """The one JSON decoder: ``data`` as UTF-8 JSON. Bytes that are not UTF-8, text that is not JSON,
+    nesting past the parser's depth or an integer past the int-string digit limit raise ``error``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise error(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:
+    """Parse a UTF-8 JSON file as ``parse_json`` does."""
+    return parse_json(Path(path).read_bytes(), error, str(path))
 
 
 # The JSON types a scalar field takes, by annotation, and their name: a

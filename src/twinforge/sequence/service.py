@@ -13,12 +13,12 @@ model is assumed beyond this shape.
 from __future__ import annotations
 
 import json
-import socket
 import urllib.error
 import urllib.request
 
 from twinforge.config import ServiceEndpoint
 from twinforge.errors import ServiceBadResponse, ServiceTimeout, ServiceUnreachable
+from twinforge.jsonfile import parse_json
 from twinforge.sequence.ngram import GenRequest
 
 
@@ -40,17 +40,12 @@ def generate_via_service(endpoint: ServiceEndpoint, request: GenRequest) -> tupl
             body = resp.read()
     except urllib.error.HTTPError as exc:
         raise ServiceBadResponse(f"HTTP {exc.code} from {endpoint.url}") from exc
-    except urllib.error.URLError as exc:
-        if isinstance(exc.reason, (socket.timeout, TimeoutError)):
+    except (urllib.error.URLError, TimeoutError) as exc:  # a timeout while connecting comes as a URLError's reason
+        if isinstance(getattr(exc, "reason", exc), TimeoutError):
             raise ServiceTimeout(f"no answer from {endpoint.url} within {endpoint.timeout_s}s") from exc
         raise ServiceUnreachable(f"{endpoint.url}: {exc.reason}") from exc
-    except (socket.timeout, TimeoutError) as exc:
-        raise ServiceTimeout(f"no answer from {endpoint.url} within {endpoint.timeout_s}s") from exc
 
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ServiceBadResponse(f"{endpoint.url}: response is not JSON") from exc
+    doc = parse_json(body, ServiceBadResponse, endpoint.url)
     tokens = doc.get("tokens") if isinstance(doc, dict) else None
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ServiceBadResponse(f'{endpoint.url}: expected {{"tokens": [strings]}}')

@@ -10,7 +10,6 @@ bytes, the header (an ``ImageHeader``'s JSON text), then the archive.
 from __future__ import annotations
 
 import io
-import json
 import os
 import posixpath
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Sequence
 
 from twinforge.clock import now_iso
 from twinforge.errors import HashMismatch, MalformedArchive
-from twinforge.jsonfile import dumps, from_doc, publish
+from twinforge.jsonfile import dumps, from_doc, parse_json, publish
 from twinforge.twin.manifest import (
     DEFAULT_EXCLUSIONS,
     DIR,
@@ -159,10 +158,7 @@ def _read_header(fh, path: str | Path) -> ImageHeader:
     length = int.from_bytes(prefix[len(MAGIC) :], "big")
     if length > size - _PREFIX:
         raise MalformedArchive(f"{path}: the header runs past the end of the file")
-    try:
-        doc = json.loads(fh.read(length).decode("utf-8"))
-    except ValueError as exc:
-        raise MalformedArchive(f"{path}: the header is not valid UTF-8 JSON: {exc}") from exc
+    doc = parse_json(fh.read(length), MalformedArchive, f"{path}: the header")
     header = from_doc(ImageHeader, doc, MalformedArchive, str(path))
     _check_sizes(size - _PREFIX - length, header.entries, f"{path}: ")
     return header

@@ -27,7 +27,6 @@ binary payloads. ``jsonfile.read_tagged`` reads the list and its field types.
 from __future__ import annotations
 
 import base64
-import binascii
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -86,6 +85,10 @@ class SetConfig:
         _check_rel_path(self.file)
         if not self.key or "=" in self.key:
             raise MalformedPatch(f"bad config key {self.key!r}")
+        try:
+            self.value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, from an unpaired \uD800 escape
+            raise MalformedPatch(f"bad config value {self.value!r}: {exc}") from exc
 
 
 PatchOp = Union[AddFile, ReplaceFile, DeleteFile, SetConfig]
@@ -195,14 +198,12 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
 
 
 def _content_from_doc(content: str, encoding: object, where: str) -> bytes:
-    if encoding == "utf-8":
-        return content.encode("utf-8")
-    if encoding == "base64":
-        try:
-            return base64.b64decode(content, validate=True)
-        except binascii.Error as exc:
-            raise MalformedPatch(f"{where}: invalid base64 content") from exc
-    raise MalformedPatch(f"{where}: unsupported encoding {encoding!r}")
+    if encoding not in ("utf-8", "base64"):
+        raise MalformedPatch(f"{where}: unsupported encoding {encoding!r}")
+    try:
+        return content.encode("utf-8") if encoding == "utf-8" else base64.b64decode(content, validate=True)
+    except ValueError as exc:  # a lone surrogate (from an unpaired \uD800 escape), or bad base64
+        raise MalformedPatch(f"{where}: invalid {encoding} content: {exc}") from exc
 
 
 _OPS = {"add_file": AddFile, "replace_file": ReplaceFile, "delete_file": DeleteFile, "set_config": SetConfig}

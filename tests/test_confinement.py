@@ -329,6 +329,30 @@ def test_each_json_record_rule_has_one_home():
     assert offenders == []
 
 
+_DECODERS = {"loads", "load", "JSONDecoder"}
+
+
+def test_json_is_decoded_in_one_place():
+    """``json.loads``, ``json.load`` and ``JSONDecoder`` appear only in
+    ``jsonfile.parse_json``: the three hand-written decoders each caught a
+    different part of what ``json.loads`` raises, and none a
+    ``RecursionError``, so a document of 100000 ``[`` escaped ``main`` as a
+    traceback."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names} & _DECODERS
+                offenders.extend(f"{where} from json import {name}" for name in sorted(names))
+            decoder = isinstance(node, ast.Attribute) and node.attr in _DECODERS and _mentions(node.value, "json")
+            if decoder or getattr(node, "id", None) == "JSONDecoder":
+                if (module, function) != ("jsonfile.py", "parse_json"):
+                    offenders.append(f"{where} {ast.unparse(node)}")
+    assert offenders == []
+
+
 # The names ``perfbench/`` reads from a package (``inputs.py`` from ``ingest``
 # and ``twin``, ``make_model.py`` from ``tabular``); no package binds any other.
 PACKAGE_NAMES = {

@@ -6,7 +6,9 @@ import copy
 import json
 import math
 import tempfile
+import threading
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from twinforge.tabular.gate import column_distances
 from twinforge.tabular.net import RELU, FeedForward
 from twinforge.twin.checks import load_checks
 from twinforge.twin.image import TwinImage, load_image, load_manifest, save_image
+from twinforge.twin.journal import MARKER, journal_dir
 from twinforge.twin.patch import load_delta
 from twinforge.validate.report import build_report, load_report, save_report
 from twinforge.validate.stats import compare_stats, summary_stats
@@ -192,3 +195,100 @@ def test_a_wrong_typed_field_exits_2_naming_the_file_and_the_field(tmp_path, cap
     bad.write_bytes(content)
     assert main(["--config", str(config), *(a.format(bad=bad, csv=csv) for a in argv)]) == 2
     assert f"{bad}: {field} must be " in capsys.readouterr().err
+
+
+# A document nested past the parser's depth, an integer literal past the
+# int-string digit limit, and a byte that is not UTF-8.
+HOSTILE = {"nested": b"[" * 100000, "digits": b"1" * 5000, "not-utf8": b"\xff"}
+
+
+class _Service(BaseHTTPRequestHandler):
+    body = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def service():
+    server = HTTPServer(("127.0.0.1", 0), _Service)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/generate"
+    server.shutdown()
+    thread.join(timeout=2)
+
+
+def _hostile_image(tmp_path, payload):
+    image = tmp_path / "image.twimg"
+    save_image(TwinImage((), b"", (), "t"), image)
+    edit_image_manifest(image, lambda doc: payload)
+    return image
+
+
+def _undo_record(tmp_path, payload):
+    """A journal left beside ``box`` whose one undo record is ``payload``."""
+    journal = journal_dir(tmp_path / "box")
+    journal.mkdir()
+    (journal / MARKER).touch()
+    (journal / "000000.json").write_bytes(payload)
+    return journal / "000000.json"
+
+
+def _file(tmp_path, payload, name="bad.json"):
+    (tmp_path / name).write_bytes(payload)
+    return tmp_path / name
+
+
+# Each JSON input ``main`` reads: how a hostile payload is planted (the file
+# it returns is what the message must name; the service's is its URL), and
+# the command that reads it.
+JSON_INPUTS = {
+    "config": (_file, ["--config", "{bad}", "report", "--in", "{csv}"]),
+    "delta": (_file, ["twin", "patch", "--sandbox", "{box}", "--delta", "{bad}"]),
+    "checks": (_file, ["twin", "check", "--sandbox", "{box}", "--checks", "{bad}"]),
+    "image-header": (_hostile_image, ["twin", "create", "--image", "{bad}", "--sandbox", "{new}"]),
+    "diff-image": (_hostile_image, ["twin", "diff", "--pre", "{bad}", "--post", "{box}"]),
+    "tabular-model": (_file, ["gen", "tabular", "--model", "{bad}", "--real", "{csv}", "--n", "5"]),
+    "seq-model": (_file, ["gen", "seq", "--model", "{bad}", "--prompt", "Sleep, 1"]),
+    "service": (None, ["gen", "seq", "--model", "{csv}", "--prompt", "Sleep, 1", "--via-service"]),
+    "validate-meta": (lambda t, p: _file(t, p, "table.csv.meta.json"), ["validate", "--real", "{csv}", "--synth", "{csv}"]),
+    "report": (_file, ["report", "--in", "{bad}"]),
+    "undo-record": (_undo_record, ["twin", "patch", "--sandbox", "{box}", "--delta", "{delta}"]),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(HOSTILE))
+@pytest.mark.parametrize("reader", sorted(JSON_INPUTS))
+def test_every_json_input_refuses_a_hostile_document_with_exit_2_naming_it(tmp_path, capsys, service, reader, payload):
+    """A document of 100000 ``[``, a 5000-digit integer or a 0xFF byte, in
+    any JSON input, is refused with exit 2 naming the file or URL: the first
+    two once escaped ``main`` as a ``RecursionError`` or ``ValueError``."""
+    plant, argv = JSON_INPUTS[reader]
+    box = tmp_path / "box"
+    box.mkdir()
+    (box / "f.txt").write_text("x\n", encoding="utf-8")
+    csv = tmp_path / "table.csv"
+    write_dataset_csv(TABLE, csv)
+    delta = tmp_path / "delta.json"
+    delta.write_text("[]", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workspace": str(tmp_path / "ws"), "service": {"url": service}}), encoding="utf-8")
+    if plant is None:
+        _Service.body, bad = HOSTILE[payload], service
+    else:
+        bad = plant(tmp_path, HOSTILE[payload])
+    values = {"bad": bad, "csv": csv, "box": box, "new": tmp_path / "new", "delta": delta}
+    if reader != "config":
+        argv = ["--config", str(config), *argv]
+    assert main([a.format(**values) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "not valid UTF-8 JSON" in err
+    assert not (tmp_path / "new").exists()

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twinforge.cli import main
 from twinforge.errors import (
     AddExisting,
     ConfigKeyMissing,
@@ -29,7 +35,7 @@ from twinforge.twin import journal, patch
 from twinforge.twin.checks import CheckSpec, ConfigEquals, FileExists, HashEquals, checks_from_doc, run_checks
 from twinforge.twin.image import capture_image
 from twinforge.twin.journal import UndoRecord, begin as begin_journal, journal_dir, record
-from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree
+from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree, walk_tree
 from twinforge.twin.patch import (
     AddFile,
     DeleteFile,
@@ -42,7 +48,7 @@ from twinforge.twin.patch import (
 )
 from twinforge.twin.sandbox import TwinState, instantiate_twin, writer_lock
 
-from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, run_cut_at
+from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, build_twin_tree, run_cut_at
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -804,6 +810,50 @@ def test_a_rewrite_changes_only_the_path_it_names_and_its_undo_puts_back_the_ori
 REWRITES = (ReplaceFile("bin/term", b"term v2\n"), SetConfig("etc/app.conf", "mode", "fast"))
 
 
+def _tree(twin):
+    """What a cut must leave as it was or as the patch makes it: the
+    manifest (entries, bytes, modes), and the target of each link."""
+    root = twin.sandbox
+    links = tuple((rel, os.readlink(root / rel)) for rel, _ in walk_tree(root) if (root / rel).is_symlink())
+    return scan_tree(root), links
+
+
+def _linked_twin(image, sandbox):
+    """A twin of ``image`` that also holds the inside link ``bin/editor``."""
+    twin = instantiate_twin(image, sandbox)
+    (twin.sandbox / "bin" / "editor").symlink_to("featherpad")
+    return twin
+
+
+def _patch(twin, ops) -> None:
+    """Apply ``ops``; a patch whose op fails is rolled back."""
+    try:
+        apply_patch(twin, PatchDelta(ops))
+    except DeleteMissing:
+        pass
+
+
+def _cut_at_every_mutation(make_twin, action, states) -> list:
+    """Run ``action`` on a fresh ``make_twin(k)``, cut before its ``k``-th
+    mutation, for k = 1, 2, ... until it runs through. After each cut the
+    next writer must leave the tree in ``states`` with no journal, and the
+    next patch must apply. Returns the recovered tree of each cut."""
+    recovered = []
+    while True:
+        twin = make_twin(len(recovered) + 1)
+        code = run_cut_at(len(recovered) + 1, lambda: action(twin))
+        assert code in (CUT, RAN_THROUGH)
+        with writer_lock(twin.sandbox):
+            pass
+        recovered.append(_tree(twin))
+        assert recovered[-1] in states, f"cut at mutation {len(recovered)}"
+        assert not journal_dir(twin.sandbox).exists()
+        apply_patch(twin, PatchDelta((ReplaceFile("bin/term", b"next\n"),)))
+        assert (twin.sandbox / "bin/term").read_bytes() == b"next\n"
+        if code == RAN_THROUGH:
+            return recovered
+
+
 def test_a_rewrite_cut_at_any_mutation_leaves_the_pre_or_post_state(twin_tree, tmp_path):
     """A patch of a replace and a set_config, killed before each filesystem
     mutation it makes (the journal's marker, each record's create, write
@@ -816,19 +866,161 @@ def test_a_rewrite_cut_at_any_mutation_leaves_the_pre_or_post_state(twin_tree, t
     image = capture_image(twin_tree)
     post = instantiate_twin(image, tmp_path / "post")
     apply_patch(post, PatchDelta(REWRITES))
-    states = {scan_tree(instantiate_twin(image, tmp_path / "pre").sandbox), scan_tree(post.sandbox)}
-    k = 0
-    while True:
-        k += 1
-        box = instantiate_twin(image, tmp_path / f"cut{k}")
-        code = run_cut_at(k, lambda: apply_patch(box, PatchDelta(REWRITES)))
-        assert code in (CUT, RAN_THROUGH)
-        with writer_lock(box.sandbox):
+    states = {_tree(instantiate_twin(image, tmp_path / "pre")), _tree(post)}
+    recovered = _cut_at_every_mutation(
+        lambda k: instantiate_twin(image, tmp_path / f"cut{k}"), lambda twin: _patch(twin, REWRITES), states
+    )
+    assert len(recovered) > 20  # 24: the journal's three, seven for each op and seven for the commit
+
+
+# Ops whose cuts land in the add and delete paths (an add that creates two
+# directories, the delete of an inside link), and in the roll-back (two good
+# ops, then one that fails), so the patch never commits.
+CUT_MIXES = {
+    "add-and-unlink": (AddFile("opt/vendor/agent", b"#!/bin/sh\n"), DeleteFile("bin/editor")),
+    "roll-back": (AddFile("opt/vendor/agent", b"#!/bin/sh\n"), ReplaceFile("bin/term", b"term v2\n"),
+                  DeleteFile("not/there")),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(CUT_MIXES))
+def test_an_add_delete_or_roll_back_cut_at_any_mutation_leaves_the_pre_or_post_state(twin_tree, tmp_path, mix):
+    """As for a rewrite, each cut of an add, a delete of a link or a
+    roll-back is recovered into the state before the patch or after it
+    (a patch that fails has no after). For the add and unlink, the cut just
+    before the commit is recovered again under a cut at each mutation of
+    the recovery, which must still leave the state before the patch."""
+    ops = CUT_MIXES[mix]
+    (twin_tree / "bin" / "term").chmod(0o755)
+    image = capture_image(twin_tree)
+    pre, post = _linked_twin(image, tmp_path / "pre"), _linked_twin(image, tmp_path / "post")
+    _patch(post, ops)
+    states = {_tree(pre), _tree(post)}
+    assert len(states) == (2 if mix == "add-and-unlink" else 1)
+    recovered = _cut_at_every_mutation(
+        lambda k: _linked_twin(image, tmp_path / f"cut{k}"), lambda twin: _patch(twin, ops), states
+    )
+    assert len(recovered) > 20  # one run per mutation (21 and 26), and the run that goes through
+    if mix == "roll-back":
+        return
+    # the last cut the next writer undoes: every op ran, and the commit did not
+    last = max(k for k, tree in enumerate(recovered, 1) if tree == _tree(pre))
+
+    def cut_before_commit(m):
+        twin = _linked_twin(image, tmp_path / f"recover{m}")
+        assert run_cut_at(last, lambda: _patch(twin, ops)) == CUT
+        return twin
+
+    def recover(twin):
+        with writer_lock(twin.sandbox):
             pass
-        assert scan_tree(box.sandbox) in states, f"cut at mutation {k}"
-        assert not journal_dir(box.sandbox).exists()
-        apply_patch(box, PatchDelta((ReplaceFile("bin/term", b"next\n"),)))
-        assert (box.sandbox / "bin/term").read_bytes() == b"next\n"
-        if code == RAN_THROUGH:
-            break
-    assert k > 20  # 24: the journal's three, seven for each op and seven for the commit
+
+    # 8: the link's move back, each record's removal, the added file's and its
+    # two directories' removal, the marker's and the journal's
+    assert len(_cut_at_every_mutation(cut_before_commit, recover, {_tree(pre)})) > 8
+
+
+# A small valid document of each kind that ``main`` reads from the twin's
+# command line, and the command that reads it.
+VALID_DOCS = {
+    "patch": [
+        {"op": "add_file", "path": "opt/agent", "content": "#!/bin/sh\n"},
+        {"op": "replace_file", "path": "bin/term", "content": "dGVybSB2Mgo=", "encoding": "base64"},
+        {"op": "delete_file", "path": "docs/readme.txt"},
+        {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"},
+    ],
+    "check": [
+        {"check": "file_exists", "path": "bin/term"},
+        {"check": "hash_equals", "path": "docs/readme.txt", "sha256": "0" * 64},
+        {"check": "config_equals", "file": "etc/app.conf", "key": "retries", "value": 3},
+    ],
+}
+_TEXT = st.sampled_from(["", "\ud800", "a\x00b", "a\nb", "..", "/etc", "é", "utf-8", "base64"]) | st.text(max_size=6)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+_KEYS = st.sampled_from(["op", "check", "path", "file", "key", "value", "content", "encoding", "sha256"]) | _TEXT
+
+
+def _nodes(doc, at=()):
+    """The key path of every value in ``doc``, itself first."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*at, key))
+
+
+def _mutated(doc, mutation) -> bytes:
+    """``doc``'s JSON bytes after ``mutation``: a JSON-aware edit of the
+    value at one key path (replace it, drop it, or add a key or an item to
+    it), or a byte edit (truncate, flip a byte, insert a NUL, CR or 0xFF)."""
+    kind, pick, value, key = mutation
+    if kind in ("replace", "drop", "add"):
+        doc = copy.deepcopy(doc)
+        paths = list(_nodes(doc))
+        at = paths[pick % len(paths)]
+        parent = doc
+        for step in at[:-1]:
+            parent = parent[step]
+        node = parent[at[-1]] if at else doc
+        if kind == "add" and isinstance(node, dict):
+            node[key] = value
+        elif kind == "add" and isinstance(node, list):
+            node.append(value)
+        elif kind == "drop" and at:
+            del parent[at[-1]]
+        elif at:
+            parent[at[-1]] = value
+        else:
+            doc = value
+        return json.dumps(doc).encode("utf-8")
+    data = bytearray(json.dumps(doc).encode("utf-8"))
+    offset = pick % (len(data) + 1)
+    if kind == "truncate":
+        del data[offset:]
+    elif kind == "flip":
+        data[offset % len(data)] ^= 1 + pick % 255
+    else:
+        data[offset:offset] = kind.encode("latin-1")
+    return bytes(data)
+
+
+@cache
+def _mutation_image(basetemp: Path):
+    return capture_image(build_twin_tree(basetemp / "mutation-source"))
+
+
+# (kind, pick, value, key): the edit, the key path or byte offset it picks
+# (modulo their number), and the value or key a JSON-aware edit puts in.
+@settings(derandomize=True)
+@example(command="patch", mutation=("replace", 4, "\ud800", ""))  # content that cannot be written as UTF-8
+@example(command="patch", mutation=("replace", 17, "\ud800", ""))  # a set_config value likewise
+@example(command="patch", mutation=("replace", 8, "é", ""))  # base64 content with a non-ASCII character
+@example(command="patch", mutation=("\r", 1, None, ""))  # whitespace: the patch applies
+@example(command="check", mutation=("\x00", 40, None, ""))
+@example(command="check", mutation=("\xff", 0, None, ""))
+@given(command=st.sampled_from(sorted(VALID_DOCS)), mutation=st.tuples(
+    st.sampled_from(["replace", "drop", "add", "truncate", "flip", "\x00", "\r", "\xff"]),
+    st.integers(0, 1 << 16), _VALUES, _KEYS,
+))
+def test_a_mutated_patch_or_check_document_exits_0_2_or_3_and_a_refusal_changes_nothing(
+    tmp_path_factory, command, mutation
+):
+    """In the spirit of QuickCheck: ``twin patch`` or ``twin check`` of a
+    valid document mutated JSON-aware or byte-aware raises nothing out of
+    ``main`` and exits 0, 2 or 3; a refused command leaves the sandbox as it
+    was and no journal."""
+    image = _mutation_image(tmp_path_factory.getbasetemp())
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        twin = instantiate_twin(image, Path(work) / "sandbox")
+        doc = Path(work) / "doc.json"
+        doc.write_bytes(_mutated(VALID_DOCS[command], mutation))
+        before = scan_tree(twin.sandbox)
+        flag = "--delta" if command == "patch" else "--checks"
+        code = main(["--quiet", "twin", command, "--sandbox", str(twin.sandbox), flag, str(doc)])
+        assert code in (0, 2, 3)
+        if code != 0 or command == "check":
+            assert scan_tree(twin.sandbox) == before
+        assert not journal_dir(twin.sandbox).exists()
