@@ -29,7 +29,7 @@ from twinforge.twin.checks import load_checks, run_checks
 from twinforge.twin.image import capture_image, load_image, load_manifest, save_image
 from twinforge.twin.manifest import diff_states, is_safe_rel_path, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import apply_patch, load_delta
-from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin
+from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin, sandbox_lock
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,7 +170,10 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _manifest_source(path: Path):
-    return scan_tree(path) if path.is_dir() else load_manifest(path)
+    if not path.is_dir():
+        return load_manifest(path)
+    with sandbox_lock(path):
+        return scan_tree(path)
 
 
 def _cmd_capture(args, config, say) -> int:

@@ -228,7 +228,7 @@ class MalformedChecks(TwinforgeError):
 
 
 class TwinLocked(TwinforgeError):
-    """Another writer holds the twin's advisory lock."""
+    """Another command holds the sandbox's advisory lock."""
 
 
 class MalformedJournal(TwinforgeError):

@@ -9,8 +9,8 @@ from typing import Union
 from twinforge.errors import MalformedChecks
 from twinforge.jsonfile import read_json, read_tagged, read_text
 from twinforge.twin.manifest import FILE, is_safe_rel_path, manifest_entry, resolve_inside, walk_tree
-from twinforge.twin.patch import config_settings
-from twinforge.twin.sandbox import TwinState
+from twinforge.twin.patch import config_lines, config_settings, config_text_fault
+from twinforge.twin.sandbox import TwinState, sandbox_lock
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class ConfigEquals:
     file: str
     key: str
     value: str
+
+    def __post_init__(self) -> None:
+        if fault := config_text_fault(self.key, self.value):
+            raise MalformedChecks(fault)
 
 
 Assertion = Union[FileExists, HashEquals, ConfigEquals]
@@ -51,47 +55,50 @@ class CheckResult:
 
 
 def _config_lines(root: Path, rel: str) -> list[str] | None:
-    """The lines of the config file ``rel`` of the resolved sandbox
-    ``root``, or None when it is not a file. A path that resolves outside
-    the sandbox, through a link or otherwise, is refused."""
+    """The line texts of the config file ``rel`` of the resolved sandbox
+    ``root``, split by ``config_lines``, or None when it is not a file. A
+    path that resolves outside the sandbox, through a link or otherwise,
+    is refused."""
     target = resolve_inside(root, rel)
-    return read_text(target).splitlines() if target.is_file() else None
+    return config_lines(read_text(target))[::2] if target.is_file() else None
 
 
 def run_checks(twin: TwinState, checks: CheckSpec) -> tuple[CheckResult, ...]:
     """Pure evaluation against the live tree: one walk for the file list,
     a read of only the files a ``HashEquals`` names (hashed unless their
     bytes equal the twin's ``image_files``), and one read of each config
-    file named."""
-    root = twin.sandbox.resolve()
-    kinds = dict(walk_tree(twin.sandbox))
-    configs: dict[str, list[str] | None] = {}
-    results: list[CheckResult] = []
-    for assertion in checks.assertions:
-        if isinstance(assertion, FileExists):
-            ok = kinds.get(assertion.path) == FILE
-            detail = "present" if ok else "no such file"
-        elif isinstance(assertion, HashEquals):
-            if kinds.get(assertion.path) != FILE:
-                ok, detail = False, "no such file"
+    file named, under the sandbox lock, so a check never reads a tree a
+    patch or a restore is half-way through."""
+    with sandbox_lock(twin.sandbox):
+        root = twin.sandbox.resolve()
+        kinds = dict(walk_tree(twin.sandbox))
+        configs: dict[str, list[str] | None] = {}
+        results: list[CheckResult] = []
+        for assertion in checks.assertions:
+            if isinstance(assertion, FileExists):
+                ok = kinds.get(assertion.path) == FILE
+                detail = "present" if ok else "no such file"
+            elif isinstance(assertion, HashEquals):
+                if kinds.get(assertion.path) != FILE:
+                    ok, detail = False, "no such file"
+                else:
+                    sha256 = manifest_entry(twin.sandbox, assertion.path, FILE, twin.image_files)[0].sha256
+                    ok = sha256 == assertion.sha256
+                    detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
             else:
-                sha256 = manifest_entry(twin.sandbox, assertion.path, FILE, twin.image_files)[0].sha256
-                ok = sha256 == assertion.sha256
-                detail = "hash matches" if ok else f"expected {assertion.sha256}, got {sha256}"
-        else:
-            if assertion.file not in configs:
-                configs[assertion.file] = _config_lines(root, assertion.file)
-            lines = configs[assertion.file]
-            if lines is None:
-                ok, detail = False, "no such config file"
-            elif not (settings := config_settings(lines, assertion.key)):
-                ok, detail = False, f"no key {assertion.key!r}"
-            else:
-                found = settings[-1][1]
-                ok = found == assertion.value
-                detail = "value matches" if ok else f"expected {assertion.value!r}, got {found!r}"
-        results.append(CheckResult(assertion, ok, detail))
-    return tuple(results)
+                if assertion.file not in configs:
+                    configs[assertion.file] = _config_lines(root, assertion.file)
+                lines = configs[assertion.file]
+                if lines is None:
+                    ok, detail = False, "no such config file"
+                elif not (settings := config_settings(lines, assertion.key)):
+                    ok, detail = False, f"no key {assertion.key!r}"
+                else:
+                    found = settings[-1][2]
+                    ok = found == assertion.value
+                    detail = "value matches" if ok else f"expected {assertion.value!r}, got {found!r}"
+            results.append(CheckResult(assertion, ok, detail))
+        return tuple(results)
 
 
 _CHECKS = {"file_exists": FileExists, "hash_equals": HashEquals, "config_equals": ConfigEquals}

@@ -1,18 +1,20 @@
 """Undo journal for in-place writes to a sandbox.
 
-A patch writes the sandbox in place and keeps what it needs to undo each op
-in ``<sandbox>.journal/``, a sibling of the sandbox (so renames between the
-two stay on one filesystem). ``begin`` creates the journal with a marker
-file; a directory without the marker is not a journal and is never read or
-removed. Op ``i`` has one record, ``{i:06d}.json``, published whole by
-``jsonfile.write_json``: the node it changes (relative to the resolved
-sandbox), whether the original node is saved as ``{i:06d}.node``, and the
-directories the op creates, deepest first. A replaced or deleted file (or a
-deleted link) is renamed to its ``.node`` once the record is written, so
-undoing any op is one rename back or one removal. An op touches the sandbox
-only once its record is complete.
+A patch or a restore writes the sandbox in place, in one ``journaled``
+block, and keeps what it needs to undo each op in ``<sandbox>.journal/``, a
+sibling of the sandbox (so renames between the two stay on one filesystem).
+``begin`` creates the journal with a marker file; a directory without the
+marker is not a journal and is never read or removed. Op ``i`` has one
+record, ``{i:06d}.json``, published whole by ``jsonfile.write_json``: the
+node it changes (relative to the resolved sandbox), whether the original
+node is saved as ``{i:06d}.node``, and the directories the op creates,
+deepest first. A replaced or deleted file (or a deleted link) is renamed to
+its ``.node`` once the record is written, so undoing any op is one rename
+back or one removal (an added directory goes whole, so a restore records
+each top-level name). An op touches the sandbox only once its record is
+complete.
 
-A patch whose ops all ran commits by renaming the marker to the committed
+A write whose ops all ran commits by renaming the marker to the committed
 marker, one atomic step; from then on the journal is only dropped, never
 undone. ``roll_back`` reads every record, and resolves its paths inside the
 sandbox, before it undoes any, so a record of another shape or whose path
@@ -21,16 +23,17 @@ each one as soon as its op is undone, so the journal always lists only what
 is still to undo and a roll-back cut short can be run again. Either way the
 journal is dropped entry by entry with its marker last, so a drop cut short
 leaves a journal that still says what it is, or an empty directory. The
-writer lock calls ``roll_back`` on every acquisition, so the next writer
-undoes a patch cut short by a crash, or finishes dropping a committed one.
-The guarantee covers a process crash, not power loss: nothing here calls
-``fsync``, so after a power cut the journal or the sandbox may hold data the
-kernel never wrote.
+sandbox lock calls ``roll_back`` on every acquisition, so every command that
+opens the sandbox first undoes a write cut short by a crash, or finishes
+dropping a committed one. The guarantee covers a process crash, not power
+loss: nothing here calls ``fsync``, so after a power cut the journal or the
+sandbox may hold data the kernel never wrote.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +62,8 @@ def journal_dir(sandbox: str | Path) -> Path:
 
 
 def begin(sandbox: str | Path) -> Path:
-    """Create the sandbox's journal; call it under the writer lock, which has
-    already rolled back any journal a crashed patch left."""
+    """Create the sandbox's journal; the sandbox lock has already rolled
+    back any journal a crashed write left."""
     journal = journal_dir(sandbox)
     try:
         journal.mkdir()
@@ -102,18 +105,43 @@ def _nodes(root: Path, rec: UndoRecord) -> list[Path]:
     return [resolve_inside(root, rel, follow=False) for rel in (rec.path, *rec.created)]
 
 
+def _remove(node: Path) -> None:
+    """Remove ``node`` whole, never following a link; a directory is made
+    writable first, since a restore sets directory modes last."""
+    if node.is_dir() and not node.is_symlink():
+        node.chmod(0o700)
+        for child in node.iterdir():
+            _remove(child)
+        node.rmdir()
+    else:
+        node.unlink()
+
+
 def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
     node, *created = _nodes(root, rec)
     if not rec.saved:
-        _discard(node, Path.unlink)
+        _discard(node, _remove)
     elif os.path.lexists(saved):  # absent: undone already, or a move that never ran
         os.replace(saved, node)
     for path in created:
         _discard(path, Path.rmdir)
 
 
+@contextmanager
+def journaled(sandbox: str | Path):
+    """Under the sandbox lock: begin the journal and yield it; undo the
+    block's writes if it raises, else commit."""
+    journal = begin(sandbox)
+    try:
+        yield journal
+    except BaseException:
+        roll_back(sandbox)
+        raise
+    commit(journal)
+
+
 def commit(journal: Path) -> None:
-    """Commit the patch the journal undoes, then drop the journal."""
+    """Commit the write the journal undoes, then drop the journal."""
     (journal / MARKER).rename(journal / COMMITTED)
     _drop(journal, COMMITTED)
 

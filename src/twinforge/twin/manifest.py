@@ -16,7 +16,7 @@ from twinforge.errors import DanglingSymlink, SymlinkOutsideRoot, UndecodableInp
 FILE = "file"
 DIR = "dir"
 
-# No library code reads this name: the writer lock is on the sandbox
+# No library code reads this name: the sandbox lock is on the sandbox
 # directory itself and makes no file. It is kept because
 # ``perfbench/workloads.py``'s ``hash_tree`` reads it.
 LOCK_FILENAME = ".twin.lock"

@@ -1,19 +1,19 @@
 """Declarative patch deltas, applied in place under an undo journal.
 
-``apply_patch`` holds the sandbox's writer lock and runs the ops in order
-directly in the sandbox. Before an op writes anything, its undo record (the
-target's original node, or the fact that it was absent, and the directories
-the op will create) is complete in ``<sandbox>.journal/`` (see
-``twin.journal``). A replace or ``set_config`` moves the original file
-there and writes a new one with its mode, so a hard link keeps the old
-bytes. If any op fails, the ops done so far are undone newest first and the
-sandbox is left as it was; if the process dies mid-patch, the next holder
-of the writer lock undoes them. Once every op has run, the patch commits in
-one rename of the journal's marker and is never undone after it. Nothing is
-``fsync``ed, so that guarantee covers a process crash, not power loss. Each
-op's target and its existing parents are resolved first, so an op never
-writes through a symbolic link to outside the sandbox. The JSON patch file
-is a list of op objects, e.g.::
+``apply_patch`` holds the sandbox lock and runs the ops in order directly
+in the sandbox, in one ``journaled`` block. Before an op writes anything,
+its undo record (the target's original node, or the fact that it was
+absent, and the directories the op will create) is complete in
+``<sandbox>.journal/`` (see ``twin.journal``). A replace or ``set_config``
+moves the original file there and writes a new one with its mode, so a hard
+link keeps the old bytes. If any op fails, the ops done so far are undone
+newest first and the sandbox is left as it was; if the process dies
+mid-patch, the next holder of the sandbox lock undoes them. Once every op
+has run, the patch commits in one rename of the journal's marker and is
+never undone after it. Nothing is ``fsync``ed, so that guarantee covers a
+process crash, not power loss. Each op's target and its existing parents
+are resolved first, so an op never writes through a symbolic link to
+outside the sandbox. The JSON patch file is a list of op objects, e.g.::
 
     [{"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\\n"},
      {"op": "replace_file", "path": "docs/readme.txt", "content": "v2"},
@@ -27,6 +27,7 @@ binary payloads. ``jsonfile.read_tagged`` reads the list and its field types.
 from __future__ import annotations
 
 import base64
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -37,11 +38,12 @@ from twinforge.errors import (
     DeleteMissing,
     MalformedPatch,
     ReplaceMissing,
+    UndecodableInput,
 )
-from twinforge.jsonfile import read_json, read_tagged, read_text
-from twinforge.twin.journal import begin, commit, record_add, record_move, roll_back
+from twinforge.jsonfile import read_json, read_tagged
+from twinforge.twin.journal import journaled, record_add, record_move
 from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
-from twinforge.twin.sandbox import TwinState, writer_lock
+from twinforge.twin.sandbox import TwinState, sandbox_lock
 
 
 def _check_rel_path(path: str) -> None:
@@ -83,8 +85,8 @@ class SetConfig:
 
     def __post_init__(self) -> None:
         _check_rel_path(self.file)
-        if not self.key or "=" in self.key:
-            raise MalformedPatch(f"bad config key {self.key!r}")
+        if fault := config_text_fault(self.key, self.value):
+            raise MalformedPatch(fault)
         try:
             self.value.encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, from an unpaired \uD800 escape
@@ -115,27 +117,57 @@ def _describe(op: PatchOp) -> str:
     return f"set_config {op.file} {op.key}={op.value}"
 
 
-def config_settings(lines: list[str], key: str) -> list[tuple[int, str]]:
-    """The index and value of each line of a ``key=value`` file that sets
-    ``key``: the text before its first ``=`` is ``key`` and the text after
-    it the value, both less surrounding whitespace."""
+_LINE_END = re.compile(r"(\r\n|\r|\n)")
+
+
+def config_lines(text: str) -> list[str]:
+    """The one line rule of ``key=value`` files: ``text`` split at LF, CRLF
+    and lone CR alone, each line's text at an even index and its end after
+    it, so the pieces join back into ``text``."""
+    return _LINE_END.split(text)
+
+
+def config_text_fault(key: str, value: str) -> str | None:
+    """Why a line setting ``key`` to ``value`` would not read back as that
+    setting, or None: an empty key or one holding ``=``, or a line end
+    (which splits a line) or surrounding whitespace (which the reader
+    strips) in either."""
+    if not key or "=" in key:
+        return f"bad config key {key!r}"
+    for what, text in (("key", key), ("value", value)):
+        if text != text.strip() or _LINE_END.search(text):
+            return f"bad config {what} {text!r}: a line end or surrounding whitespace does not read back"
+    return None
+
+
+def config_settings(lines: list[str], key: str) -> list[tuple[int, str, str, str]]:
+    """Each line text of a ``key=value`` file that sets ``key``, as its index
+    and the text before its value, the value and the text after it: the
+    text before the line's first ``=`` is ``key`` and the text after it the
+    value, both less surrounding whitespace."""
     settings = []
     for i, line in enumerate(lines):
         head, sep, tail = line.partition("=")
         if sep and head.strip() == key:
-            settings.append((i, tail.strip()))
+            value = tail.strip()
+            start = len(line) - len(tail.lstrip())
+            settings.append((i, line[:start], value, line[start + len(value) :]))
     return settings
 
 
 def _set_config(node: Path, op: SetConfig) -> bytes:
-    """The config file's new bytes, with every ``op.key`` line set."""
-    lines = read_text(node).splitlines()
-    settings = config_settings(lines, op.key)
+    """The config file's new bytes: the value of every ``op.key`` line set
+    to ``op.value``, and every other byte, line ends included, kept."""
+    try:  # the bytes as they are: ``read_text`` reads each CRLF or lone CR as LF
+        pieces = config_lines(node.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{node}: not valid UTF-8: {exc}") from exc
+    settings = config_settings(pieces[::2], op.key)
     if not settings:
         raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")
-    for i, _ in settings:
-        lines[i] = f"{op.key}={op.value}"
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    for i, before, _, after in settings:
+        pieces[2 * i] = before + op.value + after
+    return "".join(pieces).encode("utf-8")
 
 
 def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
@@ -181,16 +213,10 @@ def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
     ``image_files``.
     """
     root = Path(twin.sandbox).resolve()
-    with writer_lock(twin.sandbox):
-        journal = begin(root)
-        try:
-            for index, op in enumerate(delta.ops):
-                _apply_op(root, journal, index, op)
-            manifest = scan_tree(twin.sandbox, known=twin.image_files)
-        except BaseException:
-            roll_back(root)
-            raise
-        commit(journal)
+    with sandbox_lock(twin.sandbox), journaled(root) as journal:
+        for index, op in enumerate(delta.ops):
+            _apply_op(root, journal, index, op)
+        manifest = scan_tree(twin.sandbox, known=twin.image_files)
     return PatchReport(applied=tuple(_describe(op) for op in delta.ops), manifest=manifest)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage
-from twinforge.twin.journal import roll_back
+from twinforge.twin.journal import journaled, record_add, roll_back
 from twinforge.twin.manifest import DIR, KnownFiles
 
 
@@ -29,8 +29,8 @@ class Screen:
 @dataclass
 class TwinState:
     """Handle on an instantiated sandbox. It caches nothing about the tree:
-    readers read or walk the live tree themselves. Writers hold
-    ``writer_lock``.
+    readers read or walk the live tree themselves, and every command
+    holds ``sandbox_lock``.
 
     A twin restored in this process keeps its image's verified files
     (``image_files``, path to hash and content). The scans of
@@ -64,21 +64,16 @@ def exclusive_lock(directory: Path, locked: TwinforgeError):
 
 
 @contextmanager
-def writer_lock(sandbox: Path):
-    """Advisory exclusive lock on the sandbox directory for mutating
-    operations (create, patch).
+def sandbox_lock(sandbox: Path):
+    """Advisory exclusive lock on the sandbox directory, held by every
+    command that opens a sandbox (restore, patch, check, replay, diff).
 
-    On acquisition it rolls back any undo journal a crashed patch left
-    behind, so every writer starts from a tree no patch is half-way
-    through."""
-    with exclusive_lock(sandbox, TwinLocked(f"{sandbox}: another writer holds the sandbox")):
+    On acquisition it rolls back any undo journal a crashed write left
+    behind, so every command starts from a tree no restore or patch is
+    half-way through."""
+    with exclusive_lock(sandbox, TwinLocked(f"{sandbox}: another command holds the sandbox")):
         roll_back(sandbox)
         yield
-
-
-def _refuse_contents(sandbox: Path) -> None:
-    if any(sandbox.iterdir()):
-        raise SandboxNotEmpty(f"{sandbox} already has contents")
 
 
 def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
@@ -92,31 +87,33 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     writes the archive's bytes. The twin keeps the image's
     ``verified_files``. Directory modes are set once every entry is
     written, deepest first, so a read-only directory can still be restored
-    with its contents. A sandbox with contents is refused before anything
-    is written; emptiness is checked again under the writer lock, after it
-    has rolled back a crashed patch's journal, so a restore never mixes
-    with what that journal puts back.
+    with its contents. A sandbox with contents is refused under the sandbox
+    lock, after it has rolled back a crashed write. The restore is then
+    journaled like a patch, one record per top-level name, so a failed or
+    killed restore is undone to an empty sandbox.
     """
     entries = image.checked_entries
     sandbox = Path(sandbox_dir)
-    if sandbox.exists():
-        _refuse_contents(sandbox)
     sandbox.mkdir(parents=True, exist_ok=True)
-
+    names = [entry.path for entry, _ in entries if "/" not in entry.path]
     dir_modes: list[tuple[str, int]] = []
-    with writer_lock(sandbox):
-        _refuse_contents(sandbox)
-        for entry, content in entries:  # each parent is listed, so made, before its entries
-            target = sandbox / entry.path
-            if entry.kind == DIR:
-                target.mkdir()
-                dir_modes.append((entry.path, entry.mode))
-                continue
-            target.write_bytes(content)
-            target.chmod(entry.mode)
-        for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
-            (sandbox / path).chmod(mode)
-        if not any(entry.path == "tmp" for entry, _ in entries):
-            (sandbox / "tmp").mkdir()
-            (sandbox / "tmp").chmod(0o755)
+    with sandbox_lock(sandbox):
+        if any(sandbox.iterdir()):
+            raise SandboxNotEmpty(f"{sandbox} already has contents")
+        with journaled(sandbox) as journal:
+            for index, name in enumerate(names if "tmp" in names else [*names, "tmp"]):
+                record_add(journal, index, name, ())
+            for entry, content in entries:  # each parent is listed, so made, before its entries
+                target = sandbox / entry.path
+                if entry.kind == DIR:
+                    target.mkdir()
+                    dir_modes.append((entry.path, entry.mode))
+                    continue
+                target.write_bytes(content)
+                target.chmod(entry.mode)
+            for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
+                (sandbox / path).chmod(mode)
+            if "tmp" not in names:
+                (sandbox / "tmp").mkdir()
+                (sandbox / "tmp").chmod(0o755)
     return TwinState(sandbox, image_files=image.verified_files)

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING
 
 from twinforge.ingest.macro import MacroScript
 from twinforge.twin.manifest import FILE, walk_tree
-
-if TYPE_CHECKING:  # only for annotations; replay works on any twin-shaped object
-    from twinforge.twin.sandbox import TwinState
+from twinforge.twin.sandbox import TwinState, sandbox_lock
 
 EXECUTABLE_PREFIXES = ("bin/", "apps/")
 
@@ -53,10 +50,11 @@ def executable_targets(entries) -> set[str]:
     return targets
 
 
-def replay_validate(script: MacroScript, twin: "TwinState") -> ReplayResult:
-    """Interpret the script against the twin's file list; purely read-only,
-    and no file is read."""
-    executables = executable_targets(walk_tree(twin.sandbox))
+def replay_validate(script: MacroScript, twin: TwinState) -> ReplayResult:
+    """Interpret the script against the twin's file list, walked under the
+    sandbox lock; purely read-only, and no file is read."""
+    with sandbox_lock(twin.sandbox):
+        executables = executable_targets(walk_tree(twin.sandbox))
     screen = twin.screen
     windows: set[str] = set()
     active: str | None = None

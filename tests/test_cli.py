@@ -341,6 +341,24 @@ def test_validate_with_script_pairs(tmp_path, workspace, twin_tree, script_paths
     ) == 1
 
 
+
+def test_validate_whose_sandbox_is_its_workspace_exits_2(tmp_path, workspace, twin_tree, script_paths, capsys):
+    """``validate`` holds its workspace's lock, so its replay cannot take
+    the sandbox lock of that same directory: it exits 2 and writes no
+    report."""
+    config = _config(tmp_path, workspace)
+    image = tmp_path / "sys.twimg"
+    save_image(capture_image(twin_tree), image)
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(workspace)]) == 0
+    write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
+    report = tmp_path / "report.json"
+    argv = ["--config", str(config), "validate", "--real", str(tmp_path / "real.csv"), "--synth", str(tmp_path / "real.csv")]
+    argv += ["--pair", str(script_paths[0]), str(script_paths[1]), "--sandbox", str(workspace), "--out", str(report)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "another command holds the sandbox" in capsys.readouterr().err
+    assert not report.exists()
+
 def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
     config = _config(tmp_path, workspace)
     delta = tmp_path / "delta.json"

@@ -117,6 +117,46 @@ def test_each_twin_input_rule_has_one_home():
     assert offenders == []
 
 
+
+# Where the journal may be begun, committed and rolled back: the one
+# journaled block, and the lock every command that opens a sandbox holds.
+JOURNAL_CALLS = {
+    "begin": {("twin/journal.py", "journaled")},
+    "commit": {("twin/journal.py", "journaled")},
+    "roll_back": {("twin/journal.py", "journaled"), ("twin/sandbox.py", "sandbox_lock")},
+}
+
+
+def test_the_journal_is_begun_and_recovered_in_one_place():
+    """``begin`` and ``commit`` are called only by ``journal.journaled``,
+    and ``roll_back`` only there and by ``sandbox_lock``. A patch once
+    began, rolled back and committed its own journal while a restore kept
+    none and only two commands took the lock, so a killed restore left a
+    sandbox no command recovered, and a check read a half-patched tree."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in JOURNAL_CALLS and (module, function) not in JOURNAL_CALLS[name]:
+                    offenders.append(f"{module}:{node.lineno} {name} in {function}")
+    assert offenders == []
+
+
+def test_config_files_are_split_into_lines_in_one_place():
+    """Under ``twin/``, ``splitlines`` is never called: ``patch.config_lines``
+    is the one line rule of the ``set_config`` writer and the
+    ``config_equals`` reader. ``str.splitlines`` also splits at a form
+    feed or U+2028, so a rewrite once split ``note=a\\x0cb`` in two and
+    turned every CRLF into LF."""
+    offenders = []
+    for path in sorted((SRC / "twin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", None) == "splitlines":
+                offenders.append(f"twin/{path.name}:{node.lineno} splitlines")
+    assert offenders == []
+
 # (module, function) where twin file content may be hashed: the scan's one
 # reader and the image's one check, plus the helper both call.
 HASHERS = {("twin/manifest.py", "manifest_entry"), ("twin/image.py", "checked_entries")}

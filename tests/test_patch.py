@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -33,9 +34,9 @@ from twinforge.errors import (
 )
 from twinforge.twin import journal, patch
 from twinforge.twin.checks import CheckSpec, ConfigEquals, FileExists, HashEquals, checks_from_doc, run_checks
-from twinforge.twin.image import capture_image
+from twinforge.twin.image import capture_image, save_image
 from twinforge.twin.journal import UndoRecord, begin as begin_journal, journal_dir, record
-from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree, walk_tree
+from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import (
     AddFile,
     DeleteFile,
@@ -46,7 +47,7 @@ from twinforge.twin.patch import (
     delta_from_doc,
     load_delta,
 )
-from twinforge.twin.sandbox import TwinState, instantiate_twin, writer_lock
+from twinforge.twin.sandbox import TwinState, instantiate_twin, sandbox_lock
 
 from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, build_twin_tree, run_cut_at
 
@@ -245,8 +246,8 @@ def test_numeric_config_values_are_their_json_text():
     assert spec.assertions[0].value == "0.5"
 
 
-def test_writer_lock_excludes_second_writer(twin):
-    with writer_lock(twin.sandbox):
+def test_sandbox_lock_excludes_second_writer(twin):
+    with sandbox_lock(twin.sandbox):
         with pytest.raises(TwinLocked):
             apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
 
@@ -356,11 +357,12 @@ def test_config_checks_read_each_file_once(twin, monkeypatch):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_set_config_writes_the_same_bytes_whatever_the_line_ends(twin, newline):
+def test_set_config_keeps_every_line_end(twin, newline):
+    """A set_config once rewrote every CRLF or lone CR of the file as LF."""
     conf = twin.sandbox / "etc" / "app.conf"
     conf.write_bytes(newline.join(["mode=safe", "retries=3", "", "log_level=info", ""]).encode("utf-8"))
     apply_patch(twin, PatchDelta((SetConfig("etc/app.conf", "retries", "5"),)))
-    assert conf.read_bytes() == b"mode=safe\nretries=5\n\nlog_level=info\n"
+    assert conf.read_bytes() == newline.join(["mode=safe", "retries=5", "", "log_level=info", ""]).encode("utf-8")
 
 
 # -- in-place patch: confinement, the lock, fault injection, crash recovery ------
@@ -412,7 +414,7 @@ def test_a_held_lock_adds_nothing_to_the_sandbox_and_covers_every_spelling(twin,
     listing = sorted(os.listdir(twin.sandbox))
     alias = tmp_path / "alias"
     alias.symlink_to(twin.sandbox)
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         assert sorted(os.listdir(twin.sandbox)) == listing
         with pytest.raises(TwinLocked):
             apply_patch(TwinState(alias), PatchDelta((AddFile("bin/x", b"x"),)))
@@ -464,8 +466,8 @@ def _kill(child: subprocess.Popen) -> None:
 def test_patch_while_a_child_holds_the_lock_changes_nothing(twin):
     before = scan_tree(twin.sandbox)
     holder = _spawn(
-        "import time; from pathlib import Path; from twinforge.twin.sandbox import writer_lock;"
-        f"lock = writer_lock(Path({str(twin.sandbox)!r})); lock.__enter__();"
+        "import time; from pathlib import Path; from twinforge.twin.sandbox import sandbox_lock;"
+        f"lock = sandbox_lock(Path({str(twin.sandbox)!r})); lock.__enter__();"
         "print('held', flush=True); time.sleep(60)"
     )
     try:
@@ -551,7 +553,7 @@ def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, k
     assert len(list(journal.glob("*.json"))) == kill_after + 1
     assert scan_tree(mode_twin.sandbox) != before[0]
 
-    with writer_lock(mode_twin.sandbox):
+    with sandbox_lock(mode_twin.sandbox):
         pass
     assert _state(mode_twin) == before
 
@@ -570,10 +572,10 @@ def test_undo_of_an_add_under_a_file_completes(twin):
     """A record whose node and created directory lie under a file (as an
     add through a file would leave) is undone without error."""
     before = _state(twin)
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
         record(jdir, 0, UndoRecord("etc/app.conf/x", False, ("etc/app.conf",)))
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         pass
     assert _state(twin) == before
 
@@ -594,7 +596,7 @@ def test_a_malformed_undo_record_undoes_nothing(twin, doc):
     anything is undone, so the valid newer record is not undone either."""
     for name in ("t", "m", "new"):
         (twin.sandbox / name).mkdir()
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
         (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
         record(jdir, 1, UndoRecord("new/x", False, ("new",)))
@@ -625,7 +627,7 @@ def test_an_undo_record_leading_out_of_the_sandbox_undoes_nothing(twin, doc):
     (outside / "victim").write_bytes(b"keep\n")
     (twin.sandbox / "hop").symlink_to(outside)
     (twin.sandbox / "new").mkdir()
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
         (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
         record(jdir, 1, UndoRecord("new/y", False, ("new",)))
@@ -666,7 +668,7 @@ def test_roll_back_cut_short_resumes(twin, monkeypatch, ops):
         apply_patch(twin, PatchDelta(ops + (DeleteFile("not/there"),)))
     assert journal_dir(twin.sandbox).exists()
     monkeypatch.undo()
-    with writer_lock(twin.sandbox):
+    with sandbox_lock(twin.sandbox):
         pass
     assert _state(twin) == before
 
@@ -768,7 +770,7 @@ def test_a_drop_cut_at_any_removal_leaves_the_pre_or_post_state(twin_tree, tmp_p
         box = instantiate_twin(image, tmp_path / f"cut{k}")
         code = _run_cut_at(box, ops, k)
         assert code in (_CUT, _RAN_THROUGH)
-        with writer_lock(box.sandbox):
+        with sandbox_lock(box.sandbox):
             pass
         assert scan_tree(box.sandbox) in states, f"cut at removal {k}"
         assert not journal_dir(box.sandbox).exists()
@@ -843,7 +845,7 @@ def _cut_at_every_mutation(make_twin, action, states) -> list:
         twin = make_twin(len(recovered) + 1)
         code = run_cut_at(len(recovered) + 1, lambda: action(twin))
         assert code in (CUT, RAN_THROUGH)
-        with writer_lock(twin.sandbox):
+        with sandbox_lock(twin.sandbox):
             pass
         recovered.append(_tree(twin))
         assert recovered[-1] in states, f"cut at mutation {len(recovered)}"
@@ -912,7 +914,7 @@ def test_an_add_delete_or_roll_back_cut_at_any_mutation_leaves_the_pre_or_post_s
         return twin
 
     def recover(twin):
-        with writer_lock(twin.sandbox):
+        with sandbox_lock(twin.sandbox):
             pass
 
     # 8: the link's move back, each record's removal, the added file's and its
@@ -1024,3 +1026,231 @@ def test_a_mutated_patch_or_check_document_exits_0_2_or_3_and_a_refusal_changes_
         if code != 0 or command == "check":
             assert scan_tree(twin.sandbox) == before
         assert not journal_dir(twin.sandbox).exists()
+
+
+# -- restores and readers under the one lock -------------------------------------
+
+
+def _restore_image(root: Path):
+    """The fixture tree with a nested directory under a read-only ``docs/``,
+    captured with its ``tmp/``."""
+    tree = build_twin_tree(root)
+    (tree / "docs" / "nested" / "deep").mkdir(parents=True)
+    (tree / "docs" / "nested" / "deep" / "notes.txt").write_bytes(b"deep\n")
+    (tree / "docs").chmod(0o555)
+    image = capture_image(tree, ())
+    image.checked_entries  # checked once here, not in each child
+    return image
+
+
+def _create(image_file: Path, sandbox: Path) -> int:
+    return main(["--quiet", "twin", "create", "--image", str(image_file), "--sandbox", str(sandbox)])
+
+
+def test_a_restore_cut_at_any_mutation_is_recovered_by_the_next_create(tmp_path):
+    """A restore killed before any of its filesystem mutations once left a
+    partial sandbox that every later ``twin create`` refused as not empty.
+    The next create now undoes a restore that had not committed and
+    restores again; after the commit, the tree already equals the image,
+    and the create only drops the journal and refuses the full sandbox."""
+    image = _restore_image(tmp_path / "source")
+    image_file = tmp_path / "sys.twimg"
+    save_image(image, image_file)
+    codes = []
+    while True:
+        sandbox = tmp_path / f"cut{len(codes) + 1}"
+        cut = run_cut_at(len(codes) + 1, lambda: instantiate_twin(image, sandbox))
+        assert cut in (CUT, RAN_THROUGH)
+        codes.append(_create(image_file, sandbox))
+        assert scan_tree(sandbox) == image.manifest, f"cut at mutation {len(codes)}"
+        assert not journal_dir(sandbox).exists()
+        if cut == RAN_THROUGH:
+            break
+    committed = codes.index(2)
+    assert codes == [0] * committed + [2] * (len(codes) - committed)
+    # the drop: one record per top-level name (apps, bin, docs, etc, tmp), the marker, the directory
+    assert len(codes) - committed == 8
+    assert len(codes) > 30
+
+
+def test_a_restore_that_fails_partway_leaves_an_empty_sandbox(tmp_path, monkeypatch):
+    """An ``OSError`` at each directory made, file written or mode set of a
+    restore undoes it: the sandbox is left empty, with no journal, and the
+    next ``twin create`` restores the image."""
+    image = _restore_image(tmp_path / "source")
+    image_file = tmp_path / "sys.twimg"
+    save_image(image, image_file)
+    real = {name: getattr(Path, name) for name in ("mkdir", "write_bytes", "chmod")}
+    calls, fail_at = 0, 0
+
+    def failing(name):
+        def call(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise OSError(f"injected fault at {name} {self.name}")
+            return real[name](self, *args, **kwargs)
+
+        return call
+
+    while True:
+        fail_at += 1
+        calls, sandbox = 0, tmp_path / f"fault{fail_at}"
+        with monkeypatch.context() as patched:
+            for name in real:
+                patched.setattr(Path, name, failing(name))
+            try:
+                instantiate_twin(image, sandbox)
+            except OSError as exc:
+                assert "injected fault" in str(exc)
+            else:
+                break
+        assert not sandbox.exists() or list(sandbox.iterdir()) == [], f"fault at call {fail_at}"
+        assert not journal_dir(sandbox).exists()
+        assert _create(image_file, sandbox) == 0
+        assert scan_tree(sandbox) == image.manifest
+    assert fail_at > 20
+
+
+# A patch whose two ops each change what one check reads: the checks fail
+# on the tree before it (the old tool) and after it (the new mode), and pass
+# only on a tree that holds the new tool beside the old mode.
+READ_PATCH = [
+    {"op": "replace_file", "path": "bin/term", "content": "term v2\n"},
+    {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"},
+]
+MIXED_STATE_CHECKS = [
+    {"check": "hash_equals", "path": "bin/term", "sha256": sha256_hex(b"term v2\n")},
+    {"check": "config_equals", "file": "etc/app.conf", "key": "mode", "value": "safe"},
+]
+
+
+@pytest.mark.parametrize("reader", ["check", "diff"])
+def test_a_reader_after_any_cut_of_a_patch_sees_the_pre_or_the_committed_post_state(
+    twin_tree, tmp_path, capsys, reader
+):
+    """``twin check`` and ``twin diff --post <sandbox>`` once read the tree a
+    killed patch left, new tool and old mode together, and passed or
+    reported a diff that neither state gives (dirty reads). Each now takes
+    the sandbox lock, which undoes a patch that had not committed first:
+    its output is the state's before the patch, or after it once the patch
+    has committed, and no journal is left."""
+    image = capture_image(twin_tree)
+    image_file, delta, checks = tmp_path / "sys.twimg", tmp_path / "delta.json", tmp_path / "checks.json"
+    save_image(image, image_file)
+    delta.write_text(json.dumps(READ_PATCH), encoding="utf-8")
+    checks.write_text(json.dumps(MIXED_STATE_CHECKS), encoding="utf-8")
+
+    def read(sandbox):
+        capsys.readouterr()
+        if reader == "check":
+            code = main(["twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)])
+        else:
+            code = main(["twin", "diff", "--pre", str(image_file), "--post", str(sandbox)])
+        return code, capsys.readouterr().out
+
+    pre, post = instantiate_twin(image, tmp_path / "pre"), instantiate_twin(image, tmp_path / "post")
+    apply_patch(post, load_delta(delta))
+    expected = {scan_tree(pre.sandbox): read(pre.sandbox), scan_tree(post.sandbox): read(post.sandbox)}
+    assert len(expected) == 2
+    assert [code for code, _ in expected.values()] == ([3, 3] if reader == "check" else [0, 0])
+    cuts = 0
+    while True:
+        cuts += 1
+        twin = instantiate_twin(image, tmp_path / f"cut{cuts}")
+        cut = run_cut_at(cuts, lambda: apply_patch(twin, load_delta(delta)))
+        assert cut in (CUT, RAN_THROUGH)
+        result = read(twin.sandbox)
+        assert result in expected.values(), f"cut at mutation {cuts}"
+        assert not journal_dir(twin.sandbox).exists()
+        assert expected.get(scan_tree(twin.sandbox)) == result  # the post-state's only once committed
+        if cut == RAN_THROUGH:
+            break
+    assert cuts > 20
+
+
+def test_a_reader_while_a_command_holds_the_sandbox_exits_2(twin, tmp_path, capsys):
+    checks = tmp_path / "checks.json"
+    checks.write_text(json.dumps([{"check": "file_exists", "path": "bin/term"}]), encoding="utf-8")
+    with sandbox_lock(twin.sandbox):
+        assert main(["--quiet", "twin", "check", "--sandbox", str(twin.sandbox), "--checks", str(checks)]) == 2
+        assert main(["--quiet", "twin", "diff", "--pre", str(twin.sandbox), "--post", str(tmp_path)]) == 2
+        assert "another command holds the sandbox" in capsys.readouterr().err
+    assert main(["--quiet", "twin", "check", "--sandbox", str(twin.sandbox), "--checks", str(checks)]) == 0
+
+
+# -- set_config changes only the value it names ------------------------------------
+
+_CONFIG_TEXT = st.text(st.sampled_from(["a", "=", " ", "\t", "\x0c", "\x85", "\u2028", "é"]), max_size=4)
+_CONFIG_LINE = _CONFIG_TEXT | st.tuples(
+    st.sampled_from(["", " "]), st.sampled_from(["mode", "note"]), st.sampled_from(["", " "]), _CONFIG_TEXT
+).map(lambda parts: f"{parts[0]}{parts[1]}{parts[2]}={parts[3]}")
+_CONFIG_FILES = st.tuples(
+    st.lists(st.tuples(_CONFIG_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=4), _CONFIG_LINE
+).map(lambda parts: "".join(line + end for line, end in parts[0]) + parts[1])
+
+
+def _reference_set_config(text: str, key: str, value: str) -> str | None:
+    """``text`` with the value text of each line setting ``key`` replaced,
+    or None when no line sets it: lines end at LF, CRLF or a lone CR, a
+    line sets the key before its first ``=``, and its value is the rest,
+    both less surrounding whitespace."""
+    pieces = re.split(r"(\r\n|\r|\n)", text)
+    found = False
+    for i in range(0, len(pieces), 2):
+        head, sep, tail = pieces[i].partition("=")
+        if sep and head.strip() == key:
+            lead = len(tail) - len(tail.lstrip())
+            pieces[i] = f"{head}={tail[:lead]}{value}{tail[lead + len(tail.strip()):]}"
+            found = True
+    return "".join(pieces) if found else None
+
+
+@settings(derandomize=True)
+@example(text="mode=slow\n", key="mode", value="fast\nadmin=1")  # injected admin=1
+@example(text="mode=slow\r\nretries=3\r\n", key="mode", value="fast")  # lost every CR
+@example(text="note=a\x0cb\nmode=slow\n", key="mode", value="fast")  # split the note in two
+@example(text="mode=slow", key="mode", value="fast")  # added a final newline
+@given(
+    text=_CONFIG_FILES,
+    key=st.sampled_from(["mode", "note"]),
+    value=st.text(st.sampled_from(["a", "=", " ", "\x0c", "\x85", "\u2028", "\r", "\n", "é"]), max_size=4),
+)
+def test_set_config_changes_only_the_value_text_it_names(tmp_path_factory, text, key, value):
+    """In the spirit of QuickCheck: ``twin patch`` of one ``set_config``
+    leaves every byte of the file but the value text of the lines that set
+    the key, line ends included, keeps the file's mode, and ``twin check``
+    reads the value back. A value that holds a line end, or starts or ends
+    with whitespace, would not read back, and is refused with the file
+    unchanged; so is a key no line sets."""
+    data = text.encode("utf-8")
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        sandbox, delta, checks = Path(work) / "box", Path(work) / "delta.json", Path(work) / "checks.json"
+        conf = sandbox / "etc" / "app.conf"
+        conf.parent.mkdir(parents=True)
+        conf.write_bytes(data)
+        conf.chmod(0o640)
+        delta.write_text(json.dumps([{"op": "set_config", "file": "etc/app.conf", "key": key, "value": value}]))
+        code = main(["--quiet", "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)])
+        expected = _reference_set_config(text, key, value)
+        if expected is None or value != value.strip() or "\r" in value or "\n" in value:
+            assert (code, conf.read_bytes()) == (2, data)
+            return
+        assert code == 0
+        assert conf.read_bytes() == expected.encode("utf-8")
+        assert stat.S_IMODE(conf.stat().st_mode) == 0o640
+        checks.write_text(json.dumps([{"check": "config_equals", "file": "etc/app.conf", "key": key, "value": value}]))
+        assert main(["--quiet", "twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mode", "fast\nadmin=1"), ("mode", "a\rb"), ("mode", " fast"), ("mode", "fast\x0c"), ("mo\nde", "x"),
+     (" mode", "x"), ("", "x"), ("a=b", "x")],
+)
+def test_a_config_setting_that_would_not_read_back_is_refused(key, value):
+    doc = {"key": key, "value": value, "file": "etc/app.conf"}
+    with pytest.raises(MalformedPatch, match="bad config"):
+        delta_from_doc([{"op": "set_config", **doc}])
+    with pytest.raises(MalformedChecks, match="bad config"):
+        checks_from_doc([{"check": "config_equals", **doc}])
