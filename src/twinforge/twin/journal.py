@@ -7,12 +7,12 @@ sibling of the sandbox (so renames between the two stay on one filesystem).
 marker is not a journal and is never read or removed. Op ``i`` has one
 record, ``{i:06d}.json``, published whole by ``jsonfile.write_json``: the
 node it changes (relative to the resolved sandbox), whether the original
-node is saved as ``{i:06d}.node``, and the directories the op creates,
-deepest first. A replaced or deleted file (or a deleted link) is renamed to
-its ``.node`` once the record is written, so undoing any op is one rename
-back or one removal (an added directory goes whole, so a restore records
-each top-level name). An op touches the sandbox only once its record is
-complete.
+node is saved as ``{i:06d}.node``, the directories the op creates,
+deepest first, and any other nodes it adds (a restore's one record lists
+its top-level names). A replaced or deleted file (or a deleted link) is
+renamed to its ``.node`` once the record is written, so undoing any op is
+one rename back or removals, an added node going whole. An op touches the
+sandbox only once its record is complete.
 
 A write whose ops all ran commits by renaming the marker to the committed
 marker, one atomic step; from then on the journal is only dropped, never
@@ -50,9 +50,10 @@ class UndoRecord:
     path: str
     saved: bool  # the original node is kept as the record's .node
     created: tuple[str, ...]
+    added: tuple[str, ...] = ()  # more nodes the op creates, each removed whole: a restore's top-level names
 
     def __post_init__(self) -> None:
-        if not all(map(is_safe_rel_path, (self.path, *self.created))):
+        if not all(map(is_safe_rel_path, (self.path, *self.created, *self.added))):
             raise ValueError("paths must be relative and normalized")
 
 
@@ -100,9 +101,9 @@ def _discard(path: Path, remove) -> None:
 
 
 def _nodes(root: Path, rec: UndoRecord) -> list[Path]:
-    """The record's node and then the directories it created, resolved
-    inside ``root`` without following the nodes themselves."""
-    return [resolve_inside(root, rel, follow=False) for rel in (rec.path, *rec.created)]
+    """The record's node, the directories it created and the nodes it
+    added, resolved inside ``root`` without following the nodes themselves."""
+    return [resolve_inside(root, rel, follow=False) for rel in (rec.path, *rec.created, *rec.added)]
 
 
 def _remove(node: Path) -> None:
@@ -118,13 +119,15 @@ def _remove(node: Path) -> None:
 
 
 def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
-    node, *created = _nodes(root, rec)
+    node, *others = _nodes(root, rec)
     if not rec.saved:
         _discard(node, _remove)
     elif os.path.lexists(saved):  # absent: undone already, or a move that never ran
         os.replace(saved, node)
-    for path in created:
+    for path in others[: len(rec.created)]:
         _discard(path, Path.rmdir)
+    for path in others[len(rec.created) :]:
+        _discard(path, _remove)
 
 
 @contextmanager

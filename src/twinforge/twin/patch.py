@@ -38,9 +38,8 @@ from twinforge.errors import (
     DeleteMissing,
     MalformedPatch,
     ReplaceMissing,
-    UndecodableInput,
 )
-from twinforge.jsonfile import read_json, read_tagged
+from twinforge.jsonfile import read_json, read_tagged, read_text
 from twinforge.twin.journal import journaled, record_add, record_move
 from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, sandbox_lock
@@ -158,10 +157,7 @@ def config_settings(lines: list[str], key: str) -> list[tuple[int, str, str, str
 def _set_config(node: Path, op: SetConfig) -> bytes:
     """The config file's new bytes: the value of every ``op.key`` line set
     to ``op.value``, and every other byte, line ends included, kept."""
-    try:  # the bytes as they are: ``read_text`` reads each CRLF or lone CR as LF
-        pieces = config_lines(node.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise UndecodableInput(f"{node}: not valid UTF-8: {exc}") from exc
+    pieces = config_lines(read_text(node, keep_line_ends=True))
     settings = config_settings(pieces[::2], op.key)
     if not settings:
         raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")

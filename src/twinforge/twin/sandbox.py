@@ -10,7 +10,7 @@ from pathlib import Path
 
 from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
 from twinforge.twin.image import TwinImage
-from twinforge.twin.journal import journaled, record_add, roll_back
+from twinforge.twin.journal import UndoRecord, journaled, record, roll_back
 from twinforge.twin.manifest import DIR, KnownFiles
 
 
@@ -89,8 +89,8 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     written, deepest first, so a read-only directory can still be restored
     with its contents. A sandbox with contents is refused under the sandbox
     lock, after it has rolled back a crashed write. The restore is then
-    journaled like a patch, one record per top-level name, so a failed or
-    killed restore is undone to an empty sandbox.
+    journaled like a patch, in one record listing every top-level name, so
+    a failed or killed restore is undone to an empty sandbox.
     """
     entries = image.checked_entries
     sandbox = Path(sandbox_dir)
@@ -101,8 +101,7 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
         if any(sandbox.iterdir()):
             raise SandboxNotEmpty(f"{sandbox} already has contents")
         with journaled(sandbox) as journal:
-            for index, name in enumerate(names if "tmp" in names else [*names, "tmp"]):
-                record_add(journal, index, name, ())
+            record(journal, 0, UndoRecord("tmp", False, (), tuple(name for name in names if name != "tmp")))
             for entry, content in entries:  # each parent is listed, so made, before its entries
                 target = sandbox / entry.path
                 if entry.kind == DIR:

@@ -1068,8 +1068,8 @@ def test_a_restore_cut_at_any_mutation_is_recovered_by_the_next_create(tmp_path)
             break
     committed = codes.index(2)
     assert codes == [0] * committed + [2] * (len(codes) - committed)
-    # the drop: one record per top-level name (apps, bin, docs, etc, tmp), the marker, the directory
-    assert len(codes) - committed == 8
+    # the drop: the one record, listing every top-level name, then the marker and the directory
+    assert len(codes) - committed == 4
     assert len(codes) > 30
 
 
