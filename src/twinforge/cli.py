@@ -22,14 +22,13 @@ from twinforge.errors import (
     MacroSyntaxError,
     MalformedCsv,
     TwinforgeError,
-    WorkspaceLocked,
 )
 from twinforge.jsonfile import dumps, from_doc, publish, read_json, read_text, write_json
 from twinforge.twin.checks import load_checks, run_checks
 from twinforge.twin.image import capture_image, load_image, load_manifest, save_image
 from twinforge.twin.manifest import diff_states, is_safe_rel_path, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import apply_patch, load_delta
-from twinforge.twin.sandbox import TwinState, exclusive_lock, instantiate_twin, sandbox_lock
+from twinforge.twin.sandbox import TwinState, instantiate_twin, sandbox_lock
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,7 +67,7 @@ def _workspace_lock(args: argparse.Namespace, workspace: Path):
     if args.command in ("report", "twin"):
         return nullcontext()
     workspace.mkdir(parents=True, exist_ok=True)
-    return exclusive_lock(workspace, WorkspaceLocked(f"{workspace}: another invocation holds the workspace"))
+    return sandbox_lock(workspace)
 
 
 def _workspace_path(config: PipelineConfig, subdir: str, name: str) -> Path:
@@ -180,7 +179,8 @@ def _cmd_capture(args, config, say) -> int:
     exclusions = tuple(args.exclude) if args.exclude else config.exclusions
     if bad := [pattern for pattern in exclusions if not is_safe_rel_path(pattern)]:
         raise _UsageError(f"capture: --exclude {bad[0]!r} is not a glob over relative, normalized paths")
-    image = capture_image(args.root, exclusions)
+    with sandbox_lock(args.root):
+        image = capture_image(args.root, exclusions)
     name = args.name or args.root.name or "image"
     out = args.out or _workspace_path(config, "images", f"{name}.twimg")
     save_image(image, out)

@@ -228,7 +228,7 @@ class MalformedChecks(TwinforgeError):
 
 
 class TwinLocked(TwinforgeError):
-    """Another command holds the sandbox's advisory lock."""
+    """Another process holds a workspace's or tree's directory lock."""
 
 
 class MalformedJournal(TwinforgeError):
@@ -244,10 +244,6 @@ class ConfigParse(TwinforgeError):
 
 class UnknownKey(TwinforgeError):
     """A config file contains a key outside the documented set."""
-
-
-class WorkspaceLocked(TwinforgeError):
-    """Another pipeline invocation holds the workspace lock."""
 
 
 class UndecodableInput(TwinforgeError):

@@ -77,14 +77,11 @@ def write_record(path: str | Path, version: int, doc: object) -> None:
         fh.write(record_text(version, doc))
 
 
-def read_text(path: str | Path, keep_line_ends: bool = False) -> str:
-    """A UTF-8 text input's contents, each CRLF or lone CR read as LF unless
-    ``keep_line_ends``; undecodable bytes raise ``UndecodableInput`` naming
-    the file."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text input's contents, line ends as they are; undecodable
+    bytes raise ``UndecodableInput`` naming the file."""
     try:
-        if keep_line_ends:
-            return Path(path).read_bytes().decode("utf-8")
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
 

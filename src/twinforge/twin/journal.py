@@ -23,11 +23,11 @@ each one as soon as its op is undone, so the journal always lists only what
 is still to undo and a roll-back cut short can be run again. Either way the
 journal is dropped entry by entry with its marker last, so a drop cut short
 leaves a journal that still says what it is, or an empty directory. The
-sandbox lock calls ``roll_back`` on every acquisition, so every command that
-opens the sandbox first undoes a write cut short by a crash, or finishes
-dropping a committed one. The guarantee covers a process crash, not power
-loss: nothing here calls ``fsync``, so after a power cut the journal or the
-sandbox may hold data the kernel never wrote.
+sandbox lock calls ``roll_back`` on its first hold in a process, so every
+command that opens the sandbox first undoes a write cut short by a crash, or
+finishes dropping a committed one. The guarantee covers a process crash, not
+power loss: nothing here calls ``fsync``, so after a power cut the journal or
+the sandbox may hold data the kernel never wrote.
 """
 
 from __future__ import annotations

@@ -157,7 +157,7 @@ def config_settings(lines: list[str], key: str) -> list[tuple[int, str, str, str
 def _set_config(node: Path, op: SetConfig) -> bytes:
     """The config file's new bytes: the value of every ``op.key`` line set
     to ``op.value``, and every other byte, line ends included, kept."""
-    pieces = config_lines(read_text(node, keep_line_ends=True))
+    pieces = config_lines(read_text(node))
     settings = config_settings(pieces[::2], op.key)
     if not settings:
         raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")

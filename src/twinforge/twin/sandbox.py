@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from twinforge.errors import SandboxNotEmpty, TwinforgeError, TwinLocked
+from twinforge.errors import SandboxNotEmpty, TwinLocked
 from twinforge.twin.image import TwinImage
 from twinforge.twin.journal import UndoRecord, journaled, record, roll_back
 from twinforge.twin.manifest import DIR, KnownFiles
@@ -44,36 +44,42 @@ class TwinState:
     image_files: KnownFiles = field(default_factory=dict, repr=False, compare=False)
 
 
+_held: set[tuple[int, int]] = set()  # the (st_dev, st_ino) of each directory this process holds
+
+
 @contextmanager
-def exclusive_lock(directory: Path, locked: TwinforgeError):
-    """Hold an exclusive ``flock`` on ``directory`` itself for the block;
-    raise ``locked`` if another holder has it. No file is made: the lock
-    is on the directory's inode, so every spelling of it (a symbolic link
-    to it, say) is the same lock, and the kernel drops it when the
-    descriptor closes, so a holder that dies, even by SIGKILL, leaves
-    nothing that blocks the next one."""
+def sandbox_lock(directory: Path):
+    """Hold the one exclusive lock on ``directory`` for the block, as every
+    command that writes into a workspace or opens a tree does; raise
+    ``TwinLocked`` if another process holds it. A process holds a directory
+    once: asked again for one it holds, it yields with no second ``flock``,
+    which would refuse it, and no roll-back.
+
+    The first hold rolls back any undo journal a crashed write left, so
+    every command starts from a tree no restore or patch is half-way
+    through. No file is made: the lock is on the directory's inode, so every
+    spelling of it (a symbolic link to it, say) is the same lock, and the
+    kernel drops it when the descriptor closes, so a holder that dies, even
+    by SIGKILL, leaves nothing that blocks the next one."""
     fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
+        info = os.fstat(fd)
+        key = (info.st_dev, info.st_ino)
+        if key in _held:
+            yield
+            return
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise locked from None
-        yield
+            raise TwinLocked(f"{directory}: another command holds its lock") from None
+        _held.add(key)
+        try:
+            roll_back(directory)
+            yield
+        finally:
+            _held.discard(key)
     finally:
         os.close(fd)
-
-
-@contextmanager
-def sandbox_lock(sandbox: Path):
-    """Advisory exclusive lock on the sandbox directory, held by every
-    command that opens a sandbox (restore, patch, check, replay, diff).
-
-    On acquisition it rolls back any undo journal a crashed write left
-    behind, so every command starts from a tree no restore or patch is
-    half-way through."""
-    with exclusive_lock(sandbox, TwinLocked(f"{sandbox}: another command holds the sandbox")):
-        roll_back(sandbox)
-        yield
 
 
 def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:

@@ -6,8 +6,11 @@ import builtins
 import io
 import json
 import os
+import signal
+import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from twinforge.errors import TwinLocked
 from twinforge.ingest.macro import MacroScript, parse_macro_script
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
 from twinforge.tabular.encoding import TableCodec
@@ -285,6 +289,55 @@ def run_cut_at(k: int, action: Callable[[], object]) -> int:
             os._exit(1)
     _, status = os.waitpid(pid, 0)
     return os.waitstatus_to_exitcode(status)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@contextmanager
+def python_child(code: str, *args: str):
+    """Run ``code`` with ``args`` in a Python child that imports the package,
+    its stdout piped, for the block; SIGKILL it on exit, as a crash ends a
+    command."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    try:
+        yield child
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+
+
+_HOLD = """
+import sys, time
+from pathlib import Path
+from twinforge.errors import TwinLocked
+from twinforge.twin.sandbox import sandbox_lock
+try:
+    with sandbox_lock(Path(sys.argv[1])):
+        print("held", flush=True)
+        time.sleep(60)
+except TwinLocked:
+    print("locked", flush=True)
+"""
+
+
+@contextmanager
+def held_by_child(directory: Path):
+    """Hold ``sandbox_lock(directory)`` from a child process for the block,
+    since a lock this process holds does not exclude this process; raise
+    ``TwinLocked`` if another process holds it."""
+    with python_child(_HOLD, str(directory)) as child:
+        reply = child.stdout.readline()
+        if reply == "locked\n":
+            raise TwinLocked(f"{directory}: another command holds its lock")
+        assert reply == "held\n"
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,15 +14,14 @@ import pytest
 
 from twinforge.cli import main
 from twinforge.config import WORKSPACE_ENV
-from twinforge.errors import MalformedModel, WorkspaceLocked
+from twinforge.errors import MalformedModel
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
 from twinforge.twin.image import MAGIC, capture_image, load_image, save_image
 from twinforge.twin.manifest import scan_tree
-from twinforge.twin.sandbox import exclusive_lock
 from twinforge.validate.report import load_report
 
-from conftest import edit_image_manifest, make_fixture_dataset
+from conftest import edit_image_manifest, held_by_child, make_fixture_dataset
 
 
 @pytest.fixture()
@@ -342,10 +340,9 @@ def test_validate_with_script_pairs(tmp_path, workspace, twin_tree, script_paths
 
 
 
-def test_validate_whose_sandbox_is_its_workspace_exits_2(tmp_path, workspace, twin_tree, script_paths, capsys):
-    """``validate`` holds its workspace's lock, so its replay cannot take
-    the sandbox lock of that same directory: it exits 2 and writes no
-    report."""
+def test_validate_whose_sandbox_is_its_workspace_replays_it(tmp_path, workspace, twin_tree, script_paths):
+    """``validate`` holds its workspace's lock, and its replay holds that
+    same directory once more in the same process, with no second ``flock``."""
     config = _config(tmp_path, workspace)
     image = tmp_path / "sys.twimg"
     save_image(capture_image(twin_tree), image)
@@ -354,10 +351,8 @@ def test_validate_whose_sandbox_is_its_workspace_exits_2(tmp_path, workspace, tw
     report = tmp_path / "report.json"
     argv = ["--config", str(config), "validate", "--real", str(tmp_path / "real.csv"), "--synth", str(tmp_path / "real.csv")]
     argv += ["--pair", str(script_paths[0]), str(script_paths[1]), "--sandbox", str(workspace), "--out", str(report)]
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert "another command holds the sandbox" in capsys.readouterr().err
-    assert not report.exists()
+    assert main(argv) == 0
+    assert [script.replay_ok for script in load_report(report).scripts] == [True]
 
 def test_patch_op_path_with_nul_byte_is_data_error(tmp_path, workspace, capsys):
     config = _config(tmp_path, workspace)
@@ -653,13 +648,13 @@ def _ingest_top(config) -> list[str]:
 def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)
-    with exclusive_lock(workspace, WorkspaceLocked()):
+    with held_by_child(workspace):
         assert main(_ingest_top(config)) == 2
         assert list(workspace.iterdir()) == []  # the lock is on the directory, not a file in it
     assert list(workspace.iterdir()) == []
     alias = tmp_path / "alias"
     alias.symlink_to(workspace)
-    with exclusive_lock(alias, WorkspaceLocked()):
+    with held_by_child(alias):
         assert main(_ingest_top(config)) == 2
     assert main(_ingest_top(config)) == 0
 
@@ -667,25 +662,8 @@ def test_workspace_lock_excludes_concurrent_invocation(tmp_path, workspace):
 def test_workspace_lock_is_released_when_its_holder_is_killed(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     workspace.mkdir(parents=True)
-    holder = subprocess.Popen(
-        [
-            sys.executable, "-c",
-            "import sys, time; from pathlib import Path;"
-            "from twinforge.twin.sandbox import exclusive_lock;"
-            f"lock = exclusive_lock(Path({str(workspace)!r}), RuntimeError());"
-            "lock.__enter__(); print('held', flush=True); time.sleep(60)",
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env={"PYTHONPATH": str(Path(__file__).parent.parent / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    try:
-        assert holder.stdout.readline() == "held\n"
+    with held_by_child(workspace):
         assert main(_ingest_top(config)) == 2
-    finally:
-        holder.send_signal(signal.SIGKILL)
-        holder.wait()
-        holder.stdout.close()
     assert main(_ingest_top(config)) == 0
 
 
@@ -699,7 +677,7 @@ def test_read_only_commands_ignore_the_lock_and_leave_the_workspace_alone(tmp_pa
     (tmp_path / "b").mkdir()
     before = sorted(p.name for p in workspace.iterdir())
     assert before == []
-    with exclusive_lock(workspace, WorkspaceLocked()):
+    with held_by_child(workspace):
         assert main(["--config", str(config), "report", "--in", str(report)]) == 0
         diff = ["--config", str(config), "twin", "diff", "--pre", str(tmp_path / "a")]
         assert main(diff + ["--post", str(tmp_path / "b"), "--out", str(tmp_path / "d.json")]) == 0

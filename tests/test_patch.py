@@ -6,10 +6,7 @@ import copy
 import json
 import os
 import re
-import signal
 import stat
-import subprocess
-import sys
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -19,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinforge.cli import main
+from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import (
     AddExisting,
     ConfigKeyMissing,
@@ -34,7 +32,7 @@ from twinforge.errors import (
 )
 from twinforge.twin import journal, patch
 from twinforge.twin.checks import CheckSpec, ConfigEquals, FileExists, HashEquals, checks_from_doc, run_checks
-from twinforge.twin.image import capture_image, save_image
+from twinforge.twin.image import capture_image, load_image, save_image
 from twinforge.twin.journal import UndoRecord, begin as begin_journal, journal_dir, record
 from twinforge.twin.manifest import TwinDiff, diff_states, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import (
@@ -49,9 +47,7 @@ from twinforge.twin.patch import (
 )
 from twinforge.twin.sandbox import TwinState, instantiate_twin, sandbox_lock
 
-from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, build_twin_tree, run_cut_at
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import CUT, RAN_THROUGH, UNNORMALIZED_PATHS, build_twin_tree, held_by_child, python_child, run_cut_at
 
 
 @pytest.fixture()
@@ -247,7 +243,7 @@ def test_numeric_config_values_are_their_json_text():
 
 
 def test_sandbox_lock_excludes_second_writer(twin):
-    with sandbox_lock(twin.sandbox):
+    with held_by_child(twin.sandbox):
         with pytest.raises(TwinLocked):
             apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"),)))
 
@@ -336,8 +332,8 @@ def test_config_check_never_reads_outside_the_sandbox(twin, tmp_path):
 
 def test_config_checks_read_each_file_once(twin, monkeypatch):
     reads = []
-    original = Path.read_text
-    monkeypatch.setattr(Path, "read_text", lambda self, **kw: reads.append(self.name) or original(self, **kw))
+    original = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or original(self))
     spec = CheckSpec(
         (
             ConfigEquals("etc/app.conf", "mode", "safe"),
@@ -414,13 +410,35 @@ def test_a_held_lock_adds_nothing_to_the_sandbox_and_covers_every_spelling(twin,
     listing = sorted(os.listdir(twin.sandbox))
     alias = tmp_path / "alias"
     alias.symlink_to(twin.sandbox)
-    with sandbox_lock(twin.sandbox):
+    with held_by_child(twin.sandbox):
         assert sorted(os.listdir(twin.sandbox)) == listing
         with pytest.raises(TwinLocked):
             apply_patch(TwinState(alias), PatchDelta((AddFile("bin/x", b"x"),)))
     assert sorted(os.listdir(twin.sandbox)) == listing
     apply_patch(TwinState(alias), PatchDelta((AddFile("bin/x", b"x"),)))
     assert (twin.sandbox / "bin" / "x").read_bytes() == b"x"
+
+
+def test_a_nested_hold_keeps_the_open_journal_and_the_lock(twin, tmp_path):
+    """A process holds a directory once: asked for it again, by any
+    spelling, the lock takes no second ``flock``, which would refuse it, and
+    rolls back nothing, so the write the outer hold guards stays open and
+    other processes stay out until the outer hold ends."""
+    alias = tmp_path / "alias"
+    alias.symlink_to(twin.sandbox)
+    added = twin.sandbox / "bin" / "x"
+    with sandbox_lock(twin.sandbox), journal.journaled(twin.sandbox) as open_journal:
+        journal.record_add(open_journal, 0, "bin/x", ())
+        added.write_bytes(b"x")
+        with sandbox_lock(alias):
+            assert added.read_bytes() == b"x"
+        assert (open_journal / journal.MARKER).is_file() and added.read_bytes() == b"x"
+        with pytest.raises(TwinLocked):
+            with held_by_child(twin.sandbox):
+                pass
+    assert added.read_bytes() == b"x" and not journal_dir(twin.sandbox).exists()
+    with held_by_child(twin.sandbox):
+        pass
 
 
 def test_a_dangling_link_is_a_typed_error_that_names_it(twin_tree, tmp_path):
@@ -448,34 +466,11 @@ def test_a_dangling_link_is_a_typed_error_that_names_it(twin_tree, tmp_path):
         scan_tree(twin.sandbox)
 
 
-def _spawn(code: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-c", code],
-        stdout=subprocess.PIPE,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-    )
-
-
-def _kill(child: subprocess.Popen) -> None:
-    child.send_signal(signal.SIGKILL)
-    child.wait(timeout=30)
-    child.stdout.close()
-
-
 def test_patch_while_a_child_holds_the_lock_changes_nothing(twin):
     before = scan_tree(twin.sandbox)
-    holder = _spawn(
-        "import time; from pathlib import Path; from twinforge.twin.sandbox import sandbox_lock;"
-        f"lock = sandbox_lock(Path({str(twin.sandbox)!r})); lock.__enter__();"
-        "print('held', flush=True); time.sleep(60)"
-    )
-    try:
-        assert holder.stdout.readline() == "held\n"
+    with held_by_child(twin.sandbox):
         with pytest.raises(TwinLocked):
             apply_patch(twin, PatchDelta((AddFile("bin/x", b"x"), DeleteFile("apps/files"))))
-    finally:
-        _kill(holder)
     assert scan_tree(twin.sandbox) == before
     assert not journal_dir(twin.sandbox).exists()
 
@@ -534,7 +529,7 @@ def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, k
     before = _state(mode_twin)
     delta = tmp_path / "delta.json"
     delta.write_text(json.dumps(ALL_KINDS), encoding="utf-8")
-    child = _spawn(
+    code = (
         "import time; from pathlib import Path; from twinforge.twin import patch;"
         "from twinforge.twin.sandbox import TwinState\n"
         "real = patch._apply_op\n"
@@ -545,10 +540,8 @@ def test_patch_killed_midway_is_undone_by_the_next_writer(mode_twin, tmp_path, k
         "patch._apply_op = apply\n"
         f"patch.apply_patch(TwinState(Path({str(mode_twin.sandbox)!r})), patch.load_delta({str(delta)!r}))"
     )
-    try:
+    with python_child(code) as child:
         assert child.stdout.readline() == "applied\n"
-    finally:
-        _kill(child)
     journal = journal_dir(mode_twin.sandbox)
     assert len(list(journal.glob("*.json"))) == kill_after + 1
     assert scan_tree(mode_twin.sandbox) != before[0]
@@ -1125,28 +1118,37 @@ MIXED_STATE_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("reader", ["check", "diff"])
+@pytest.mark.parametrize("reader", ["check", "diff", "capture", "capture ."])
 def test_a_reader_after_any_cut_of_a_patch_sees_the_pre_or_the_committed_post_state(
-    twin_tree, tmp_path, capsys, reader
+    twin_tree, tmp_path, capsys, monkeypatch, reader
 ):
-    """``twin check`` and ``twin diff --post <sandbox>`` once read the tree a
-    killed patch left, new tool and old mode together, and passed or
-    reported a diff that neither state gives (dirty reads). Each now takes
-    the sandbox lock, which undoes a patch that had not committed first:
-    its output is the state's before the patch, or after it once the patch
-    has committed, and no journal is left."""
+    """``twin check``, ``twin diff --post <sandbox>`` and ``capture --root
+    <sandbox>`` once read the tree a killed patch left, new tool and old
+    mode together, and passed, reported a diff or imaged a tree that neither
+    state gives (dirty reads). Each now takes the sandbox lock, which undoes
+    a patch that had not committed first: its output is the state's before
+    the patch, or after it once the patch has committed, and no journal is
+    left. ``capture --root .`` in the sandbox, under the default workspace
+    ``.``, holds that directory once, and its first hold recovers it."""
     image = capture_image(twin_tree)
     image_file, delta, checks = tmp_path / "sys.twimg", tmp_path / "delta.json", tmp_path / "checks.json"
     save_image(image, image_file)
     delta.write_text(json.dumps(READ_PATCH), encoding="utf-8")
     checks.write_text(json.dumps(MIXED_STATE_CHECKS), encoding="utf-8")
+    captured = tmp_path / "captured.twimg"
+    monkeypatch.delenv(WORKSPACE_ENV, raising=False)
 
     def read(sandbox):
         capsys.readouterr()
         if reader == "check":
             code = main(["twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)])
-        else:
+        elif reader == "diff":
             code = main(["twin", "diff", "--pre", str(image_file), "--post", str(sandbox)])
+        else:
+            with monkeypatch.context() as in_dir:
+                in_dir.chdir(sandbox if reader == "capture ." else tmp_path)
+                code = main(["capture", "--root", "." if reader == "capture ." else str(sandbox), "--out", str(captured)])
+            return code, load_image(captured).manifest
         return code, capsys.readouterr().out
 
     pre, post = instantiate_twin(image, tmp_path / "pre"), instantiate_twin(image, tmp_path / "post")
@@ -1169,13 +1171,17 @@ def test_a_reader_after_any_cut_of_a_patch_sees_the_pre_or_the_committed_post_st
     assert cuts > 20
 
 
-def test_a_reader_while_a_command_holds_the_sandbox_exits_2(twin, tmp_path, capsys):
+def test_a_reader_while_a_command_holds_the_sandbox_exits_2(twin, tmp_path, capsys, monkeypatch):
     checks = tmp_path / "checks.json"
     checks.write_text(json.dumps([{"check": "file_exists", "path": "bin/term"}]), encoding="utf-8")
-    with sandbox_lock(twin.sandbox):
+    monkeypatch.chdir(tmp_path)  # capture's workspace, the default ``.``
+    monkeypatch.delenv(WORKSPACE_ENV, raising=False)
+    with held_by_child(twin.sandbox):
         assert main(["--quiet", "twin", "check", "--sandbox", str(twin.sandbox), "--checks", str(checks)]) == 2
         assert main(["--quiet", "twin", "diff", "--pre", str(twin.sandbox), "--post", str(tmp_path)]) == 2
-        assert "another command holds the sandbox" in capsys.readouterr().err
+        assert main(["--quiet", "capture", "--root", str(twin.sandbox), "--out", str(tmp_path / "c.twimg")]) == 2
+        assert not (tmp_path / "c.twimg").exists()
+        assert "another command holds its lock" in capsys.readouterr().err
     assert main(["--quiet", "twin", "check", "--sandbox", str(twin.sandbox), "--checks", str(checks)]) == 0
 
 
