@@ -447,9 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

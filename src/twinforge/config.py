@@ -14,7 +14,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from twinforge.errors import ConfigParse, UnknownKey
+from twinforge.errors import ConfigParse
 from twinforge.jsonfile import from_doc, read_json
 from twinforge.twin.manifest import DEFAULT_EXCLUSIONS, is_os_path, is_safe_rel_path
 from twinforge.twin.sandbox import Screen
@@ -128,4 +128,4 @@ def default_workspace() -> Path:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Strict parse; every unknown key or out-of-range value is an error."""
-    return from_doc(PipelineConfig, read_json(path, ConfigParse), ConfigParse, str(path), unknown=UnknownKey)
+    return from_doc(PipelineConfig, read_json(path, ConfigParse), ConfigParse, str(path))

@@ -242,9 +242,5 @@ class ConfigParse(TwinforgeError):
     """A config value is missing, has the wrong type, or is out of range."""
 
 
-class UnknownKey(TwinforgeError):
-    """A config file contains a key outside the documented set."""
-
-
 class UndecodableInput(TwinforgeError):
     """A text input file is not valid UTF-8."""

@@ -38,6 +38,10 @@ def _check_text_arg(verb: str, arg: object) -> None:
         raise BadArg(f"{verb} argument must be non-empty with no surrounding whitespace")
     if arg.splitlines() != [arg]:  # the parser splits lines where str.splitlines does
         raise BadArg(f"{verb} argument must not contain line breaks")
+    try:
+        arg.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as Python gives an argv byte that is not UTF-8
+        raise BadArg(f"{verb} argument is not valid UTF-8 text: {exc}") from exc
 
 
 def _check_int_arg(verb: str, arg: object) -> None:

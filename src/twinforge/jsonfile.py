@@ -115,10 +115,6 @@ class _Fault(Exception):
     """A record value that does not fit its field."""
 
 
-class _UnknownKey(_Fault):
-    """A key that is not a field of its record."""
-
-
 @cache
 def _shape(hint: object) -> tuple:
     """How a value is read as ``hint``, worked out once per annotation: its
@@ -160,7 +156,7 @@ def _read(hint: object, value: object, field: str) -> object:
     prefix = f"{field}." if field else ""
     for key in value:
         if key not in schema:
-            raise _UnknownKey(f"unknown key {prefix + key!r}")
+            raise _Fault(f"unknown key {prefix + key!r}")
     kwargs = {}
     for name, (annotation, required, scalar) in schema.items():  # in field order: the first field's fault is reported
         if name in value:
@@ -175,20 +171,16 @@ def _read(hint: object, value: object, field: str) -> object:
         raise _Fault(f"{field}: {exc}" if field else str(exc)) from exc
 
 
-def from_doc(
-    cls: type[T], doc: object, error: Callable[[str], Exception], where: str,
-    unknown: Callable[[str], Exception] | None = None,
-) -> T:
+def from_doc(cls: type[T], doc: object, error: Callable[[str], Exception], where: str) -> T:
     """The JSON value ``doc`` as the dataclass ``cls``: its keys are the
     fields, each value read by its annotation (a scalar of ``_SCALARS``,
     ``X | None``, a tuple, ``dict[str, X]``, a bare ``dict`` or ``list``, or
-    a dataclass). An unknown key raises ``unknown`` (by default ``error``),
-    any other fault ``error``, naming ``where`` and the dotted field."""
+    a dataclass). An unknown key, or any other fault, raises ``error``,
+    naming ``where`` and the dotted field."""
     try:
         return _read(cls, doc, "")
     except _Fault as fault:
-        typed = unknown if unknown and isinstance(fault, _UnknownKey) else error
-        raise typed(f"{where}: {fault}") from fault.__cause__
+        raise error(f"{where}: {fault}") from fault.__cause__
 
 
 def read_record(path: str | Path, classes: Mapping[int, type[T]], error: Callable[[str], Exception]) -> T:

@@ -5,14 +5,15 @@ block, and keeps what it needs to undo each op in ``<sandbox>.journal/``, a
 sibling of the sandbox (so renames between the two stay on one filesystem).
 ``begin`` creates the journal with a marker file; a directory without the
 marker is not a journal and is never read or removed. Op ``i`` has one
-record, ``{i:06d}.json``, published whole by ``jsonfile.write_json``: the
-node it changes (relative to the resolved sandbox), whether the original
-node is saved as ``{i:06d}.node``, the directories the op creates,
-deepest first, and any other nodes it adds (a restore's one record lists
-its top-level names). A replaced or deleted file (or a deleted link) is
-renamed to its ``.node`` once the record is written, so undoing any op is
-one rename back or removals, an added node going whole. An op touches the
-sandbox only once its record is complete.
+record, ``{i:06d}.json``, published whole by ``jsonfile.write_json``, that
+holds two things, each relative to the resolved sandbox: ``moved``, the
+node the op takes out of the sandbox to ``{i:06d}.node``, or null, and
+``added``, the nodes the op creates (an add's highest new node, a
+restore's top-level names). A replaced or deleted file (or a deleted link)
+is renamed to its ``.node`` once the record is written. Undoing a record
+removes each added node whole, where one that is absent is fine, then
+renames the ``.node``, if it is still there, back over ``moved``. An op
+touches the sandbox only once its record is complete.
 
 A write whose ops all ran commits by renaming the marker to the committed
 marker, one atomic step; from then on the journal is only dropped, never
@@ -33,6 +34,7 @@ the sandbox may hold data the kernel never wrote.
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,14 +49,17 @@ COMMITTED = "twinforge-journal.committed"
 
 @dataclass(frozen=True)
 class UndoRecord:
-    path: str
-    saved: bool  # the original node is kept as the record's .node
-    created: tuple[str, ...]
-    added: tuple[str, ...] = ()  # more nodes the op creates, each removed whole: a restore's top-level names
+    moved: str | None  # the node kept as the record's .node
+    added: tuple[str, ...] = ()  # the nodes the op creates, each removed whole
 
     def __post_init__(self) -> None:
-        if not all(map(is_safe_rel_path, (self.path, *self.created, *self.added))):
+        if not all(map(is_safe_rel_path, self.paths)):
             raise ValueError("paths must be relative and normalized")
+
+    @property
+    def paths(self) -> tuple[str, ...]:
+        """The added nodes, then the moved node if there is one."""
+        return (*self.added, self.moved) if self.moved is not None else self.added
 
 
 def journal_dir(sandbox: str | Path) -> Path:
@@ -79,55 +84,43 @@ def record(journal: Path, index: int, rec: UndoRecord) -> None:
     write_json(rec, journal / f"{index:06d}.json")
 
 
-def record_add(journal: Path, index: int, rel: str, created: tuple[str, ...]) -> None:
-    """Op ``index`` will create the absent node ``rel`` and the directories
-    ``created``, deepest first."""
-    record(journal, index, UndoRecord(rel, False, created))
-
-
 def record_move(journal: Path, index: int, rel: str, node: Path) -> Path:
     """Take ``node`` out of the sandbox for op ``index``, which deletes or
     replaces it, by moving it, a file or a link itself, into the journal
     once the record says so; returns where it is kept."""
-    record(journal, index, UndoRecord(rel, True, ()))
+    record(journal, index, UndoRecord(rel))
     return node.rename(journal / f"{index:06d}.node")
 
 
-def _discard(path: Path, remove) -> None:
-    try:
-        remove(path)
-    except (FileNotFoundError, NotADirectoryError):
-        pass  # never created, or already undone
-
-
 def _nodes(root: Path, rec: UndoRecord) -> list[Path]:
-    """The record's node, the directories it created and the nodes it
-    added, resolved inside ``root`` without following the nodes themselves."""
-    return [resolve_inside(root, rel, follow=False) for rel in (rec.path, *rec.created, *rec.added)]
+    """The record's paths, resolved inside ``root`` without following the
+    nodes themselves."""
+    return [resolve_inside(root, rel, follow=False) for rel in rec.paths]
 
 
 def _remove(node: Path) -> None:
-    """Remove ``node`` whole, never following a link; a directory is made
-    writable first, since a restore sets directory modes last."""
-    if node.is_dir() and not node.is_symlink():
-        node.chmod(0o700)
-        for child in node.iterdir():
-            _remove(child)
-        node.rmdir()
-    else:
+    """Remove ``node`` whole, never following a link; a directory its owner
+    cannot clear is made so first, since a restore sets directory modes last."""
+    mode = node.lstat().st_mode
+    if not stat.S_ISDIR(mode):
         node.unlink()
+        return
+    if mode & 0o700 != 0o700:
+        node.chmod(0o700)
+    for child in node.iterdir():
+        _remove(child)
+    node.rmdir()
 
 
 def _undo(root: Path, saved: Path, rec: UndoRecord) -> None:
-    node, *others = _nodes(root, rec)
-    if not rec.saved:
-        _discard(node, _remove)
-    elif os.path.lexists(saved):  # absent: undone already, or a move that never ran
-        os.replace(saved, node)
-    for path in others[: len(rec.created)]:
-        _discard(path, Path.rmdir)
-    for path in others[len(rec.created) :]:
-        _discard(path, _remove)
+    nodes = _nodes(root, rec)
+    for node in nodes[: len(rec.added)]:
+        try:
+            _remove(node)
+        except (FileNotFoundError, NotADirectoryError):
+            pass  # never created, or already undone
+    if rec.moved is not None and os.path.lexists(saved):  # absent: undone already, or a move that never ran
+        os.replace(saved, nodes[-1])
 
 
 @contextmanager

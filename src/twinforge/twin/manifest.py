@@ -158,13 +158,11 @@ def manifest_entry(
     return ManifestEntry(path, FILE, len(content), mode, sha256), content
 
 
-def scan_tree(
-    root: str | Path, exclusions: Sequence[str] = (), known: KnownFiles | None = None
-) -> tuple[ManifestEntry, ...]:
+def scan_tree(root: str | Path, known: KnownFiles | None = None) -> tuple[ManifestEntry, ...]:
     """Deterministic manifest of a tree, sorted by path: every entry of
     ``walk_tree`` with its mode, and each file read and hashed unless its
     bytes equal ``known``'s (``manifest_entry``)."""
-    return tuple(manifest_entry(root, path, kind, known)[0] for path, kind in walk_tree(root, exclusions))
+    return tuple(manifest_entry(root, path, kind, known)[0] for path, kind in walk_tree(root))
 
 
 # -- diffing -----------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 ``apply_patch`` holds the sandbox lock and runs the ops in order directly
 in the sandbox, in one ``journaled`` block. Before an op writes anything,
-its undo record (the target's original node, or the fact that it was
-absent, and the directories the op will create) is complete in
-``<sandbox>.journal/`` (see ``twin.journal``). A replace or ``set_config``
-moves the original file there and writes a new one with its mode, so a hard
+its undo record is complete in ``<sandbox>.journal/`` (see
+``twin.journal``): a delete, replace or ``set_config`` records the file it
+moves out of the sandbox, and an add the highest node it creates, the file
+itself or its first missing parent. A replace or ``set_config`` moves the
+original file there and writes a new one with its mode, so a hard
 link keeps the old bytes. If any op fails, the ops done so far are undone
 newest first and the sandbox is left as it was; if the process dies
 mid-patch, the next holder of the sandbox lock undoes them. Once every op
@@ -40,7 +41,7 @@ from twinforge.errors import (
     ReplaceMissing,
 )
 from twinforge.jsonfile import read_json, read_tagged, read_text
-from twinforge.twin.journal import journaled, record_add, record_move
+from twinforge.twin.journal import UndoRecord, journaled, record, record_move
 from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, sandbox_lock
 
@@ -172,14 +173,12 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
         node = resolve_inside(root, op.path, follow=True)
         if node.exists():
             raise AddExisting(op.path)
-        created = []
-        parent = node.parent
-        while not parent.exists():
-            created.append(parent.relative_to(root).as_posix())
-            parent = parent.parent
-        if not parent.is_dir():
-            raise AddExisting(f"{op.path}: {parent.relative_to(root).as_posix()} is not a directory")
-        record_add(journal, index, node.relative_to(root).as_posix(), tuple(created))
+        top = node  # the highest node the add creates
+        while not top.parent.exists():
+            top = top.parent
+        if not top.parent.is_dir():
+            raise AddExisting(f"{op.path}: {top.parent.relative_to(root).as_posix()} is not a directory")
+        record(journal, index, UndoRecord(None, (top.relative_to(root).as_posix(),)))
         node.parent.mkdir(parents=True, exist_ok=True)
         node.write_bytes(op.content)
         return

@@ -95,19 +95,20 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     written, deepest first, so a read-only directory can still be restored
     with its contents. A sandbox with contents is refused under the sandbox
     lock, after it has rolled back a crashed write. The restore is then
-    journaled like a patch, in one record listing every top-level name, so
-    a failed or killed restore is undone to an empty sandbox.
+    journaled like a patch, in one record whose ``added`` lists every
+    top-level name, and ``tmp`` when the restore makes it, so a failed or
+    killed restore is undone to an empty sandbox.
     """
     entries = image.checked_entries
     sandbox = Path(sandbox_dir)
     sandbox.mkdir(parents=True, exist_ok=True)
-    names = [entry.path for entry, _ in entries if "/" not in entry.path]
+    names = tuple(entry.path for entry, _ in entries if "/" not in entry.path)
     dir_modes: list[tuple[str, int]] = []
     with sandbox_lock(sandbox):
         if any(sandbox.iterdir()):
             raise SandboxNotEmpty(f"{sandbox} already has contents")
         with journaled(sandbox) as journal:
-            record(journal, 0, UndoRecord("tmp", False, (), tuple(name for name in names if name != "tmp")))
+            record(journal, 0, UndoRecord(None, names if "tmp" in names else (*names, "tmp")))
             for entry, content in entries:  # each parent is listed, so made, before its entries
                 target = sandbox / entry.path
                 if entry.kind == DIR:

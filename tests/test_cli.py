@@ -284,6 +284,21 @@ def test_seq_train_and_gen(tmp_path, workspace, script_paths, capsys):
     assert text.startswith("Run, chrome.exe\n")
 
 
+def test_gen_seq_with_a_prompt_that_is_not_utf8_writes_no_script(tmp_path, workspace, script_paths, capsys):
+    """An argv byte that is not UTF-8 reaches Python as a lone surrogate
+    (``\\xff`` as ``\\udcff``); such a sequence fails validation like any
+    other, so ``gen seq`` exits 3 and writes no script."""
+    config = _config(tmp_path, workspace, seed=11)
+    model_path = tmp_path / "seq.json"
+    args = ["--config", str(config), "train", "seq", "--corpus", *map(str, script_paths), "--out", str(model_path)]
+    assert main(args) == 0
+    out_script = tmp_path / "gen.ahk"
+    argv = ["--config", str(config), "gen", "seq", "--model", str(model_path), "--out", str(out_script)]
+    assert main([*argv, "--prompt", "Send, \udcff"]) == 3
+    assert "generated sequence failed validation" in capsys.readouterr().err
+    assert not out_script.exists()
+
+
 NON_FINITE = {
     "ngram": {"delta": math.nan},
     "service": {"url": "http://localhost:1", "timeout_s": math.inf},

@@ -428,7 +428,7 @@ def test_a_nested_hold_keeps_the_open_journal_and_the_lock(twin, tmp_path):
     alias.symlink_to(twin.sandbox)
     added = twin.sandbox / "bin" / "x"
     with sandbox_lock(twin.sandbox), journal.journaled(twin.sandbox) as open_journal:
-        journal.record_add(open_journal, 0, "bin/x", ())
+        record(open_journal, 0, UndoRecord(None, ("bin/x",)))
         added.write_bytes(b"x")
         with sandbox_lock(alias):
             assert added.read_bytes() == b"x"
@@ -517,6 +517,7 @@ def test_fault_after_any_op_restores_the_tree(mode_twin, monkeypatch, stage, fai
             raise OSError("injected fault")
 
     monkeypatch.setattr(journal, "record", record)
+    monkeypatch.setattr(patch, "record", record)  # an add records through the name patch imports
     monkeypatch.setattr(patch, "_apply_op", apply)
     with pytest.raises(OSError, match="injected fault"):
         apply_patch(mode_twin, delta_from_doc(ALL_KINDS))
@@ -562,37 +563,97 @@ def test_add_under_a_file_is_refused_and_undone(twin):
 
 
 def test_undo_of_an_add_under_a_file_completes(twin):
-    """A record whose node and created directory lie under a file (as an
-    add through a file would leave) is undone without error."""
+    """A record whose added node lies under a file (as an add through a file
+    would leave) is undone without error."""
     before = _state(twin)
     with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
-        record(jdir, 0, UndoRecord("etc/app.conf/x", False, ("etc/app.conf",)))
+        record(jdir, 0, UndoRecord(None, ("etc/app.conf/x",)))
     with sandbox_lock(twin.sandbox):
         pass
     assert _state(twin) == before
 
 
+def test_undo_record_file_keys_are_pinned(twin_tree, tmp_path, monkeypatch):
+    """Field names become on-disk keys, so renaming a field must fail here.
+    An add records the highest node it creates, a delete or rewrite the
+    file it moves, and a restore its top-level names and the ``tmp`` it
+    makes."""
+    docs, real_record = [], journal.record
+
+    def spy(jdir, index, rec):
+        real_record(jdir, index, rec)
+        docs.append(json.loads((jdir / f"{index:06d}.json").read_text(encoding="utf-8")))
+
+    for name in ("journal", "patch", "sandbox"):  # each name ``record`` is called through
+        monkeypatch.setattr(f"twinforge.twin.{name}.record", spy)
+    image = capture_image(twin_tree)
+    twin = instantiate_twin(image, tmp_path / "sandbox")
+    names = [entry.path for entry in image.manifest if "/" not in entry.path]
+    assert "tmp" not in names and docs == [{"moved": None, "added": [*names, "tmp"]}]
+    docs.clear()
+    ops = (AddFile("opt/vendor/agent", b"x"), AddFile("bin/x", b"x"), DeleteFile("bin/term"),
+           ReplaceFile("docs/readme.txt", b"v2\n"), SetConfig("etc/app.conf", "mode", "fast"))
+    apply_patch(twin, PatchDelta(ops))
+    assert docs == [
+        {"moved": None, "added": ["opt"]},
+        {"moved": None, "added": ["bin/x"]},
+        {"moved": "bin/term", "added": []},
+        {"moved": "docs/readme.txt", "added": []},
+        {"moved": "etc/app.conf", "added": []},
+    ]
+
+
+def test_a_journal_in_the_older_record_shape_is_refused_and_undoes_nothing(twin, tmp_path, capsys):
+    """Records of the older shape (``path``, ``saved``, ``created``,
+    ``added``), a restore's and an add's, are refused whole: every command
+    that opens the sandbox exits 2 and the tree and the journal stay as
+    they are."""
+    (twin.sandbox / "new").mkdir()
+    (twin.sandbox / "new" / "x").write_bytes(b"x")
+    jdir = journal_dir(twin.sandbox)
+    jdir.mkdir()
+    (jdir / journal.MARKER).touch()
+    older = [
+        {"path": "tmp", "saved": False, "created": [], "added": ["apps", "bin", "docs", "etc"]},
+        {"path": "new/x", "saved": False, "created": ["new"]},
+    ]
+    for index, doc in enumerate(older):
+        (jdir / f"{index:06d}.json").write_text(json.dumps(doc), encoding="utf-8")
+    listing = sorted(p.name for p in jdir.iterdir())
+    before = scan_tree(twin.sandbox)
+    with pytest.raises(MalformedJournal, match="bad undo record: unknown key 'path'"):
+        journal.roll_back(twin.sandbox)
+    checks = tmp_path / "checks.json"
+    checks.write_text(json.dumps([{"check": "file_exists", "path": "bin/term"}]), encoding="utf-8")
+    assert main(["twin", "check", "--sandbox", str(twin.sandbox), "--checks", str(checks)]) == 2
+    assert "bad undo record" in capsys.readouterr().err
+    assert scan_tree(twin.sandbox) == before
+    assert sorted(p.name for p in jdir.iterdir()) == listing
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        {"path": "bin/x", "saved": False, "created": "tm"},
-        {"path": "bin/x", "saved": False, "created": ["tm", 5]},
-        {"path": "bin/x", "saved": "no", "created": []},
-        {"path": 5, "saved": False, "created": []},
-        ["bin/x", False, []],
+        {"moved": None, "added": "tm"},
+        {"moved": None, "added": ["tm", 5]},
+        {"moved": False, "added": []},
+        {"moved": 5, "added": []},
+        {"added": ["tm"]},
+        [None, ["tm"]],
     ],
 )
 def test_a_malformed_undo_record_undoes_nothing(twin, doc):
-    """A record whose ``created`` is the string "tm" once made the roll-back
-    remove the sandbox's ``t/`` and ``m/``. Every record is read before
-    anything is undone, so the valid newer record is not undone either."""
+    """A record whose list of nodes is the string "tm" once made the
+    roll-back remove the sandbox's ``t/`` and ``m/``. Every record is read
+    before anything is undone, so the valid newer record is not undone
+    either."""
     for name in ("t", "m", "new"):
         (twin.sandbox / name).mkdir()
     with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
         (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
-        record(jdir, 1, UndoRecord("new/x", False, ("new",)))
+        record(jdir, 1, UndoRecord(None, ("new",)))
     before = _state(twin)
     with pytest.raises(MalformedJournal, match="000000.json: bad undo record"):
         journal.roll_back(twin.sandbox)
@@ -603,18 +664,21 @@ def test_a_malformed_undo_record_undoes_nothing(twin, doc):
 @pytest.mark.parametrize(
     "doc",
     [
-        {"path": "../outside/victim", "saved": False, "created": []},
-        {"path": "new/x", "saved": False, "created": ["new", "../outside/empty"]},
-        {"path": "hop/victim", "saved": False, "created": []},
-        {"path": "new/x", "saved": False, "created": ["hop/empty"]},
+        {"moved": None, "added": ["../outside/victim"]},
+        {"moved": None, "added": ["new", "../outside/empty"]},
+        {"moved": None, "added": ["hop/victim"]},
+        {"moved": None, "added": ["new", "hop/empty"]},
+        {"moved": "../outside/victim", "added": []},
+        {"moved": "hop/victim", "added": []},
     ],
-    ids=["dotdot-path", "dotdot-created", "link-path", "link-created"],
+    ids=["dotdot-added", "dotdot-second-added", "link-added", "link-second-added", "dotdot-moved", "link-moved"],
 )
 def test_an_undo_record_leading_out_of_the_sandbox_undoes_nothing(twin, doc):
     """A record once made the next writer delete the file ``../outside/victim``
     (or remove a directory there), joined to the sandbox as written or
-    reached through an inside link that leads out. Each record is now
-    checked by the path rule and resolved before any is undone."""
+    reached through an inside link that leads out; a moved path would have
+    its saved node renamed over that file. Each record is now checked by the
+    path rule and resolved before any is undone."""
     outside = twin.sandbox.parent / "outside"
     (outside / "empty").mkdir(parents=True)
     (outside / "victim").write_bytes(b"keep\n")
@@ -623,12 +687,13 @@ def test_an_undo_record_leading_out_of_the_sandbox_undoes_nothing(twin, doc):
     with sandbox_lock(twin.sandbox):
         jdir = begin_journal(twin.sandbox)
         (jdir / "000000.json").write_text(json.dumps(doc), encoding="utf-8")
-        record(jdir, 1, UndoRecord("new/y", False, ("new",)))
-    before = scan_tree(twin.sandbox, ("hop",))
+        (jdir / "000000.node").write_bytes(b"planted\n")
+        record(jdir, 1, UndoRecord(None, ("new",)))
+    before = capture_image(twin.sandbox, ("hop",)).manifest
     with pytest.raises(MalformedJournal, match="000000.json: "):
         journal.roll_back(twin.sandbox)
-    assert scan_tree(twin.sandbox, ("hop",)) == before
-    assert sorted(p.name for p in jdir.iterdir()) == ["000000.json", "000001.json", journal.MARKER]
+    assert capture_image(twin.sandbox, ("hop",)).manifest == before
+    assert sorted(p.name for p in jdir.iterdir()) == ["000000.json", "000000.node", "000001.json", journal.MARKER]
     assert (outside / "victim").read_bytes() == b"keep\n"
     assert (outside / "empty").is_dir()
 
@@ -669,7 +734,7 @@ def test_roll_back_cut_short_resumes(twin, monkeypatch, ops):
 def test_a_directory_that_is_not_a_journal_is_left_alone(twin):
     foreign = journal_dir(twin.sandbox)
     foreign.mkdir()
-    (foreign / "000000.json").write_text('{"path": "bin/term", "saved": false, "created": []}')
+    (foreign / "000000.json").write_text('{"moved": null, "added": ["bin/term"]}')
     before = _state(twin)
     with pytest.raises(MalformedJournal, match="not a twinforge journal"):
         apply_patch(twin, PatchDelta((DeleteFile("bin/term"),)))

@@ -575,9 +575,9 @@ def test_diff_empty_and_symmetry(twin_tree, tmp_path):
     (other_root / "bin" / "newtool").write_bytes(b"new")
     (other_root / "docs" / "readme.txt").write_text("changed\n", encoding="utf-8")
     (other_root / "apps" / "files").unlink()
-    post = scan_tree(other_root, ("tmp/**",))
+    post = capture_image(other_root, ("tmp/**",)).manifest
 
-    pre = scan_tree(twin_tree, ("tmp/**",))
+    pre = capture_image(twin_tree, ("tmp/**",)).manifest
     forward = diff_states(pre, post)
     backward = diff_states(post, pre)
     assert forward.added == ("bin/newtool",)
