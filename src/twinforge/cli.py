@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from twinforge.config import PipelineConfig, default_workspace, load_config
+from twinforge.config import PipelineConfig, default_config, load_config
 from twinforge.errors import (
     EmptyScript,
     GateExhausted,
@@ -156,15 +156,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _set_flag(flag: str, make):
+    """``make()``, which sets ``flag``'s value on the dataclass that owns its rule, or a usage error naming ``flag``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = PipelineConfig(default_workspace())
+    config = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
-        if args.seed < 0:
-            raise _UsageError("--seed must be non-negative")
-        config = replace(config, seed=args.seed)
+        config = _set_flag("--seed", lambda: replace(config, seed=args.seed))
+    if getattr(args, "epochs", None) is not None:
+        config = replace(config, gan=_set_flag("--epochs", lambda: replace(config.gan, epochs=args.epochs)))
+    if getattr(args, "order", None) is not None:
+        config = replace(config, ngram=_set_flag("--order", lambda: replace(config.ngram, order=args.order)))
     return config
 
 
@@ -256,25 +263,23 @@ def _cmd_train(args, config, say) -> int:
 
     if args.train_command == "tabular":
         dataset = read_dataset_csv(args.data)
-        gan_config = config.gan if args.epochs is None else replace(config.gan, epochs=args.epochs)
         seed = stage_seed(config.seed, "train.tabular")
-        model = train_gan(dataset, gan_config, seed=seed)
+        model = train_gan(dataset, config.gan, seed=seed)
         out = args.out or _workspace_path(config, "models", "tabular.json")
         save_model(model, out)
         say(
-            f"trained {gan_config.epochs} epochs on {len(dataset)} rows "
+            f"trained {config.gan.epochs} epochs on {len(dataset)} rows "
             f"(final G loss {model.gen_losses[-1]:.4f}) -> {out}"
         )
         return EXIT_OK
-    order = args.order if args.order is not None else config.ngram.order
     corpus = []
     for path in args.corpus:
         script = parse_macro_script(read_text(path), name=path.stem)
         corpus.append(tokenize_script(script))
-    model = train_ngram(corpus, order=order, delta=config.ngram.delta, seed=config.seed)
+    model = train_ngram(corpus, order=config.ngram.order, delta=config.ngram.delta, seed=config.seed)
     out = args.out or _workspace_path(config, "models", "sequence.json")
     save_seq_model(model, out)
-    say(f"trained order-{order} model on {len(corpus)} scripts ({len(model.vocab)} tokens) -> {out}")
+    say(f"trained order-{model.order} model on {len(corpus)} scripts ({len(model.vocab)} tokens) -> {out}")
     return EXIT_OK
 
 
@@ -289,6 +294,8 @@ def _cmd_gen(args, config, say) -> int:
     from twinforge.tabular.gate import generate_gated
 
     if args.gen_command == "tabular":
+        if args.n < 1:  # ``generate_gated``'s rule, judged before anything is read
+            raise _UsageError(f"--n: n must be >= 1, not {args.n}")
         model = load_model(args.model)
         real = read_dataset_csv(args.real)
         seed = stage_seed(config.seed, "gen.tabular")
@@ -300,10 +307,9 @@ def _cmd_gen(args, config, say) -> int:
         say(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
-    seed = stage_seed(config.seed, "gen.seq")
-    request = GenRequest(
-        prompt=(args.prompt,), temperature=args.temperature, max_len=args.max_len, seed=seed
-    )
+    request = GenRequest(prompt=(args.prompt,), seed=stage_seed(config.seed, "gen.seq"))
+    request = _set_flag("--temperature", lambda: replace(request, temperature=args.temperature))
+    request = _set_flag("--max-len", lambda: replace(request, max_len=args.max_len))
     if args.via_service:
         if config.service is None:
             raise _UsageError("--via-service requires a service block in the config")

@@ -122,8 +122,12 @@ class PipelineConfig:
         return {**asdict(self), "workspace": str(self.workspace), "exclusions": list(self.exclusions)}
 
 
-def default_workspace() -> Path:
-    return Path(os.environ.get(WORKSPACE_ENV, "."))
+def default_config() -> PipelineConfig:
+    """Every default, with the workspace ``$TWINFORGE_WORKSPACE`` names, else the current directory."""
+    try:
+        return PipelineConfig(Path(os.environ.get(WORKSPACE_ENV, ".")))
+    except ValueError as exc:
+        raise ConfigParse(f"{WORKSPACE_ENV}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -243,4 +243,4 @@ class ConfigParse(TwinforgeError):
 
 
 class UndecodableInput(TwinforgeError):
-    """A text input file is not valid UTF-8."""
+    """A text input file is not valid UTF-8, or a string to write is not UTF-8 text."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from twinforge.errors import BadArg, BadArity, EmptyScript, MacroSyntaxError, UnknownVerb
+from twinforge.jsonfile import is_utf8_text
 
 # Sequence sentinels used by tokenize_script and the sequence models.
 BOS = "<s>"
@@ -38,10 +39,8 @@ def _check_text_arg(verb: str, arg: object) -> None:
         raise BadArg(f"{verb} argument must be non-empty with no surrounding whitespace")
     if arg.splitlines() != [arg]:  # the parser splits lines where str.splitlines does
         raise BadArg(f"{verb} argument must not contain line breaks")
-    try:
-        arg.encode("utf-8")
-    except UnicodeEncodeError as exc:  # a lone surrogate, as Python gives an argv byte that is not UTF-8
-        raise BadArg(f"{verb} argument is not valid UTF-8 text: {exc}") from exc
+    if not is_utf8_text(arg):  # a lone surrogate, as Python gives an argv byte that is not UTF-8
+        raise BadArg(f"{verb} argument is not valid UTF-8 text: {arg!r}")
 
 
 def _check_int_arg(verb: str, arg: object) -> None:

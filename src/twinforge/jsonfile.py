@@ -1,6 +1,7 @@
 """The one writer of every artifact (``publish``), the one text form of
 every JSON artifact and its one reader, the one record writer and reader,
-the one reader of UTF-8 text inputs, and the one reader of tagged documents.
+the one reader of UTF-8 text inputs and the one rule of UTF-8 text, and the
+one reader of tagged documents.
 
 JSON artifacts are UTF-8 with sorted keys, two-space indentation and a
 trailing newline, so the same document always gives the same bytes. A
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import reprlib
 import secrets
 import stat
@@ -34,7 +36,11 @@ def _fields(obj: object) -> dict:
 
 
 def dumps(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n"
+    """``doc``'s one text form; a string ``parse_json`` would refuse raises UndecodableInput."""
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n"
+    if _SURROGATE_ESCAPE.search(text):
+        parse_json(text.encode("ascii"), UndecodableInput, "a document to write")
+    return text
 
 
 @contextmanager
@@ -86,13 +92,31 @@ def read_text(path: str | Path) -> str:
         raise UndecodableInput(f"{path}: not valid UTF-8: {exc}") from exc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a ``\uD800``-``\uDFFF`` escape
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')  # a JSON string literal
+
+
+def is_utf8_text(text: str) -> bool:
+    """The one rule of UTF-8 text: ``text`` holds no lone surrogate, which is what
+    an unpaired ``\\uD800`` escape or a command-line byte that is not UTF-8 gives."""
+    return not _SURROGATE.search(text)
+
+
 def parse_json(data: bytes, error: Callable[[str], Exception], where: str) -> object:
     """The one JSON decoder: ``data`` as UTF-8 JSON. Bytes that are not UTF-8, text that is not JSON,
-    nesting past the parser's depth or an integer past the int-string digit limit raise ``error``."""
+    nesting past the parser's depth, an integer past the int-string digit limit or a string that is not
+    UTF-8 text (a lone surrogate, from an unpaired ``\\uD800`` escape) raise ``error``."""
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise error(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+    if _SURROGATE_ESCAPE.search(text):  # only such a text decodes to a string with a surrogate
+        for string in map(json.loads, _STRING.findall(text)):  # each key and value, in document order
+            if not is_utf8_text(string):
+                raise error(f"{where}: a string that is not UTF-8 text: {reprlib.repr(string)}")
+    return doc
 
 
 def read_json(path: str | Path, error: Callable[[str], Exception]) -> object:

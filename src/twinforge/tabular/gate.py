@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from twinforge.config import GateConfig
-from twinforge.errors import GateExhausted
+from twinforge.errors import GateExhausted, SchemaMismatch
 from twinforge.ingest.tabular import CONTINUOUS, TabularDataset
 from twinforge.tabular.distance import emd_1d, tv_distance
 from twinforge.tabular.gan import GanModel, generate_rows
@@ -49,7 +49,7 @@ def generate_gated(
     if n < 1:
         raise ValueError("n must be >= 1")
     if real.schema != model.schema:
-        raise ValueError("real dataset schema does not match the model")
+        raise SchemaMismatch("real dataset schema does not match the model")
 
     worst: tuple[str, float, float] | None = None
     for attempt in range(1, gate.max_attempts + 1):

@@ -40,9 +40,12 @@ _PREFIX = len(MAGIC) + 8  # the magic, then the header's length
 class TwinImage:
     """A captured tree: its manifest and the archive that packs it.
 
-    ``archive`` must be ``bytes`` (a ``bytearray`` is refused), so the
-    archive cannot change under ``checked_entries``, the one-time check
-    that every restore of this object reuses."""
+    Made, it judges itself without hashing: unless the archive holds exactly
+    the manifest's sizes, the paths strictly increase (as ``walk_tree``
+    sorts) and each parent is a directory listed before its entries, it
+    raises MalformedArchive, so a restore writes every entry in order and
+    nothing else. ``archive`` must be ``bytes``, not a ``bytearray`` that
+    could change under ``verified_files``."""
 
     manifest: tuple[ManifestEntry, ...]
     archive: bytes
@@ -52,31 +55,35 @@ class TwinImage:
     def __post_init__(self) -> None:
         if not isinstance(self.archive, bytes):
             raise TypeError(f"archive must be bytes, not {type(self.archive).__name__}")
-
-    @cached_property
-    def checked_entries(self) -> tuple[tuple[ManifestEntry, memoryview], ...]:
-        """Each manifest entry with its content, a view into ``archive``,
-        once the archive is found to hold exactly the manifest's entries in
-        a form a restore can write (``_match_manifest``, else
-        ``MalformedArchive``) and each file its SHA-256 (else
-        ``HashMismatch``). Computed once per image object; a failed check
-        is not kept, so it raises again on the next access."""
-        pairs = _match_manifest(self.manifest, self.archive)
-        for entry, content in pairs:
-            if entry.kind == FILE:
-                actual = sha256_hex(content)
-                if actual != entry.sha256:
-                    raise HashMismatch(entry.path, entry.sha256, actual)
-        return pairs
+        _check_sizes(len(self.archive), self.manifest)
+        before, dirs = "", {""}  # no path is empty; "" is the sandbox itself
+        for entry in self.manifest:
+            if entry.path <= before:
+                raise MalformedArchive(f"{entry.path}: manifest entry out of order after {before}")
+            if (parent := posixpath.dirname(entry.path)) not in dirs:
+                raise MalformedArchive(
+                    f"{entry.path}: manifest entry whose parent {parent} is not a directory listed before it"
+                )
+            if entry.kind == DIR:
+                dirs.add(entry.path)
+            before = entry.path
 
     @cached_property
     def verified_files(self) -> KnownFiles:
-        """Each file's path mapped to its hash and content from
-        ``checked_entries``: built once per image object, read-only, and
-        kept by every twin restored from it."""
-        return MappingProxyType(
-            {entry.path: (entry.sha256, content) for entry, content in self.checked_entries if entry.kind == FILE}
-        )
+        """Each file's path mapped to its hash and content (a ``memoryview``
+        of its ``size`` bytes of ``archive``), once each content is found to
+        have its SHA-256 (else HashMismatch). Built once per image object,
+        read-only, and kept by every twin restored from it; a failed check
+        is not kept, so it raises again on the next access."""
+        view, offset, files = memoryview(self.archive), 0, {}
+        for entry in self.manifest:
+            content = view[offset : offset + entry.size]
+            offset += entry.size
+            if entry.kind == FILE:
+                if (actual := sha256_hex(content)) != entry.sha256:
+                    raise HashMismatch(entry.path, entry.sha256, actual)
+                files[entry.path] = (entry.sha256, content)
+        return MappingProxyType(files)
 
 
 def capture_image(
@@ -98,35 +105,6 @@ def _check_sizes(held: int, manifest: Sequence[ManifestEntry], at: str = "") -> 
     listed = sum(entry.size for entry in manifest)
     if held != listed:
         raise MalformedArchive(f"{at}the archive holds {held} content bytes, the manifest's sizes add up to {listed}")
-
-
-def _match_manifest(
-    manifest: Sequence[ManifestEntry], archive: bytes
-) -> tuple[tuple[ManifestEntry, memoryview], ...]:
-    """Pair each manifest entry with its content: a ``memoryview`` slice of
-    ``archive``, the entry's ``size`` bytes from where the entry before it
-    ends. Raises MalformedArchive unless the archive holds exactly the
-    manifest's sizes, and, naming the path, unless the paths strictly
-    increase (as ``walk_tree`` sorts) and each entry's parent is a directory
-    listed before it, so a restore can write every entry in order and makes
-    nothing the manifest does not list. Hashes nothing."""
-    _check_sizes(len(archive), manifest)
-    view = memoryview(archive)
-    offset = 0
-    pairs = []
-    dirs = {""}  # the sandbox itself
-    for entry in manifest:
-        path = entry.path
-        if pairs and path <= pairs[-1][0].path:
-            raise MalformedArchive(f"{path}: manifest entry out of order after {pairs[-1][0].path}")
-        parent = posixpath.dirname(path)
-        if parent not in dirs:
-            raise MalformedArchive(f"{path}: manifest entry whose parent {parent} is not a directory listed before it")
-        if entry.kind == DIR:
-            dirs.add(path)
-        pairs.append((entry, view[offset : offset + entry.size]))
-        offset += entry.size
-    return tuple(pairs)
 
 
 # -- on-disk form: one <name>.twimg ------------------------------------------
@@ -175,7 +153,6 @@ def load_image(path: str | Path) -> TwinImage:
         header = _read_header(fh, path)
         archive = fh.read()  # read into the one ``bytes`` the image keeps
     try:
-        _match_manifest(header.entries, archive)
+        return TwinImage(header.entries, archive, header.exclusions, header.created_at)
     except MalformedArchive as exc:
         raise MalformedArchive(f"{path}: {exc}") from exc
-    return TwinImage(header.entries, archive, header.exclusions, header.created_at)

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from twinforge.errors import DanglingSymlink, SymlinkOutsideRoot, UndecodableInput
+from twinforge.jsonfile import is_utf8_text
 
 FILE = "file"
 DIR = "dir"
@@ -29,16 +30,9 @@ KnownFiles = Mapping[str, tuple[str, memoryview]]
 
 
 def is_os_path(path: object) -> bool:
-    """A path the OS and the archive accept: a string with no NUL that
-    encodes as UTF-8. The rule of the workspace, and part of
-    ``is_safe_rel_path``."""
-    if not isinstance(path, str) or "\x00" in path:
-        return False
-    try:
-        path.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+    """A path the OS and the archive accept: UTF-8 text with no NUL. The
+    rule of the workspace, and part of ``is_safe_rel_path``."""
+    return isinstance(path, str) and "\x00" not in path and is_utf8_text(path)
 
 
 def is_safe_rel_path(path: object) -> bool:

@@ -87,10 +87,6 @@ class SetConfig:
         _check_rel_path(self.file)
         if fault := config_text_fault(self.key, self.value):
             raise MalformedPatch(fault)
-        try:
-            self.value.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate, from an unpaired \uD800 escape
-            raise MalformedPatch(f"bad config value {self.value!r}: {exc}") from exc
 
 
 PatchOp = Union[AddFile, ReplaceFile, DeleteFile, SetConfig]

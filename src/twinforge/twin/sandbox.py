@@ -85,13 +85,10 @@ def sandbox_lock(directory: Path):
 def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     """Restore exactly an image's entries, plus an empty ``tmp/`` if it has none, into an empty sandbox.
 
-    The image is checked whole (``TwinImage.checked_entries``) before
-    anything is created: a flipped content byte raises HashMismatch; an
-    entry that disagrees with the manifest, or that a restore cannot
-    write, raises MalformedArchive; and no sandbox is made. The image
-    keeps the result, so restoring it again hashes and copies nothing; it
-    writes the archive's bytes. The twin keeps the image's
-    ``verified_files``. Directory modes are set once every entry is
+    Every file is hashed (``TwinImage.verified_files``) before anything is
+    created: a flipped content byte raises HashMismatch, and no sandbox is
+    made. The image and the twin keep the hashed files, so restoring the
+    image again hashes nothing. Directory modes are set once every entry is
     written, deepest first, so a read-only directory can still be restored
     with its contents. A sandbox with contents is refused under the sandbox
     lock, after it has rolled back a crashed write. The restore is then
@@ -99,27 +96,27 @@ def instantiate_twin(image: TwinImage, sandbox_dir: str | Path) -> TwinState:
     top-level name, and ``tmp`` when the restore makes it, so a failed or
     killed restore is undone to an empty sandbox.
     """
-    entries = image.checked_entries
+    files = image.verified_files
     sandbox = Path(sandbox_dir)
     sandbox.mkdir(parents=True, exist_ok=True)
-    names = tuple(entry.path for entry, _ in entries if "/" not in entry.path)
+    names = tuple(entry.path for entry in image.manifest if "/" not in entry.path)
     dir_modes: list[tuple[str, int]] = []
     with sandbox_lock(sandbox):
         if any(sandbox.iterdir()):
             raise SandboxNotEmpty(f"{sandbox} already has contents")
         with journaled(sandbox) as journal:
             record(journal, 0, UndoRecord(None, names if "tmp" in names else (*names, "tmp")))
-            for entry, content in entries:  # each parent is listed, so made, before its entries
+            for entry in image.manifest:  # each parent is listed, so made, before its entries
                 target = sandbox / entry.path
                 if entry.kind == DIR:
                     target.mkdir()
                     dir_modes.append((entry.path, entry.mode))
                     continue
-                target.write_bytes(content)
+                target.write_bytes(files[entry.path][1])
                 target.chmod(entry.mode)
             for path, mode in sorted(dir_modes, key=lambda item: item[0].count("/"), reverse=True):
                 (sandbox / path).chmod(mode)
             if "tmp" not in names:
                 (sandbox / "tmp").mkdir()
                 (sandbox / "tmp").chmod(0o755)
-    return TwinState(sandbox, image_files=image.verified_files)
+    return TwinState(sandbox, image_files=files)

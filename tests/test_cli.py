@@ -19,6 +19,7 @@ from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
 from twinforge.tabular.gan import load_model
 from twinforge.twin.image import MAGIC, capture_image, load_image, save_image
 from twinforge.twin.manifest import scan_tree
+from twinforge.twin.sandbox import instantiate_twin
 from twinforge.validate.report import load_report
 
 from conftest import edit_image_manifest, held_by_child, make_fixture_dataset
@@ -389,7 +390,7 @@ def test_patch_op_path_that_is_not_utf8_is_a_data_error_that_writes_nothing(tmp_
     delta.write_text(json.dumps([{"op": "add_file", "path": "bin/\udcff", "content": "x"}]), encoding="utf-8")
     capsys.readouterr()
     assert main(["--config", str(config), "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 2
-    assert "bad op path" in capsys.readouterr().err
+    assert f"{delta}: a string that is not UTF-8 text: 'bin/\\udcff'" in capsys.readouterr().err
     assert scan_tree(sandbox) == before
 
 
@@ -519,7 +520,7 @@ def test_a_workspace_with_a_nul_is_a_data_error(tmp_path, capsys):
     "field, value",
     [("mode", "rw"), ("mode", True), ("mode", 0o10000), ("mode", -1), ("size", -5), ("size", False), ("size", 1.0)],
 )
-def test_a_sidecar_entry_with_a_bad_size_or_mode_is_a_data_error_that_writes_nothing(
+def test_a_header_entry_with_a_bad_size_or_mode_is_a_data_error_that_writes_nothing(
     tmp_path, workspace, twin_tree, capsys, field, value
 ):
     config = _config(tmp_path, workspace)
@@ -646,6 +647,69 @@ def test_undecodable_sandbox_config_is_data_error(tmp_path, workspace, twin_tree
     assert scan_tree(sandbox) == before
 
 
+def _with_lone_surrogate(source: Path, target: Path, edit) -> Path:
+    """``source``'s JSON document, changed by ``edit``, written to ``target``
+    with ``\\ud800``, an unpaired escape, in place of one string."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    edit(doc)
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    return target
+
+
+# A JSON string holding a lone surrogate is not UTF-8 text: each of these
+# once escaped ``main`` as a UnicodeEncodeError traceback with exit 1.
+# ``capsys`` keeps the text as it is, where pytest's default capture would
+# write ``?`` for it and hide the crash.
+def test_a_report_with_a_lone_surrogate_is_a_data_error(tmp_path, workspace, pipeline_artifacts, capsys):
+    report = _with_lone_surrogate(
+        pipeline_artifacts["report_path"], tmp_path / "report.json", lambda doc: doc.update(run_id="\ud800")
+    )
+    capsys.readouterr()
+    assert main(["--config", str(_config(tmp_path, workspace)), "report", "--in", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {report}: a string that is not UTF-8 text: '\\ud800'\n"
+
+
+def test_a_check_with_a_lone_surrogate_is_a_data_error(tmp_path, workspace, twin_tree, capsys):
+    config, sandbox = str(_config(tmp_path, workspace)), tmp_path / "sandbox"
+    instantiate_twin(capture_image(twin_tree), sandbox)
+    checks = tmp_path / "checks.json"
+    checks.write_text(json.dumps([{"check": "hash_equals", "path": "etc/app.conf", "sha256": "\ud800"}]))
+    capsys.readouterr()
+    assert main(["--config", config, "twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)]) == 2
+    assert capsys.readouterr().err == f"error: {checks}: a string that is not UTF-8 text: '\\ud800'\n"
+
+
+def test_a_model_with_a_lone_surrogate_is_a_data_error(tmp_path, workspace, pipeline_artifacts, capsys):
+    def edit(doc):
+        column = next(iter(doc["categories"]))
+        first = doc["categories"][column][0]
+        doc["categories"][column][0] = "\ud800"
+        doc["frequencies"][column]["\ud800"] = doc["frequencies"][column].pop(first)
+
+    model = _with_lone_surrogate(pipeline_artifacts["model_path"], tmp_path / "model.json", edit)
+    out = tmp_path / "synth.csv"
+    config = _config(tmp_path, workspace, gate={"tau_continuous": 1e9, "tau_discrete": 1.0})  # accepts any batch
+    argv = ["--config", str(config), "gen", "tabular", "--model", str(model)]
+    capsys.readouterr()
+    assert main([*argv, "--real", str(pipeline_artifacts["real_csv"]), "--n", "70", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {model}: a string that is not UTF-8 text: '\\ud800'\n"
+    assert not out.exists()
+
+
+def test_gen_tabular_against_a_csv_of_another_schema_is_a_data_error(tmp_path, workspace, pipeline_artifacts, capsys):
+    # it once escaped ``main`` as a ValueError traceback, where ``validate``
+    # refuses the same two schemas as SchemaMismatch
+    real = tmp_path / "other.csv"
+    real.write_text(pipeline_artifacts["real_csv"].read_text(encoding="utf-8").replace('"cpu_pct"', '"cpu"', 1))
+    out = tmp_path / "synth.csv"
+    model = pipeline_artifacts["model_path"]
+    argv = ["--config", str(_config(tmp_path, workspace)), "gen", "tabular", "--model", str(model), "--real", str(real)]
+    capsys.readouterr()
+    assert main([*argv, "--n", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: real dataset schema does not match the model\n"
+    assert not out.exists()
+
+
 def test_validate_rejects_a_sidecar_that_is_not_an_object(tmp_path, workspace):
     config = _config(tmp_path, workspace)
     write_dataset_csv(make_fixture_dataset(n_rows=20, seed=4), tmp_path / "real.csv")
@@ -704,6 +768,36 @@ def test_failing_command_creates_no_workspace_layout(tmp_path, workspace):
     argv = ["--config", str(config), "train", "seq", "--corpus", str(tmp_path / "missing.ahk")]
     assert main(argv) == 2
     assert list(workspace.iterdir()) == []
+
+
+# Each flag value breaks a rule of what it sets; each once escaped ``main``
+# as a ValueError traceback with exit 1.
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--seed", "-1", "train", "seq", "--corpus", "{script}"], "--seed"),
+        (["train", "tabular", "--data", "{dir}/real.csv", "--epochs", "0"], "--epochs"),
+        (["train", "seq", "--corpus", "{script}", "--order", "0"], "--order"),
+        (["gen", "tabular", "--model", "{dir}/model.json", "--real", "{dir}/real.csv", "--n", "0"], "--n"),
+        (["gen", "seq", "--model", "{dir}/seq.json", "--prompt", "Run, x", "--max-len", "0"], "--max-len"),
+        (["gen", "seq", "--model", "{dir}/seq.json", "--prompt", "Run, x", "--temperature", "-1"], "--temperature"),
+        (["gen", "seq", "--model", "{dir}/seq.json", "--prompt", "Run, x", "--temperature", "nan"], "--temperature"),
+    ],
+    ids=["seed", "epochs", "order", "n", "max-len", "temperature", "temperature-nan"],
+)
+def test_a_flag_value_that_breaks_a_rule_is_a_usage_error(tmp_path, workspace, script_paths, argv, flag, capsys):
+    config = _config(tmp_path, workspace)
+    assert main(["--config", str(config), *(a.format(dir=tmp_path, script=script_paths[0]) for a in argv)]) == 1
+    assert capsys.readouterr().err.startswith(f"{flag}: ")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [config]
+
+
+def test_a_workspace_from_the_environment_that_is_not_utf8_is_a_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(WORKSPACE_ENV, os.fsdecode(str(tmp_path / "ws").encode() + b"\xff"))
+    script = Path(__file__).parent / "fixtures" / "scripts" / "01_chrome_search.ahk"
+    assert main(["ingest", "macro", "--in", str(script)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {WORKSPACE_ENV}: workspace must be")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_flag_overrides_config(tmp_path, workspace, script_paths):

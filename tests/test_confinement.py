@@ -159,13 +159,13 @@ def test_config_files_are_split_into_lines_in_one_place():
 
 # (module, function) where twin file content may be hashed: the scan's one
 # reader and the image's one check, plus the helper both call.
-HASHERS = {("twin/manifest.py", "manifest_entry"), ("twin/image.py", "checked_entries")}
+HASHERS = {("twin/manifest.py", "manifest_entry"), ("twin/image.py", "verified_files")}
 
 
 def test_twin_files_are_hashed_in_one_place():
     """Under ``twin/``, ``hashlib`` is imported only by ``twin/manifest.py``
     and used only in ``sha256_hex``, and ``sha256_hex`` is called only by
-    ``manifest_entry`` and ``TwinImage.checked_entries``. ``manifest_entry``
+    ``manifest_entry`` and ``TwinImage.verified_files``. ``manifest_entry``
     holds the rule that lets a restored twin skip the hash of bytes equal
     to its image's; a second reader that hashed on its own would get
     round it, or copy it wrong."""
@@ -183,6 +183,20 @@ def test_twin_files_are_hashed_in_one_place():
                 offenders.append(f"{where} hashlib")
             if name == "sha256_hex" and (module, function) not in HASHERS:
                 offenders.append(f"{where} sha256_hex")
+    assert offenders == []
+
+
+def test_an_image_is_judged_in_one_place():
+    """``posixpath.dirname``, the rule that each entry's parent is a
+    directory listed before it, appears only in ``TwinImage.__post_init__``.
+    A separate pass once judged an image's entries: ``load_image`` ran it
+    and threw the result away, then each restore ran it again."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node, function in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", None) == "dirname" and (module, function) != ("twin/image.py", "__post_init__"):
+                offenders.append(f"{module}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
 
 

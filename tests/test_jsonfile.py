@@ -23,10 +23,11 @@ from twinforge.errors import (
     MalformedModel,
     MalformedPatch,
     MalformedReport,
+    UndecodableInput,
 )
 from twinforge.ingest.macro import BOS, EOS
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset, write_dataset_csv
-from twinforge.jsonfile import dumps
+from twinforge.jsonfile import dumps, parse_json
 from twinforge.sequence.ngram import load_seq_model, save_seq_model, train_ngram
 from twinforge.tabular.encoding import TableCodec
 from twinforge.tabular.gan import GanModel, load_model, model_to_json
@@ -56,6 +57,20 @@ def test_dumps_writes_dataclasses_as_sorted_field_objects():
         dumps({1, 2})
     with pytest.raises(TypeError):
         dumps(_Point)
+
+
+def test_a_string_that_is_not_utf8_text_is_neither_written_nor_read():
+    """A lone surrogate (``\\udcff`` is how Python gives an argv byte that
+    is not UTF-8) is refused by ``dumps`` and, as a key or a value, by the
+    reader; a pair of surrogate escapes is one character, and is kept."""
+    for doc in ({"name": "a\udcff"}, {"\ud800": 1}, [[["\udfff"]]]):
+        with pytest.raises(UndecodableInput, match="a string that is not UTF-8 text"):
+            dumps(doc)
+        with pytest.raises(MalformedReport, match="x.json: a string that is not UTF-8 text"):
+            parse_json(json.dumps(doc).encode(), MalformedReport, "x.json")
+    text = dumps({"emoji": "\U0001F600"})
+    assert "\\ud83d\\ude00" in text and parse_json(text.encode(), MalformedReport, "x.json") == {"emoji": "\U0001F600"}
+    assert parse_json(b'"\\\\ud800"', MalformedReport, "x.json") == "\\ud800"  # an escaped backslash, then text
 
 
 def _image_headed_by(path):

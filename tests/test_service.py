@@ -30,6 +30,8 @@ class _Handler(BaseHTTPRequestHandler):
             time.sleep(1.0)
         if type(self).behavior == "bad-shape":
             body = json.dumps({"tokens": 5}).encode()
+        elif type(self).behavior == "lone-surrogate":
+            body = json.dumps({"tokens": ["Send, \ud800"]}).encode()
         else:
             body = json.dumps({"tokens": SCRIPT_TOKENS}).encode()
         self.send_response(200)
@@ -71,6 +73,13 @@ def test_stub_round_trip(stub_server):
 def test_bad_shape_response(stub_server):
     _Handler.behavior = "bad-shape"
     with pytest.raises(ServiceBadResponse):
+        generate_via_service(ServiceEndpoint(url=stub_server, timeout_s=5.0), REQUEST)
+
+
+def test_a_token_that_is_not_utf8_text_is_a_bad_response(stub_server):
+    # it once reached the script check, so ``gen seq --via-service`` exited 3
+    _Handler.behavior = "lone-surrogate"
+    with pytest.raises(ServiceBadResponse, match=r"a string that is not UTF-8 text: 'Send, \\ud800'"):
         generate_via_service(ServiceEndpoint(url=stub_server, timeout_s=5.0), REQUEST)
 
 
