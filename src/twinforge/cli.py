@@ -26,7 +26,7 @@ from twinforge.errors import (
 from twinforge.jsonfile import dumps, from_doc, publish, read_json, read_text, write_json
 from twinforge.twin.checks import load_checks, run_checks
 from twinforge.twin.image import capture_image, load_image, load_manifest, save_image
-from twinforge.twin.manifest import diff_states, is_safe_rel_path, scan_tree, sha256_hex, walk_tree
+from twinforge.twin.manifest import diff_states, scan_tree, sha256_hex, walk_tree
 from twinforge.twin.patch import apply_patch, load_delta
 from twinforge.twin.sandbox import TwinState, instantiate_twin, sandbox_lock
 
@@ -43,7 +43,6 @@ class SynthMeta:
     gate_attempts: int
     seed: int
     csv_sha256: str
-    model: str
 
 
 class _UsageError(Exception):
@@ -86,7 +85,6 @@ def _build_parser() -> _Parser:
     p = commands.add_parser("capture", help="capture a filesystem image")
     p.add_argument("--root", type=Path, required=True)
     p.add_argument("--out", type=Path)
-    p.add_argument("--name", default=None)
     p.add_argument("--exclude", action="append", metavar="GLOB", help="glob over paths relative to --root, replacing "
                    "the config's exclusions (repeatable); an excluded directory is dropped with everything under it")
 
@@ -114,7 +112,6 @@ def _build_parser() -> _Parser:
     p = ingest_sub.add_parser("macro")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path)
-    p.add_argument("--name", default=None)
 
     train = commands.add_parser("train", help="train a generative model")
     train_sub = train.add_subparsers(dest="train_command", required=True, parser_class=_Parser)
@@ -138,9 +135,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--prompt", required=True)
     p.add_argument("--out", type=Path)
-    p.add_argument("--temperature", type=float, default=0.8)
-    p.add_argument("--max-len", type=int, default=200)
-    p.add_argument("--name", default="generated")
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--max-len", type=int)
     p.add_argument("--via-service", action="store_true")
 
     p = commands.add_parser("validate", help="compare synthetic against recorded data")
@@ -168,6 +164,8 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
         config = _set_flag("--seed", lambda: replace(config, seed=args.seed))
+    if getattr(args, "exclude", None) is not None:
+        config = _set_flag("--exclude", lambda: replace(config, exclusions=tuple(args.exclude)))
     if getattr(args, "epochs", None) is not None:
         config = replace(config, gan=_set_flag("--epochs", lambda: replace(config.gan, epochs=args.epochs)))
     if getattr(args, "order", None) is not None:
@@ -183,13 +181,9 @@ def _manifest_source(path: Path):
 
 
 def _cmd_capture(args, config, say) -> int:
-    exclusions = tuple(args.exclude) if args.exclude else config.exclusions
-    if bad := [pattern for pattern in exclusions if not is_safe_rel_path(pattern)]:
-        raise _UsageError(f"capture: --exclude {bad[0]!r} is not a glob over relative, normalized paths")
     with sandbox_lock(args.root):
-        image = capture_image(args.root, exclusions)
-    name = args.name or args.root.name or "image"
-    out = args.out or _workspace_path(config, "images", f"{name}.twimg")
+        image = capture_image(args.root, config.exclusions)
+    out = args.out or _workspace_path(config, "images", f"{args.root.name or 'image'}.twimg")
     save_image(image, out)
     say(f"captured {len(image.manifest)} entries -> {out}")
     return EXIT_OK
@@ -246,9 +240,8 @@ def _cmd_ingest(args, config, say) -> int:
         write_dataset_csv(dataset, out)
         say(f"{len(dataset)} rows -> {out}")
         return EXIT_OK
-    name = args.name or args.input.stem
-    script = parse_macro_script(read_text(args.input), name=name)
-    out = args.out or _workspace_path(config, "scripts", f"{name}.ahk")
+    script = parse_macro_script(read_text(args.input), name=args.input.stem)
+    out = args.out or _workspace_path(config, "scripts", f"{args.input.stem}.ahk")
     with publish(out) as fh:
         fh.write(emit_macro_script(script))
     say(f"{len(script.commands)} commands -> {out}")
@@ -303,13 +296,15 @@ def _cmd_gen(args, config, say) -> int:
         synth, attempts = generate_gated(model, real, args.n, config.gate, rng)
         out = args.out or _workspace_path(config, "datasets", "synthetic.csv")
         write_dataset_csv(synth, out)
-        write_json(SynthMeta(attempts, seed, sha256_hex(out.read_bytes()), str(args.model)), str(out) + ".meta.json")
+        write_json(SynthMeta(attempts, seed, sha256_hex(out.read_bytes())), str(out) + ".meta.json")
         say(f"accepted after {attempts} attempt(s) -> {out}")
         return EXIT_OK
     # seq
     request = GenRequest(prompt=(args.prompt,), seed=stage_seed(config.seed, "gen.seq"))
-    request = _set_flag("--temperature", lambda: replace(request, temperature=args.temperature))
-    request = _set_flag("--max-len", lambda: replace(request, max_len=args.max_len))
+    if args.temperature is not None:
+        request = _set_flag("--temperature", lambda: replace(request, temperature=args.temperature))
+    if args.max_len is not None:
+        request = _set_flag("--max-len", lambda: replace(request, max_len=args.max_len))
     if args.via_service:
         if config.service is None:
             raise _UsageError("--via-service requires a service block in the config")
@@ -318,11 +313,11 @@ def _cmd_gen(args, config, say) -> int:
         model = load_seq_model(args.model)
         tokens = generate_sequence(model, request)
     try:
-        script = sequence_to_script(tokens, name=args.name)
+        script = sequence_to_script(tokens)
     except (MacroSyntaxError, EmptyScript) as exc:
         print(f"generated sequence failed validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = args.out or _workspace_path(config, "scripts", f"{args.name}.ahk")
+    out = args.out or _workspace_path(config, "scripts", "generated.ahk")
     with publish(out) as fh:
         fh.write(emit_macro_script(script))
     say(f"{len(script.commands)} commands -> {out}")
@@ -389,33 +384,35 @@ def _cmd_validate(args, config, say) -> int:
     out = args.out or _workspace_path(config, "reports", f"report-{run_id}.json")
     save_report(report, out)
     say(f"report -> {out}")
-    for name, delta in comparison.continuous.items():
-        say(f"  {name}: real {delta.real:.4f} synth {delta.synth:.4f} (abs {delta.abs_delta:.4f})")
-    for name, modal in comparison.discrete.items():
-        say(f"  {name}: modal {modal.real!r} vs {modal.synth!r} match={modal.match}")
+    _say_report(report, say)
     return EXIT_OK
 
 
 def _cmd_report(args, config, say) -> int:
     from twinforge.validate.report import load_report
 
-    report = load_report(args.input)
+    _say_report(load_report(args.input), say)
+    return EXIT_OK
+
+
+def _say_report(report, say) -> None:
+    """The one printer of a report, for ``report`` and for ``validate`` once it has saved one. Columns
+    print in name order, the order a saved report holds them in."""
     say(f"run {report.run_id} at {report.created_at}")
     say(f"rows: real {report.real_stats.row_count}, synthetic {report.synth_stats.row_count}")
     if report.gate_attempts is not None:
         say(f"gate attempts: {report.gate_attempts}")
-    for name, delta in report.comparison.continuous.items():
+    for name, delta in sorted(report.comparison.continuous.items()):
         say(
             f"  {name}: real {delta.real:.4f} synth {delta.synth:.4f} "
             f"(abs {delta.abs_delta:.4f}, rel {delta.rel_delta:.2%})"
         )
-    for name, modal in report.comparison.discrete.items():
+    for name, modal in sorted(report.comparison.discrete.items()):
         say(f"  {name}: modal {modal.real!r} vs {modal.synth!r} match={modal.match}")
     for cd in report.distances:
         say(f"  distance {cd.column} ({cd.kind}): {cd.distance:.4f}")
     for sm in report.scripts:
         say(f"  script {sm.name}: cosine {sm.cosine:.4f} bleu {sm.bleu:.4f} replay_ok={sm.replay_ok}")
-    return EXIT_OK
 
 
 _DISPATCH = {

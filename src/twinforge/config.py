@@ -113,8 +113,10 @@ class PipelineConfig:
             raise ValueError("workspace must be a non-empty path with no NUL that encodes as UTF-8")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if not all(map(is_safe_rel_path, self.exclusions)):
-            raise ValueError("exclusions must be globs over relative, normalized paths (no leading or trailing /)")
+        if bad := [pattern for pattern in self.exclusions if not is_safe_rel_path(pattern)]:
+            raise ValueError(
+                f"exclusions must be globs over relative, normalized paths (no leading or trailing /), not {bad[0]!r}"
+            )
         object.__setattr__(self, "workspace", Path(self.workspace))
 
     def snapshot(self) -> dict:

@@ -9,13 +9,13 @@ strictly positive distribution summing to one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from twinforge.config import NgramConfig
 from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
 from twinforge.jsonfile import read_record, write_record
@@ -55,21 +55,18 @@ class SeqModel:
     totals: dict[int, dict[tuple[str, ...], int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        NgramConfig(self.order, self.delta)
         if BOS not in self.vocab or EOS not in self.vocab:
             raise ValueError("vocabulary must include the BOS/EOS sentinels")
         # what generation relies on: a table per context length, the empty context's
-        # included, and counts of vocabulary tokens only, each at least 1
+        # included, none of them empty, and counts of vocabulary tokens only, each at least 1
         if set(self.counts) != set(range(self.order)) or () not in self.counts[0]:
             raise ValueError("counts must hold a table for each context length below order")
         vocab = set(self.vocab)
         for tables in self.counts.values():
             for table in tables.values():
-                if not vocab.issuperset(table) or min(table.values(), default=1) < 1:
-                    raise ValueError("each count must be >= 1 and count a vocabulary token")
+                if not vocab.issuperset(table) or min(table.values(), default=0) < 1:
+                    raise ValueError("each table must hold counts, each >= 1 and of a vocabulary token")
         self.totals = {
             m: {ctx: sum(table.values()) for ctx, table in tables.items()}
             for m, tables in self.counts.items()
@@ -103,18 +100,13 @@ def next_token_probs(model: SeqModel, context: Sequence[str]) -> tuple[tuple[str
     """Smoothed next-token distribution after backing off to a seen context."""
     context = tuple(context)
     vocab = model.vocab
-    v = len(vocab)
-    for m in range(min(model.order - 1, len(context)), -1, -1):
-        ctx = context[len(context) - m :]
-        total = model.totals[m].get(ctx)
-        if total:
-            table = model.counts[m][ctx]
-            probs = np.array(
-                [(table.get(tok, 0) + model.delta) for tok in vocab], dtype=float
-            )
-            probs /= total + model.delta * v
-            return vocab, probs
-    raise RuntimeError("unigram table is empty; model was not trained")
+    m = min(model.order - 1, len(context))
+    while (ctx := context[len(context) - m :]) not in model.counts[m]:
+        m -= 1  # at m == 0 the context is (), whose table every model holds
+    table = model.counts[m][ctx]
+    probs = np.array([(table.get(tok, 0) + model.delta) for tok in vocab], dtype=float)
+    probs /= model.totals[m][ctx] + model.delta * len(vocab)
+    return vocab, probs
 
 
 def generate_sequence(model: SeqModel, request: GenRequest) -> tuple[str, ...]:

@@ -109,8 +109,11 @@ class TableCodec:
             if column.name not in self.normalizers:
                 raise ValueError(f"missing normalizer for {column.name!r}")
         for _, column in schema.discrete():
-            if column.name not in self.categories:
+            names = self.categories.get(column.name)
+            if names is None:
                 raise ValueError(f"missing categories for {column.name!r}")
+            if not names or len(set(names)) < len(names):
+                raise ValueError(f"categories of {column.name!r} must be non-empty and distinct")
 
         spans: list[_ColumnSpan] = []
         offset = cond_offset = 0

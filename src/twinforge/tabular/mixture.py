@@ -42,6 +42,8 @@ class ModeNormalizer:
             raise ValueError("need at least one mode")
         if len(self.means) != k or len(self.stdevs) != k:
             raise ValueError("weights, means and stdevs must align")
+        if not all(map(math.isfinite, (*self.weights, *self.means, *self.stdevs))):
+            raise ValueError("weights, means and stdevs must be finite")
         if self.stdev_floor <= 0:
             raise ValueError("stdev_floor must be positive")
         if any(w <= 0 for w in self.weights) or not math.isclose(sum(self.weights), 1.0, abs_tol=1e-9):

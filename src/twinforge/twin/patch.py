@@ -40,7 +40,7 @@ from twinforge.errors import (
     MalformedPatch,
     ReplaceMissing,
 )
-from twinforge.jsonfile import read_json, read_tagged, read_text
+from twinforge.jsonfile import is_utf8_text, read_json, read_tagged, read_text
 from twinforge.twin.journal import UndoRecord, journaled, record, record_move
 from twinforge.twin.manifest import ManifestEntry, is_safe_rel_path, resolve_inside, scan_tree
 from twinforge.twin.sandbox import TwinState, sandbox_lock
@@ -126,13 +126,15 @@ def config_lines(text: str) -> list[str]:
 def config_text_fault(key: str, value: str) -> str | None:
     """Why a line setting ``key`` to ``value`` would not read back as that
     setting, or None: an empty key or one holding ``=``, or a line end
-    (which splits a line) or surrounding whitespace (which the reader
-    strips) in either."""
+    (which splits a line), surrounding whitespace (which the reader strips)
+    or a lone surrogate (which no file can hold) in either."""
     if not key or "=" in key:
         return f"bad config key {key!r}"
     for what, text in (("key", key), ("value", value)):
         if text != text.strip() or _LINE_END.search(text):
             return f"bad config {what} {text!r}: a line end or surrounding whitespace does not read back"
+        if not is_utf8_text(text):
+            return f"bad config {what} {text!r}: not UTF-8 text"
     return None
 
 

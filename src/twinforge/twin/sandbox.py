@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fcntl
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,16 +45,18 @@ class TwinState:
     image_files: KnownFiles = field(default_factory=dict, repr=False, compare=False)
 
 
-_held: set[tuple[int, int]] = set()  # the (st_dev, st_ino) of each directory this process holds
+_held: set[tuple[int, int, int]] = set()  # (thread id, st_dev, st_ino) of each directory a thread holds
 
 
 @contextmanager
 def sandbox_lock(directory: Path):
     """Hold the one exclusive lock on ``directory`` for the block, as every
     command that writes into a workspace or opens a tree does; raise
-    ``TwinLocked`` if another process holds it. A process holds a directory
-    once: asked again for one it holds, it yields with no second ``flock``,
-    which would refuse it, and no roll-back.
+    ``TwinLocked`` if another process, or another thread of this one, holds
+    it. A thread holds a directory once: asked again for one it holds, it
+    yields with no second ``flock``, which would refuse it, and no roll-back.
+    Another thread asks for its own ``flock`` on its own descriptor, which
+    the kernel refuses while the first is held.
 
     The first hold rolls back any undo journal a crashed write left, so
     every command starts from a tree no restore or patch is half-way
@@ -64,7 +67,7 @@ def sandbox_lock(directory: Path):
     fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
         info = os.fstat(fd)
-        key = (info.st_dev, info.st_ino)
+        key = (threading.get_ident(), info.st_dev, info.st_ino)
         if key in _held:
             yield
             return

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from twinforge.cli import main
+from twinforge.cli import _build_parser, main
 from twinforge.config import WORKSPACE_ENV
 from twinforge.errors import MalformedModel
 from twinforge.ingest.tabular import read_dataset_csv, write_dataset_csv
@@ -49,6 +52,39 @@ def test_missing_required_flag_is_usage_error():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _commands(parser, words=()):
+    """Each command's words after ``twinforge``, with its parser."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield words, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _commands(sub, (*words, name))
+
+
+def _options(parser) -> set[str]:
+    return {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+
+
+def test_the_readme_names_every_option_of_every_command():
+    """Each command's line in the README's CLI block names exactly the
+    options its parser takes, and the text above the block the global ones.
+    Three ``--name`` options once had no line, and the ``gen seq`` line
+    lacked ``--out`` and ``--max-len``."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    usage = {}
+    for line in block.splitlines():
+        command = tuple(itertools.takewhile(lambda word: not word.startswith(("-", "[")), line.split()[1:]))
+        usage[command] = set(re.findall(r"--[a-z-]+", line))
+    parser = _build_parser()
+    assert usage == {command: _options(sub) for command, sub in _commands(parser)}
+    assert [o for o in sorted(_options(parser)) if f"`{o}" not in section.split("```sh", 1)[0]] == []
 
 
 def test_capture_twin_patch_diff_check_flow(tmp_path, workspace, twin_tree, capsys):
@@ -186,20 +222,25 @@ def test_tabular_train_gen_validate_report(tmp_path, workspace, twin_tree, capsy
     assert len(synth.rows) == 40
     assert synth.pids == tuple(range(1, 41))
     meta = json.loads((tmp_path / "synth.csv.meta.json").read_text(encoding="utf-8"))
+    assert sorted(meta) == ["csv_sha256", "gate_attempts", "seed"]  # what validate reads, and no model path
     assert meta["gate_attempts"] >= 1
     assert meta["csv_sha256"] == hashlib.sha256(synth_csv.read_bytes()).hexdigest()
 
     report_path = tmp_path / "report.json"
+    capsys.readouterr()
     assert main(
         ["--config", str(config), "validate", "--real", str(real_csv), "--synth", str(synth_csv), "--out", str(report_path)]
     ) == 0
+    validated = capsys.readouterr().out
     report = load_report(report_path)
     assert report.gate_attempts == meta["gate_attempts"]
     assert set(report.comparison.continuous) == {"cpu_pct", "mem_pct", "elapsed_s"}
     assert report.config["seed"] == 5
 
     assert main(["--config", str(config), "report", "--in", str(report_path)]) == 0
-    assert "gate attempts" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "gate attempts" in shown
+    assert validated == f"report -> {report_path}\n{shown}"  # one printer for both commands
 
 
 def test_gate_exhaustion_exits_three(tmp_path, workspace, capsys):
@@ -694,6 +735,51 @@ def test_a_model_with_a_lone_surrogate_is_a_data_error(tmp_path, workspace, pipe
     assert main([*argv, "--real", str(pipeline_artifacts["real_csv"]), "--n", "70", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {model}: a string that is not UTF-8 text: '\\ud800'\n"
     assert not out.exists()
+
+
+def _repeat_a_category(doc):
+    doc["categories"]["user"] = ["admin", "admin", "root"]
+
+
+def _empty_a_category_table(doc):
+    doc["categories"]["user"], doc["frequencies"]["user"] = [], {}
+
+
+def _nan_a_mean(doc):
+    doc["normalizers"]["cpu_pct"]["means"][0] = math.nan  # ``json`` writes NaN and reads it back
+
+
+# Each once escaped ``main`` as a traceback with exit 1, a ValueError from the
+# decoded batch or an IndexError from the codec, or blamed a generated row for
+# the model's fault ("row 0: column 'cpu_pct': non-finite value").
+@pytest.mark.parametrize("edit", [_repeat_a_category, _empty_a_category_table, _nan_a_mean], ids=lambda f: f.__name__)
+def test_a_model_with_a_bad_category_table_or_mixture_is_a_data_error(
+    tmp_path, workspace, pipeline_artifacts, capsys, edit
+):
+    doc = json.loads(pipeline_artifacts["model_path"].read_text(encoding="utf-8"))
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "synth.csv"
+    config = _config(tmp_path, workspace, gate={"tau_continuous": 1e9, "tau_discrete": 1.0})  # accepts any batch
+    argv = ["--config", str(config), "gen", "tabular", "--model", str(model)]
+    capsys.readouterr()
+    assert main([*argv, "--real", str(pipeline_artifacts["real_csv"]), "--n", "70", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    assert not out.exists()
+
+
+def test_a_sequence_model_with_an_empty_count_table_is_a_data_error(tmp_path, workspace, capsys):
+    # it once loaded, and generation raised RuntimeError("unigram table is empty")
+    doc = {"format_version": 1, "kind": "sequence-ngram", "order": 1, "delta": 0.01, "seed": 0,
+           "vocab": ["</s>", "<s>", "Run, a"], "counts": {"0": {"": {}}}}
+    model = tmp_path / "seq.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--config", str(_config(tmp_path, workspace)), "gen", "seq", "--model", str(model), "--prompt", "Run, a"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    assert not (workspace / "scripts").exists()
 
 
 def test_gen_tabular_against_a_csv_of_another_schema_is_a_data_error(tmp_path, workspace, pipeline_artifacts, capsys):

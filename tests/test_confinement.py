@@ -118,6 +118,31 @@ def test_each_twin_input_rule_has_one_home():
 
 
 
+def test_each_cli_flag_is_judged_and_defaulted_by_its_dataclass():
+    """``cli.py`` names no ``is_safe_rel_path``: ``PipelineConfig`` judges
+    ``--exclude``, where ``capture`` once kept a second copy of its rule. And
+    the ``gen seq`` defaults 0.8 and 200 are written only in ``GenRequest``,
+    which the parser once repeated."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defaults = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (module, node.name) == ("sequence/ngram.py", "GenRequest"):
+                defaults |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if module == "cli.py" and name == "is_safe_rel_path":
+                offenders.append(f"{where} is_safe_rel_path")
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Constant) and type(value) in (int, float) and value in (0.8, 200):
+                if id(node) not in defaults:
+                    offenders.append(f"{where} {value!r}")
+    assert offenders == []
+
+
 # Where the journal may be begun, committed and rolled back: the one
 # journaled block, and the lock every command that opens a sandbox holds.
 JOURNAL_CALLS = {

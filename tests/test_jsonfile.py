@@ -193,7 +193,7 @@ CLI_PROBES = {
     ),
     "validate-meta": (
         ["validate", "--real", "{csv}", "--synth", "{csv}"],
-        _with({"gate_attempts": 1, "seed": 1, "csv_sha256": "0" * 64, "model": "m.json"}, "x", "gate_attempts"),
+        _with({"gate_attempts": 1, "seed": 1, "csv_sha256": "0" * 64}, "x", "gate_attempts"),
         "gate_attempts",
     ),
 }

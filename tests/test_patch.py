@@ -8,6 +8,7 @@ import os
 import re
 import stat
 import tempfile
+import threading
 from functools import cache
 from pathlib import Path
 
@@ -439,6 +440,32 @@ def test_a_nested_hold_keeps_the_open_journal_and_the_lock(twin, tmp_path):
     assert added.read_bytes() == b"x" and not journal_dir(twin.sandbox).exists()
     with held_by_child(twin.sandbox):
         pass
+
+
+def test_a_second_thread_is_locked_out_of_a_held_sandbox(twin):
+    """Each hold is keyed by thread too: a second thread of the holding
+    process once took no ``flock`` and read the holder's half-written file,
+    so its check failed on 'half' instead of raising ``TwinLocked``."""
+    written, release = threading.Event(), threading.Event()
+
+    def holder():
+        with sandbox_lock(twin.sandbox):
+            (twin.sandbox / "etc" / "app.conf").write_text("mode=half\n", encoding="utf-8")
+            written.set()
+            release.wait(10)
+
+    spec = CheckSpec((ConfigEquals("etc/app.conf", "mode", "fast"),))
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert written.wait(10)
+        with pytest.raises(TwinLocked):
+            run_checks(twin, spec)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert run_checks(twin, spec)[0].detail == "expected 'fast', got 'half'"
 
 
 def test_a_dangling_link_is_a_typed_error_that_names_it(twin_tree, tmp_path):
@@ -1235,14 +1262,20 @@ def test_set_config_changes_only_the_value_text_it_names(tmp_path_factory, text,
         assert main(["--quiet", "twin", "check", "--sandbox", str(sandbox), "--checks", str(checks)]) == 0
 
 
+# A lone surrogate, which no file can hold, once passed in an op or a check
+# made in library code, and ``apply_patch`` let ``UnicodeEncodeError`` escape.
 @pytest.mark.parametrize(
     "key, value",
     [("mode", "fast\nadmin=1"), ("mode", "a\rb"), ("mode", " fast"), ("mode", "fast\x0c"), ("mo\nde", "x"),
-     (" mode", "x"), ("", "x"), ("a=b", "x")],
+     (" mode", "x"), ("", "x"), ("a=b", "x"), ("mode", "\ud800"), ("mo\udcffde", "x")],
 )
 def test_a_config_setting_that_would_not_read_back_is_refused(key, value):
     doc = {"key": key, "value": value, "file": "etc/app.conf"}
     with pytest.raises(MalformedPatch, match="bad config"):
         delta_from_doc([{"op": "set_config", **doc}])
+    with pytest.raises(MalformedPatch, match="bad config"):
+        SetConfig(**doc)
     with pytest.raises(MalformedChecks, match="bad config"):
         checks_from_doc([{"check": "config_equals", **doc}])
+    with pytest.raises(MalformedChecks, match="bad config"):
+        ConfigEquals(**doc)
