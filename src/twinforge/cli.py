@@ -17,10 +17,10 @@ from pathlib import Path
 
 from twinforge.config import PipelineConfig, default_config, load_config
 from twinforge.errors import (
-    EmptyScript,
     GateExhausted,
     MacroSyntaxError,
     MalformedCsv,
+    PatchOpRefused,
     TwinforgeError,
 )
 from twinforge.jsonfile import dumps, from_doc, publish, read_json, read_text, write_json
@@ -197,7 +197,10 @@ def _cmd_twin(args, config, say) -> int:
         return EXIT_OK
     if args.twin_command == "patch":
         twin = TwinState(args.sandbox, config.screen)
-        report = apply_patch(twin, load_delta(args.delta))
+        try:
+            report = apply_patch(twin, load_delta(args.delta))
+        except PatchOpRefused as exc:
+            raise type(exc)(f"{exc}; the sandbox is as it was before the patch") from None
         for op in report.applied:
             say(f"applied {op}")
         say(f"manifest now {len(report.manifest)} entries")
@@ -314,7 +317,7 @@ def _cmd_gen(args, config, say) -> int:
         tokens = generate_sequence(model, request)
     try:
         script = sequence_to_script(tokens)
-    except (MacroSyntaxError, EmptyScript) as exc:
+    except MacroSyntaxError as exc:
         print(f"generated sequence failed validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = args.out or _workspace_path(config, "scripts", "generated.ahk")

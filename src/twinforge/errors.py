@@ -77,8 +77,8 @@ class BadArg(MacroSyntaxError):
     """An argument with the right arity but an invalid value."""
 
 
-class EmptyScript(TwinforgeError):
-    """A macro script with zero commands."""
+class EmptyScript(MacroSyntaxError):
+    """A macro script with zero commands; it has no position."""
 
 
 # -- tabular synthesis -------------------------------------------------------
@@ -203,19 +203,24 @@ class MalformedArchive(TwinforgeError):
     """A twin image, its header or its archive, is structurally invalid."""
 
 
-class DeleteMissing(TwinforgeError):
+class PatchOpRefused(TwinforgeError):
+    """A patch op does not fit the twin, so the patch is undone; the message
+    names the op by its 1-based index and says why."""
+
+
+class DeleteMissing(PatchOpRefused):
     """DeleteFile targeted a path absent from the twin."""
 
 
-class ReplaceMissing(TwinforgeError):
+class ReplaceMissing(PatchOpRefused):
     """ReplaceFile targeted a path absent from the twin."""
 
 
-class AddExisting(TwinforgeError):
+class AddExisting(PatchOpRefused):
     """AddFile targeted a path already present in the twin."""
 
 
-class ConfigKeyMissing(TwinforgeError):
+class ConfigKeyMissing(PatchOpRefused):
     """SetConfig could not find the key (or the config file itself)."""
 
 

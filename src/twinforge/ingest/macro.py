@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from twinforge.digits import ascii_int
 from twinforge.errors import BadArg, BadArity, EmptyScript, MacroSyntaxError, UnknownVerb
 from twinforge.jsonfile import is_utf8_text
 
@@ -26,10 +27,16 @@ from twinforge.jsonfile import is_utf8_text
 BOS = "<s>"
 EOS = "</s>"
 
-# Verbs whose single argument is free text (rest of line).
-_TEXT_VERBS = {"run": "Run", "send": "Send", "winactivate": "WinActivate", "winwaitactive": "WinWaitActive"}
-# Verbs with fixed non-negative integer arguments.
-_INT_VERBS = {"sleep": ("Sleep", 1), "click": ("Click", 2)}
+# Each verb by its lower-case spelling: its canonical spelling and its number
+# of integer arguments, where 0 means one text argument (rest of line).
+_VERBS = {
+    "run": ("Run", 0),
+    "send": ("Send", 0),
+    "winactivate": ("WinActivate", 0),
+    "winwaitactive": ("WinWaitActive", 0),
+    "sleep": ("Sleep", 1),
+    "click": ("Click", 2),
+}
 
 
 def _check_text_arg(verb: str, arg: object) -> None:
@@ -44,6 +51,11 @@ def _check_text_arg(verb: str, arg: object) -> None:
 
 
 def _check_int_arg(verb: str, arg: object) -> None:
+    if isinstance(arg, str):  # text the parser could not read as an int says why
+        try:
+            ascii_int(arg, f"{verb} argument")
+        except ValueError as exc:
+            raise BadArg(str(exc)) from None
     if isinstance(arg, bool) or not isinstance(arg, int):
         raise BadArg(f"{verb} arguments must be integers")
     if arg < 0:
@@ -52,30 +64,24 @@ def _check_int_arg(verb: str, arg: object) -> None:
 
 @dataclass(frozen=True)
 class MacroCommand:
-    """A single verb plus validated arguments."""
+    """A single verb plus validated arguments: the one judge of the grammar's
+    verbs, arities and arguments. Its errors carry no position; the reader
+    that walks the text adds one."""
 
     verb: str
     args: tuple[str | int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
-        key = self.verb.lower()
-        if key in _TEXT_VERBS:
-            if self.verb != _TEXT_VERBS[key]:
-                raise UnknownVerb(f"unknown verb {self.verb!r} (did you mean {_TEXT_VERBS[key]!r}?)")
-            if len(self.args) != 1:
-                raise BadArity(f"{self.verb} takes exactly one argument")
-            _check_text_arg(self.verb, self.args[0])
-        elif key in _INT_VERBS:
-            canonical, arity = _INT_VERBS[key]
-            if self.verb != canonical:
-                raise UnknownVerb(f"unknown verb {self.verb!r} (did you mean {canonical!r}?)")
-            if len(self.args) != arity:
-                raise BadArity(f"{self.verb} takes exactly {arity} argument(s)")
-            for arg in self.args:
-                _check_int_arg(self.verb, arg)
-        else:
-            raise UnknownVerb(f"unknown verb {self.verb!r}")
+        canonical, n_ints = _VERBS.get(self.verb.lower(), (None, 0))
+        if self.verb != canonical:
+            hint = f" (did you mean {canonical!r}?)" if canonical else ""
+            raise UnknownVerb(f"unknown verb {self.verb!r}{hint}")
+        if len(self.args) != (n_ints or 1):
+            count = f"{n_ints} argument(s)" if n_ints else "one argument"
+            raise BadArity(f"{self.verb} takes exactly {count}")
+        for arg in self.args:
+            (_check_int_arg if n_ints else _check_text_arg)(self.verb, arg)
 
     def emit(self) -> str:
         """Canonical line form: verb, one space after each comma."""
@@ -95,51 +101,39 @@ class MacroScript:
             raise EmptyScript(f"script {self.name!r} has no commands")
 
 
-def parse_macro_line(line: str, line_no: int | None = None) -> MacroCommand:
-    """Parse one command line, attributing errors to ``line_no`` when given."""
-    head, sep, rest = line.partition(",")
-    verb_raw = head.strip()
-    key = verb_raw.lower()
+def _int_or_text(part: str) -> int | str:
     try:
-        if key in _TEXT_VERBS:
-            verb = _TEXT_VERBS[key]
-            arg = rest.strip()
-            if not sep or not arg:
-                raise BadArity(f"{verb} takes exactly one argument")
-            return MacroCommand(verb, (arg,))
-        if key in _INT_VERBS:
-            verb, arity = _INT_VERBS[key]
-            if not sep:
-                raise BadArity(f"{verb} takes exactly {arity} argument(s)")
-            parts = [p.strip() for p in rest.split(",")]
-            if len(parts) != arity or any(not p for p in parts):
-                raise BadArity(f"{verb} takes exactly {arity} argument(s)")
-            # int() also takes "_" separators, a sign and non-ASCII digits,
-            # and refuses more digits than sys.get_int_max_str_digits()
-            for part in parts:
-                if not (part.isascii() and part.isdigit()):
-                    raise BadArg(f"{verb} argument must be ASCII digits, got {part!r}")
-            try:
-                return MacroCommand(verb, tuple(map(int, parts)))
-            except ValueError as exc:
-                raise BadArg(f"{verb} argument is not an integer: {exc}") from None
-        raise UnknownVerb(f"unknown verb {verb_raw!r}")
-    except MacroSyntaxError as exc:
-        if line_no is not None and exc.line_no is None:
-            raise type(exc)(exc.reason, line_no=line_no) from None
-        raise
+        return ascii_int(part, "argument")
+    except ValueError:
+        return part  # MacroCommand refuses it, saying why
+
+
+def parse_macro_line(line: str) -> MacroCommand:
+    """Split one command line into its verb and arguments for MacroCommand
+    to judge. The verb is matched in any case and takes its canonical
+    spelling; an integer verb's arguments are split at commas and those of
+    ASCII digits read as ints. An empty argument is a missing one, so a line
+    with one passes no arguments and gets the verb's arity refusal."""
+    head, _, rest = line.partition(",")
+    verb, n_ints = _VERBS.get(head.strip().lower(), (head.strip(), 0))
+    parts = [part.strip() for part in (rest.split(",") if n_ints else [rest])]
+    if not all(parts):
+        return MacroCommand(verb, ())
+    return MacroCommand(verb, tuple(map(_int_or_text, parts)) if n_ints else tuple(parts))
 
 
 def parse_macro_script(text: str, name: str = "script") -> MacroScript:
-    """Parse script text; comments and blank lines are skipped."""
+    """Parse script text; comments and blank lines are skipped, and an
+    error names its line."""
     commands = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
-        commands.append(parse_macro_line(line, line_no))
-    if not commands:
-        raise EmptyScript(f"script {name!r} has no commands")
+        try:
+            commands.append(parse_macro_line(line))
+        except MacroSyntaxError as exc:
+            raise type(exc)(exc.reason, line_no=line_no) from None
     return MacroScript(name, tuple(commands))
 
 

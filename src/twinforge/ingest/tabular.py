@@ -16,12 +16,12 @@ import csv
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from twinforge.digits import ascii_int
 from twinforge.errors import MalformedCsv, MalformedRow
 from twinforge.jsonfile import publish
 
@@ -277,34 +277,34 @@ def write_dataset_csv(dataset: TabularDataset, path: str | Path) -> None:
             fh.write("\r\n")
 
 
-def _record_line(path: Path, index: int) -> int:
-    """The file line on which CSV record ``index`` (0 is the header) starts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, index):
-            pass
-        return reader.line_num + 1
-
-
 def read_dataset_csv(path: str | Path) -> TabularDataset:
     """Read a dataset CSV written by :func:`write_dataset_csv`.
 
     Column kinds come from the quoting discipline: a column whose cells parse
     unquoted (numeric) is continuous, a quoted column is discrete. A leading
-    ``pid`` column is consumed as row metadata. A header-only file yields an
-    empty dataset whose columns all default to discrete. Every error names
-    the file line it found.
+    ``pid`` column is consumed as row metadata; a bare pid cell is read from
+    its text, which must be ASCII digits, as the writer writes it. A
+    header-only file yields an empty dataset whose columns all default to
+    discrete. Every error names the file line it found.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
-        try:
-            records = list(reader)
-        except (csv.Error, ValueError) as exc:
-            raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not valid UTF-8: {exc}") from exc
+    reader = csv.reader(lines, quoting=csv.QUOTE_NONNUMERIC)
+    records, ends = [], []  # each record, and the line it ends on
+    try:
+        for record in reader:
+            records.append(record)
+            ends.append(reader.line_num)
+    except (csv.Error, ValueError) as exc:
+        raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from exc
 
     def fail(record: int, message: str) -> MalformedCsv:
-        return MalformedCsv(f"{path}: line {_record_line(path, record)}: {message}")
+        """The error at CSV record ``record`` (0 is the header), naming the line it starts on."""
+        return MalformedCsv(f"{path}: line {ends[record - 1] + 1 if record else 1}: {message}")
 
     if not records:
         raise MalformedCsv(f"{path}: line 1: missing header row")
@@ -321,9 +321,21 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         raise fail(r, f"expected {width} fields, got {len(records[r])}")
 
     cells = list(zip(*data)) or [()] * width
-    # A bare cell is a double; a whole one is read as the int it holds, and
-    # the dataset judges every pid and cell.
-    pids = [int(c) if type(c) is float and c.is_integer() else c for c in cells.pop(0)] if has_pids else None
+    pids = None
+    if has_pids:
+
+        def pid(r: int, cell: float | str) -> int | str:
+            """Record ``r``'s pid, which the dataset judges: a bare cell is
+            read from its text, since its double takes "1e0", "+2" or " 7"
+            too, and a quoted one stays a str."""
+            if type(cell) is not float:
+                return cell
+            try:
+                return ascii_int(lines[ends[r - 1]].partition(",")[0].rstrip("\r\n"), "pid")
+            except ValueError as exc:
+                raise fail(r, str(exc)) from None
+
+        pids = list(map(pid, range(1, len(records)), cells.pop(0)))
     kinds: list[str] = []
     columns: list[np.ndarray | Categorical] = []
     for name, values in zip(names, cells):

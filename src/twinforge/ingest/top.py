@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+from twinforge.digits import ascii_int
 from twinforge.errors import EmptyCapture, MalformedLine, MalformedRow, MalformedTime
 from twinforge.ingest.tabular import CONTINUOUS, DISCRETE, Column, Schema, TabularDataset
 
@@ -54,12 +55,11 @@ def parse_top_capture(text: str) -> TabularDataset:
             raise MalformedLine(line_no, "expected: pid user cpu mem time command")
         pid, user, cpu, mem, elapsed, command = parts
         try:
-            # int() and float() also take "_" separators and non-ASCII digits, and int() a sign
-            if not (pid.isascii() and pid.isdigit()):
-                raise ValueError(f"pid must be ASCII digits, got {pid!r}")
+            pid = ascii_int(pid, "pid")
+            # float() also takes "_" separators and non-ASCII digits
             if not all(text.isascii() and "_" not in text for text in (cpu, mem)):
                 raise ValueError(f"cpu and mem must be ASCII numbers without '_', got {cpu!r} and {mem!r}")
-            pid, cpu, mem, elapsed = int(pid), float(cpu), float(mem), parse_time_lapsed(elapsed)
+            cpu, mem, elapsed = float(cpu), float(mem), parse_time_lapsed(elapsed)
         except (MalformedTime, ValueError) as exc:
             raise MalformedLine(line_no, str(exc)) from exc
         if cpu < 0:

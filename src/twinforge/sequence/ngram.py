@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from twinforge.config import NgramConfig
-from twinforge.errors import EmptyCorpus, EmptyScript, MacroSyntaxError, MalformedModel
+from twinforge.errors import EmptyCorpus, MacroSyntaxError, MalformedModel
 from twinforge.ingest.macro import BOS, EOS, MacroScript, parse_macro_line
 from twinforge.jsonfile import read_record, write_record
 
@@ -139,7 +139,8 @@ def generate_sequence(model: SeqModel, request: GenRequest) -> tuple[str, ...]:
 
 
 def sequence_to_script(tokens: Sequence[str], name: str = "generated") -> MacroScript:
-    """Strip sentinels and parse each remaining token as a command line."""
+    """Strip sentinels and parse each remaining token as a command line; an
+    error names its token's index."""
     commands = []
     for index, token in enumerate(tokens):
         if token in (BOS, EOS):
@@ -148,8 +149,6 @@ def sequence_to_script(tokens: Sequence[str], name: str = "generated") -> MacroS
             commands.append(parse_macro_line(token))
         except MacroSyntaxError as exc:
             raise type(exc)(exc.reason, token_index=index) from None
-    if not commands:
-        raise EmptyScript("sequence holds no command tokens")
     return MacroScript(name, tuple(commands))
 
 

@@ -38,6 +38,7 @@ from twinforge.errors import (
     ConfigKeyMissing,
     DeleteMissing,
     MalformedPatch,
+    PatchOpRefused,
     ReplaceMissing,
 )
 from twinforge.jsonfile import is_utf8_text, read_json, read_tagged, read_text
@@ -159,7 +160,7 @@ def _set_config(node: Path, op: SetConfig) -> bytes:
     pieces = config_lines(read_text(node))
     settings = config_settings(pieces[::2], op.key)
     if not settings:
-        raise ConfigKeyMissing(f"{op.file}: no key {op.key!r}")
+        raise ConfigKeyMissing(f"no key {op.key!r}")
     for i, before, _, after in settings:
         pieces[2 * i] = before + op.value + after
     return "".join(pieces).encode("utf-8")
@@ -170,12 +171,12 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
     if isinstance(op, AddFile):
         node = resolve_inside(root, op.path, follow=True)
         if node.exists():
-            raise AddExisting(op.path)
+            raise AddExisting("already exists")
         top = node  # the highest node the add creates
         while not top.parent.exists():
             top = top.parent
         if not top.parent.is_dir():
-            raise AddExisting(f"{op.path}: {top.parent.relative_to(root).as_posix()} is not a directory")
+            raise AddExisting(f"{top.parent.relative_to(root).as_posix()} is not a directory")
         record(journal, index, UndoRecord(None, (top.relative_to(root).as_posix(),)))
         node.parent.mkdir(parents=True, exist_ok=True)
         node.write_bytes(op.content)
@@ -183,14 +184,14 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
     if isinstance(op, DeleteFile):
         node = resolve_inside(root, op.path, follow=False)
         if not node.is_file():
-            raise DeleteMissing(op.path)
+            raise DeleteMissing("no such file")
         record_move(journal, index, node.relative_to(root).as_posix(), node)
         return
     node = resolve_inside(root, op.path if isinstance(op, ReplaceFile) else op.file, follow=True)
     if not node.is_file():
         if isinstance(op, ReplaceFile):
-            raise ReplaceMissing(op.path)
-        raise ConfigKeyMissing(f"{op.file}: config file not present")
+            raise ReplaceMissing("no such file")
+        raise ConfigKeyMissing("config file not present")
     content = op.content if isinstance(op, ReplaceFile) else _set_config(node, op)
     saved = record_move(journal, index, node.relative_to(root).as_posix(), node)
     node.write_bytes(content)
@@ -200,15 +201,20 @@ def _apply_op(root: Path, journal: Path, index: int, op: PatchOp) -> None:
 def apply_patch(twin: TwinState, delta: PatchDelta) -> PatchReport:
     """Apply ops in order, atomically: all succeed or the sandbox is unchanged.
 
-    The report's manifest is scanned before the journal is dropped, so a
-    tree that cannot be scanned (an escaping link) undoes the patch too.
-    The scan hashes only the files whose bytes differ from the twin's
+    An op that does not fit the twin raises its ``PatchOpRefused`` type,
+    named by its 1-based index, the op count and the op. The report's
+    manifest is scanned before the journal is dropped, so a tree that
+    cannot be scanned (an escaping link) undoes the patch too. The scan
+    hashes only the files whose bytes differ from the twin's
     ``image_files``.
     """
     root = Path(twin.sandbox).resolve()
     with sandbox_lock(twin.sandbox), journaled(root) as journal:
         for index, op in enumerate(delta.ops):
-            _apply_op(root, journal, index, op)
+            try:
+                _apply_op(root, journal, index, op)
+            except PatchOpRefused as exc:
+                raise type(exc)(f"op {index + 1} of {len(delta.ops)}, {_describe(op)}: {exc}") from None
         manifest = scan_tree(twin.sandbox, known=twin.image_files)
     return PatchReport(applied=tuple(_describe(op) for op in delta.ops), manifest=manifest)
 

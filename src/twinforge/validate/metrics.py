@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from twinforge.errors import EmptyCandidate, EmptyScript, NoReferences
+from twinforge.errors import EmptyCandidate, NoReferences
 from twinforge.ingest.macro import MacroScript
 
 BLEU_MAX_ORDER = 4
@@ -24,9 +24,8 @@ def _bag(script: MacroScript) -> Counter:
 
 
 def cosine_similarity(a: MacroScript, b: MacroScript) -> float:
-    """Cosine between token-count vectors over the union vocabulary."""
-    if not a.commands or not b.commands:
-        raise EmptyScript("cosine needs non-empty scripts")
+    """Cosine between token-count vectors over the union vocabulary; a
+    MacroScript is never empty, so neither norm is 0."""
     bag_a = _bag(a)
     bag_b = _bag(b)
     dot = sum(bag_a[t] * bag_b[t] for t in bag_a.keys() & bag_b.keys())

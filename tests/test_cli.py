@@ -435,6 +435,48 @@ def test_patch_op_path_that_is_not_utf8_is_a_data_error_that_writes_nothing(tmp_
     assert scan_tree(sandbox) == before
 
 
+
+# Each op error, as the third op of a delta whose first two ops apply: it
+# once printed only its path, as "error: nope/missing".
+@pytest.mark.parametrize(
+    "op, refusal",
+    [
+        ({"op": "add_file", "path": "docs/readme.txt", "content": "x"}, "add_file docs/readme.txt: already exists"),
+        (
+            {"op": "add_file", "path": "etc/app.conf/x", "content": "x"},
+            "add_file etc/app.conf/x: etc/app.conf is not a directory",
+        ),
+        ({"op": "delete_file", "path": "nope/missing"}, "delete_file nope/missing: no such file"),
+        ({"op": "replace_file", "path": "nope/missing", "content": "x"}, "replace_file nope/missing: no such file"),
+        (
+            {"op": "set_config", "file": "etc/app.conf", "key": "absent", "value": "v"},
+            "set_config etc/app.conf absent=v: no key 'absent'",
+        ),
+        (
+            {"op": "set_config", "file": "etc/ghost.conf", "key": "mode", "value": "v"},
+            "set_config etc/ghost.conf mode=v: config file not present",
+        ),
+    ],
+    ids=["add-existing", "add-under-a-file", "delete-missing", "replace-missing", "no-key", "no-config-file"],
+)
+def test_a_refused_patch_names_its_op(tmp_path, workspace, twin_tree, capsys, op, refusal):
+    config = _config(tmp_path, workspace)
+    image, sandbox, delta = tmp_path / "sys.twimg", tmp_path / "sandbox", tmp_path / "delta.json"
+    save_image(capture_image(twin_tree), image)
+    assert main(["--config", str(config), "twin", "create", "--image", str(image), "--sandbox", str(sandbox)]) == 0
+    before = scan_tree(sandbox)
+    ops = [
+        {"op": "set_config", "file": "etc/app.conf", "key": "mode", "value": "fast"},
+        {"op": "add_file", "path": "bin/newtool", "content": "#!/bin/sh\n"},
+        op,
+    ]
+    delta.write_text(json.dumps(ops), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(config), "twin", "patch", "--sandbox", str(sandbox), "--delta", str(delta)]) == 2
+    assert capsys.readouterr().err == f"error: op 3 of 3, {refusal}; the sandbox is as it was before the patch\n"
+    assert scan_tree(sandbox) == before
+
+
 def test_twin_create_checks_the_whole_image_before_it_writes(tmp_path, workspace, twin_tree, capsys):
     (twin_tree / "etc" / "app.conf").chmod(0o644)
     config = _config(tmp_path, workspace)

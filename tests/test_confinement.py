@@ -380,6 +380,47 @@ def test_each_dataset_rule_has_one_home():
     assert len(bounds) == 1 and bounds[0].startswith("ingest/tabular.py:")
 
 
+# Where each macro-grammar refusal is raised: the one judge of a command and
+# the one judge of a script.
+MACRO_REFUSALS = {
+    "UnknownVerb": ("MacroCommand", "__post_init__"),
+    "BadArity": ("MacroCommand", "__post_init__"),
+    "EmptyScript": ("MacroScript", "__post_init__"),
+}
+
+
+def test_the_macro_grammar_is_judged_in_one_place():
+    """``UnknownVerb`` and ``BadArity`` are raised only in
+    ``MacroCommand.__post_init__`` and ``EmptyScript`` only in
+    ``MacroScript.__post_init__``, and the verb table is written once and
+    read only in ``ingest/macro.py``. The line parser once kept two verb
+    tables of its own and judged verbs and arities a second time, and an
+    empty script was refused in four places."""
+    offenders, tables = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(node): (cls.name, method.name)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for method in cls.body if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+        }
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Raise):
+                for error, home in MACRO_REFUSALS.items():
+                    if _mentions(node.exc, error) and (module, methods.get(id(node))) != ("ingest/macro.py", home):
+                        offenders.append(f"{where} raise {error}")
+            if isinstance(name, str) and name.endswith("VERBS") and module != "ingest/macro.py":
+                offenders.append(f"{where} {name}")
+            if isinstance(node, ast.Constant) and node.value == "winwaitactive":
+                tables.append(where)
+    assert offenders == []
+    assert len(tables) == 1 and tables[0].startswith("ingest/macro.py:")
+
+
 # The functions that make ops and checks from the text fields ``read_tagged`` returns.
 TAGGED_LOADERS = {("twin/patch.py", "delta_from_doc"), ("twin/checks.py", "checks_from_doc")}
 

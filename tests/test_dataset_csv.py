@@ -176,6 +176,29 @@ def test_bad_pid_cell_names_its_line(tmp_path, pid):
         read_dataset_csv(path)
 
 
+
+# The double the CSV parse makes of each of these cells is a whole number,
+# which the reader once took as the pid; ``ingest top`` refuses each text.
+@pytest.mark.parametrize("pid", ["1e0", "5.0000000000000001", "1_0", "\u0663", " 7", "+2", "1.0"])
+def test_a_pid_cell_must_be_ascii_digits(tmp_path, monkeypatch, capsys, pid):
+    from twinforge.cli import main
+
+    real, synth = tmp_path / "real.csv", tmp_path / "synth.csv"
+    write_dataset_csv(_dataset(pids=(1, 2, 3, 4, 5)), real)
+    lines = real.read_bytes().decode("utf-8").split("\r\n")
+    assert lines[2].startswith("2,")
+    lines[2] = pid + lines[2][1:]
+    synth.write_bytes("\r\n".join(lines).encode("utf-8"))
+    message = f"{synth}: line 3: pid must be ASCII digits, got {pid!r}"
+    with pytest.raises(MalformedCsv) as err:
+        read_dataset_csv(synth)
+    assert str(err.value) == message
+
+    monkeypatch.chdir(tmp_path)  # the default workspace is the working directory
+    assert main(["validate", "--real", str(real), "--synth", str(synth)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_the_largest_pid_round_trips_exactly(tmp_path):
     path = tmp_path / "data.csv"
     dataset = _dataset(pids=(1, 2**22, 2**53 - 2, 2**53 - 1, 2**53 - 1))

@@ -18,6 +18,7 @@ from twinforge.ingest.macro import (
     parse_macro_script,
     tokenize_script,
 )
+from twinforge.sequence.ngram import sequence_to_script
 
 
 def test_parse_basic_script():
@@ -39,37 +40,65 @@ def test_send_text_may_contain_commas():
     assert parse_macro_script(emit_macro_script(script)).commands == script.commands
 
 
+_DIGITS_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+    " use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
 @pytest.mark.parametrize(
-    "line,err",
+    "line,err,message",
     [
-        ("Teleport, x", UnknownVerb),
-        ("Sleep, -5", BadArg),
-        ("Sleep, abc", BadArg),
-        ("Sleep", BadArity),
-        ("Sleep, 1, 2", BadArity),
-        ("Click, 5", BadArity),
-        ("Click, 5, x", BadArg),
-        ("Click, -1, 4", BadArg),
-        ("Run,", BadArity),
-        ("Run", BadArity),
-        ("Sleep, 1_000", BadArg),
-        ("Sleep, \uff15", BadArg),
-        ("Sleep, \u0665", BadArg),
-        ("Click, +5, 3", BadArg),
-        pytest.param("Sleep, " + "9" * 5000, BadArg, id="Sleep-5000-digits"),
+        ("Teleport, x", UnknownVerb, "unknown verb 'Teleport'"),
+        (", x", UnknownVerb, "unknown verb ''"),
+        ("Sleep, -5", BadArg, "Sleep argument must be ASCII digits, got '-5'"),
+        ("Sleep, abc", BadArg, "Sleep argument must be ASCII digits, got 'abc'"),
+        ("Sleep", BadArity, "Sleep takes exactly 1 argument(s)"),
+        ("Sleep, ", BadArity, "Sleep takes exactly 1 argument(s)"),
+        ("Sleep, 1, 2", BadArity, "Sleep takes exactly 1 argument(s)"),
+        ("Click, 5", BadArity, "Click takes exactly 2 argument(s)"),
+        ("Click, 5,", BadArity, "Click takes exactly 2 argument(s)"),
+        ("Click, 1, , 2", BadArity, "Click takes exactly 2 argument(s)"),
+        ("Click, 5, x", BadArg, "Click argument must be ASCII digits, got 'x'"),
+        ("Click, -1, 4", BadArg, "Click argument must be ASCII digits, got '-1'"),
+        ("Run,", BadArity, "Run takes exactly one argument"),
+        ("Run", BadArity, "Run takes exactly one argument"),
+        ("Send,   ", BadArity, "Send takes exactly one argument"),
+        ("Sleep, 1_000", BadArg, "Sleep argument must be ASCII digits, got '1_000'"),
+        ("Sleep, \uff15", BadArg, "Sleep argument must be ASCII digits, got '\uff15'"),
+        ("Sleep, \u0665", BadArg, "Sleep argument must be ASCII digits, got '\u0665'"),
+        ("Click, +5, 3", BadArg, "Click argument must be ASCII digits, got '+5'"),
+        pytest.param(
+            "Sleep, " + "9" * 5000, BadArg, f"Sleep argument is not an integer: {_DIGITS_LIMIT}", id="Sleep-5000-digits"
+        ),
     ],
 )
-def test_rejections(line, err):
+def test_rejections(line, err, message):
     with pytest.raises(err) as e:
         parse_macro_script("Run, ok\n" + line)
-    assert e.value.line_no == 2
+    assert (e.value.line_no, e.value.token_index, e.value.reason) == (2, None, message)
+    assert str(e.value) == f"line 2: {message}"
+    with pytest.raises(err) as e:
+        sequence_to_script((BOS, "Run, ok", line, EOS))
+    assert (e.value.line_no, e.value.token_index, str(e.value)) == (None, 2, f"token 2: {message}")
+
+
+def test_a_verb_is_read_in_any_case_but_built_in_its_own():
+    assert parse_macro_script("run, x").commands == (MacroCommand("Run", ("x",)),)
+    assert parse_macro_script("CLICK, 1, 2").commands == (MacroCommand("Click", (1, 2)),)
+    with pytest.raises(UnknownVerb) as e:
+        MacroCommand("run", ("x",))
+    assert (e.value.line_no, e.value.token_index, str(e.value)) == (None, None, "unknown verb 'run' (did you mean 'Run'?)")
 
 
 def test_empty_script_errors():
-    with pytest.raises(EmptyScript):
-        parse_macro_script("; nothing here\n\n")
-    with pytest.raises(EmptyScript):
+    with pytest.raises(EmptyScript, match="^script 'blank' has no commands$"):
+        parse_macro_script("; nothing here\n\n", name="blank")
+    with pytest.raises(EmptyScript, match="^script 'empty' has no commands$"):
         MacroScript("empty", ())
+    with pytest.raises(EmptyScript) as e:
+        sequence_to_script((BOS, EOS))
+    assert (e.value.line_no, e.value.token_index, str(e.value)) == (None, None, "script 'generated' has no commands")
 
 
 def test_fixture_corpus_round_trips(script_paths, script_corpus):
